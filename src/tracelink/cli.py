@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import difflib
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -43,8 +42,6 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except AnchorNotFound as exc:
-            _fail(str(exc))
         except TracelinkError as exc:
             _fail(str(exc))
         except OSError as exc:
@@ -58,14 +55,6 @@ def _load_mgm(root: Path) -> Megamodel:
     if not path.is_file():
         _fail(f"no {MEGAMODEL_FILE} in '{root}'; run 'tracelink discover' first")
     return megamodel.load_megamodel(path.read_text(encoding="utf-8"))
-
-
-def _load_metamodels(root: Path, mgm: Megamodel) -> dict:
-    out = {}
-    for res in mgm.of_kind(ResourceKind.METAMODEL):
-        mm = parse_metamodel(read_text(root, res.uri))
-        out[mm.name] = mm
-    return out
 
 
 def _workspace_metamodels(root: Path) -> dict:
@@ -296,16 +285,19 @@ def origin(file_uri: str, location: str, fmt: str):
 
 
 def _location_to_byte(root: Path, file_uri: str, location: str) -> int:
-    if location.startswith("@"):
-        return int(location[1:])
-    if ":" not in location:
+    try:
+        if location.startswith("@"):
+            return int(location[1:])
+        line_s, col_s = location.split(":", 1)
+        line, col = int(line_s), int(col_s)
+    except ValueError:
         _fail(f"location must be LINE:COL or @BYTE, got {location!r}")
-    line_s, col_s = location.split(":", 1)
-    line, col = int(line_s), int(col_s)
-    data = (root / file_uri).read_bytes()
-    lines = data.split(b"\n")
+    lines = (root / file_uri).read_bytes().split(b"\n")
     if line < 1 or line > len(lines):
         _fail(f"{file_uri} has no line {line}")
+    # A line's bytes are its text plus the newline that ends it, if any.
+    if col < 1 or col > len(lines[line - 1]) + (line < len(lines)):
+        _fail(f"{file_uri}:{line} has no column {col}")
     return sum(len(x) + 1 for x in lines[:line - 1]) + (col - 1)
 
 
@@ -333,12 +325,17 @@ def gtm_dot(around: str | None, radius: int):
     g = gtm.build_gtm(_load_mgm(root), root)
     anchor = None
     if around is not None:
+        try:
+            if "@" in around:
+                file_uri, offset_s = around.rsplit("@", 1)
+                offset = int(offset_s)
+            else:
+                uri, path_text = around.rsplit(":", 1)
+        except ValueError:
+            _fail(f"--around must be MODEL:PATH or FILE@BYTE, got {around!r}")
         if "@" in around:
-            file_uri, offset_s = around.rsplit("@", 1)
-            report = gtm.origin_track(g, location=(file_uri, int(offset_s)))
-            anchor = report.anchor
+            anchor = gtm.origin_track(g, location=(file_uri, offset)).anchor
         else:
-            uri, path_text = around.rsplit(":", 1)
             anchor = gtm.ElemNode(uri, str(parse_path(path_text)))
     click.echo(gtm.export_dot(g, around=anchor, radius=radius), nl=False)
 

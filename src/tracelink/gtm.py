@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import AnchorNotFound, LocationOutsideSpans, TracelinkError
-from .megamodel import Megamodel, ResourceKind
+from .megamodel import Megamodel, ResourceKind, _dot_escape
 from .model import Metamodel, parse_metamodel, parse_model, resolve_path
 from .paths import parse_path
 from .trace import CodeSpan, ElementRef, load_trace
@@ -238,10 +238,6 @@ def report_json(report: AnalysisReport) -> dict:
 # ---------------------------------------------------------------------------
 # DOT export
 # ---------------------------------------------------------------------------
-
-def _dot_escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
-
 
 def export_dot(g: GlobalTraceMap, around: TraceNode | None = None, radius: int = 2) -> str:
     """DOT text; with ``around`` set, only the induced subgraph within

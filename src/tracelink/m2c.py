@@ -11,7 +11,7 @@ turns every marker region into a trace link targeting a code span.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     ConformanceError,
@@ -22,7 +22,8 @@ from .errors import (
     TransformationError,
     UnbalancedMarker,
 )
-from .model import Element, Metamodel, Model, check_conformance, path_of, resolve_path
+from .m2m import _unescape
+from .model import Element, Metamodel, Model, _type_ok, ensure_conforms, iter_elements, resolve_path
 from .paths import normalize_marker_path, parse_path
 from .trace import ElementRef, LocalTraceModel, TraceLink, build_identifier_tree, span_at
 
@@ -144,22 +145,6 @@ _TAG_TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-
-
-def _unescape(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        if s[i] == "\\" and i + 1 < len(s):
-            out.append(_ESCAPES.get(s[i + 1], s[i + 1]))
-            i += 2
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
 
 
 def _tokenize_tag(content: str, line: int) -> list[tuple[str, object]]:
@@ -453,16 +438,6 @@ def _nav_kind(t: Template, nav: TNav, env: dict[str, str], line: int) -> tuple[s
     return kind
 
 
-def _literal_matches(attr_type: str, value: object) -> bool:
-    if attr_type == "string":
-        return isinstance(value, str)
-    if attr_type == "bool":
-        return isinstance(value, bool)
-    if attr_type == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_template(t: Template):
     def check(nodes, env: dict[str, str], in_loop: bool):
         for node in nodes:
@@ -501,7 +476,7 @@ def _check_template(t: Template):
                     kind = _nav_kind(t, cond.left, env, node.line)
                     if kind[0] != "attr":
                         raise TemplateTypeError("condition must compare an attribute", node.line)
-                    if not _literal_matches(kind[1], cond.right.value):
+                    if not _type_ok(kind[1], cond.right.value):
                         raise TemplateTypeError(
                             f"condition compares {kind[1]} attribute against {cond.right.value!r}", node.line)
                 check(node.then_body, env, in_loop)
@@ -529,14 +504,15 @@ def render(t: Template, m: Model) -> str:
     """Render the template over a conforming model."""
     if m.metamodel_name != t.metamodel.name:
         raise ConformanceError("root", f"model conforms to '{m.metamodel_name}', template needs '{t.metamodel.name}'")
-    violations = check_conformance(m, t.metamodel)
-    if violations:
-        raise ConformanceError(violations[0].path, violations[0].message, tuple(violations))
+    ensure_conforms(m, t.metamodel)
 
     out: list[str] = []
+    paths: dict[int, str] = {}  # id(element) -> path, built on first use
 
     def model_path(e: Element) -> str:
-        return str(path_of(m, e))
+        if not paths:
+            paths.update((id(x), str(p)) for p, x in iter_elements(m))
+        return paths[id(e)]
 
     def feature_kind(e: Element, step: str) -> str:
         cls = t.metamodel.class_named(e.class_name)
@@ -805,10 +781,11 @@ def extract_trace(
         raise UnbalancedMarker(len(data))
 
     clean_bytes = bytes(clean)
+    newlines = [m.start() for m in re.finditer(b"\n", clean_bytes)]
     links = tuple(
         TraceLink(
             sources=(ElementRef(model_uri, path),),
-            targets=(span_at(clean_file_uri, clean_bytes, start, end),),
+            targets=(span_at(clean_file_uri, newlines, start, end),),
             tags={"template": a.template_name},
         )
         for path, start, end in regions

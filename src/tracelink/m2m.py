@@ -24,7 +24,7 @@ from .errors import (
     UnknownClass,
     UnresolvedBinding,
 )
-from .model import Element, Metamodel, Model, check_conformance, iter_elements, resolve_path
+from .model import Element, Metamodel, Model, ensure_conforms, iter_elements, resolve_path
 from .trace import ElementRef, LocalTraceModel, TraceLink
 
 # ---------------------------------------------------------------------------
@@ -505,7 +505,9 @@ def _eval_guard(guard: Guard, element: Element) -> bool:
 
 
 def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, Metamodel],
-         output_uri: str) -> tuple[Model, list[tuple[_Instance, int, Element]]]:
+         output_uri: str) -> tuple[Model, list[tuple[_Instance, int, Element]], dict[int, object]]:
+    """Output model, traced (instance, pattern index, image) triples, and
+    the output path of every output element, keyed by ``id``."""
     declared = dict(t.inputs)
     if set(inputs) != set(declared):
         raise TransformationError(
@@ -514,9 +516,7 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
         mm_name = declared[alias]
         if model.metamodel_name != mm_name:
             raise ConformanceError("root", f"input '{alias}' must conform to '{mm_name}'")
-        violations = check_conformance(model, metamodels[mm_name])
-        if violations:
-            raise ConformanceError(violations[0].path, violations[0].message, tuple(violations))
+        ensure_conforms(model, metamodels[mm_name])
 
     out_mm = metamodels[t.output[1]]
 
@@ -636,9 +636,7 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
             raise ConformanceError("root", "a reference points at an element outside the output tree")
         image.refs[feature] = target_path
 
-    violations = check_conformance(out_model, out_mm)
-    if violations:
-        raise ConformanceError(violations[0].path, violations[0].message, tuple(violations))
+    ensure_conforms(out_model, out_mm)
 
     # Deterministic trace order: source path, then target pattern index.
     traced: list[tuple[_Instance, int, Element]] = []
@@ -646,12 +644,12 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
         for idx, (pattern, image) in enumerate(zip(inst.rule.targets, inst.images)):
             if pattern.traced:
                 traced.append((inst, idx, image))
-    return out_model, traced
+    return out_model, traced, out_paths
 
 
 def execute_m2m(t: TransformationM2M, inputs: dict[str, Model],
                 metamodels: dict[str, Metamodel], output_uri: str = "") -> Model:
-    model, _ = _run(t, inputs, metamodels, output_uri)
+    model, _, _ = _run(t, inputs, metamodels, output_uri)
     return model
 
 
@@ -667,8 +665,7 @@ def execute_augmented_m2m(
 ) -> tuple[Model, LocalTraceModel]:
     if not is_augmented(t):
         raise TransformationError("transformation is not augmented")
-    model, traced = _run(t, inputs, metamodels, output_uri)
-    out_paths = {id(element): path for path, element in iter_elements(model)}
+    model, traced, out_paths = _run(t, inputs, metamodels, output_uri)
     links = tuple(
         TraceLink(
             sources=(ElementRef(inputs[inst.alias].uri, inst.path),),

@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path, PurePosixPath
 
 from .errors import AmbiguousMetamodel, DanglingRelation, DuplicateId, IntegrityError, ParseError
-from .model import canonical_json
+from .model import _load_json, canonical_json
 
 
 class ResourceKind(str, Enum):
@@ -280,10 +280,7 @@ def save_megamodel(mgm: Megamodel) -> str:
 
 
 def load_megamodel(text: str) -> Megamodel:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise ParseError("megamodel document must be an object")
     try:

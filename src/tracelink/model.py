@@ -3,6 +3,10 @@
 Concrete syntax is JSON (``*.mm.json`` / ``*.model.json``, see docs/formats.md).
 Values are immutable after parse; engines that build models mutate fresh
 elements during construction only.
+
+Conformance is checked where a model enters: in ``parse_model`` and when
+the M2M engine assembles its output. ``ensure_conforms`` records the result
+on the model, so engines trust a checked model and check a hand-built one.
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ class Model:
     uri: str
     metamodel_name: str
     root: Element
+    # The metamodel ensure_conforms found this model to conform to.
+    checked_against: Metamodel | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -229,10 +235,7 @@ def parse_model(text: str, mm: Metamodel, uri: str = "") -> Model:
     if declared != mm.name:
         raise ConformanceError("root", f"model declares metamodel '{declared}', expected '{mm.name}'")
     model = Model(uri, declared, _parse_element(data["root"], "root"))
-    violations = check_conformance(model, mm)
-    if violations:
-        first = violations[0]
-        raise ConformanceError(first.path, first.message, tuple(violations))
+    ensure_conforms(model, mm)
     return model
 
 
@@ -325,6 +328,19 @@ def check_conformance(m: Model, mm: Metamodel) -> list[Violation]:
     visit(m.root, ROOT_PATH)
     violations.sort(key=lambda v: (v.path, v.message))
     return violations
+
+
+def ensure_conforms(m: Model, mm: Metamodel):
+    """Raise ConformanceError unless ``m`` conforms to ``mm``; check only once.
+
+    Relies on models being immutable once checked (module docstring).
+    """
+    if m.checked_against == mm:
+        return
+    violations = check_conformance(m, mm)
+    if violations:
+        raise ConformanceError(violations[0].path, violations[0].message, tuple(violations))
+    m.checked_against = mm
 
 
 def _child_path(parent: ElementPath, name: str, index: int) -> ElementPath:

@@ -9,7 +9,6 @@ every produced artifact in the megamodel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -36,7 +35,7 @@ from .megamodel import (
     register,
     resource_id,
 )
-from .model import Metamodel, Model, check_conformance, parse_metamodel, parse_model, serialize_model
+from .model import Metamodel, Model, _load_json, ensure_conforms, parse_metamodel, parse_model, serialize_model
 from .trace import LocalTraceModel, save_trace
 from .workspace import read_text, write_text
 
@@ -104,10 +103,7 @@ class EnactmentResult:
 # ---------------------------------------------------------------------------
 
 def parse_process(text: str) -> ProcessModel:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    data = _load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("name"), str):
         raise ParseError("process document needs a string 'name'")
 
@@ -121,21 +117,34 @@ def parse_process(text: str) -> ProcessModel:
             raise ParseError(f"node '{raw['id']}': unknown kind {raw.get('kind')!r}") from None
         pins = {}
         for side in ("inputPins", "outputPins"):
+            where = f"node '{raw['id']}': a pin in '{side}'"
             pins[side] = tuple(
-                Pin(p["name"], p["metamodel"]) for p in raw.get(side, [])
+                Pin(_string(p, "name", where), _string(p, "metamodel", where)) for p in raw.get(side, [])
             ) if kind == NodeKind.ACTION else ()
         transformation = raw.get("transformation") if kind == NodeKind.ACTION else None
         if kind == NodeKind.ACTION and not isinstance(transformation, str):
             raise ParseError(f"action '{raw['id']}' needs a 'transformation' resource id")
         nodes.append(ProcNode(raw["id"], kind, transformation, pins["inputPins"], pins["outputPins"]))
 
-    control_edges = tuple((e[0], e[1]) for e in data.get("controlEdges", []))
+    control_edges = []
+    for i, e in enumerate(data.get("controlEdges", [])):
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+            raise ParseError(f"control edge {i} needs two node ids, got {e!r}")
+        control_edges.append((e[0], e[1]))
     object_edges = tuple(
-        ObjectEdge(e["from"], e["fromPin"], e["to"], e["toPin"]) for e in data.get("objectEdges", [])
+        ObjectEdge(*(_string(e, key, f"object edge {i}") for key in ("from", "fromPin", "to", "toPin")))
+        for i, e in enumerate(data.get("objectEdges", []))
     )
-    process = ProcessModel(data["name"], tuple(nodes), control_edges, object_edges)
+    process = ProcessModel(data["name"], tuple(nodes), tuple(control_edges), object_edges)
     _check_process(process)
     return process
+
+
+def _string(raw: object, key: str, where: str) -> str:
+    value = raw.get(key) if isinstance(raw, dict) else None
+    if not isinstance(value, str):
+        raise ParseError(f"{where} needs a string '{key}'")
+    return value
 
 
 def _check_process(p: ProcessModel):
@@ -277,20 +286,15 @@ def schedule(p: ProcessModel) -> ExecutionPlan:
 # Enactment
 # ---------------------------------------------------------------------------
 
-def _load_metamodels(mgm: Megamodel, root: Path) -> dict[str, Metamodel]:
+def _load_metamodels(mgm: Megamodel, root: Path) -> tuple[dict[str, Metamodel], dict[str, str]]:
+    """The registered metamodels by name, and their resource ids by name."""
     metamodels: dict[str, Metamodel] = {}
+    resource_ids: dict[str, str] = {}
     for res in mgm.of_kind(ResourceKind.METAMODEL):
         mm = parse_metamodel(read_text(root, res.uri))
         metamodels[mm.name] = mm
-    return metamodels
-
-
-def _metamodel_resource_ids(mgm: Megamodel, root: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for res in mgm.of_kind(ResourceKind.METAMODEL):
-        data = json.loads(read_text(root, res.uri))
-        out[data["name"]] = res.id
-    return out
+        resource_ids[mm.name] = res.id
+    return metamodels, resource_ids
 
 
 def enact(
@@ -313,8 +317,7 @@ def enact(
     demonstrate order independence); registration stays in sorted order.
     """
     plan = schedule(p)
-    metamodels = _load_metamodels(mgm, root)
-    mm_resource_ids = _metamodel_resource_ids(mgm, root)
+    metamodels, mm_resource_ids = _load_metamodels(mgm, root)
 
     actions = {n.id: n for n in p.actions()}
     fed_pins = {(e.to_node, e.to_pin) for e in p.object_edges}
@@ -343,19 +346,17 @@ def enact(
             if (action.id, pin.name) not in fed_pins:
                 pin_inputs[(action.id, pin.name)] = bindings[pin.name]
 
+    # Models by URI: inputs as parsed, M2M outputs as produced in memory.
     model_cache: dict[str, Model] = {}
 
     def load_model(uri: str, mm_name: str, action_id: str) -> Model:
         if uri not in model_cache:
-            mm = metamodels[mm_name]
-            model_cache[uri] = parse_model(read_text(root, uri), mm, uri=uri)
+            model_cache[uri] = parse_model(read_text(root, uri), metamodels[mm_name], uri=uri)
         model = model_cache[uri]
         if model.metamodel_name != mm_name:
             raise ConformanceError("root", f"model '{uri}' conforms to '{model.metamodel_name}', "
                                            f"pin of action '{action_id}' needs '{mm_name}'")
-        violations = check_conformance(model, metamodels[mm_name])
-        if violations:
-            raise ConformanceError(violations[0].path, violations[0].message, tuple(violations))
+        ensure_conforms(model, metamodels[mm_name])
         return model
 
     current = mgm
@@ -379,7 +380,7 @@ def enact(
                 if tr_res.kind == ResourceKind.TRANSFORMATION_M2M:
                     deltas[aid] = _run_m2m_action(
                         action, tr_res, root, metamodels, mm_resource_ids, pin_inputs,
-                        load_model, stamps[aid], output_dir, trace_dir, augment)
+                        load_model, model_cache, stamps[aid], output_dir, trace_dir, augment)
                 elif tr_res.kind == ResourceKind.TRANSFORMATION_M2C:
                     deltas[aid] = _run_m2c_action(
                         action, tr_res, root, metamodels, pin_inputs,
@@ -418,7 +419,7 @@ def _output_uri(action: ProcNode, pin_name: str, output_dir: str) -> str | None:
 
 
 def _run_m2m_action(action, tr_res, root, metamodels, mm_resource_ids, pin_inputs,
-                    load_model, stamp, output_dir, trace_dir, augment):
+                    load_model, model_cache, stamp, output_dir, trace_dir, augment):
     transformation = m2m.parse_m2m(read_text(root, tr_res.uri), metamodels)
     if augment:
         transformation = m2m.augment_m2m(transformation)
@@ -457,6 +458,7 @@ def _run_m2m_action(action, tr_res, root, metamodels, mm_resource_ids, pin_input
         out_model = m2m.execute_m2m(transformation, inputs, metamodels, out_uri)
         trace = None
     write_text(root, out_uri, serialize_model(out_model))
+    model_cache[out_uri] = out_model  # later stages read it from memory
 
     model_id = resource_id(ResourceKind.MODEL, out_uri)
     model_rels = [

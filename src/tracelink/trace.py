@@ -7,6 +7,7 @@ model, stored as a sidecar ``*.trace.json`` file.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import IntegrityError, ParseError
@@ -50,12 +51,12 @@ class CodeSpan:
         return self.start_byte <= byte_offset < self.end_byte
 
 
-def span_at(file_uri: str, clean: bytes, start: int, end: int) -> CodeSpan:
-    """Build a span over ``clean`` with line/col derived from ``start``."""
-    line = clean.count(b"\n", 0, start) + 1
-    last_nl = clean.rfind(b"\n", 0, start)
-    col = start - (last_nl + 1) + 1
-    return CodeSpan(file_uri, start, end, line, col)
+def span_at(file_uri: str, newlines: list[int], start: int, end: int) -> CodeSpan:
+    """Build a span with line/col derived from ``start``; ``newlines`` holds
+    the ascending byte offsets of every newline in the file."""
+    before = bisect_left(newlines, start)
+    last_nl = newlines[before - 1] if before else -1
+    return CodeSpan(file_uri, start, end, before + 1, start - last_nl)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,32 @@ def test_origin_outside_spans(enacted_ws, runner):
     assert result.exit_code == 1
 
 
+def assert_one_line_error(result):
+    assert result.exit_code == 1
+    assert len(result.output.splitlines()) == 1 and result.output.startswith("error: ")
+
+
+@pytest.mark.parametrize("location", ["5:30", "5:19", "5:0", "0:1", "a:b", "5:x", "@x", "nocolon"])
+def test_origin_rejects_bad_locations(enacted_ws, runner, location):
+    # Line 5 of Sink.c holds 17 bytes and its newline: columns 1 to 18.
+    assert len((enacted_ws / "out/GenContiki/Sink.c").read_bytes().split(b"\n")[4]) == 17
+    assert_one_line_error(invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", location))
+
+
+def test_origin_column_counts_within_its_line(enacted_ws, runner):
+    clean = (enacted_ws / "out/GenContiki/Sink.c").read_bytes()
+    offset = clean.find(b'"sink-0')
+    line, col = clean[:offset].count(b"\n") + 1, offset - clean.rfind(b"\n", 0, offset)
+    by_col = invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", f"{line}:{col}")
+    by_byte = invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", f"@{offset}")
+    assert by_col.exit_code == 0 and by_col.output == by_byte.output
+
+
+@pytest.mark.parametrize("around", ["nocolon", "out/GenContiki/Sink.c@x"])
+def test_gtm_dot_rejects_malformed_anchors(enacted_ws, runner, around):
+    assert_one_line_error(invoke(runner, enacted_ws, "gtm", "dot", "--around", around))
+
+
 def test_mgm_show_and_dot(enacted_ws, runner):
     shown = invoke(runner, enacted_ws, "mgm", "show")
     assert shown.exit_code == 0

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelink.errors import (
     ConformanceError,
@@ -23,8 +27,11 @@ from tracelink.m2c import (
     render_augmented,
     strip_template,
 )
-from tracelink.model import parse_metamodel
+from tracelink.m2m import execute_m2m, parse_m2m
+from tracelink.model import parse_metamodel, parse_model, resolve_path
+from tracelink.paths import normalize_marker_path, parse_path
 
+from conftest import WORKSPACE_FIXTURE
 from templates import (
     ALL_METAMODELS,
     COND_TEMPLATE,
@@ -37,6 +44,7 @@ from templates import (
     list_model,
     plat_model,
 )
+from worlds import random_world
 
 
 def loop_template():
@@ -124,6 +132,13 @@ def test_render_requires_conforming_model():
     t = loop_template()
     with pytest.raises(ConformanceError):
         render(t, plat_model(False))
+
+
+def test_render_checks_a_hand_built_model_of_the_right_metamodel():
+    model = list_model(["a"])
+    model.root.collections["elements"][0].attrs["name"] = 7
+    with pytest.raises(ConformanceError, match="expects string"):
+        render(loop_template(), model)
 
 
 def test_eval_error_on_unset_reference_carries_location():
@@ -340,3 +355,67 @@ def test_non_ascii_string_literals_survive():
     t = parse_template('[template x (m : ListMM!Root)]["café \\"q\\" ок"/][/template]',
                        ALL_METAMODELS)
     assert render(t, list_model([])) == 'café "q" ок'
+
+
+# -- marker paths ----------------------------------------------------------------
+
+def tree_template(mm, root_class):
+    """Loops over every collection below ``root_class`` and tests each one's
+    size; every loop body and branch starts with ``path()`` of the element
+    it binds, ended by ';' (loop) or '|' (branch)."""
+
+    def body(class_name, var, depth):
+        parts = []
+        for coll in mm.class_named(class_name).collections:
+            child = f"v{depth + 1}"
+            parts.append(f"[if ({var}.{coll.name}->size() > 0)][path({var})/]|[/if]"
+                         f"[for ({child} : {var}.{coll.name})][path({child})/];"
+                         f"{body(coll.element_class, child, depth + 1)}[/for]")
+        return "".join(parts)
+
+    return f"[template tree.txt (v0 : {mm.name}!{root_class})]{body(root_class, 'v0', 0)}[/template]"
+
+
+def bound_elements(mm, model):
+    """The elements tree_template's branches and loops bind, in the order
+    their marker regions open."""
+    out = []
+
+    def visit(e):
+        for coll in mm.class_named(e.class_name).collections:
+            children = e.collections.get(coll.name, [])
+            if children:
+                out.append(e)
+            for child in children:
+                out.append(child)
+                visit(child)
+
+    visit(model.root)
+    return out
+
+
+def assert_paths_resolve_to_bound_elements(mm, model):
+    t = augment_template(parse_template(tree_template(mm, model.root.class_name), {mm.name: mm}))
+    clean, trace, _ = extract_trace(render_augmented(t, model), model.uri, "tree.txt")
+    expected = bound_elements(mm, model)
+    marked = [resolve_path(model, link.sources[0].path) for link in trace.links]
+    emitted = [resolve_path(model, normalize_marker_path(parse_path(text)))
+               for text in re.split("[;|]", clean)[:-1]]
+    assert len(marked) == len(emitted) == len(expected)
+    assert all(a is b for a, b in zip(marked, expected))
+    assert all(a is b for a, b in zip(emitted, expected))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000))
+def test_marker_paths_resolve_to_bound_elements_in_random_worlds(seed):
+    metamodels, text, model = random_world(seed)
+    assert_paths_resolve_to_bound_elements(metamodels["SrcMM"], model)
+    produced = execute_m2m(parse_m2m(text, metamodels), {"src": model}, metamodels, "dst.model.json")
+    assert_paths_resolve_to_bound_elements(metamodels["DstMM"], produced)
+
+
+def test_marker_paths_resolve_to_bound_elements_in_the_fixture_pim():
+    pimm = parse_metamodel((WORKSPACE_FIXTURE / "PIMM.mm.json").read_text())
+    pim = parse_model((WORKSPACE_FIXTURE / "Input.pim.model.json").read_text(), pimm, "Input.pim.model.json")
+    assert_paths_resolve_to_bound_elements(pimm, pim)

@@ -329,6 +329,15 @@ def test_wrong_input_metamodel_rejected():
         execute_m2m(t, {"src": bogus}, AB_METAMODELS)
 
 
+def test_hand_built_non_conforming_input_rejected():
+    # Declares the right metamodel but sets an attribute MMA's Node lacks:
+    # only the conformance check on entry can catch it.
+    t = parse_m2m(IDENTITY_RULE, AB_METAMODELS)
+    bogus = Model("", "MMA", Element("Node", {"id": "n1", "colour": "red"}))
+    with pytest.raises(ConformanceError, match="colour"):
+        execute_m2m(t, {"src": bogus}, AB_METAMODELS)
+
+
 def test_non_ascii_literals_survive_parse_and_print():
     text = IDENTITY_RULE.replace('s.id', 'concat("café-", s.id)')
     t = parse_m2m(text, AB_METAMODELS)

@@ -1,11 +1,14 @@
 import json
+import sys
 
 import pytest
 
+from tracelink import model as model_module
 from tracelink.errors import (
     ConformanceError,
     CycleError,
     MissingBinding,
+    ParseError,
     TransformationError,
     WellFormednessError,
 )
@@ -47,6 +50,49 @@ def test_minimal_process_parses():
     p = parse_process(LINEAR)
     assert len(p.nodes) == 3
     assert p.node("A").kind == NodeKind.ACTION
+
+
+PIPED = {
+    "name": "p",
+    "nodes": [
+        {"id": "i", "kind": "Initial"},
+        action("A", inputs=[("x", "MM")], outputs=[("y", "MM")]),
+        action("B", inputs=[("y", "MM")]),
+        {"id": "f", "kind": "Final"},
+    ],
+    "controlEdges": [["i", "A"], ["A", "B"], ["B", "f"]],
+    "objectEdges": [{"from": "A", "fromPin": "y", "to": "B", "toPin": "y"}],
+}
+
+
+def test_piped_process_parses():
+    assert len(parse_process(json.dumps(PIPED)).object_edges) == 1
+
+
+@pytest.mark.parametrize("side, field", [
+    ("inputPins", "name"), ("inputPins", "metamodel"), ("outputPins", "name"), ("outputPins", "metamodel"),
+])
+def test_pin_missing_field_is_a_parse_error_naming_the_node(side, field):
+    doc = json.loads(json.dumps(PIPED))
+    del doc["nodes"][1][side][0][field]
+    with pytest.raises(ParseError, match=f"node 'A'.*'{field}'"):
+        parse_process(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["from", "fromPin", "to", "toPin"])
+def test_object_edge_missing_field_is_a_parse_error_naming_the_edge(field):
+    doc = json.loads(json.dumps(PIPED))
+    del doc["objectEdges"][0][field]
+    with pytest.raises(ParseError, match=f"object edge 0 needs a string '{field}'"):
+        parse_process(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry", [[], ["A"], "AB", ["A", 1]])
+def test_malformed_control_edge_is_a_parse_error_naming_the_edge(entry):
+    doc = json.loads(json.dumps(PIPED))
+    doc["controlEdges"][1] = entry
+    with pytest.raises(ParseError, match="control edge 1 needs two node ids"):
+        parse_process(json.dumps(doc))
 
 
 def test_process_without_initial_rejected():
@@ -215,6 +261,25 @@ def test_bundled_enactment_counts(workspace):
     assert len(result.traces) == 8
     stamps = [t.execution_stamp for t in result.traces]
     assert stamps == sorted(stamps) == list(range(1, 9))
+
+
+def test_enactment_checks_each_model_once_and_never_searches_paths(workspace, monkeypatch):
+    calls = {"check_conformance": 0, "path_of": 0}
+    modules = [m for n, m in sys.modules.items() if n == "tracelink" or n.startswith("tracelink.")]
+    for name in calls:
+        original = getattr(model_module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:  # also where a module imported the name
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    run_enactment(workspace)
+    # The PIM where it is parsed, and each of the four M2M outputs where it
+    # is assembled; the M2C renders reuse the M2M outputs from memory.
+    assert calls == {"check_conformance": 5, "path_of": 0}
 
 
 def test_missing_binding_names_action_and_pin(workspace):

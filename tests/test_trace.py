@@ -156,12 +156,24 @@ def test_malformed_trace_json():
         load_trace("{oops")
 
 
+def newline_offsets(clean):
+    return [i for i, byte in enumerate(clean) if byte == ord("\n")]
+
+
 def test_span_line_col_derivation():
     clean = b"line one\nline two\nline three\n"
-    span = span_at("f", clean, clean.find(b"two"), clean.find(b"two") + 3)
+    span = span_at("f", newline_offsets(clean), clean.find(b"two"), clean.find(b"two") + 3)
     assert (span.start_line, span.start_col) == (2, 6)
-    first = span_at("f", clean, 0, 4)
+    first = span_at("f", newline_offsets(clean), 0, 4)
     assert (first.start_line, first.start_col) == (1, 1)
+
+
+@given(st.binary(max_size=60).map(lambda b: b.replace(b"\r", b"\n")), st.data())
+def test_span_line_col_matches_a_count_of_the_preceding_bytes(clean, data):
+    start = data.draw(st.integers(0, len(clean)))
+    span = span_at("f", newline_offsets(clean), start, start)
+    assert span.start_line == clean.count(b"\n", 0, start) + 1
+    assert span.start_col == start - clean.rfind(b"\n", 0, start)
 
 
 def test_forward_and_backward_indexes_are_transposes():
