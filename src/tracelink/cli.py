@@ -208,7 +208,6 @@ def run_m2c(file: Path, model_uri: str, out_dir: Path):
 def enact(process_uri: str, binds: tuple[str, ...], no_augment: bool):
     """Enact a process: run all actions, register artifacts and traces."""
     root = _workspace_root()
-    mgm_value = _load_mgm(root)
     bindings = {}
     for item in binds:
         if "=" not in item:
@@ -216,30 +215,30 @@ def enact(process_uri: str, binds: tuple[str, ...], no_augment: bool):
         pin, uri = item.split("=", 1)
         bindings[pin] = uri
 
-    # Re-enactment replaces anything a previous run generated.
-    kept = frozenset(r for r in mgm_value.resources if r.origin != ResourceOrigin.GENERATED)
-    kept_ids = {r.id for r in kept}
-    kept_rels = frozenset(
-        rel for rel in mgm_value.relations if rel.from_id in kept_ids and rel.to_id in kept_ids)
-    mgm_value = Megamodel(kept, kept_rels)
-
     config = _config(root)
-    p = process.parse_process(read_text(root, process_uri))
+    # The whole read-modify-write of the megamodel holds the lock, so a
+    # concurrent enactment cannot lose this one's registrations.
     with workspace_lock(root):
+        mgm_value = _load_mgm(root)
+        # Re-enactment replaces anything a previous run generated.
+        kept = frozenset(r for r in mgm_value.resources if r.origin != ResourceOrigin.GENERATED)
+        kept_ids = {r.id for r in kept}
+        kept_rels = frozenset(
+            rel for rel in mgm_value.relations if rel.from_id in kept_ids and rel.to_id in kept_ids)
+        p = process.parse_process(read_text(root, process_uri))
         result = process.enact(
-            p, mgm_value, bindings, root,
+            p, Megamodel(kept, kept_rels), bindings, root,
             output_dir=config.output_dir, trace_dir=config.trace_dir,
             augment=not no_augment,
             default_markers=(config.marker_open, config.marker_close))
-    write_text(root, MEGAMODEL_FILE, megamodel.save_megamodel(result.megamodel))
-    plan = process.schedule(p)
-    summary = {
-        "process": p.name,
-        "stages": [list(stage) for stage in plan.stages],
-        "artifacts": [{"uri": a.uri, "kind": a.kind.value} for a in result.artifacts],
-        "traces": [t.id for t in result.traces],
-    }
-    write_text(root, f"{config.output_dir}/enactment.json", canonical_json(summary))
+        write_text(root, MEGAMODEL_FILE, megamodel.save_megamodel(result.megamodel))
+        summary = {
+            "process": p.name,
+            "stages": [list(stage) for stage in result.plan.stages],
+            "artifacts": [{"uri": a.uri, "kind": a.kind.value} for a in result.artifacts],
+            "traces": [t.id for t in result.traces],
+        }
+        write_text(root, f"{config.output_dir}/enactment.json", canonical_json(summary))
     for line in result.log:
         click.echo(line)
     click.echo(f"registered {len(result.artifacts)} artifacts, {len(result.traces)} traces")

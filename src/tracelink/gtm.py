@@ -5,16 +5,29 @@ straight from local trace links, so chains join wherever one
 transformation's output element is another's input element. Impact
 analysis is forward BFS closure from an anchor, origin tracking the
 backward closure; each node is reported once, at its minimum depth.
+
+A map builds its query index once, on first use, one part at a time:
+successors, predecessors, and each file's code spans sorted by start
+byte. Building a part reads the whole map once; after that an impact or
+origin query costs time in proportion to the nodes and edges it reports,
+plus, for a byte location, a binary search and a short walk back over
+the spans that start near it.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, islice
+from operator import attrgetter
 from pathlib import Path
+from typing import Iterator
 
 from .errors import AnchorNotFound, LocationOutsideSpans, TracelinkError
-from .megamodel import Megamodel, ResourceKind, _dot_escape
-from .model import Metamodel, parse_metamodel, parse_model, resolve_path
+from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels
+from .model import parse_model, resolve_path
 from .paths import parse_path
 from .trace import CodeSpan, ElementRef, load_trace
 from .workspace import read_text
@@ -55,9 +68,35 @@ class GtmEdge:
 
 @dataclass(frozen=True)
 class GlobalTraceMap:
+    """The joined trace graph. Its query index lives in cached properties,
+    outside the fields, so equality, hashing and ``repr`` ignore it."""
+
     nodes: frozenset[TraceNode]
     edges: frozenset[GtmEdge]
     warnings: tuple[str, ...] = ()
+
+    @cached_property
+    def successors(self) -> dict[TraceNode, tuple[TraceNode, ...]]:
+        return _adjacency(self.edges, forward=True)
+
+    @cached_property
+    def predecessors(self) -> dict[TraceNode, tuple[TraceNode, ...]]:
+        return _adjacency(self.edges, forward=False)
+
+    @cached_property
+    def code_spans(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[CodeNode, ...]]]:
+        """Per file: span starts, the running maximum of span ends, and the
+        spans themselves, all in (start, end) order."""
+        by_file: dict[str, list[CodeNode]] = {}
+        for node in self.nodes:
+            if isinstance(node, CodeNode):
+                by_file.setdefault(node.file_uri, []).append(node)
+        index = {}
+        for file_uri, spans in by_file.items():
+            spans.sort(key=attrgetter("start_byte", "end_byte"))
+            index[file_uri] = (tuple(n.start_byte for n in spans),
+                               tuple(accumulate((n.end_byte for n in spans), max)), tuple(spans))
+        return index
 
 
 @dataclass(frozen=True)
@@ -72,6 +111,16 @@ def _node_key(node: TraceNode) -> tuple:
     if isinstance(node, ElemNode):
         return (0, node.model_uri, node.path)
     return (1, node.file_uri, node.start_byte, node.end_byte)
+
+
+def _adjacency(edges, forward: bool) -> dict[TraceNode, tuple[TraceNode, ...]]:
+    # A node may repeat in a tuple (edges differing only in via or tag);
+    # the walks collect nodes in sets.
+    neighbours: dict[TraceNode, list[TraceNode]] = {}
+    for edge in edges:
+        a, b = (edge.src, edge.dst) if forward else (edge.dst, edge.src)
+        neighbours.setdefault(a, []).append(b)
+    return {a: tuple(bs) for a, bs in neighbours.items()}
 
 
 def _as_node(target) -> TraceNode:
@@ -92,11 +141,7 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
     Model-element endpoints whose path no longer resolves are reported as
     warnings; their edges stay, flagged dangling.
     """
-    metamodels: dict[str, Metamodel] = {}
-    for res in mgm.of_kind(ResourceKind.METAMODEL):
-        mm = parse_metamodel(read_text(root, res.uri))
-        metamodels[mm.name] = mm
-
+    metamodels, _ = load_metamodels(mgm, root)
     model_cache: dict[str, object] = {}
     resolvable_cache: dict[tuple[str, str], str | None] = {}
 
@@ -159,25 +204,17 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
 # Analyses
 # ---------------------------------------------------------------------------
 
-def _bfs_layers(g: GlobalTraceMap, anchor: TraceNode, forward: bool) -> tuple[frozenset[TraceNode], ...]:
-    adjacency: dict[TraceNode, set[TraceNode]] = {}
-    for edge in g.edges:
-        a, b = (edge.src, edge.dst) if forward else (edge.dst, edge.src)
-        adjacency.setdefault(a, set()).add(b)
-    layers: list[frozenset[TraceNode]] = []
+def _bfs_layers(anchor: TraceNode, *adjacency: dict) -> Iterator[frozenset[TraceNode]]:
+    """The nodes first reached at depth 1, 2, ... over the union of the
+    given adjacency maps."""
     seen = {anchor}
     frontier = {anchor}
-    while frontier:
-        nxt: set[TraceNode] = set()
-        for node in frontier:
-            nxt |= adjacency.get(node, set())
-        nxt -= seen
-        if not nxt:
-            break
-        layers.append(frozenset(nxt))
-        seen |= nxt
-        frontier = nxt
-    return tuple(layers)
+    while True:
+        frontier = {m for n in frontier for step in adjacency for m in step.get(n, ())} - seen
+        if not frontier:
+            return
+        seen |= frontier
+        yield frozenset(frontier)
 
 
 def _render(anchor: TraceNode, layers) -> str:
@@ -192,7 +229,7 @@ def change_impact(g: GlobalTraceMap, anchor: ElemNode) -> AnalysisReport:
     """Forward closure: everything derived from the anchor element."""
     if anchor not in g.nodes:
         raise AnchorNotFound(str(anchor))
-    layers = _bfs_layers(g, anchor, forward=True)
+    layers = tuple(_bfs_layers(anchor, g.successors))
     return AnalysisReport("impact", anchor, layers, _render(anchor, layers))
 
 
@@ -206,19 +243,34 @@ def origin_track(g: GlobalTraceMap, anchor: TraceNode | None = None,
     if anchor is None:
         if location is None:
             raise AnchorNotFound("<none>")
-        file_uri, offset = location
-        enclosing = [
-            n for n in g.nodes
-            if isinstance(n, CodeNode) and n.file_uri == file_uri
-            and n.start_byte <= offset < n.end_byte
-        ]
-        if not enclosing:
-            raise LocationOutsideSpans(f"{file_uri}@{offset} is inside no traced span")
-        anchor = min(enclosing, key=lambda n: (n.end_byte - n.start_byte, n.start_byte))
+        anchor = _enclosing_span(g, *location)
     if anchor not in g.nodes:
         raise AnchorNotFound(str(anchor))
-    layers = _bfs_layers(g, anchor, forward=False)
+    layers = tuple(_bfs_layers(anchor, g.predecessors))
     return AnalysisReport("origin", anchor, layers, _render(anchor, layers))
+
+
+def _enclosing_span(g: GlobalTraceMap, file_uri: str, offset: int) -> CodeNode:
+    """The smallest span holding ``offset``; of equal sizes, the earliest.
+
+    Walks back from the last span starting at or before ``offset``. It stops
+    where no earlier span reaches past ``offset`` (running maximum of ends)
+    or where every earlier span would be longer than the best found so far.
+    """
+    starts, reach, spans = g.code_spans.get(file_uri, ((), (), ()))
+    best, best_size = None, math.inf
+    i = bisect_right(starts, offset)
+    while i and reach[i - 1] > offset:
+        i -= 1
+        span = spans[i]
+        if offset - span.start_byte >= best_size:
+            break
+        size = span.end_byte - span.start_byte
+        if span.end_byte > offset and size <= best_size:
+            best, best_size = span, size
+    if best is None:
+        raise LocationOutsideSpans(f"{file_uri}@{offset} is inside no traced span")
+    return best
 
 
 def report_json(report: AnalysisReport) -> dict:
@@ -247,19 +299,8 @@ def export_dot(g: GlobalTraceMap, around: TraceNode | None = None, radius: int =
     if around is not None:
         if around not in g.nodes:
             raise AnchorNotFound(str(around))
-        neighbors: dict[TraceNode, set[TraceNode]] = {}
-        for edge in g.edges:
-            neighbors.setdefault(edge.src, set()).add(edge.dst)
-            neighbors.setdefault(edge.dst, set()).add(edge.src)
-        keep = {around}
-        frontier = {around}
-        for _ in range(radius):
-            frontier = {m for n in frontier for m in neighbors.get(n, set())} - keep
-            if not frontier:
-                break
-            keep |= frontier
-        nodes = keep
-        edges = {e for e in g.edges if e.src in keep and e.dst in keep}
+        nodes = {around}.union(*islice(_bfs_layers(around, g.successors, g.predecessors), max(radius, 0)))
+        edges = {e for e in g.edges if e.src in nodes and e.dst in nodes}
 
     lines = ["digraph gtm {", "  rankdir=LR;"]
     ids: dict[TraceNode, str] = {}

@@ -14,7 +14,8 @@ from enum import Enum
 from pathlib import Path, PurePosixPath
 
 from .errors import AmbiguousMetamodel, DanglingRelation, DuplicateId, IntegrityError, ParseError
-from .model import _load_json, canonical_json
+from .model import Metamodel, _load_json, canonical_json, parse_metamodel
+from .workspace import read_text
 
 
 class ResourceKind(str, Enum):
@@ -96,6 +97,17 @@ class Megamodel:
 def resource_id(kind: ResourceKind, uri: str) -> str:
     """Stable, content-independent id."""
     return f"{kind.value}:{uri}"
+
+
+def load_metamodels(mgm: Megamodel, root: Path) -> tuple[dict[str, Metamodel], dict[str, str]]:
+    """The registered metamodels by name, and their resource ids by name."""
+    metamodels: dict[str, Metamodel] = {}
+    resource_ids: dict[str, str] = {}
+    for res in mgm.of_kind(ResourceKind.METAMODEL):
+        mm = parse_metamodel(read_text(root, res.uri))
+        metamodels[mm.name] = mm
+        resource_ids[mm.name] = res.id
+    return metamodels, resource_ids
 
 
 # ---------------------------------------------------------------------------

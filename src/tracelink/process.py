@@ -32,10 +32,11 @@ from .megamodel import (
     ResourceEntry,
     ResourceKind,
     ResourceOrigin,
+    load_metamodels,
     register,
     resource_id,
 )
-from .model import Metamodel, Model, _load_json, ensure_conforms, parse_metamodel, parse_model, serialize_model
+from .model import Model, _load_json, ensure_conforms, parse_model, serialize_model
 from .trace import LocalTraceModel, save_trace
 from .workspace import read_text, write_text
 
@@ -96,6 +97,7 @@ class EnactmentResult:
     artifacts: tuple[ResourceEntry, ...]
     traces: tuple[LocalTraceModel, ...]
     log: tuple[str, ...]
+    plan: ExecutionPlan
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +288,6 @@ def schedule(p: ProcessModel) -> ExecutionPlan:
 # Enactment
 # ---------------------------------------------------------------------------
 
-def _load_metamodels(mgm: Megamodel, root: Path) -> tuple[dict[str, Metamodel], dict[str, str]]:
-    """The registered metamodels by name, and their resource ids by name."""
-    metamodels: dict[str, Metamodel] = {}
-    resource_ids: dict[str, str] = {}
-    for res in mgm.of_kind(ResourceKind.METAMODEL):
-        mm = parse_metamodel(read_text(root, res.uri))
-        metamodels[mm.name] = mm
-        resource_ids[mm.name] = res.id
-    return metamodels, resource_ids
-
-
 def enact(
     p: ProcessModel,
     mgm: Megamodel,
@@ -317,7 +308,7 @@ def enact(
     demonstrate order independence); registration stays in sorted order.
     """
     plan = schedule(p)
-    metamodels, mm_resource_ids = _load_metamodels(mgm, root)
+    metamodels, mm_resource_ids = load_metamodels(mgm, root)
 
     actions = {n.id: n for n in p.actions()}
     fed_pins = {(e.to_node, e.to_pin) for e in p.object_edges}
@@ -408,7 +399,7 @@ def enact(
             if edge.from_node in deltas and produced is not None:
                 pin_inputs[(edge.to_node, edge.to_pin)] = produced
 
-    return EnactmentResult(current, tuple(artifacts), tuple(traces), tuple(log))
+    return EnactmentResult(current, tuple(artifacts), tuple(traces), tuple(log), plan)
 
 
 def _output_uri(action: ProcNode, pin_name: str, output_dir: str) -> str | None:

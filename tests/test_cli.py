@@ -90,6 +90,52 @@ def test_enact_respects_lock(tmp_path, runner):
     assert "enactment" in result.output
 
 
+def test_enact_reads_and_writes_the_megamodel_under_the_lock(tmp_path, runner, monkeypatch):
+    from tracelink import cli as cli_module
+    from tracelink import megamodel
+
+    ws = copy_workspace(tmp_path)
+    invoke(runner, ws, "discover", str(ws))
+    lock = ws / ".tracelink.lock"
+    held = {}
+    real_load, real_write = megamodel.load_megamodel, cli_module.write_text
+
+    def load_megamodel(text):
+        held["load"] = lock.exists()
+        return real_load(text)
+
+    def write_text(root, uri, text):
+        held[uri] = lock.exists()
+        real_write(root, uri, text)
+
+    monkeypatch.setattr(megamodel, "load_megamodel", load_megamodel)
+    monkeypatch.setattr(cli_module, "write_text", write_text)
+    result = invoke(runner, ws, "enact", "wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json")
+    assert result.exit_code == 0, result.output
+    assert held == {"load": True, "megamodel.json": True, "out/enactment.json": True}
+    assert not lock.exists()
+
+
+def test_enact_schedules_the_process_once(tmp_path, runner, monkeypatch):
+    from tracelink import process
+
+    ws = copy_workspace(tmp_path)
+    invoke(runner, ws, "discover", str(ws))
+    plans = []
+    real_schedule = process.schedule
+
+    def schedule(p):
+        plans.append(real_schedule(p))
+        return plans[-1]
+
+    monkeypatch.setattr(process, "schedule", schedule)
+    result = invoke(runner, ws, "enact", "wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json")
+    assert result.exit_code == 0, result.output
+    assert len(plans) == 1
+    summary = json.loads((ws / "out/enactment.json").read_text())
+    assert summary["stages"] == [list(stage) for stage in plans[0].stages]
+
+
 def test_enact_no_augment(tmp_path, runner):
     ws = copy_workspace(tmp_path)
     invoke(runner, ws, "discover", str(ws))

@@ -1,12 +1,18 @@
+import hashlib
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelink.errors import AnchorNotFound, LocationOutsideSpans
 from tracelink.gtm import (
     CodeNode,
     ElemNode,
     GlobalTraceMap,
+    GtmEdge,
     build_gtm,
     change_impact,
     export_dot,
@@ -220,3 +226,132 @@ def test_export_dot_slice_matches_origin_nodes(enacted):
         for node in layer:
             assert str(node) in dot
     assert str(span) in dot
+
+
+# ---------------------------------------------------------------------------
+# The query index against brute force
+# ---------------------------------------------------------------------------
+
+def reference_layers(g, anchor, forward):
+    """BFS layers where every step scans all of ``g.edges``."""
+    layers, seen, frontier = [], {anchor}, {anchor}
+    while True:
+        frontier = {(e.dst if forward else e.src) for e in g.edges
+                    if (e.src if forward else e.dst) in frontier} - seen
+        if not frontier:
+            return tuple(layers)
+        layers.append(frozenset(frontier))
+        seen |= frontier
+
+
+def reference_enclosing(g, file_uri, offset):
+    """The smallest span holding ``offset``, ties to the earlier start, by a
+    scan of every node; None where no span holds it."""
+    spans = [n for n in g.nodes if isinstance(n, CodeNode) and n.file_uri == file_uri
+             and n.start_byte <= offset < n.end_byte]
+    return min(spans, key=lambda n: (n.end_byte - n.start_byte, n.start_byte), default=None)
+
+
+def assert_queries_match_reference(g):
+    for node in sorted(g.nodes, key=node_key):
+        assert change_impact(g, node).layers == reference_layers(g, node, forward=True)
+        assert origin_track(g, anchor=node).layers == reference_layers(g, node, forward=False)
+    last_end: dict[str, int] = {}
+    for n in g.nodes:
+        if isinstance(n, CodeNode):
+            last_end[n.file_uri] = max(last_end.get(n.file_uri, 0), n.end_byte)
+    for file_uri, end in last_end.items():
+        for offset in range(end + 2):
+            expected = reference_enclosing(g, file_uri, offset)
+            if expected is None:
+                with pytest.raises(LocationOutsideSpans):
+                    origin_track(g, location=(file_uri, offset))
+            else:
+                assert origin_track(g, location=(file_uri, offset)).anchor == expected
+
+
+def spans_map(spans) -> GlobalTraceMap:
+    """A hand-built map: element items[i] traces to the i-th (start, end) span."""
+    nodes, edges = set(), set()
+    for i, (start, end) in enumerate(spans):
+        elem = ElemNode("m.model.json", f"items[{i}]")
+        code = CodeNode("gen.c", start, end, 1, start + 1)
+        nodes |= {elem, code}
+        edges.add(GtmEdge(elem, code, "Gen", "r"))
+    return GlobalTraceMap(frozenset(nodes), frozenset(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_index_matches_brute_force_on_random_chains(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        mgm, _ = write_chain(Path(tmp), random_chain(random.Random(seed)))
+        assert_queries_match_reference(build_gtm(mgm, Path(tmp)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1])),
+               max_size=12))
+def test_index_matches_brute_force_on_overlapping_spans(spans):
+    assert_queries_match_reference(spans_map(sorted(spans)))
+
+
+def test_index_matches_brute_force_on_bundled_gtm(enacted):
+    ws, _, result = enacted
+    assert_queries_match_reference(build_gtm(result.megamodel, ws))
+
+
+def test_origin_location_tie_goes_to_earlier_start():
+    # [0,10) and [5,15) overlap without nesting and have equal length;
+    # [12,14) lies inside [5,15) only.
+    g = spans_map([(0, 10), (5, 15), (12, 14)])
+    expected = {0: 0, 4: 0, 5: 0, 9: 0, 10: 5, 11: 5, 12: 12, 13: 12, 14: 5}
+    for offset, start in expected.items():
+        assert origin_track(g, location=("gen.c", offset)).anchor.start_byte == start
+    with pytest.raises(LocationOutsideSpans):
+        origin_track(g, location=("gen.c", 15))
+    with pytest.raises(LocationOutsideSpans):
+        origin_track(g, location=("other.c", 5))
+    assert_queries_match_reference(g)
+
+
+# ---------------------------------------------------------------------------
+# The query index is not part of the value
+# ---------------------------------------------------------------------------
+
+def test_queried_and_fresh_maps_compare_equal(enacted):
+    ws, _, result = enacted
+    queried, fresh = build_gtm(result.megamodel, ws), build_gtm(result.megamodel, ws)
+    text = repr(fresh)
+    span = next(n for n in queried.nodes if isinstance(n, CodeNode))
+    change_impact(queried, ElemNode("Input.pim.model.json", "wsn[0].device[0]"))
+    origin_track(queried, location=(span.file_uri, span.start_byte))
+    export_dot(queried, around=span, radius=1)
+    assert queried == fresh
+    assert hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh) == text
+
+
+def test_hand_built_map_answers_queries():
+    g = GlobalTraceMap(frozenset(), frozenset())
+    with pytest.raises(LocationOutsideSpans):
+        origin_track(g, location=("gen.c", 0))
+    assert g == GlobalTraceMap(frozenset(), frozenset())
+
+
+# sha256 of export_dot(g, around=n, radius=r) over every node n of the
+# bundled GTM, in node_key order, as written before the query index existed.
+DOT_SLICE_DIGESTS = {
+    0: "8a31949526c7f89f6602578aa8ebd8c0b4d7bc784c539f66636ef637e40cad9a",
+    1: "4c6250dbf68ffd9f0620591fc3dd3c520a720f1c9e78e3e919b2e6e6063c72c7",
+    2: "a54ca4497f22d45f848d7c9324cbf6e4f5086a666591f84cc73231b4df1e945e",
+    3: "06ab486b5a7c1241a66ff51097243fa7e6a6903949b40e94cc915db2f923ea3a",
+}
+
+
+@pytest.mark.parametrize("radius", sorted(DOT_SLICE_DIGESTS))
+def test_export_dot_slices_are_unchanged(enacted, radius):
+    ws, _, result = enacted
+    g = build_gtm(result.megamodel, ws)
+    text = "".join(export_dot(g, around=n, radius=radius) for n in sorted(g.nodes, key=node_key))
+    assert hashlib.sha256(text.encode()).hexdigest() == DOT_SLICE_DIGESTS[radius]
