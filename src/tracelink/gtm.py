@@ -28,7 +28,7 @@ from typing import Iterator
 from .errors import AnchorNotFound, LocationOutsideSpans, TracelinkError
 from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels
 from .model import parse_model, resolve_path
-from .paths import parse_path
+from .paths import ElementPath
 from .trace import CodeSpan, ElementRef, load_trace
 from .workspace import read_text
 
@@ -145,7 +145,7 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
     model_cache: dict[str, object] = {}
     resolvable_cache: dict[tuple[str, str], str | None] = {}
 
-    def unresolvable_reason(node: ElemNode) -> str | None:
+    def unresolvable_reason(node: ElemNode, path: ElementPath) -> str | None:
         key = (node.model_uri, node.path)
         if key in resolvable_cache:
             return resolvable_cache[key]
@@ -168,7 +168,7 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
             reason = cached
         else:
             try:
-                resolve_path(cached, parse_path(node.path))
+                resolve_path(cached, path)
             except TracelinkError:
                 reason = "path does not resolve"
         resolvable_cache[key] = reason
@@ -186,9 +186,9 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
                 for target in link.targets:
                     dst_node = _as_node(target)
                     dangling = False
-                    for endpoint in (src_node, dst_node):
+                    for ref, endpoint in ((source, src_node), (target, dst_node)):
                         if isinstance(endpoint, ElemNode):
-                            reason = unresolvable_reason(endpoint)
+                            reason = unresolvable_reason(endpoint, ref.path)
                             if reason is not None:
                                 dangling = True
                                 message = f"dangling trace endpoint {endpoint}: {reason}"

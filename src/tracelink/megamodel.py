@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path, PurePosixPath
 
 from .errors import AmbiguousMetamodel, DanglingRelation, DuplicateId, IntegrityError, ParseError
@@ -78,11 +79,27 @@ class Relation:
 
 @dataclass(frozen=True)
 class Megamodel:
+    """The registry. Its indexes live in cached properties, outside the
+    fields, so equality, hashing and ``repr`` ignore them."""
+
     resources: frozenset[ResourceEntry] = frozenset()
     relations: frozenset[Relation] = frozenset()
 
+    @cached_property
+    def by_id(self) -> dict[str, ResourceEntry]:
+        return {r.id: r for r in self.resources}
+
+    @cached_property
+    def dataflow(self) -> dict[str, tuple[str, ...]]:
+        """Successor ids along DataFlow relations."""
+        successors: dict[str, tuple[str, ...]] = {}
+        for rel in self.relations:
+            if rel.kind == RelationKind.DATA_FLOW:
+                successors[rel.from_id] = successors.get(rel.from_id, ()) + (rel.to_id,)
+        return successors
+
     def resource(self, resource_id: str) -> ResourceEntry | None:
-        return next((r for r in self.resources if r.id == resource_id), None)
+        return self.by_id.get(resource_id)
 
     def of_kind(self, kind: ResourceKind) -> list[ResourceEntry]:
         return sorted((r for r in self.resources if r.kind == kind), key=lambda r: r.uri)
@@ -114,49 +131,53 @@ def load_metamodels(mgm: Megamodel, root: Path) -> tuple[dict[str, Metamodel], d
 # Validation
 # ---------------------------------------------------------------------------
 
-def _validate(resources: frozenset[ResourceEntry], relations: frozenset[Relation]):
-    by_id: dict[str, ResourceEntry] = {}
-    for res in resources:
-        if res.id in by_id:
+def validate(mgm: Megamodel):
+    """Check the whole registry: unique ids, every resource and relation,
+    and a dataflow without cycles."""
+    seen: set[str] = set()
+    for res in mgm.resources:
+        if res.id in seen:
             raise IntegrityError(f"duplicate resource id '{res.id}'")
-        if not res.uri:
-            raise IntegrityError(f"resource '{res.id}' has an empty uri")
-        if res.origin == ResourceOrigin.GENERATED and not res.produced_by:
-            raise IntegrityError(f"generated resource '{res.id}' lacks a producer")
-        by_id[res.id] = res
-
-    for rel in relations:
-        src = by_id.get(rel.from_id)
-        dst = by_id.get(rel.to_id)
-        if src is None or dst is None:
-            raise IntegrityError(f"relation endpoint missing: {rel.from_id} -> {rel.to_id}")
-        if rel.kind == RelationKind.CONFORMS_TO:
-            if src.kind != ResourceKind.MODEL or dst.kind != ResourceKind.METAMODEL:
-                raise IntegrityError(f"ConformsTo must link Model to Metamodel: {rel.from_id} -> {rel.to_id}")
-        elif rel.kind == RelationKind.TRACE_FOR:
-            if src.kind != ResourceKind.TRACE_MODEL or dst.kind not in _TRANSFORMATION_KINDS:
-                raise IntegrityError(f"TraceFor must link TraceModel to a transformation: {rel.from_id}")
-        elif rel.kind == RelationKind.DATA_FLOW:
-            if rel.direction is None:
-                raise IntegrityError(f"DataFlow without direction: {rel.from_id} -> {rel.to_id}")
-            if rel.direction == FlowDirection.INPUT:
-                ok = src.kind in _ARTIFACT_KINDS and dst.kind in _TRANSFORMATION_KINDS
-            else:
-                ok = src.kind in _TRANSFORMATION_KINDS and dst.kind in _ARTIFACT_KINDS
-            if not ok:
-                raise IntegrityError(f"DataFlow must link artifacts and transformations: {rel.from_id}")
-        elif rel.kind == RelationKind.WEAVE_BINDING:
-            if src.kind != ResourceKind.PROCESS_MODEL or dst.kind not in _TRANSFORMATION_KINDS:
-                raise IntegrityError(f"WeaveBinding must link ProcessModel to a transformation: {rel.from_id}")
-
-    _check_dataflow_acyclic(relations)
+        seen.add(res.id)
+        _check_resource(res)
+    for rel in mgm.relations:
+        _check_relation(rel, mgm.by_id)
+    _check_dataflow_acyclic(mgm.dataflow)
 
 
-def _check_dataflow_acyclic(relations: frozenset[Relation]):
-    edges: dict[str, set[str]] = {}
-    for rel in relations:
-        if rel.kind == RelationKind.DATA_FLOW:
-            edges.setdefault(rel.from_id, set()).add(rel.to_id)
+def _check_resource(res: ResourceEntry):
+    if not res.uri:
+        raise IntegrityError(f"resource '{res.id}' has an empty uri")
+    if res.origin == ResourceOrigin.GENERATED and not res.produced_by:
+        raise IntegrityError(f"generated resource '{res.id}' lacks a producer")
+
+
+def _check_relation(rel: Relation, by_id: dict[str, ResourceEntry]):
+    src = by_id.get(rel.from_id)
+    dst = by_id.get(rel.to_id)
+    if src is None or dst is None:
+        raise IntegrityError(f"relation endpoint missing: {rel.from_id} -> {rel.to_id}")
+    if rel.kind == RelationKind.CONFORMS_TO:
+        if src.kind != ResourceKind.MODEL or dst.kind != ResourceKind.METAMODEL:
+            raise IntegrityError(f"ConformsTo must link Model to Metamodel: {rel.from_id} -> {rel.to_id}")
+    elif rel.kind == RelationKind.TRACE_FOR:
+        if src.kind != ResourceKind.TRACE_MODEL or dst.kind not in _TRANSFORMATION_KINDS:
+            raise IntegrityError(f"TraceFor must link TraceModel to a transformation: {rel.from_id}")
+    elif rel.kind == RelationKind.DATA_FLOW:
+        if rel.direction is None:
+            raise IntegrityError(f"DataFlow without direction: {rel.from_id} -> {rel.to_id}")
+        if rel.direction == FlowDirection.INPUT:
+            ok = src.kind in _ARTIFACT_KINDS and dst.kind in _TRANSFORMATION_KINDS
+        else:
+            ok = src.kind in _TRANSFORMATION_KINDS and dst.kind in _ARTIFACT_KINDS
+        if not ok:
+            raise IntegrityError(f"DataFlow must link artifacts and transformations: {rel.from_id}")
+    elif rel.kind == RelationKind.WEAVE_BINDING:
+        if src.kind != ResourceKind.PROCESS_MODEL or dst.kind not in _TRANSFORMATION_KINDS:
+            raise IntegrityError(f"WeaveBinding must link ProcessModel to a transformation: {rel.from_id}")
+
+
+def _check_dataflow_acyclic(edges: dict[str, tuple[str, ...]]):
     state: dict[str, int] = {}
 
     def visit(node: str):
@@ -173,20 +194,49 @@ def _check_dataflow_acyclic(relations: frozenset[Relation]):
             visit(node)
 
 
+def _reaches(edges: dict[str, tuple[str, ...]], start: str, goal: str) -> bool:
+    stack, seen = [start], {start}
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        for succ in edges.get(node, ()):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Registration
 # ---------------------------------------------------------------------------
 
 def register(mgm: Megamodel, entry: ResourceEntry, relations: list[Relation] = ()) -> Megamodel:
-    """Add one resource plus relations; existing content is untouched."""
-    if mgm.resource(entry.id) is not None:
+    """Add one resource plus relations; existing content is untouched.
+
+    Only the new entry and relations are checked, against the registry's
+    indexes, which the result inherits grown by them. The registry itself
+    is trusted: ``validate`` checks a whole one.
+    """
+    if entry.id in mgm.by_id:
         raise DuplicateId(entry.id)
-    known = {r.id for r in mgm.resources} | {entry.id}
+    by_id = {**mgm.by_id, entry.id: entry}
     for rel in relations:
-        if rel.from_id not in known or rel.to_id not in known:
+        if rel.from_id not in by_id or rel.to_id not in by_id:
             raise DanglingRelation(f"relation references unknown id: {rel.from_id} -> {rel.to_id}")
-    new = Megamodel(mgm.resources | {entry}, mgm.relations | set(relations))
-    _validate(new.resources, new.relations)
+    _check_resource(entry)
+    added = set(relations) - mgm.relations
+    for rel in added:
+        _check_relation(rel, by_id)
+    dataflow = dict(mgm.dataflow)
+    flows = [rel for rel in added if rel.kind == RelationKind.DATA_FLOW]
+    for rel in flows:
+        dataflow[rel.from_id] = dataflow.get(rel.from_id, ()) + (rel.to_id,)
+    for rel in flows:
+        if _reaches(dataflow, rel.to_id, rel.from_id):
+            raise IntegrityError(f"dataflow cycle through '{rel.to_id}'")
+    new = Megamodel(mgm.resources | {entry}, mgm.relations | added)
+    new.__dict__.update(by_id=by_id, dataflow=dataflow)
     return new
 
 
@@ -258,7 +308,7 @@ def discover(workspace_root: str | Path, *, skip_dirs: tuple[str, ...] = ("out",
                 relations.append(Relation(pm_id, node.transformation, RelationKind.WEAVE_BINDING))
 
     mgm = Megamodel(frozenset(resources), frozenset(relations))
-    _validate(mgm.resources, mgm.relations)
+    validate(mgm)
     return mgm
 
 
@@ -317,8 +367,9 @@ def load_megamodel(text: str) -> Megamodel:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise IntegrityError(f"megamodel file is malformed: {exc}") from exc
-    _validate(resources, relations)
-    return Megamodel(resources, relations)
+    mgm = Megamodel(resources, relations)
+    validate(mgm)
+    return mgm
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Typed models and metamodels: parsing, conformance checking, path resolution.
 
 Concrete syntax is JSON (``*.mm.json`` / ``*.model.json``, see docs/formats.md).
+``canonical_json`` writes every JSON file tracelink saves: a dedicated writer
+that reproduces json's ``indent=2, sort_keys=True`` bytes exactly.
 Values are immutable after parse; engines that build models mutate fresh
 elements during construction only.
 
@@ -12,7 +14,9 @@ on the model, so engines trust a checked model and check a hand-built one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring  # json's own C escaper for ensure_ascii=False
 
 from .errors import ConformanceError, NotInModel, ParseError, PathNotFound, SchemaError
 from .paths import ROOT_PATH, ElementPath, PathSegment, parse_path
@@ -114,9 +118,86 @@ def _require(cond: bool, message: str):
         raise ParseError(message)
 
 
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# Scalar writers by exact type; a subclass (an enum, say) is left to json.
+_JSON_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def canonical_json(data: object) -> str:
-    """Canonical serialization: UTF-8, LF, 2-space indent, sorted keys."""
-    return json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: UTF-8, LF, 2-space indent, sorted keys.
+
+    The bytes are those of ``json.dumps(data, ensure_ascii=False, indent=2,
+    sort_keys=True) + "\\n"``. json serves ``indent`` only from its
+    pure-Python encoder, so a dedicated writer produces them instead. A
+    document it does not write (a non-``str`` key, a type outside JSON, a
+    cycle) goes to ``json.dumps`` whole, which coerces or raises as json does.
+    """
+    chunks: list[str] = []
+    emit = chunks.append
+    scalar = _JSON_SCALARS.get
+
+    def write(value: object, newline: str):
+        kind = type(value)
+        if kind is dict:
+            if not value:
+                emit("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key in sorted(value):
+                if type(key) is not str:
+                    raise TypeError(key)
+                item = value[key]
+                to_text = scalar(type(item))
+                if to_text is None:
+                    emit(sep + encode_basestring(key) + ": ")
+                    write(item, inner)
+                else:
+                    emit(sep + encode_basestring(key) + ": " + to_text(item))
+                sep = "," + inner
+            emit(newline + "}")
+        elif kind is list or kind is tuple:
+            if not value:
+                emit("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                to_text = scalar(type(item))
+                if to_text is None:
+                    emit(sep)
+                    write(item, inner)
+                else:
+                    emit(sep + to_text(item))
+                sep = "," + inner
+            emit(newline + "]")
+        else:
+            to_text = scalar(kind)
+            if to_text is None:
+                raise TypeError(kind)
+            emit(to_text(value))
+
+    try:
+        write(data, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    emit("\n")
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .megamodel import (
     load_metamodels,
     register,
     resource_id,
+    validate,
 )
 from .model import Model, _load_json, ensure_conforms, parse_model, serialize_model
 from .trace import LocalTraceModel, save_trace
@@ -399,6 +400,7 @@ def enact(
             if edge.from_node in deltas and produced is not None:
                 pin_inputs[(edge.to_node, edge.to_pin)] = produced
 
+    validate(current)  # register checked each addition on its own
     return EnactmentResult(current, tuple(artifacts), tuple(traces), tuple(log), plan)
 
 

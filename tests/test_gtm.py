@@ -1,5 +1,7 @@
 import hashlib
+import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracelink import paths
 from tracelink.errors import AnchorNotFound, LocationOutsideSpans
 from tracelink.gtm import (
     CodeNode,
@@ -19,8 +22,10 @@ from tracelink.gtm import (
     origin_track,
     report_json,
 )
-from tracelink.megamodel import Megamodel
-from tracelink.trace import CodeSpan
+from tracelink.megamodel import Megamodel, ResourceKind, load_metamodels
+from tracelink.model import parse_model
+from tracelink.trace import CodeSpan, load_trace
+from tracelink.workspace import read_text
 
 from chains import closure_oracle, node_key, random_chain, write_chain
 from conftest import run_enactment
@@ -197,6 +202,26 @@ def test_dangling_targets_warn_but_keep_edges(enacted, tmp_path):
     # edges survive: the anchor still reaches the generated span
     anchor = ElemNode("Input.pim.model.json", "indirect[0].indirectdevice[0]")
     assert any(isinstance(n, CodeNode) for n in impact_set(g, anchor))
+
+
+def test_build_gtm_parses_each_trace_path_once(enacted, monkeypatch):
+    ws, _, result = enacted
+    calls = []
+    original = paths.parse_path
+    for name, module in list(sys.modules.items()):
+        if (name == "tracelink" or name.startswith("tracelink.")) and getattr(module, "parse_path", None) is original:
+            monkeypatch.setattr(module, "parse_path", lambda s: calls.append(s) or original(s))
+    g = build_gtm(result.megamodel, ws)
+    during_build = len(calls)
+    # What loading every trace file and parsing every traced model costs alone.
+    calls.clear()
+    metamodels, _ = load_metamodels(result.megamodel, ws)
+    for res in result.megamodel.of_kind(ResourceKind.TRACE_MODEL):
+        load_trace(read_text(ws, res.uri))
+    for uri in sorted({n.model_uri for n in g.nodes if isinstance(n, ElemNode)}):
+        text = read_text(ws, uri)
+        parse_model(text, metamodels[json.loads(text)["metamodel"]], uri=uri)
+    assert during_build == len(calls) > 0
 
 
 def test_export_dot_empty():

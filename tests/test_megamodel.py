@@ -18,8 +18,10 @@ from tracelink.megamodel import (
     resource_id,
     save_megamodel,
 )
+from tracelink.process import enact, parse_process
+from tracelink.workspace import read_text
 
-from conftest import run_enactment
+from conftest import BINDINGS, PROCESS_URI, run_enactment
 
 
 def trace_entry(uri="traces/t.trace.json"):
@@ -110,6 +112,48 @@ def test_register_dangling_relation_rejected():
     entry = trace_entry()
     with pytest.raises(DanglingRelation):
         register(Megamodel(), entry, [Relation(entry.id, "TransformationM2M:ghost.m2m", RelationKind.TRACE_FOR)])
+
+
+def model_entry(uri="a.model.json"):
+    return ResourceEntry(resource_id(ResourceKind.MODEL, uri), ResourceKind.MODEL, uri,
+                         ResourceOrigin.DISCOVERED)
+
+
+def test_register_rejects_a_dataflow_cycle():
+    base = register(register(Megamodel(), m2m_entry()), model_entry())
+    into = Relation(model_entry().id, m2m_entry().id, RelationKind.DATA_FLOW, FlowDirection.INPUT)
+    back = Relation(m2m_entry().id, model_entry().id, RelationKind.DATA_FLOW, FlowDirection.OUTPUT)
+    with pytest.raises(IntegrityError, match="cycle"):
+        register(base, trace_entry(), [into, back])
+    # The cycle may also close over a relation registered earlier.
+    with_input = register(base, trace_entry(), [into])
+    with pytest.raises(IntegrityError, match="cycle"):
+        register(with_input, model_entry("b.model.json"), [back])
+
+
+def test_register_checks_the_new_entry_and_relations():
+    base = register(register(Megamodel(), m2m_entry()), model_entry())
+    with pytest.raises(IntegrityError, match="producer"):
+        register(base, ResourceEntry("Model:g", ResourceKind.MODEL, "g", ResourceOrigin.GENERATED))
+    with pytest.raises(IntegrityError, match="ConformsTo"):
+        register(base, trace_entry(), [Relation(model_entry().id, m2m_entry().id, RelationKind.CONFORMS_TO)])
+
+
+def test_enactment_validates_the_registry_it_returns(workspace):
+    mgm = discover(workspace)
+    stray = ResourceEntry("Model:stray", ResourceKind.MODEL, "stray", ResourceOrigin.GENERATED)
+    process = parse_process(read_text(workspace, PROCESS_URI))
+    with pytest.raises(IntegrityError, match="producer"):
+        enact(process, Megamodel(mgm.resources | {stray}, mgm.relations), dict(BINDINGS), workspace)
+
+
+def test_registered_indexes_match_a_fresh_build(workspace):
+    _, result = run_enactment(workspace)
+    mgm = result.megamodel
+    fresh = Megamodel(mgm.resources, mgm.relations)
+    assert mgm.by_id == fresh.by_id
+    assert {k: sorted(v) for k, v in mgm.dataflow.items()} == {k: sorted(v) for k, v in fresh.dataflow.items()}
+    assert mgm == fresh and hash(mgm) == hash(fresh) and repr(mgm) == repr(fresh)
 
 
 # -- persistence -----------------------------------------------------------------

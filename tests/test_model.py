@@ -1,11 +1,18 @@
+import json
+import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelink.errors import ConformanceError, NotInModel, ParseError, PathNotFound, SchemaError
+from tracelink.megamodel import ResourceKind
 from tracelink.model import (
     Element,
     Model,
+    canonical_json,
     check_conformance,
     iter_elements,
     parse_metamodel,
@@ -17,7 +24,7 @@ from tracelink.model import (
 )
 from tracelink.paths import ROOT_PATH, parse_path
 
-from conftest import WORKSPACE_FIXTURE
+from conftest import WORKSPACE_FIXTURE, copy_workspace, run_enactment
 
 NODE_MM_TEXT = '{"name": "NodeMM", "classes": [{"name": "Node", "attributes": [{"name": "id", "type": "string"}]}]}'
 
@@ -199,6 +206,66 @@ def test_model_serialization_stable_after_one_pass(input_pim):
     once = serialize_model(input_pim)
     mm = parse_metamodel((WORKSPACE_FIXTURE / "PIMM.mm.json").read_text())
     assert serialize_model(parse_model(once, mm)) == once
+
+
+# -- canonical JSON -------------------------------------------------------------
+
+def json_reference(value) -> str:
+    return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+JSON_TEXT = st.text(max_size=8) | st.sampled_from(
+    ['', '"', '\\', '\\"x"', '\x00\x08\t\n\r\x1f\x7f', 'é', '中文', '😀', '\u2028\u2029', '\ud800'])
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 100, 2 ** 100)
+    | st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
+    | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_matches_json_dumps(value):
+    assert canonical_json(value) == json_reference(value)
+
+
+def test_canonical_json_rewrites_fixture_and_enacted_files_unchanged(tmp_path):
+    ws = copy_workspace(tmp_path)
+    run_enactment(ws)
+    files = sorted(ws.rglob("*.json"))
+    assert len(files) > len(list(WORKSPACE_FIXTURE.glob("*.json")))
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text)
+        assert canonical_json(data) == json_reference(data), path
+        # The process file is hand-formatted; every other file is canonical.
+        if path.name != "wsn-iot.proc.json":
+            assert canonical_json(data) == text, path
+
+
+@pytest.mark.parametrize("value", [
+    [{1: "a", 2: {3.5: None, -1.0: []}}, {None: {False: 0, True: 1}}],
+    [ResourceKind.MODEL, {"kind": ResourceKind.METAMODEL}],
+], ids=["non-str keys", "str enum"])
+def test_canonical_json_leaves_what_it_does_not_write_to_json(value):
+    assert canonical_json(value) == json_reference(value)
+
+
+def test_canonical_json_raises_json_errors():
+    cycle: list = []
+    cycle.append(cycle)
+    for value, error in (({1: "a", "b": 2}, TypeError), ({"a": {1, 2}}, TypeError),
+                         (cycle, ValueError)):
+        with pytest.raises(error) as expected:
+            json_reference(value)
+        with pytest.raises(error, match=re.escape(str(expected.value))):
+            canonical_json(value)
 
 
 # -- path resolution ----------------------------------------------------------
