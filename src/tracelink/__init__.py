@@ -9,124 +9,42 @@ to generated code spans.
 
 __version__ = "0.1.0"
 
-from .errors import TracelinkError
-from .gtm import GlobalTraceMap, build_gtm, change_impact, export_dot, origin_track
-from .m2c import (
-    AnnotatedOutput,
-    Template,
-    augment_template,
-    extract_trace,
-    parse_template,
-    print_template,
-    render,
-    render_augmented,
-    strip_template,
-)
-from .m2m import (
-    TransformationM2M,
-    augment_m2m,
-    execute_augmented_m2m,
-    execute_m2m,
-    parse_m2m,
-    print_m2m,
-    strip_m2m,
-)
-from .megamodel import (
-    Megamodel,
-    Relation,
-    ResourceEntry,
-    ResourceKind,
-    ResourceOrigin,
-    discover,
-    load_megamodel,
-    register,
-    save_megamodel,
-)
-from .model import (
-    Element,
-    Metamodel,
-    Model,
-    Violation,
-    check_conformance,
-    parse_metamodel,
-    parse_model,
-    path_of,
-    resolve_path,
-    serialize_metamodel,
-    serialize_model,
-)
-from .paths import ElementPath, PathSegment, parse_path, print_path
-from .process import EnactmentResult, ExecutionPlan, ProcessModel, enact, parse_process, schedule
-from .trace import (
-    CodeSpan,
-    ElementRef,
-    LocalTraceModel,
-    TraceIdentifierTree,
-    TraceLink,
-    build_identifier_tree,
-    load_trace,
-    save_trace,
-)
+import importlib
 
-__all__ = [
-    "TracelinkError",
-    "ElementPath",
-    "PathSegment",
-    "parse_path",
-    "print_path",
-    "Metamodel",
-    "Model",
-    "Element",
-    "Violation",
-    "parse_metamodel",
-    "serialize_metamodel",
-    "parse_model",
-    "serialize_model",
-    "check_conformance",
-    "resolve_path",
-    "path_of",
-    "Megamodel",
-    "ResourceEntry",
-    "Relation",
-    "ResourceKind",
-    "ResourceOrigin",
-    "discover",
-    "register",
-    "save_megamodel",
-    "load_megamodel",
-    "TransformationM2M",
-    "parse_m2m",
-    "print_m2m",
-    "execute_m2m",
-    "augment_m2m",
-    "strip_m2m",
-    "execute_augmented_m2m",
-    "Template",
-    "AnnotatedOutput",
-    "parse_template",
-    "print_template",
-    "render",
-    "augment_template",
-    "strip_template",
-    "render_augmented",
-    "extract_trace",
-    "TraceLink",
-    "LocalTraceModel",
-    "ElementRef",
-    "CodeSpan",
-    "TraceIdentifierTree",
-    "build_identifier_tree",
-    "save_trace",
-    "load_trace",
-    "ProcessModel",
-    "ExecutionPlan",
-    "EnactmentResult",
-    "parse_process",
-    "schedule",
-    "enact",
-    "GlobalTraceMap",
-    "build_gtm",
-    "change_impact",
-    "origin_track",
-    "export_dot",
-]
+# Public name -> submodule. Submodules load on first access (PEP 562), so a
+# command imports only the modules it uses.
+_EXPORTS = {
+    module: names.split()
+    for module, names in (
+        ("errors", "TracelinkError"),
+        ("paths", "ElementPath PathSegment parse_path print_path"),
+        ("model", "Metamodel Model Element Violation parse_metamodel serialize_metamodel parse_model"
+                  " serialize_model check_conformance resolve_path path_of"),
+        ("megamodel", "Megamodel ResourceEntry Relation ResourceKind ResourceOrigin discover register"
+                      " save_megamodel load_megamodel"),
+        ("m2m", "TransformationM2M parse_m2m print_m2m execute_m2m augment_m2m strip_m2m"
+                " execute_augmented_m2m"),
+        ("m2c", "Template AnnotatedOutput parse_template print_template render augment_template"
+                " strip_template render_augmented extract_trace"),
+        ("trace", "TraceLink LocalTraceModel ElementRef CodeSpan TraceIdentifierTree"
+                  " build_identifier_tree save_trace load_trace"),
+        ("process", "ProcessModel ExecutionPlan EnactmentResult parse_process schedule enact"),
+        ("gtm", "GlobalTraceMap build_gtm change_impact origin_track export_dot"),
+    )
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule: ``tracelink.gtm`` works after a bare ``import tracelink``
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,14 +7,13 @@ any error exits nonzero.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import sys
 from pathlib import Path
 
 import click
 
-from . import __version__, gtm, m2c, m2m, megamodel, process, trace
+from . import __version__, gtm, megamodel, trace
 from .errors import AnchorNotFound, TracelinkError
 from .megamodel import Megamodel, ResourceKind, ResourceOrigin
 from .model import canonical_json, parse_metamodel
@@ -121,6 +120,8 @@ def mgm_dot():
 @_handle_errors
 def augment_m2m_cmd(file: Path):
     """Write FILE.aug.m2m with trace clauses on every target pattern."""
+    from . import m2m
+
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
     t = m2m.parse_m2m(file.read_text(encoding="utf-8"), metamodels)
@@ -134,6 +135,8 @@ def augment_m2m_cmd(file: Path):
 @_handle_errors
 def augment_m2c_cmd(file: Path):
     """Write FILE.aug.m2c with identifier-path markers inserted."""
+    from . import m2c
+
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
     t = m2c.parse_template(file.read_text(encoding="utf-8"), metamodels)
@@ -149,11 +152,13 @@ def augment_m2c_cmd(file: Path):
 @_handle_errors
 def run_m2m(file: Path, inputs: tuple[str, ...], out_path: Path):
     """Execute one M2M file; augmented files also write OUT.trace.json."""
+    from . import m2m
+    from .model import parse_model, serialize_model
+
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
     t = m2m.parse_m2m(file.read_text(encoding="utf-8"), metamodels)
     models = {}
-    from .model import parse_model, serialize_model
 
     for item in inputs:
         if "=" not in item:
@@ -182,11 +187,12 @@ def run_m2m(file: Path, inputs: tuple[str, ...], out_path: Path):
 @_handle_errors
 def run_m2c(file: Path, model_uri: str, out_dir: Path):
     """Render one template with markers; extract the clean file plus trace."""
+    from . import m2c
+    from .model import parse_model
+
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
     t = m2c.parse_template(file.read_text(encoding="utf-8"), metamodels)
-    from .model import parse_model
-
     model = parse_model(read_text(root, model_uri), t.metamodel, uri=model_uri)
     augmented = m2c.augment_template(t)
     annotated = m2c.render_augmented(augmented, model)
@@ -207,6 +213,8 @@ def run_m2c(file: Path, model_uri: str, out_dir: Path):
 @_handle_errors
 def enact(process_uri: str, binds: tuple[str, ...], no_augment: bool):
     """Enact a process: run all actions, register artifacts and traces."""
+    from . import process
+
     root = _workspace_root()
     bindings = {}
     for item in binds:
@@ -245,6 +253,8 @@ def enact(process_uri: str, binds: tuple[str, ...], no_augment: bool):
 
 
 def _suggest_anchor(g: gtm.GlobalTraceMap, model_uri: str, path_text: str) -> str:
+    import difflib
+
     candidates = sorted(
         {n.path for n in g.nodes if isinstance(n, gtm.ElemNode) and n.model_uri == model_uri})
     close = difflib.get_close_matches(path_text, candidates, n=1)
@@ -259,7 +269,7 @@ def _suggest_anchor(g: gtm.GlobalTraceMap, model_uri: str, path_text: str) -> st
 def impact(model_uri: str, path_text: str, fmt: str):
     """Everything reachable from a model element, layer by layer."""
     root = _workspace_root()
-    g = gtm.build_gtm(_load_mgm(root), root)
+    g = gtm.query_gtm(_load_mgm(root), root, model_uri, forward=True)
     anchor = gtm.ElemNode(model_uri, str(parse_path(path_text)))
     try:
         report = gtm.change_impact(g, anchor)
@@ -277,7 +287,7 @@ def impact(model_uri: str, path_text: str, fmt: str):
 def origin(file_uri: str, location: str, fmt: str):
     """Trace a code location back to the model elements it came from."""
     root = _workspace_root()
-    g = gtm.build_gtm(_load_mgm(root), root)
+    g = gtm.query_gtm(_load_mgm(root), root, file_uri, forward=False)
     offset = _location_to_byte(root, file_uri, location)
     report = gtm.origin_track(g, location=(file_uri, offset))
     _emit_report(root, report, fmt, "origin")

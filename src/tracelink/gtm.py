@@ -23,13 +23,13 @@ from functools import cached_property
 from itertools import accumulate, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import AnchorNotFound, LocationOutsideSpans, TracelinkError
-from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels
-from .model import parse_model, resolve_path
+from .errors import AnchorNotFound, LocationOutsideSpans, ParseError, TracelinkError
+from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels, trace_scope
+from .model import _load_json, parse_model, resolve_path
 from .paths import ElementPath
-from .trace import CodeSpan, ElementRef, load_trace
+from .trace import CodeSpan, ElementRef, LocalTraceModel, load_trace
 from .workspace import read_text
 
 
@@ -152,10 +152,11 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
         reason = None
         if node.model_uri not in model_cache:
             try:
-                import json
-
                 text = read_text(root, node.model_uri)
-                mm_name = json.loads(text).get("metamodel")
+                data = _load_json(text)
+                if not isinstance(data, dict):
+                    raise ParseError("model document must be an object")
+                mm_name = data.get("metamodel")
                 mm = metamodels.get(mm_name)
                 if mm is None:
                     model_cache[node.model_uri] = f"metamodel '{mm_name}' is not registered"
@@ -174,11 +175,45 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
         resolvable_cache[key] = reason
         return reason
 
+    return _join((load_trace(read_text(root, res.uri))
+                  for res in mgm.of_kind(ResourceKind.TRACE_MODEL)), unresolvable_reason)
+
+
+def query_gtm(mgm: Megamodel, root: Path, uri: str, forward: bool) -> GlobalTraceMap:
+    """The part of the map that an impact (``forward``) or origin query
+    anchored in artifact ``uri`` can reach.
+
+    Reads only the traces ``megamodel.trace_scope`` names, and all of them
+    when it names none or when a trace read links an artifact outside its
+    transformation's inputs or outputs. Parses no model, so it reports no
+    dangling endpoints; no query reads them.
+    """
+    load_metamodels(mgm, root)  # a malformed metamodel fails every query alike
+    scope = trace_scope(mgm, uri, forward)
+    if scope is not None:
+        traces = [load_trace(read_text(root, trace_uri)) for trace_uri, _, _ in scope]
+        if all(_within(t, inputs, outputs) for t, (_, inputs, outputs) in zip(traces, scope)):
+            return _join(traces)
+    return _join(load_trace(read_text(root, res.uri)) for res in mgm.of_kind(ResourceKind.TRACE_MODEL))
+
+
+def _within(trace: LocalTraceModel, inputs: set[str], outputs: set[str]) -> bool:
+    """Whether every link reads from ``inputs`` and writes to ``outputs``."""
+    return all(all(s.model_uri in inputs for s in link.sources)
+               and all((t.model_uri if isinstance(t, ElementRef) else t.file_uri) in outputs
+                       for t in link.targets)
+               for link in trace.links)
+
+
+def _join(traces: Iterable[LocalTraceModel],
+          unresolvable_reason: Callable[[ElemNode, ElementPath], str | None] | None = None) -> GlobalTraceMap:
+    """One node per endpoint and one edge per (source, target) pair of
+    every link; with ``unresolvable_reason``, edges with an element
+    endpoint it names a reason for are flagged dangling and warned of."""
     nodes: set[TraceNode] = set()
     edges: set[GtmEdge] = set()
-    warnings: list[str] = []
-    for trace_res in mgm.of_kind(ResourceKind.TRACE_MODEL):
-        trace = load_trace(read_text(root, trace_res.uri))
+    warnings: dict[str, None] = {}  # insertion-ordered set
+    for trace in traces:
         for link in trace.links:
             tag = link.tags.get("rule") or link.tags.get("template") or ""
             for source in link.sources:
@@ -186,14 +221,13 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
                 for target in link.targets:
                     dst_node = _as_node(target)
                     dangling = False
-                    for ref, endpoint in ((source, src_node), (target, dst_node)):
-                        if isinstance(endpoint, ElemNode):
-                            reason = unresolvable_reason(endpoint, ref.path)
-                            if reason is not None:
-                                dangling = True
-                                message = f"dangling trace endpoint {endpoint}: {reason}"
-                                if message not in warnings:
-                                    warnings.append(message)
+                    if unresolvable_reason is not None:
+                        for ref, endpoint in ((source, src_node), (target, dst_node)):
+                            if isinstance(endpoint, ElemNode):
+                                reason = unresolvable_reason(endpoint, ref.path)
+                                if reason is not None:
+                                    dangling = True
+                                    warnings[f"dangling trace endpoint {endpoint}: {reason}"] = None
                     nodes.add(src_node)
                     nodes.add(dst_node)
                     edges.add(GtmEdge(src_node, dst_node, trace.transformation_id, tag, dangling))

@@ -127,6 +127,61 @@ def load_metamodels(mgm: Megamodel, root: Path) -> tuple[dict[str, Metamodel], d
     return metamodels, resource_ids
 
 
+def trace_scope(mgm: Megamodel, uri: str, forward: bool) -> list[tuple[str, set[str], set[str]]] | None:
+    """The trace models a query anchored in artifact ``uri`` can reach, in
+    uri order, each with the uris its link sources and targets may name:
+    the inputs and the outputs of the transformations it is TraceFor.
+
+    The walk follows DataFlow from the anchor, forward for impact and
+    backward for origin, and takes the traces of every transformation it
+    meets. Forward, it also takes the traces of the anchor's producers,
+    whose targets may hold elements of the anchor's model that no link
+    leaves. None when the megamodel cannot bound the answer: no Model or
+    GeneratedFile is registered at ``uri``, or a trace model is TraceFor
+    no transformation with both inputs and outputs.
+    """
+    ends: dict[str, tuple[set[str], set[str]]] = {}  # transformation id -> (input, output uris)
+    traced: dict[str, list[str]] = {}  # trace model id -> transformation ids
+    for rel in mgm.relations:
+        if rel.kind == RelationKind.DATA_FLOW:
+            if rel.direction == FlowDirection.INPUT:
+                ends.setdefault(rel.to_id, (set(), set()))[0].add(mgm.by_id[rel.from_id].uri)
+            else:
+                ends.setdefault(rel.from_id, (set(), set()))[1].add(mgm.by_id[rel.to_id].uri)
+        elif rel.kind == RelationKind.TRACE_FOR:
+            traced.setdefault(rel.from_id, []).append(rel.to_id)
+    if not any(r.uri == uri and r.kind in _ARTIFACT_KINDS for r in mgm.resources):
+        return None
+    traces = mgm.of_kind(ResourceKind.TRACE_MODEL)
+    if not all(any(all(ends.get(t, ((), ()))) for t in traced.get(r.id, ())) for r in traces):
+        return None  # a trace the walk cannot place
+
+    enter, leave = (0, 1) if forward else (1, 0)
+    entered_by: dict[str, list[str]] = {}  # artifact uri -> transformations it enters
+    for t, sides in ends.items():
+        for artifact in sides[enter]:
+            entered_by.setdefault(artifact, []).append(t)
+    met: set[str] = set()
+    seen, todo = {uri}, [uri]
+    while todo:
+        for t in entered_by.get(todo.pop(), ()):
+            if t not in met:
+                met.add(t)
+                fresh = ends[t][leave] - seen
+                seen |= fresh
+                todo.extend(fresh)
+    if forward:
+        met.update(t for t, sides in ends.items() if uri in sides[1])
+
+    scope = []
+    for r in traces:
+        ts = traced[r.id]
+        if met.intersection(ts):
+            sides = [ends.get(t, (set(), set())) for t in ts]
+            scope.append((r.uri, set().union(*(s[0] for s in sides)), set().union(*(s[1] for s in sides))))
+    return scope
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

@@ -244,6 +244,15 @@ def test_gtm_dot_with_slice(enacted_ws, runner):
     assert "Sink.c" in sliced.output
 
 
+def test_gtm_dot_flags_a_model_that_is_no_object(enacted_ws, runner):
+    (enacted_ws / "out/MapContiki/contiki.model.json").write_text("[]", encoding="utf-8")
+    dot = invoke(runner, enacted_ws, "gtm", "dot")
+    assert dot.exit_code == 0
+    assert "style=dashed" in dot.output
+    origin = invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", "9:1")
+    assert origin.exit_code == 0 and "Input.pim.model.json" in origin.output
+
+
 def test_trace_show(enacted_ws, runner):
     result = invoke(runner, enacted_ws, "trace", "show",
                     str(enacted_ws / "traces/MapContiki.trace.json"))

@@ -380,3 +380,38 @@ def test_export_dot_slices_are_unchanged(enacted, radius):
     g = build_gtm(result.megamodel, ws)
     text = "".join(export_dot(g, around=n, radius=radius) for n in sorted(g.nodes, key=node_key))
     assert hashlib.sha256(text.encode()).hexdigest() == DOT_SLICE_DIGESTS[radius]
+
+
+def test_warnings_are_unique_in_first_seen_order(enacted, tmp_path):
+    import shutil
+
+    ws, _, result = enacted
+    clone = tmp_path / "clone"
+    shutil.copytree(ws, clone)
+    gone = {"out/MapContiki/contiki.model.json", "out/MapRIOT/riot.model.json"}
+    for uri in gone:
+        (clone / uri).unlink()
+    g = build_gtm(result.megamodel, clone)
+    expected = []
+    for res in result.megamodel.of_kind(ResourceKind.TRACE_MODEL):
+        for link in load_trace(read_text(clone, res.uri)).links:
+            for pair in ((s, t) for s in link.sources for t in link.targets):
+                for ref in pair:
+                    if not isinstance(ref, CodeSpan) and ref.model_uri in gone and str(ref) not in expected:
+                        expected.append(str(ref))
+    assert len(expected) == 10
+    assert [w.split(": model not loadable: ")[0] for w in g.warnings] == [
+        f"dangling trace endpoint {endpoint}" for endpoint in expected]
+
+
+def test_model_that_is_no_object_dangles(enacted, tmp_path):
+    import shutil
+
+    ws, _, result = enacted
+    clone = tmp_path / "clone"
+    shutil.copytree(ws, clone)
+    (clone / "out/MapContiki/contiki.model.json").write_text("[]", encoding="utf-8")
+    g = build_gtm(result.megamodel, clone)
+    assert g.warnings and all(
+        w.endswith("model not loadable: model document must be an object") for w in g.warnings)
+    assert any(e.dangling for e in g.edges)
