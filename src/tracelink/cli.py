@@ -14,21 +14,17 @@ from pathlib import Path
 import click
 
 from . import __version__, gtm, megamodel, trace
-from .errors import AnchorNotFound, TracelinkError
+from .errors import AmbiguousMetamodel, AnchorNotFound, TracelinkError
 from .megamodel import Megamodel, ResourceKind, ResourceOrigin
 from .model import canonical_json, parse_metamodel
 from .paths import parse_path
-from .workspace import MEGAMODEL_FILE, WorkspaceConfig, read_text, workspace_lock, write_text
+from .workspace import MEGAMODEL_FILE, OUTPUT_DIR, TRACE_DIR, read_text, workspace_lock, write_text
 
 
 def _workspace_root() -> Path:
     import os
 
     return Path(os.environ.get("TRACELINK_WORKSPACE", ".")).resolve()
-
-
-def _config(root: Path) -> WorkspaceConfig:
-    return WorkspaceConfig(root)
 
 
 def _fail(message: str):
@@ -62,7 +58,7 @@ def _workspace_metamodels(root: Path) -> dict:
     for path in sorted(root.rglob("*.mm.json")):
         mm = parse_metamodel(path.read_text(encoding="utf-8"))
         if mm.name in out:
-            raise TracelinkError(f"metamodel '{mm.name}' is defined more than once")
+            raise AmbiguousMetamodel(mm.name)
         out[mm.name] = mm
     return out
 
@@ -202,7 +198,7 @@ def run_m2c(file: Path, model_uri: str, out_dir: Path):
         trace_id=f"trace:{file.stem}", transformation_id=f"TransformationM2C:{file.name}")
     write_text(root, clean_uri, clean)
     write_text(root, clean_uri + ".annotated", annotated.text)
-    write_text(root, f"traces/{t.name}.trace.json", trace.save_trace(tr))
+    write_text(root, f"{TRACE_DIR}/{t.name}.trace.json", trace.save_trace(tr))
     click.echo(clean_uri)
 
 
@@ -223,7 +219,6 @@ def enact(process_uri: str, binds: tuple[str, ...], no_augment: bool):
         pin, uri = item.split("=", 1)
         bindings[pin] = uri
 
-    config = _config(root)
     # The whole read-modify-write of the megamodel holds the lock, so a
     # concurrent enactment cannot lose this one's registrations.
     with workspace_lock(root):
@@ -235,10 +230,7 @@ def enact(process_uri: str, binds: tuple[str, ...], no_augment: bool):
             rel for rel in mgm_value.relations if rel.from_id in kept_ids and rel.to_id in kept_ids)
         p = process.parse_process(read_text(root, process_uri))
         result = process.enact(
-            p, Megamodel(kept, kept_rels), bindings, root,
-            output_dir=config.output_dir, trace_dir=config.trace_dir,
-            augment=not no_augment,
-            default_markers=(config.marker_open, config.marker_close))
+            p, Megamodel(kept, kept_rels), bindings, root, augment=not no_augment)
         write_text(root, MEGAMODEL_FILE, megamodel.save_megamodel(result.megamodel))
         summary = {
             "process": p.name,
@@ -246,7 +238,7 @@ def enact(process_uri: str, binds: tuple[str, ...], no_augment: bool):
             "artifacts": [{"uri": a.uri, "kind": a.kind.value} for a in result.artifacts],
             "traces": [t.id for t in result.traces],
         }
-        write_text(root, f"{config.output_dir}/enactment.json", canonical_json(summary))
+        write_text(root, f"{OUTPUT_DIR}/enactment.json", canonical_json(summary))
     for line in result.log:
         click.echo(line)
     click.echo(f"registered {len(result.artifacts)} artifacts, {len(result.traces)} traces")
@@ -315,7 +307,7 @@ def _emit_report(root: Path, report: gtm.AnalysisReport, fmt: str, name: str):
         text = canonical_json(gtm.report_json(report))
     else:
         text = report.rendered
-    write_text(root, f"out/reports/{name}.txt", text)
+    write_text(root, f"{OUTPUT_DIR}/reports/{name}.txt", text)
     click.echo(text, nl=False)
 
 

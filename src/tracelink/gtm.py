@@ -42,18 +42,7 @@ class ElemNode:
         return f"{self.model_uri}:{self.path}"
 
 
-@dataclass(frozen=True)
-class CodeNode:
-    file_uri: str
-    start_byte: int
-    end_byte: int
-    start_line: int
-    start_col: int
-
-    def __str__(self) -> str:
-        return f"{self.file_uri}:{self.start_line}:{self.start_col}"
-
-
+CodeNode = CodeSpan  # code endpoints join the map as the trace's own spans
 TraceNode = ElemNode | CodeNode
 
 
@@ -123,12 +112,10 @@ def _adjacency(edges, forward: bool) -> dict[TraceNode, tuple[TraceNode, ...]]:
     return {a: tuple(bs) for a, bs in neighbours.items()}
 
 
-def _as_node(target) -> TraceNode:
+def _as_node(target: ElementRef | CodeSpan) -> TraceNode:
     if isinstance(target, ElementRef):
         return ElemNode(target.model_uri, str(target.path))
-    assert isinstance(target, CodeSpan)
-    return CodeNode(target.file_uri, target.start_byte, target.end_byte,
-                    target.start_line, target.start_col)
+    return target
 
 
 # ---------------------------------------------------------------------------

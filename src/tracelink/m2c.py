@@ -22,7 +22,7 @@ from .errors import (
     TransformationError,
     UnbalancedMarker,
 )
-from .m2m import _unescape
+from .m2m import _escape, _unescape
 from .model import Element, Metamodel, Model, _type_ok, ensure_conforms, iter_elements, resolve_path
 from .paths import normalize_marker_path, parse_path
 from .trace import ElementRef, LocalTraceModel, TraceLink, build_identifier_tree, span_at
@@ -294,8 +294,7 @@ def _scan_pieces(text: str):
     return pieces
 
 
-def parse_template(text: str, metamodels: dict[str, Metamodel],
-                   default_markers: tuple[str, str] = DEFAULT_MARKERS) -> Template:
+def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
     """Parse and type-check a template against its declared metamodel."""
     pieces = _scan_pieces(text)
     idx = 0
@@ -323,7 +322,7 @@ def parse_template(text: str, metamodels: dict[str, Metamodel],
     p.expect("!")
     param_class = p.expect("ident")[1]
     p.expect(")")
-    markers = default_markers
+    markers = DEFAULT_MARKERS
     if p.cur[0] == "ident" and p.cur[1] == "markers":
         p.i += 1
         p.expect("(")
@@ -805,8 +804,7 @@ def _expr_text(expr: TemplateExpr) -> str:
         if isinstance(expr.value, bool):
             return "true" if expr.value else "false"
         if isinstance(expr.value, str):
-            escaped = expr.value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-            return f'"{escaped}"'
+            return f'"{_escape(expr.value)}"'
         return repr(expr.value)
     if isinstance(expr, TIndex):
         return "i"

@@ -16,7 +16,7 @@ from pathlib import Path, PurePosixPath
 
 from .errors import AmbiguousMetamodel, DanglingRelation, DuplicateId, IntegrityError, ParseError
 from .model import Metamodel, _load_json, canonical_json, parse_metamodel
-from .workspace import read_text
+from .workspace import OUTPUT_DIR, TRACE_DIR, read_text
 
 
 class ResourceKind(str, Enum):
@@ -299,7 +299,7 @@ def register(mgm: Megamodel, entry: ResourceEntry, relations: list[Relation] = (
 # Discovery
 # ---------------------------------------------------------------------------
 
-def discover(workspace_root: str | Path, *, skip_dirs: tuple[str, ...] = ("out", "traces")) -> Megamodel:
+def discover(workspace_root: str | Path) -> Megamodel:
     """Register every recognized file under the workspace root.
 
     Output and trace directories are skipped so that discovery stays
@@ -316,7 +316,7 @@ def discover(workspace_root: str | Path, *, skip_dirs: tuple[str, ...] = ("out",
         rel = PurePosixPath(path.relative_to(root).as_posix())
         if any(part.startswith(".") for part in rel.parts):
             continue
-        if rel.parts and rel.parts[0] in skip_dirs:
+        if rel.parts and rel.parts[0] in (OUTPUT_DIR, TRACE_DIR):
             continue
         for suffix, kind in DISCOVERY_SUFFIXES:
             if rel.name.endswith(suffix):

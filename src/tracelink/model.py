@@ -215,6 +215,8 @@ def parse_metamodel(text: str) -> Metamodel:
         _require(isinstance(raw, dict), "each class must be an object")
         cname = raw.get("name")
         _require(isinstance(cname, str) and cname, "class needs a string 'name'")
+        for key in ("attributes", "collections", "references"):
+            _require(isinstance(raw.get(key, []), list), f"class '{cname}': '{key}' must be a list")
         attrs = []
         for a in raw.get("attributes", []):
             _require(isinstance(a, dict) and isinstance(a.get("name"), str), f"bad attribute in class '{cname}'")

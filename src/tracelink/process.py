@@ -39,7 +39,7 @@ from .megamodel import (
 )
 from .model import Model, _load_json, ensure_conforms, parse_model, serialize_model
 from .trace import LocalTraceModel, save_trace
-from .workspace import read_text, write_text
+from .workspace import OUTPUT_DIR, TRACE_DIR, read_text, write_text
 
 
 class NodeKind(str, Enum):
@@ -111,7 +111,7 @@ def parse_process(text: str) -> ProcessModel:
         raise ParseError("process document needs a string 'name'")
 
     nodes: list[ProcNode] = []
-    for raw in data.get("nodes", []):
+    for raw in _list(data, "nodes", "process"):
         if not isinstance(raw, dict) or not isinstance(raw.get("id"), str):
             raise ParseError("each node needs a string 'id'")
         try:
@@ -122,7 +122,8 @@ def parse_process(text: str) -> ProcessModel:
         for side in ("inputPins", "outputPins"):
             where = f"node '{raw['id']}': a pin in '{side}'"
             pins[side] = tuple(
-                Pin(_string(p, "name", where), _string(p, "metamodel", where)) for p in raw.get(side, [])
+                Pin(_string(p, "name", where), _string(p, "metamodel", where))
+                for p in _list(raw, side, f"node '{raw['id']}'")
             ) if kind == NodeKind.ACTION else ()
         transformation = raw.get("transformation") if kind == NodeKind.ACTION else None
         if kind == NodeKind.ACTION and not isinstance(transformation, str):
@@ -130,17 +131,24 @@ def parse_process(text: str) -> ProcessModel:
         nodes.append(ProcNode(raw["id"], kind, transformation, pins["inputPins"], pins["outputPins"]))
 
     control_edges = []
-    for i, e in enumerate(data.get("controlEdges", [])):
+    for i, e in enumerate(_list(data, "controlEdges", "process")):
         if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
             raise ParseError(f"control edge {i} needs two node ids, got {e!r}")
         control_edges.append((e[0], e[1]))
     object_edges = tuple(
         ObjectEdge(*(_string(e, key, f"object edge {i}") for key in ("from", "fromPin", "to", "toPin")))
-        for i, e in enumerate(data.get("objectEdges", []))
+        for i, e in enumerate(_list(data, "objectEdges", "process"))
     )
     process = ProcessModel(data["name"], tuple(nodes), tuple(control_edges), object_edges)
     _check_process(process)
     return process
+
+
+def _list(raw: dict, key: str, where: str) -> list:
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: '{key}' must be a list")
+    return value
 
 
 def _string(raw: object, key: str, where: str) -> str:
@@ -295,11 +303,8 @@ def enact(
     bindings: dict[str, str],
     root: Path,
     *,
-    output_dir: str = "out",
-    trace_dir: str = "traces",
     augment: bool = True,
     action_order: Callable[[list[str]], list[str]] | None = None,
-    default_markers: tuple[str, str] = ("{{", "}}"),
 ) -> EnactmentResult:
     """Run every action in stage order; outputs do not depend on the order
     actions execute within a stage.
@@ -370,19 +375,45 @@ def enact(
             tr_res = current.resource(action.transformation)
             try:
                 if tr_res.kind == ResourceKind.TRANSFORMATION_M2M:
-                    deltas[aid] = _run_m2m_action(
-                        action, tr_res, root, metamodels, mm_resource_ids, pin_inputs,
-                        load_model, model_cache, stamps[aid], output_dir, trace_dir, augment)
-                elif tr_res.kind == ResourceKind.TRANSFORMATION_M2C:
-                    deltas[aid] = _run_m2c_action(
+                    kind = ResourceKind.MODEL
+                    out_uri, trace = _run_m2m_action(
                         action, tr_res, root, metamodels, pin_inputs,
-                        load_model, stamps[aid], output_dir, trace_dir, augment, default_markers)
+                        load_model, model_cache, stamps[aid], augment)
+                elif tr_res.kind == ResourceKind.TRANSFORMATION_M2C:
+                    kind = ResourceKind.GENERATED_FILE
+                    out_uri, trace = _run_m2c_action(
+                        action, tr_res, root, metamodels, pin_inputs, load_model, stamps[aid], augment)
                 else:
                     raise TransformationError(f"resource '{tr_res.id}' is not a transformation", aid)
             except (MissingBinding, ConformanceError, TransformationError):
                 raise
             except TracelinkError as exc:
                 raise TransformationError(str(exc), aid) from exc
+
+            # Register the output, fed by every input pin, and its trace.
+            produced_by = f"{tr_res.id}#{stamps[aid]}"
+            out_id = resource_id(kind, out_uri)
+            relations = [Relation(tr_res.id, out_id, RelationKind.DATA_FLOW, FlowDirection.OUTPUT)]
+            for pin in action.input_pins:
+                in_id = resource_id(ResourceKind.MODEL, pin_inputs[(aid, pin.name)])
+                relations.append(Relation(in_id, tr_res.id, RelationKind.DATA_FLOW, FlowDirection.INPUT))
+            if kind == ResourceKind.MODEL:
+                mm_id = mm_resource_ids[action.output_pins[0].metamodel]
+                relations.append(Relation(out_id, mm_id, RelationKind.CONFORMS_TO))
+            registrations = [(ResourceEntry(out_id, kind, out_uri, ResourceOrigin.GENERATED,
+                                            produced_by=produced_by), relations)]
+            line = f"{aid}: {tr_res.uri} -> {out_uri}"
+            if trace is not None:
+                trace_uri = f"{TRACE_DIR}/{aid}.trace.json"
+                write_text(root, trace_uri, save_trace(trace))
+                trace_id = resource_id(ResourceKind.TRACE_MODEL, trace_uri)
+                registrations.append((
+                    ResourceEntry(trace_id, ResourceKind.TRACE_MODEL, trace_uri, ResourceOrigin.GENERATED,
+                                  produced_by=produced_by),
+                    [Relation(trace_id, tr_res.id, RelationKind.TRACE_FOR)],
+                ))
+                line += f" (trace {trace_uri})"
+            deltas[aid] = registrations, trace, line
 
         for aid in stage:
             registrations, trace, line = deltas[aid]
@@ -395,8 +426,7 @@ def enact(
 
         # Propagate outputs along object edges for later stages.
         for edge in p.object_edges:
-            key = (edge.from_node, edge.from_pin)
-            produced = _output_uri(actions[edge.from_node], edge.from_pin, output_dir)
+            produced = _output_uri(actions[edge.from_node], edge.from_pin)
             if edge.from_node in deltas and produced is not None:
                 pin_inputs[(edge.to_node, edge.to_pin)] = produced
 
@@ -404,15 +434,16 @@ def enact(
     return EnactmentResult(current, tuple(artifacts), tuple(traces), tuple(log), plan)
 
 
-def _output_uri(action: ProcNode, pin_name: str, output_dir: str) -> str | None:
+def _output_uri(action: ProcNode, pin_name: str) -> str | None:
     for pin in action.output_pins:
         if pin.name == pin_name:
-            return f"{output_dir}/{action.id}/{pin.name}.model.json"
+            return f"{OUTPUT_DIR}/{action.id}/{pin.name}.model.json"
     return None
 
 
-def _run_m2m_action(action, tr_res, root, metamodels, mm_resource_ids, pin_inputs,
-                    load_model, model_cache, stamp, output_dir, trace_dir, augment):
+def _run_m2m_action(action, tr_res, root, metamodels, pin_inputs, load_model, model_cache, stamp, augment):
+    """Run one M2M action and write its output model; return the output's
+    uri and the trace, if augmented."""
     transformation = m2m.parse_m2m(read_text(root, tr_res.uri), metamodels)
     if augment:
         transformation = m2m.augment_m2m(transformation)
@@ -439,10 +470,7 @@ def _run_m2m_action(action, tr_res, root, metamodels, mm_resource_ids, pin_input
             f"output pin carries '{out_pin.metamodel}' but the transformation produces "
             f"'{transformation.output[1]}'", action.id)
 
-    out_uri = _output_uri(action, out_pin.name, output_dir)
-    trace_uri = f"{trace_dir}/{action.id}.trace.json"
-
-    registrations: list[tuple[ResourceEntry, list[Relation]]] = []
+    out_uri = _output_uri(action, out_pin.name)
     if augment:
         out_model, trace = m2m.execute_augmented_m2m(
             transformation, inputs, metamodels, out_uri,
@@ -452,36 +480,13 @@ def _run_m2m_action(action, tr_res, root, metamodels, mm_resource_ids, pin_input
         trace = None
     write_text(root, out_uri, serialize_model(out_model))
     model_cache[out_uri] = out_model  # later stages read it from memory
-
-    model_id = resource_id(ResourceKind.MODEL, out_uri)
-    model_rels = [
-        Relation(model_id, mm_resource_ids[out_pin.metamodel], RelationKind.CONFORMS_TO),
-        Relation(tr_res.id, model_id, RelationKind.DATA_FLOW, FlowDirection.OUTPUT),
-    ]
-    for pin in action.input_pins:
-        in_uri = pin_inputs[(action.id, pin.name)]
-        in_id = resource_id(ResourceKind.MODEL, in_uri)
-        model_rels.append(Relation(in_id, tr_res.id, RelationKind.DATA_FLOW, FlowDirection.INPUT))
-    registrations.append((
-        ResourceEntry(model_id, ResourceKind.MODEL, out_uri, ResourceOrigin.GENERATED,
-                      produced_by=f"{tr_res.id}#{stamp}"),
-        model_rels,
-    ))
-    if trace is not None:
-        write_text(root, trace_uri, save_trace(trace))
-        trace_id = resource_id(ResourceKind.TRACE_MODEL, trace_uri)
-        registrations.append((
-            ResourceEntry(trace_id, ResourceKind.TRACE_MODEL, trace_uri, ResourceOrigin.GENERATED,
-                          produced_by=f"{tr_res.id}#{stamp}"),
-            [Relation(trace_id, tr_res.id, RelationKind.TRACE_FOR)],
-        ))
-    line = f"{action.id}: {tr_res.uri} -> {out_uri}" + (f" (trace {trace_uri})" if trace else "")
-    return registrations, trace, line
+    return out_uri, trace
 
 
-def _run_m2c_action(action, tr_res, root, metamodels, pin_inputs, load_model,
-                    stamp, output_dir, trace_dir, augment, default_markers):
-    template = m2c.parse_template(read_text(root, tr_res.uri), metamodels, default_markers)
+def _run_m2c_action(action, tr_res, root, metamodels, pin_inputs, load_model, stamp, augment):
+    """Run one M2C action and write its file (and, if augmented, the
+    annotated sidecar); return the file's uri and the trace."""
+    template = m2c.parse_template(read_text(root, tr_res.uri), metamodels)
     if len(action.input_pins) != 1:
         raise TransformationError("an M2C action needs exactly one input pin", action.id)
     pin = action.input_pins[0]
@@ -494,10 +499,8 @@ def _run_m2c_action(action, tr_res, root, metamodels, pin_inputs, load_model,
     in_uri = pin_inputs[(action.id, pin.name)]
     model = load_model(in_uri, pin.metamodel, action.id)
 
-    clean_uri = f"{output_dir}/{action.id}/{template.name}"
-    registrations: list[tuple[ResourceEntry, list[Relation]]] = []
+    clean_uri = f"{OUTPUT_DIR}/{action.id}/{template.name}"
     trace = None
-    trace_uri = f"{trace_dir}/{action.id}.trace.json"
     if augment:
         augmented = m2c.augment_template(template)
         annotated = m2c.render_augmented(augmented, model)
@@ -508,24 +511,4 @@ def _run_m2c_action(action, tr_res, root, metamodels, pin_inputs, load_model,
     else:
         clean = m2c.render(template, model)
     write_text(root, clean_uri, clean)
-
-    file_id = resource_id(ResourceKind.GENERATED_FILE, clean_uri)
-    in_id = resource_id(ResourceKind.MODEL, in_uri)
-    registrations.append((
-        ResourceEntry(file_id, ResourceKind.GENERATED_FILE, clean_uri, ResourceOrigin.GENERATED,
-                      produced_by=f"{tr_res.id}#{stamp}"),
-        [
-            Relation(in_id, tr_res.id, RelationKind.DATA_FLOW, FlowDirection.INPUT),
-            Relation(tr_res.id, file_id, RelationKind.DATA_FLOW, FlowDirection.OUTPUT),
-        ],
-    ))
-    if trace is not None:
-        write_text(root, trace_uri, save_trace(trace))
-        trace_res_id = resource_id(ResourceKind.TRACE_MODEL, trace_uri)
-        registrations.append((
-            ResourceEntry(trace_res_id, ResourceKind.TRACE_MODEL, trace_uri, ResourceOrigin.GENERATED,
-                          produced_by=f"{tr_res.id}#{stamp}"),
-            [Relation(trace_res_id, tr_res.id, RelationKind.TRACE_FOR)],
-        ))
-    line = f"{action.id}: {tr_res.uri} -> {clean_uri}" + (f" (trace {trace_uri})" if trace else "")
-    return registrations, trace, line
+    return clean_uri, trace

@@ -47,9 +47,6 @@ class CodeSpan:
     def __str__(self) -> str:
         return f"{self.file_uri}:{self.start_line}:{self.start_col}"
 
-    def contains(self, byte_offset: int) -> bool:
-        return self.start_byte <= byte_offset < self.end_byte
-
 
 def span_at(file_uri: str, newlines: list[int], start: int, end: int) -> CodeSpan:
     """Build a span with line/col derived from ``start``; ``newlines`` holds
@@ -106,9 +103,9 @@ def _target_to_json(t: ElementRef | CodeSpan) -> dict:
 def _target_from_json(raw: object) -> ElementRef | CodeSpan:
     if not isinstance(raw, dict):
         raise IntegrityError("trace target must be an object")
-    if "model" in raw:
+    if isinstance(raw.get("model"), str):
         return ElementRef(raw["model"], parse_path(raw["path"]))
-    if "file" in raw:
+    if isinstance(raw.get("file"), str):
         return CodeSpan(raw["file"], raw["startByte"], raw["endByte"], raw["startLine"], raw["startCol"])
     raise IntegrityError(f"unrecognized trace target: {raw!r}")
 
@@ -133,14 +130,21 @@ def load_trace(text: str) -> LocalTraceModel:
     data = _load_json(text)
     if not isinstance(data, dict):
         raise ParseError("trace document must be an object")
+    if not isinstance(data.get("links", []), list):
+        raise IntegrityError("trace 'links' must be a list")
     try:
         links = []
         for raw in data.get("links", []):
+            if not isinstance(raw, dict):
+                raise IntegrityError("each trace link must be an object")
+            tags = raw.get("tags", {})
+            if not isinstance(tags, dict) or not all(isinstance(v, str) for v in tags.values()):
+                raise IntegrityError("trace link 'tags' must be an object of strings")
             sources = tuple(_target_from_json(s) for s in raw.get("sources", []))
             if any(isinstance(s, CodeSpan) for s in sources):
                 raise IntegrityError("trace link sources must be model elements")
             targets = tuple(_target_from_json(x) for x in raw.get("targets", []))
-            links.append(TraceLink(sources, targets, dict(raw.get("tags", {}))))
+            links.append(TraceLink(sources, targets, dict(tags)))
         return LocalTraceModel(
             id=data["id"],
             transformation_id=data["transformation"],

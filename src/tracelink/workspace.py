@@ -4,28 +4,16 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TracelinkError
 
+# The layout is fixed: discovery skips OUTPUT_DIR and TRACE_DIR, enactment
+# writes generated artifacts under OUTPUT_DIR and trace models under TRACE_DIR.
+OUTPUT_DIR = "out"
+TRACE_DIR = "traces"
 MEGAMODEL_FILE = "megamodel.json"
 LOCK_FILE = ".tracelink.lock"
-
-
-@dataclass(frozen=True)
-class WorkspaceConfig:
-    root: Path
-    output_dir: str = "out"
-    trace_dir: str = "traces"
-    marker_open: str = "{{"
-    marker_close: str = "}}"
-
-    def __post_init__(self):
-        if not self.output_dir or not self.trace_dir or self.output_dir == self.trace_dir:
-            raise TracelinkError("output and trace directories must be distinct and non-empty")
-        if not self.marker_open or not self.marker_close or self.marker_open == self.marker_close:
-            raise TracelinkError("marker delimiters must be distinct and non-empty")
 
 
 def read_text(root: Path, uri: str) -> str:

@@ -263,6 +263,44 @@ def test_trace_show(enacted_ws, runner):
     assert json.loads(as_json.output)["id"] == "trace:MapContiki"
 
 
+
+def _rewrite_json(path, change):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    change(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("change", [
+    lambda t: t.update(links=[1]),
+    lambda t: t.update(links="x"),
+    lambda t: t["links"][0].update(tags=[1]),
+    lambda t: t["links"][0].update(tags="x"),
+    lambda t: t["links"][0]["tags"].update(template=1),
+    lambda t: t["links"][0]["sources"][0].update(model=0),
+], ids=["links-of-int", "links-string", "tags-list", "tags-string", "tag-value-int", "source-model-int"])
+def test_mistyped_trace_is_a_one_line_error(enacted_ws, runner, change):
+    trace_file = enacted_ws / "traces/GenRIOT.trace.json"
+    _rewrite_json(trace_file, change)
+    assert_one_line_error(invoke(runner, enacted_ws, "trace", "show", str(trace_file)))
+    assert_one_line_error(invoke(runner, enacted_ws, "gtm", "dot"))
+
+
+@pytest.mark.parametrize("key", ["nodes", "controlEdges", "objectEdges"])
+def test_discover_rejects_a_process_field_that_is_no_list(tmp_path, runner, key):
+    ws = copy_workspace(tmp_path)
+    _rewrite_json(ws / "wsn-iot.proc.json", lambda d: d.update({key: 0}))
+    result = invoke(runner, ws, "discover", str(ws))
+    assert_one_line_error(result)
+    assert f"'{key}' must be a list" in result.output
+
+
+@pytest.mark.parametrize("key", ["attributes", "collections", "references"])
+def test_enact_rejects_a_metamodel_field_that_is_no_list(enacted_ws, runner, key):
+    _rewrite_json(enacted_ws / "PIMM.mm.json", lambda d: d["classes"][0].update({key: 0}))
+    result = invoke(runner, enacted_ws, "enact", "wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json")
+    assert_one_line_error(result)
+    assert f"'{key}' must be a list" in result.output
+
 def test_augment_m2m_writes_augmented_file(tmp_path, runner):
     ws = copy_workspace(tmp_path)
     result = invoke(runner, ws, "augment-m2m", str(ws / "MapContiki.m2m"))

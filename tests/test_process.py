@@ -362,15 +362,3 @@ def test_m2c_outputs_and_annotated_sidecars(workspace):
             assert token not in clean.read_text()
         assert "{{" in stripped or clean.read_text() == stripped
 
-
-def test_workspace_config_invariants(tmp_path):
-    from tracelink.errors import TracelinkError
-    from tracelink.workspace import WorkspaceConfig
-
-    WorkspaceConfig(tmp_path)
-    with pytest.raises(TracelinkError):
-        WorkspaceConfig(tmp_path, output_dir="same", trace_dir="same")
-    with pytest.raises(TracelinkError):
-        WorkspaceConfig(tmp_path, marker_open="{{", marker_close="{{")
-    with pytest.raises(TracelinkError):
-        WorkspaceConfig(tmp_path, marker_open="")
