@@ -53,10 +53,12 @@ def _load_mgm(root: Path) -> Megamodel:
 
 
 def _workspace_metamodels(root: Path) -> dict:
-    """Metamodels straight from the filesystem, for file-local commands."""
+    """The metamodels discovery would register, for file-local commands."""
     out = {}
-    for path in sorted(root.rglob("*.mm.json")):
-        mm = parse_metamodel(path.read_text(encoding="utf-8"))
+    for uri, kind in megamodel.workspace_files(root):
+        if kind != ResourceKind.METAMODEL:
+            continue
+        mm = parse_metamodel(read_text(root, uri))
         if mm.name in out:
             raise AmbiguousMetamodel(mm.name)
         out[mm.name] = mm

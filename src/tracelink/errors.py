@@ -11,8 +11,9 @@ class ParseError(TracelinkError):
     """Malformed input document: bad JSON, or text that violates a grammar."""
 
     def __init__(self, message: str, *, line: int | None = None, column: int | None = None):
-        loc = f" (line {line}, col {column})" if line is not None else ""
-        super().__init__(f"{message}{loc}")
+        if line is not None:
+            message += f" (line {line})" if column is None else f" (line {line}, col {column})"
+        super().__init__(message)
         self.line = line
         self.column = column
 

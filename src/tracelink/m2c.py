@@ -22,8 +22,19 @@ from .errors import (
     TransformationError,
     UnbalancedMarker,
 )
-from .m2m import _escape, _unescape
-from .model import Element, Metamodel, Model, _type_ok, ensure_conforms, iter_elements, resolve_path
+from .m2m import _escape, _Parser, _Token, _unescape
+from .model import (
+    AttributeDef,
+    CollectionDef,
+    Element,
+    Metamodel,
+    Model,
+    ReferenceDef,
+    _type_ok,
+    ensure_conforms,
+    iter_elements,
+    resolve_path,
+)
 from .paths import normalize_marker_path, parse_path
 from .trace import ElementRef, LocalTraceModel, TraceLink, build_identifier_tree, span_at
 
@@ -147,99 +158,68 @@ _TAG_TOKEN_RE = re.compile(
 )
 
 
-def _tokenize_tag(content: str, line: int) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
+def _tokenize_tag(content: str, line: int) -> list[_Token]:
+    """Tag tokens, each carrying the tag's line and no column."""
+    tokens: list[_Token] = []
     pos = 0
     while pos < len(content):
         m = _TAG_TOKEN_RE.match(content, pos)
         if m is None:
             raise ParseError(f"bad token in tag: {content[pos:]!r}", line=line)
         kind = m.lastgroup
-        if kind == "ws":
-            pass
-        elif kind == "string":
-            tokens.append(("string", _unescape(m.group()[1:-1])))
+        if kind == "string":
+            tokens.append(_Token("string", _unescape(m.group()[1:-1]), line, None))
         elif kind == "int":
-            tokens.append(("int", int(m.group())))
+            tokens.append(_Token("int", int(m.group()), line, None))
         elif kind == "float":
-            tokens.append(("float", float(m.group())))
+            tokens.append(_Token("float", float(m.group()), line, None))
         elif kind == "ident":
-            tokens.append(("ident", m.group()))
-        else:
-            tokens.append((m.group(), m.group()))
+            tokens.append(_Token("ident", m.group(), line, None))
+        elif kind != "ws":
+            tokens.append(_Token(m.group(), m.group(), line, None))
         pos = m.end()
-    tokens.append(("end", None))
+    tokens.append(_Token("end", None, line, None))
     return tokens
 
 
-class _TagExprParser:
-    def __init__(self, tokens: list[tuple[str, object]], line: int):
-        self.tokens = tokens
-        self.i = 0
-        self.line = line
-
-    @property
-    def cur(self):
-        return self.tokens[self.i]
-
-    def error(self, message: str):
-        raise ParseError(message, line=self.line)
-
-    def accept(self, kind: str):
-        if self.cur[0] == kind:
-            tok = self.cur
-            self.i += 1
-            return tok
-        return None
-
-    def expect(self, kind: str):
-        tok = self.accept(kind)
-        if tok is None:
-            self.error(f"expected {kind!r}, got {self.cur[0]!r}")
-        return tok
+class _TagExprParser(_Parser):
+    """Tag expressions, over the M2M parser's token cursor."""
 
     def nav(self) -> TNav:
-        steps = [self.expect("ident")[1]]
+        steps = [self.expect("ident").value]
         while self.accept("."):
-            steps.append(self.expect("ident")[1])
+            steps.append(self.expect("ident").value)
         return TNav(tuple(steps))
 
-    def literal(self) -> TLiteral:
+    def literal(self, expected: str = "a literal") -> TLiteral:
         tok = self.cur
-        if tok[0] in ("string", "int", "float"):
+        if tok.kind in ("string", "int", "float"):
             self.i += 1
-            return TLiteral(tok[1])
-        if tok[0] == "ident" and tok[1] in ("true", "false"):
+            return TLiteral(tok.value)
+        if tok.kind == "ident" and tok.value in ("true", "false"):
             self.i += 1
-            return TLiteral(tok[1] == "true")
-        self.error("expected a literal")
+            return TLiteral(tok.value == "true")
+        self.error(f"expected {expected}")
         raise AssertionError
 
     def emit_expr(self) -> TemplateExpr:
         tok = self.cur
-        if tok[0] in ("string", "int", "float"):
+        if tok.kind != "ident" or tok.value in ("true", "false"):
+            return self.literal("an expression")
+        if tok.value == "path" and self.tokens[self.i + 1].kind == "(":
+            self.i += 2
+            target = self.nav()
+            self.expect(")")
+            return TPathOf(target)
+        if tok.value == "i" and self.tokens[self.i + 1].kind != ".":
             self.i += 1
-            return TLiteral(tok[1])
-        if tok[0] == "ident":
-            if tok[1] == "path" and self.tokens[self.i + 1][0] == "(":
-                self.i += 2
-                target = self.nav()
-                self.expect(")")
-                return TPathOf(target)
-            if tok[1] == "i" and self.tokens[self.i + 1][0] != ".":
-                self.i += 1
-                return TIndex()
-            if tok[1] in ("true", "false"):
-                self.i += 1
-                return TLiteral(tok[1] == "true")
-            return self.nav()
-        self.error("expected an expression")
-        raise AssertionError
+            return TIndex()
+        return self.nav()
 
     def cond(self) -> Cond:
         left = self.nav()
         if self.accept("->"):
-            if self.expect("ident")[1] != "size":
+            if self.expect("ident").value != "size":
                 self.error("only size() is supported after '->'")
             self.expect("(")
             self.expect(")")
@@ -250,7 +230,7 @@ class _TagExprParser:
                     break
             if op is None:
                 self.error("expected '>', '=', or '!=' after size()")
-            bound = self.expect("int")[1]
+            bound = self.expect("int").value
             return SizeCond(left, op, bound)
         op = "=" if self.accept("=") else ("!=" if self.accept("!=") else None)
         if op is None:
@@ -312,23 +292,23 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
     name = body_of_header[:paren].strip()
     if not name or any(c.isspace() for c in name) or "/" in name:
         raise ParseError(f"bad template name {name!r}", line=header_line)
-    p = _TagExprParser(_tokenize_tag(body_of_header[paren:], header_line), header_line)
+    p = _TagExprParser(_tokenize_tag(body_of_header[paren:], header_line))
     p.expect("(")
-    param_var = p.expect("ident")[1]
+    param_var = p.expect("ident").value
     if param_var == "i":
         raise ParseError("'i' is reserved for the loop index", line=header_line)
     p.expect(":")
-    mm_name = p.expect("ident")[1]
+    mm_name = p.expect("ident").value
     p.expect("!")
-    param_class = p.expect("ident")[1]
+    param_class = p.expect("ident").value
     p.expect(")")
     markers = DEFAULT_MARKERS
-    if p.cur[0] == "ident" and p.cur[1] == "markers":
+    if p.cur.kind == "ident" and p.cur.value == "markers":
         p.i += 1
         p.expect("(")
-        mo = p.expect("string")[1]
+        mo = p.expect("string").value
         p.expect(",")
-        mc = p.expect("string")[1]
+        mc = p.expect("string").value
         p.expect(")")
         markers = (mo, mc)
     p.expect("end")
@@ -361,9 +341,9 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
             if stripped in ("/for", "/if", "/template", "else"):
                 raise ParseError(f"unexpected [{stripped}]", line=line)
             if word == "for":
-                tp = _TagExprParser(_tokenize_tag(stripped[len("for"):], line), line)
+                tp = _TagExprParser(_tokenize_tag(stripped[len("for"):], line))
                 tp.expect("(")
-                var = tp.expect("ident")[1]
+                var = tp.expect("ident").value
                 if var == "i":
                     raise ParseError("'i' is reserved for the loop index", line=line)
                 tp.expect(":")
@@ -373,7 +353,7 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
                 inner, _, pos = parse_body(pos, ("/for",))
                 nodes.append(ForNode(var, source, tuple(inner), line))
             elif word == "if":
-                tp = _TagExprParser(_tokenize_tag(stripped[len("if"):], line), line)
+                tp = _TagExprParser(_tokenize_tag(stripped[len("if"):], line))
                 tp.expect("(")
                 cond = tp.cond()
                 tp.expect(")")
@@ -386,7 +366,7 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
             else:
                 if not stripped.endswith("/"):
                     raise ParseError(f"emit tag must end with '/': [{content}]", line=line)
-                tp = _TagExprParser(_tokenize_tag(stripped[:-1], line), line)
+                tp = _TagExprParser(_tokenize_tag(stripped[:-1], line))
                 expr = tp.emit_expr()
                 tp.expect("end")
                 nodes.append(EmitNode(expr, line))
@@ -407,34 +387,24 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
 # ---------------------------------------------------------------------------
 
 
-def _nav_kind(t: Template, nav: TNav, env: dict[str, str], line: int) -> tuple[str, object]:
-    """Resolve a navigation to ("var"|"ref"|"attr"|"coll", payload)."""
+def _nav_feature(t: Template, nav: TNav, env: dict[str, str],
+                 line: int) -> AttributeDef | CollectionDef | ReferenceDef | None:
+    """The feature a navigation ends on, or None for a bare variable."""
     if nav.steps[0] not in env:
         raise TemplateTypeError(f"unknown variable '{nav.steps[0]}'", line)
-    cls_name = env[nav.steps[0]]
-    kind: tuple[str, object] = ("var", cls_name)
-    for pos, step in enumerate(nav.steps[1:], start=1):
-        if kind[0] == "attr":
+    cls = t.metamodel.class_named(env[nav.steps[0]])
+    feature = None
+    for step in nav.steps[1:]:
+        if isinstance(feature, AttributeDef):
             raise TemplateTypeError(f"cannot navigate into attribute before '{step}'", line)
-        if kind[0] == "coll":
+        if isinstance(feature, CollectionDef):
             raise TemplateTypeError(f"cannot navigate through collection before '{step}'", line)
-        cls = t.metamodel.class_named(cls_name)
-        attr = cls.attribute(step)
-        if attr is not None:
-            kind = ("attr", attr.type)
-            continue
-        coll = cls.collection(step)
-        if coll is not None:
-            kind = ("coll", coll.element_class)
-            cls_name = coll.element_class
-            continue
-        ref = cls.reference(step)
-        if ref is not None:
-            kind = ("ref", ref.target_class)
-            cls_name = ref.target_class
-            continue
-        raise TemplateTypeError(f"class '{cls.name}' has no feature '{step}'", line)
-    return kind
+        if feature is not None:
+            cls = t.metamodel.class_named(feature.target_class)
+        feature = cls.features.get(step)
+        if feature is None:
+            raise TemplateTypeError(f"class '{cls.name}' has no feature '{step}'", line)
+    return feature
 
 
 def _check_template(t: Template):
@@ -451,33 +421,30 @@ def _check_template(t: Template):
                         raise TemplateTypeError("'i' is only available inside a loop", node.line)
                     continue
                 if isinstance(expr, TPathOf):
-                    kind = _nav_kind(t, expr.target, env, node.line)
-                    if kind[0] not in ("var", "ref"):
+                    if isinstance(_nav_feature(t, expr.target, env, node.line), (AttributeDef, CollectionDef)):
                         raise TemplateTypeError("path() needs an element-valued expression", node.line)
                     continue
-                kind = _nav_kind(t, expr, env, node.line)
-                if kind[0] != "attr":
+                if not isinstance(_nav_feature(t, expr, env, node.line), AttributeDef):
                     raise TemplateTypeError(f"cannot emit non-attribute '{expr}'", node.line)
             elif isinstance(node, ForNode):
-                kind = _nav_kind(t, node.source, env, node.line)
-                if kind[0] != "coll":
+                source = _nav_feature(t, node.source, env, node.line)
+                if not isinstance(source, CollectionDef):
                     raise TemplateTypeError(f"loop source '{node.source}' is not a collection", node.line)
                 if node.var in env:
                     raise TemplateTypeError(f"variable '{node.var}' shadows an enclosing binder", node.line)
-                check(node.body, {**env, node.var: kind[1]}, True)
+                check(node.body, {**env, node.var: source.element_class}, True)
             elif isinstance(node, IfNode):
                 cond = node.cond
                 if isinstance(cond, SizeCond):
-                    kind = _nav_kind(t, cond.target, env, node.line)
-                    if kind[0] not in ("coll", "ref"):
+                    if not isinstance(_nav_feature(t, cond.target, env, node.line), (CollectionDef, ReferenceDef)):
                         raise TemplateTypeError("size() needs a collection or reference", node.line)
                 else:
-                    kind = _nav_kind(t, cond.left, env, node.line)
-                    if kind[0] != "attr":
+                    attr = _nav_feature(t, cond.left, env, node.line)
+                    if not isinstance(attr, AttributeDef):
                         raise TemplateTypeError("condition must compare an attribute", node.line)
-                    if not _type_ok(kind[1], cond.right.value):
+                    if not _type_ok(attr.type, cond.right.value):
                         raise TemplateTypeError(
-                            f"condition compares {kind[1]} attribute against {cond.right.value!r}", node.line)
+                            f"condition compares {attr.type} attribute against {cond.right.value!r}", node.line)
                 check(node.then_body, env, in_loop)
                 check(node.else_body, env, in_loop)
 
@@ -513,23 +480,17 @@ def render(t: Template, m: Model) -> str:
             paths.update((id(x), str(p)) for p, x in iter_elements(m))
         return paths[id(e)]
 
-    def feature_kind(e: Element, step: str) -> str:
-        cls = t.metamodel.class_named(e.class_name)
-        if cls.attribute(step) is not None:
-            return "attr"
-        if cls.collection(step) is not None:
-            return "coll"
-        return "ref"
+    class_named = t.metamodel.class_named
 
     def eval_nav(nav: TNav, env: dict[str, object], line: int) -> object:
         current = env[nav.steps[0]]
         for step in nav.steps[1:]:
-            kind = feature_kind(current, step)
-            if kind == "attr":
+            feature = class_named(current.class_name).features.get(step)
+            if isinstance(feature, AttributeDef):
                 if step not in current.attrs:
                     raise EvalError(f"attribute '{step}' is unset", line, model_path(current))
                 return current.attrs[step]
-            if kind == "coll":
+            if isinstance(feature, CollectionDef):
                 return list(current.collections.get(step, []))
             ref_path = current.refs.get(step)
             if ref_path is None:
@@ -547,7 +508,7 @@ def render(t: Template, m: Model) -> str:
                     raise EvalError(f"reference '{step}' is unset", line, model_path(holder))
                 holder = resolve_path(m, ref_path)
             last = steps[-1]
-            if feature_kind(holder, last) == "coll":
+            if isinstance(class_named(holder.class_name).features.get(last), CollectionDef):
                 size = len(holder.collections.get(last, []))
             else:
                 size = 1 if last in holder.refs else 0
@@ -655,11 +616,9 @@ def _unwrap(body, t: Template):
 def _governing_nav(cond: Cond, t: Template, env: dict[str, str], line: int) -> TNav:
     """Element whose presence/state the condition tests, as a navigation."""
     if isinstance(cond, SizeCond):
-        kind = _nav_kind(t, cond.target, env, line)
-        if kind[0] == "ref":
+        if isinstance(_nav_feature(t, cond.target, env, line), ReferenceDef):
             return cond.target
-        steps = cond.target.steps[:-1]
-        return TNav(steps)
+        return TNav(cond.target.steps[:-1])
     return TNav(cond.left.steps[:-1])
 
 
@@ -670,8 +629,7 @@ def augment_template(t: Template) -> Template:
         out = []
         for node in nodes:
             if isinstance(node, ForNode):
-                elem_cls = _nav_kind(t, node.source, env, node.line)[1]
-                inner_env = {**env, node.var: elem_cls}
+                inner_env = {**env, node.var: _nav_feature(t, node.source, env, node.line).element_class}
                 inner = walk(node.body, inner_env, node.var)
                 if _emits_model_text(node.body) and not _is_wrapped(inner, t):
                     inner = _wrap(inner, TNav((node.var,)), node.line, t)

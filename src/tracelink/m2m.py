@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     ConformanceError,
@@ -24,7 +25,17 @@ from .errors import (
     UnknownClass,
     UnresolvedBinding,
 )
-from .model import Element, Metamodel, Model, ensure_conforms, iter_elements, resolve_path
+from .model import (
+    AttributeDef,
+    CollectionDef,
+    Element,
+    Metamodel,
+    Model,
+    ReferenceDef,
+    ensure_conforms,
+    iter_elements,
+    resolve_path,
+)
 from .trace import ElementRef, LocalTraceModel, TraceLink
 
 # ---------------------------------------------------------------------------
@@ -122,12 +133,11 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"transformation", "input", "output", "rule", "from", "to", "traced", "concat", "true", "false"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "string", "int", "float", or the symbol/keyword itself
     value: object
     line: int
-    col: int
+    col: int | None  # None inside an M2C tag, whose tokens carry the tag's line
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
@@ -320,22 +330,6 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _feature_kind(mm: Metamodel, class_name: str, feature: str) -> tuple[str, object] | None:
-    cls = mm.class_named(class_name)
-    if cls is None:
-        return None
-    attr = cls.attribute(feature)
-    if attr is not None:
-        return ("attr", attr)
-    coll = cls.collection(feature)
-    if coll is not None:
-        return ("coll", coll)
-    ref = cls.reference(feature)
-    if ref is not None:
-        return ("ref", ref)
-    return None
-
-
 def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]):
     declared = dict(t.inputs)
     out_alias, out_mm_name = t.output
@@ -354,8 +348,8 @@ def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]
             raise UnknownClass(rule.from_metamodel)
         if src_mm.class_named(rule.from_class) is None:
             raise UnknownClass(rule.from_class)
-        if rule.guard is not None:
-            _check_nav(rule, rule.guard.left, src_mm, expect="attr")
+        if rule.guard is not None and not isinstance(_check_nav(rule, rule.guard.left, src_mm), AttributeDef):
+            raise SchemaError(f"rule '{rule.name}': '{rule.guard.left.feature}' is not an attr")
         target_vars: set[str] = set()
         for pattern in rule.targets:
             out_mm = metamodels.get(pattern.metamodel)
@@ -367,14 +361,14 @@ def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]
                 raise SchemaError(f"rule '{rule.name}': duplicate pattern variable '{pattern.var}'")
             target_vars.add(pattern.var)
         for pattern in rule.targets:
-            out_mm = metamodels[pattern.metamodel]
+            features = metamodels[pattern.metamodel].class_named(pattern.class_name).features
             scalar_bound: set[str] = set()
             for binding in pattern.bindings:
-                kind = _feature_kind(out_mm, pattern.class_name, binding.feature)
-                if kind is None:
+                feature = features.get(binding.feature)
+                if feature is None:
                     raise SchemaError(
                         f"rule '{rule.name}': class '{pattern.class_name}' has no feature '{binding.feature}'")
-                if kind[0] != "coll":
+                if not isinstance(feature, CollectionDef):
                     if binding.feature in scalar_bound:
                         raise SchemaError(
                             f"rule '{rule.name}': feature '{binding.feature}' bound more than once")
@@ -382,14 +376,13 @@ def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]
                 _check_expr(rule, binding.expr, src_mm, target_vars)
 
 
-def _check_nav(rule: Rule, nav: Nav, src_mm: Metamodel, expect: str | None = None):
+def _check_nav(rule: Rule, nav: Nav, src_mm: Metamodel) -> AttributeDef | CollectionDef | ReferenceDef:
     if nav.var != rule.from_var:
         raise SchemaError(f"rule '{rule.name}': unknown variable '{nav.var}'")
-    kind = _feature_kind(src_mm, rule.from_class, nav.feature)
-    if kind is None:
+    feature = src_mm.class_named(rule.from_class).features.get(nav.feature)
+    if feature is None:
         raise SchemaError(f"rule '{rule.name}': class '{rule.from_class}' has no feature '{nav.feature}'")
-    if expect is not None and kind[0] != expect:
-        raise SchemaError(f"rule '{rule.name}': '{nav.feature}' is not an {expect}")
+    return feature
 
 
 def _check_expr(rule: Rule, expr: Expr, src_mm: Metamodel, target_vars: set[str] = frozenset()):
@@ -571,10 +564,8 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
                 return resolve_path(model, element.refs[expr.feature])
             # Declared feature absent on this element: attrs and refs may be
             # unset, collections default to empty.
-            kind = _feature_kind(metamodels[model.metamodel_name], element.class_name, expr.feature)
-            if kind is not None and kind[0] == "coll":
-                return []
-            return None
+            feature = metamodels[model.metamodel_name].class_named(element.class_name).features.get(expr.feature)
+            return [] if isinstance(feature, CollectionDef) else None
         if isinstance(expr, Concat):
             left = eval_expr(expr.left, element, model, pattern_images)
             right = eval_expr(expr.right, element, model, pattern_images)
@@ -590,14 +581,15 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
         model = inputs[inst.alias]
         pattern_images = {p.var: img for p, img in zip(inst.rule.targets, inst.images)}
         for pattern, image in zip(inst.rule.targets, inst.images):
+            features = metamodels[pattern.metamodel].class_named(pattern.class_name).features
             for binding in pattern.bindings:
-                kind = _feature_kind(out_mm, pattern.class_name, binding.feature)
                 value = eval_expr(binding.expr, inst.element, model, pattern_images)
                 if value is None:
                     continue
-                if kind[0] == "attr":
+                feature = features[binding.feature]
+                if isinstance(feature, AttributeDef):
                     image.attrs[binding.feature] = value
-                elif kind[0] == "ref":
+                elif isinstance(feature, ReferenceDef):
                     if isinstance(value, list):
                         raise TransformationError(
                             f"rule '{inst.rule.name}': reference '{binding.feature}' bound to a collection")

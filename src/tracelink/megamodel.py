@@ -299,31 +299,30 @@ def register(mgm: Megamodel, entry: ResourceEntry, relations: list[Relation] = (
 # Discovery
 # ---------------------------------------------------------------------------
 
-def discover(workspace_root: str | Path) -> Megamodel:
-    """Register every recognized file under the workspace root.
+def workspace_files(root: Path) -> list[tuple[str, ResourceKind]]:
+    """(uri, kind) of every recognized file under ``root``, sorted by uri.
 
-    Output and trace directories are skipped so that discovery stays
-    idempotent after enactments. Ordering is lexicographic by URI.
+    Hidden directories and the output and trace directories are skipped so
+    that discovery stays idempotent after enactments.
     """
+    found: list[tuple[str, ResourceKind]] = []
+    for path in root.rglob("*"):
+        rel = PurePosixPath(path.relative_to(root).as_posix())
+        if any(part.startswith(".") for part in rel.parts) or rel.parts[0] in (OUTPUT_DIR, TRACE_DIR):
+            continue
+        kind = next((kind for suffix, kind in DISCOVERY_SUFFIXES if rel.name.endswith(suffix)), None)
+        if kind is not None and path.is_file():
+            found.append((str(rel), kind))
+    return sorted(found)
+
+
+def discover(workspace_root: str | Path) -> Megamodel:
+    """Register every file ``workspace_files`` finds under the workspace root."""
     root = Path(workspace_root)
     if not root.is_dir():
         raise FileNotFoundError(f"workspace root '{root}' is not a directory")
 
-    found: list[tuple[str, ResourceKind]] = []
-    for path in sorted(root.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = PurePosixPath(path.relative_to(root).as_posix())
-        if any(part.startswith(".") for part in rel.parts):
-            continue
-        if rel.parts and rel.parts[0] in (OUTPUT_DIR, TRACE_DIR):
-            continue
-        for suffix, kind in DISCOVERY_SUFFIXES:
-            if rel.name.endswith(suffix):
-                found.append((str(rel), kind))
-                break
-    found.sort()
-
+    found = workspace_files(root)
     resources: list[ResourceEntry] = []
     relations: list[Relation] = []
     metamodel_names: dict[str, str] = {}  # metamodel name -> resource id

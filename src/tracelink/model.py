@@ -7,15 +7,19 @@ Values are immutable after parse; engines that build models mutate fresh
 elements during construction only.
 
 Conformance is checked where a model enters: in ``parse_model`` and when
-the M2M engine assembles its output. ``ensure_conforms`` records the result
-on the model, so engines trust a checked model and check a hand-built one.
+the M2M engine assembles its output. The output check stays because M2M
+bindings are not type-checked: a rule may bind ``7`` to a string attribute.
+``ensure_conforms`` records the result on the model, so engines trust a
+checked model and check a hand-built one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring  # json's own C escaper for ensure_ascii=False
 
 from .errors import ConformanceError, NotInModel, ParseError, PathNotFound, SchemaError
@@ -54,14 +58,11 @@ class ClassDef:
     collections: tuple[CollectionDef, ...] = ()
     references: tuple[ReferenceDef, ...] = ()
 
-    def attribute(self, name: str) -> AttributeDef | None:
-        return next((a for a in self.attributes if a.name == name), None)
-
-    def collection(self, name: str) -> CollectionDef | None:
-        return next((c for c in self.collections if c.name == name), None)
-
-    def reference(self, name: str) -> ReferenceDef | None:
-        return next((r for r in self.references if r.name == name), None)
+    @cached_property
+    def features(self) -> dict[str, AttributeDef | CollectionDef | ReferenceDef]:
+        """Every feature by name. Relies on the unique feature names that
+        ``parse_metamodel`` enforces; callers dispatch on the definition's type."""
+        return {f.name: f for f in (*self.attributes, *self.collections, *self.references)}
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,11 @@ class Metamodel:
     name: str
     classes: tuple[ClassDef, ...] = ()
 
-    def class_named(self, name: str) -> ClassDef | None:
-        return next((c for c in self.classes if c.name == name), None)
+    @cached_property
+    def class_named(self) -> Callable[[str], ClassDef | None]:
+        """``class_named(name)``: the class of that name or None, one lookup
+        in a dict built on first use."""
+        return {c.name: c for c in self.classes}.get
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +375,20 @@ def check_conformance(m: Model, mm: Metamodel) -> list[Violation]:
         if cls is None:
             violations.append(Violation(path_str, f"unknown class '{e.class_name}'"))
         else:
+            features = cls.features
             for name, value in e.attrs.items():
-                attr = cls.attribute(name)
-                if attr is None:
+                attr = features.get(name)
+                if not isinstance(attr, AttributeDef):
                     violations.append(Violation(path_str, f"class '{cls.name}' declares no attribute '{name}'"))
                 elif not _type_ok(attr.type, value):
                     violations.append(Violation(
                         path_str, f"attribute '{name}' expects {attr.type}, got {type(value).__name__}"))
             for name in e.collections:
-                if cls.collection(name) is None:
+                if not isinstance(features.get(name), CollectionDef):
                     violations.append(Violation(path_str, f"class '{cls.name}' declares no collection '{name}'"))
             for name, ref_path in e.refs.items():
-                ref = cls.reference(name)
-                if ref is None:
+                ref = features.get(name)
+                if not isinstance(ref, ReferenceDef):
                     violations.append(Violation(path_str, f"class '{cls.name}' declares no reference '{name}'"))
                     continue
                 try:
@@ -399,10 +404,10 @@ def check_conformance(m: Model, mm: Metamodel) -> list[Violation]:
                 if not ref.optional and ref.name not in e.refs:
                     violations.append(Violation(path_str, f"required reference '{ref.name}' is unset"))
         for name, children in e.collections.items():
-            decl = cls.collection(name) if cls else None
+            decl = cls.features.get(name) if cls else None
             for i, child in enumerate(children):
                 child_path = _child_path(path, name, i)
-                if decl is not None and child.class_name != decl.element_class:
+                if isinstance(decl, CollectionDef) and child.class_name != decl.element_class:
                     violations.append(Violation(
                         str(child_path),
                         f"collection '{name}' holds class '{decl.element_class}', got '{child.class_name}'"))

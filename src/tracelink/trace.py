@@ -106,7 +106,10 @@ def _target_from_json(raw: object) -> ElementRef | CodeSpan:
     if isinstance(raw.get("model"), str):
         return ElementRef(raw["model"], parse_path(raw["path"]))
     if isinstance(raw.get("file"), str):
-        return CodeSpan(raw["file"], raw["startByte"], raw["endByte"], raw["startLine"], raw["startCol"])
+        span = [raw[key] for key in ("startByte", "endByte", "startLine", "startCol")]
+        if not all(type(value) is int for value in span):  # bool and float are not offsets
+            raise IntegrityError(f"trace span fields must be integers: {raw!r}")
+        return CodeSpan(raw["file"], *span)
     raise IntegrityError(f"unrecognized trace target: {raw!r}")
 
 

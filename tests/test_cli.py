@@ -285,6 +285,14 @@ def test_mistyped_trace_is_a_one_line_error(enacted_ws, runner, change):
     assert_one_line_error(invoke(runner, enacted_ws, "gtm", "dot"))
 
 
+@pytest.mark.parametrize("field, value", [("startByte", 1.5), ("endByte", True), ("startLine", "x")])
+def test_span_field_that_is_no_integer_is_a_one_line_error(enacted_ws, runner, field, value):
+    trace_file = enacted_ws / "traces/GenRIOT.trace.json"
+    _rewrite_json(trace_file, lambda t: t["links"][0]["targets"][0].update({field: value}))
+    assert_one_line_error(invoke(runner, enacted_ws, "trace", "show", str(trace_file)))
+    assert_one_line_error(invoke(runner, enacted_ws, "origin", "out/GenRIOT/Riot.c", "@3"))
+
+
 @pytest.mark.parametrize("key", ["nodes", "controlEdges", "objectEdges"])
 def test_discover_rejects_a_process_field_that_is_no_list(tmp_path, runner, key):
     ws = copy_workspace(tmp_path)
@@ -301,6 +309,7 @@ def test_enact_rejects_a_metamodel_field_that_is_no_list(enacted_ws, runner, key
     assert_one_line_error(result)
     assert f"'{key}' must be a list" in result.output
 
+
 def test_augment_m2m_writes_augmented_file(tmp_path, runner):
     ws = copy_workspace(tmp_path)
     result = invoke(runner, ws, "augment-m2m", str(ws / "MapContiki.m2m"))
@@ -308,6 +317,17 @@ def test_augment_m2m_writes_augmented_file(tmp_path, runner):
     out = ws / "MapContiki.m2m.aug.m2m"
     assert out.exists()
     assert "traced" in out.read_text()
+
+
+@pytest.mark.parametrize("skipped", [".backup", "out", "traces"])
+@pytest.mark.parametrize("command, file", [("augment-m2m", "MapContiki.m2m"), ("augment-m2c", "GenContiki.m2c")])
+def test_file_local_commands_read_only_the_metamodels_discovery_registers(tmp_path, runner, skipped, command, file):
+    ws = copy_workspace(tmp_path)
+    (ws / skipped).mkdir()
+    (ws / skipped / "PIMM.mm.json").write_bytes((ws / "PIMM.mm.json").read_bytes())
+    (ws / skipped / "PSMM.mm.json").write_text("not json", encoding="utf-8")
+    result = invoke(runner, ws, command, str(ws / file))
+    assert result.exit_code == 0, result.output
 
 
 def test_augment_m2c_writes_augmented_file(tmp_path, runner):

@@ -79,6 +79,18 @@ def test_unclosed_for_rejected():
                        ALL_METAMODELS)
 
 
+@pytest.mark.parametrize("tag, message", [
+    ("[for (e m.elements)][/for]", "expected ':', got 'ident' (line 3)"),
+    ("[if (m.elements->size() < 1)][/if]", "bad token in tag: '< 1)' (line 3)"),
+    ("[m.name]", "emit tag must end with '/': [m.name] (line 3)"),
+    ("[for (e : m.elements)][e.name/][/if]", "unexpected [/if] (line 3)"),
+])
+def test_tag_errors_name_the_tag_line_and_no_column(tag, message):
+    with pytest.raises(ParseError) as info:
+        parse_template("[template x (m : ListMM!Root)]\n\n" + tag + "[/template]", ALL_METAMODELS)
+    assert str(info.value) == message
+
+
 def test_conditional_listing_parses_with_both_branches():
     t = cond_template()
     node = t.body[0]

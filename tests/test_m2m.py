@@ -322,6 +322,13 @@ def test_output_conformance_enforced():
         execute_m2m(t, {"src": node_model()}, AB_METAMODELS)
 
 
+def test_target_pattern_outside_the_output_metamodel_fails_conformance():
+    text = IDENTITY_RULE.replace("to t : MMB!Feature (node_id <- s.id)", "to t : MMA!Node (id <- s.id)")
+    t = parse_m2m(text, AB_METAMODELS)
+    with pytest.raises(ConformanceError, match="unknown class 'Node'"):
+        execute_m2m(t, {"src": node_model()}, AB_METAMODELS)
+
+
 def test_wrong_input_metamodel_rejected():
     t = parse_m2m(IDENTITY_RULE, AB_METAMODELS)
     bogus = Model("", "MMB", Element("Feature", {"node_id": "x"}))

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from tracelink.errors import ConformanceError, NotInModel, ParseError, PathNotFound, SchemaError
 from tracelink.megamodel import ResourceKind
 from tracelink.model import (
+    ClassDef,
     Element,
+    Metamodel,
     Model,
     canonical_json,
     check_conformance,
@@ -25,6 +27,8 @@ from tracelink.model import (
 from tracelink.paths import ROOT_PATH, parse_path
 
 from conftest import WORKSPACE_FIXTURE, copy_workspace, run_enactment
+from templates import ALL_METAMODELS
+from worlds import random_world
 
 NODE_MM_TEXT = '{"name": "NodeMM", "classes": [{"name": "Node", "attributes": [{"name": "id", "type": "string"}]}]}'
 
@@ -73,6 +77,38 @@ def test_duplicate_feature_names_rejected():
             '"collections": [{"class": "A", "name": "x"}]}]}')
     with pytest.raises(SchemaError, match="'x'"):
         parse_metamodel(text)
+
+
+def _index_metamodels():
+    fixture = [parse_metamodel((WORKSPACE_FIXTURE / name).read_text()) for name in ("PIMM.mm.json", "PSMM.mm.json")]
+    worlds = [mm for seed in range(8) for mm in random_world(seed)[0].values()]
+    return fixture + worlds + list(ALL_METAMODELS.values())
+
+
+def test_name_indexes_answer_what_a_scan_answers():
+    for mm in _index_metamodels():
+        class_names = [cls.name for cls in mm.classes]
+        for name in class_names + [name + "x" for name in class_names] + [name[:-1] for name in class_names]:
+            assert mm.class_named(name) is next((cls for cls in mm.classes if cls.name == name), None)
+        for cls in mm.classes:
+            declared = (*cls.attributes, *cls.collections, *cls.references)
+            names = [f.name for f in declared] + class_names
+            for name in names + [name + "x" for name in names]:
+                assert cls.features.get(name) is next((f for f in declared if f.name == name), None)
+
+
+def test_built_indexes_leave_equality_hash_and_repr_alone():
+    text = (WORKSPACE_FIXTURE / "PSMM.mm.json").read_text()
+    used = parse_metamodel(text)
+    used.class_named("Platform")
+    for cls in used.classes:
+        cls.features.get("name")
+    assert "class_named" in vars(used) and all("features" in vars(cls) for cls in used.classes)
+    pristine = Metamodel(used.name, tuple(
+        ClassDef(cls.name, cls.attributes, cls.collections, cls.references) for cls in used.classes))
+    for other in (parse_metamodel(text), pristine):
+        assert used == other and hash(used) == hash(other) and repr(used) == repr(other)
+        assert all(hash(a) == hash(b) and repr(a) == repr(b) for a, b in zip(used.classes, other.classes))
 
 
 def test_malformed_json_is_a_parse_error():

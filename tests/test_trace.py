@@ -146,6 +146,17 @@ def test_code_span_as_source_rejected():
         load_trace(json.dumps(data))
 
 
+@pytest.mark.parametrize("field", ["startByte", "endByte", "startLine", "startCol"])
+@pytest.mark.parametrize("value", [1.5, "x", True, None])
+def test_span_field_that_is_no_integer_rejected(field, value):
+    import json
+
+    data = json.loads(save_trace(_sample_trace()))
+    data["links"][1]["targets"][0][field] = value
+    with pytest.raises(IntegrityError):
+        load_trace(json.dumps(data))
+
+
 def test_negative_span_rejected():
     with pytest.raises(IntegrityError):
         CodeSpan("f", 5, 4, 1, 1)
