@@ -470,6 +470,8 @@ def render(t: Template, m: Model) -> str:
     """Render the template over a conforming model."""
     if m.metamodel_name != t.metamodel.name:
         raise ConformanceError("root", f"model conforms to '{m.metamodel_name}', template needs '{t.metamodel.name}'")
+    if m.root.class_name != t.param_class:
+        raise ConformanceError("root", f"model root is a '{m.root.class_name}', template needs a '{t.param_class}'")
     ensure_conforms(m, t.metamodel)
 
     out: list[str] = []

@@ -355,6 +355,9 @@ def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]
             out_mm = metamodels.get(pattern.metamodel)
             if out_mm is None:
                 raise UnknownClass(pattern.metamodel)
+            if pattern.metamodel != out_mm_name:
+                raise SchemaError(f"rule '{rule.name}': pattern variable '{pattern.var}' targets "
+                                  f"'{pattern.metamodel}', not the output metamodel '{out_mm_name}'")
             if out_mm.class_named(pattern.class_name) is None:
                 raise UnknownClass(pattern.class_name)
             if pattern.var in target_vars or pattern.var == rule.from_var:

@@ -8,7 +8,6 @@ returns a new value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -233,20 +232,22 @@ def _check_relation(rel: Relation, by_id: dict[str, ResourceEntry]):
 
 
 def _check_dataflow_acyclic(edges: dict[str, tuple[str, ...]]):
-    state: dict[str, int] = {}
-
-    def visit(node: str):
-        state[node] = 1
-        for succ in edges.get(node, ()):
+    # Depth-first search with an explicit stack, so DataFlow depth has no
+    # limit; the bottom entry's successors are the search's start nodes.
+    state: dict[str | None, int] = {}  # 1 while on the stack, 2 once finished
+    stack = [(None, iter(edges))]
+    while stack:
+        node, succs = stack[-1]
+        for succ in succs:
             if state.get(succ) == 1:
                 raise IntegrityError(f"dataflow cycle through '{succ}'")
             if succ not in state:
-                visit(succ)
-        state[node] = 2
-
-    for node in list(edges):
-        if node not in state:
-            visit(node)
+                state[succ] = 1
+                stack.append((succ, iter(edges.get(succ, ()))))
+                break
+        else:
+            state[node] = 2
+            stack.pop()
 
 
 def _reaches(edges: dict[str, tuple[str, ...]], start: str, goal: str) -> bool:
@@ -367,10 +368,7 @@ def discover(workspace_root: str | Path) -> Megamodel:
 
 
 def _peek_json_field(path: Path, key: str) -> str | None:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path.name}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    data = _load_json(path.read_text(encoding="utf-8"), path.name)
     value = data.get(key) if isinstance(data, dict) else None
     return value if isinstance(value, str) else None
 

@@ -110,11 +110,13 @@ class Violation:
 # JSON helpers
 # ---------------------------------------------------------------------------
 
-def _load_json(text: str) -> object:
+def _load_json(text: str, source: str | None = None) -> object:
+    """``json.loads``; a syntax error is a ``ParseError`` naming ``source``, line and column."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        message = exc.msg if source is None else f"{source}: {exc.msg}"
+        raise ParseError(message, line=exc.lineno, column=exc.colno) from exc
 
 
 def _require(cond: bool, message: str):
@@ -464,25 +466,12 @@ def resolve_path(m: Model, p: ElementPath) -> Element:
 
 
 def path_of(m: Model, e: Element) -> ElementPath:
-    """Canonical containment path of ``e`` in ``m`` (identity comparison)."""
-    if e is m.root:
-        return ROOT_PATH
-
-    def search(current: Element, trail: tuple[PathSegment, ...]) -> ElementPath | None:
-        for name, children in current.collections.items():
-            for i, child in enumerate(children):
-                segs = trail + (PathSegment(name, i),)
-                if child is e:
-                    return ElementPath(segs)
-                found = search(child, segs)
-                if found is not None:
-                    return found
-        return None
-
-    result = search(m.root, ())
-    if result is None:
-        raise NotInModel(f"element of class '{e.class_name}' is not reachable from the model root")
-    return result
+    """Canonical containment path of ``e`` in ``m`` (identity comparison):
+    the first pre-order match of ``iter_elements``."""
+    for path, candidate in iter_elements(m):
+        if candidate is e:
+            return path
+    raise NotInModel(f"element of class '{e.class_name}' is not reachable from the model root")
 
 
 def iter_elements(m: Model):

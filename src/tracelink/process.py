@@ -2,13 +2,18 @@
 
 A process is a graph of Initial/Final/Fork/Join/Action nodes with control
 edges plus object edges that carry models between action pins. Scheduling
-layers actions into minimal-depth stages; enactment runs each action's
-transformation (augmented, so traces come out as a byproduct) and registers
-every produced artifact in the megamodel.
+stages actions: each stage is the sorted tuple of the actions whose
+predecessors all ran in earlier stages. When no action is ready, the
+``CycleError`` names the walk from the smallest action left along each one's
+smallest predecessor left, from the first action it reaches twice. Precedence
+depth has no limit. Enactment runs each action's transformation (augmented,
+so traces come out as a byproduct) and registers every produced artifact in
+the megamodel.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -174,17 +179,15 @@ def _check_process(p: ProcessModel):
         if a not in known or b not in known:
             raise WellFormednessError(f"control edge references unknown node: {a} -> {b}")
 
-    out_deg: dict[str, int] = {}
-    in_deg: dict[str, int] = {}
+    out_deg = Counter(a for a, _ in p.control_edges)
+    in_deg = Counter(b for _, b in p.control_edges)
     succ: dict[str, list[str]] = {}
     for a, b in p.control_edges:
-        out_deg[a] = out_deg.get(a, 0) + 1
-        in_deg[b] = in_deg.get(b, 0) + 1
         succ.setdefault(a, []).append(b)
     for node in p.nodes:
-        if node.kind == NodeKind.FORK and out_deg.get(node.id, 0) < 2:
+        if node.kind == NodeKind.FORK and out_deg[node.id] < 2:
             raise WellFormednessError(f"fork '{node.id}' needs out-degree >= 2")
-        if node.kind == NodeKind.JOIN and in_deg.get(node.id, 0) < 2:
+        if node.kind == NodeKind.JOIN and in_deg[node.id] < 2:
             raise WellFormednessError(f"join '{node.id}' needs in-degree >= 2")
 
     reachable = {initials[0].id}
@@ -205,7 +208,7 @@ def _check_process(p: ProcessModel):
             names = [pin.name for pin in side]
             if len(set(names)) != len(names):
                 raise WellFormednessError(f"action '{node.id}' has duplicate pin names")
-    fed: dict[tuple[str, str], int] = {}
+    fed: set[tuple[str, str]] = set()
     for edge in p.object_edges:
         src = actions.get(edge.from_node)
         dst = actions.get(edge.to_node)
@@ -215,10 +218,9 @@ def _check_process(p: ProcessModel):
             raise WellFormednessError(f"action '{src.id}' has no output pin '{edge.from_pin}'")
         if all(pin.name != edge.to_pin for pin in dst.input_pins):
             raise WellFormednessError(f"action '{dst.id}' has no input pin '{edge.to_pin}'")
-        key = (edge.to_node, edge.to_pin)
-        fed[key] = fed.get(key, 0) + 1
-        if fed[key] > 1:
+        if (edge.to_node, edge.to_pin) in fed:
             raise WellFormednessError(f"input pin '{edge.to_node}.{edge.to_pin}' is fed by more than one edge")
+        fed.add((edge.to_node, edge.to_pin))
 
 
 # ---------------------------------------------------------------------------
@@ -254,43 +256,28 @@ def _action_precedence(p: ProcessModel) -> dict[str, set[str]]:
 
 
 def schedule(p: ProcessModel) -> ExecutionPlan:
-    """Minimal-depth staging of actions; deterministic within a stage."""
+    """Kahn layering of the actions into stages, as the module docstring states."""
     preds = _action_precedence(p)
-
-    state: dict[str, int] = {}
-    trail: list[str] = []
-
-    def find_cycle(node: str) -> list[str] | None:
-        state[node] = 1
-        trail.append(node)
-        for prev in sorted(preds[node]):
-            if state.get(prev) == 1:
-                return trail[trail.index(prev):] + [prev]
-            if prev not in state:
-                cycle = find_cycle(prev)
-                if cycle is not None:
-                    return cycle
-        trail.pop()
-        state[node] = 2
-        return None
-
-    for aid in sorted(preds):
-        if aid not in state:
-            cycle = find_cycle(aid)
-            if cycle is not None:
-                raise CycleError(cycle)
-
-    depth: dict[str, int] = {}
-
-    def depth_of(aid: str) -> int:
-        if aid not in depth:
-            depth[aid] = 1 + max((depth_of(x) for x in preds[aid]), default=0)
-        return depth[aid]
-
-    stages: dict[int, list[str]] = {}
-    for aid in preds:
-        stages.setdefault(depth_of(aid), []).append(aid)
-    return ExecutionPlan(tuple(tuple(sorted(stages[level])) for level in sorted(stages)))
+    succs: dict[str, list[str]] = {aid: [] for aid in preds}
+    for aid, before in preds.items():
+        for prev in before:
+            succs[prev].append(aid)
+    waiting = {aid: len(before) for aid, before in preds.items()}
+    stages: list[tuple[str, ...]] = []
+    ready = [aid for aid, count in waiting.items() if count == 0]
+    while ready:
+        stages.append(tuple(sorted(ready)))
+        for aid in ready:
+            del waiting[aid]
+            for nxt in succs[aid]:
+                waiting[nxt] -= 1
+        ready = {nxt for aid in ready for nxt in succs[aid] if waiting[nxt] == 0}
+    if waiting:
+        trail = [min(waiting)]
+        while (prev := min(preds[trail[-1]] & waiting.keys())) not in trail:
+            trail.append(prev)
+        raise CycleError(trail[trail.index(prev):] + [prev])
+    return ExecutionPlan(tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -317,31 +304,23 @@ def enact(
     metamodels, mm_resource_ids = load_metamodels(mgm, root)
 
     actions = {n.id: n for n in p.actions()}
-    fed_pins = {(e.to_node, e.to_pin) for e in p.object_edges}
+    # Every input pin's model URI: the feeding output pin's, else its binding.
+    pin_inputs = {(e.to_node, e.to_pin): _output_uri(e.from_node, e.from_pin) for e in p.object_edges}
     for action in sorted(actions.values(), key=lambda n: n.id):
         for pin in (*action.input_pins, *action.output_pins):
             if pin.metamodel not in metamodels:
                 raise WellFormednessError(
                     f"action '{action.id}': pin '{pin.name}' names unknown metamodel '{pin.metamodel}'")
         for pin in action.input_pins:
-            if (action.id, pin.name) not in fed_pins and pin.name not in bindings:
-                raise MissingBinding(f"{action.id}.{pin.name}")
-        if actions[action.id].transformation is None or mgm.resource(action.transformation) is None:
+            if (action.id, pin.name) not in pin_inputs:
+                if pin.name not in bindings:
+                    raise MissingBinding(f"{action.id}.{pin.name}")
+                pin_inputs[(action.id, pin.name)] = bindings[pin.name]
+        if action.transformation is None or mgm.resource(action.transformation) is None:
             raise TransformationError("transformation is not registered in the megamodel", action.id)
 
     # Pre-assign execution stamps in deterministic (stage, action id) order.
-    stamps: dict[str, int] = {}
-    counter = 0
-    for stage in plan.stages:
-        for aid in stage:
-            counter += 1
-            stamps[aid] = counter
-
-    pin_inputs: dict[tuple[str, str], str] = {}
-    for action in actions.values():
-        for pin in action.input_pins:
-            if (action.id, pin.name) not in fed_pins:
-                pin_inputs[(action.id, pin.name)] = bindings[pin.name]
+    stamps = {aid: n for n, aid in enumerate((aid for stage in plan.stages for aid in stage), start=1)}
 
     # Models by URI: inputs as parsed, M2M outputs as produced in memory.
     model_cache: dict[str, Model] = {}
@@ -424,21 +403,12 @@ def enact(
                 traces.append(trace)
             log.append(f"[stage {stage_index}] {line}")
 
-        # Propagate outputs along object edges for later stages.
-        for edge in p.object_edges:
-            produced = _output_uri(actions[edge.from_node], edge.from_pin)
-            if edge.from_node in deltas and produced is not None:
-                pin_inputs[(edge.to_node, edge.to_pin)] = produced
-
     validate(current)  # register checked each addition on its own
     return EnactmentResult(current, tuple(artifacts), tuple(traces), tuple(log), plan)
 
 
-def _output_uri(action: ProcNode, pin_name: str) -> str | None:
-    for pin in action.output_pins:
-        if pin.name == pin_name:
-            return f"{OUTPUT_DIR}/{action.id}/{pin.name}.model.json"
-    return None
+def _output_uri(action_id: str, pin_name: str) -> str:
+    return f"{OUTPUT_DIR}/{action_id}/{pin_name}.model.json"
 
 
 def _run_m2m_action(action, tr_res, root, metamodels, pin_inputs, load_model, model_cache, stamp, augment):
@@ -470,7 +440,7 @@ def _run_m2m_action(action, tr_res, root, metamodels, pin_inputs, load_model, mo
             f"output pin carries '{out_pin.metamodel}' but the transformation produces "
             f"'{transformation.output[1]}'", action.id)
 
-    out_uri = _output_uri(action, out_pin.name)
+    out_uri = _output_uri(action.id, out_pin.name)
     if augment:
         out_model, trace = m2m.execute_augmented_m2m(
             transformation, inputs, metamodels, out_uri,

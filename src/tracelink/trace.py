@@ -173,9 +173,6 @@ class TraceTreeNode:
         self.children: dict[tuple[str, int | None], TraceTreeNode] = {}
         self.terminal = False
 
-    def label(self) -> str:
-        return self.name if self.index is None else f"{self.name}[{self.index}]"
-
 
 class TraceIdentifierTree:
     """Prefix tree over element paths extracted from annotated output."""

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tracelink
 from tracelink.cli import cli
 
 from conftest import copy_workspace
@@ -71,6 +76,25 @@ def test_enact_twice_is_stable(enacted_ws, runner):
     assert result.exit_code == 0, result.output
     assert (ws / "megamodel.json").read_bytes() == first
     assert (ws / "out/GenContiki/Sink.c").read_bytes() == sink_first
+
+
+def test_enact_does_not_depend_on_the_hash_seed(tmp_path):
+    # Scheduling and registration work on sets, and only a new interpreter
+    # can change the hash seed.
+    env = {key: value for key, value in os.environ.items() if key != "TRACELINK_WORKSPACE"}
+    env["PYTHONPATH"] = str(Path(tracelink.__file__).resolve().parent.parent)
+    runs = []
+    for seed in ("0", "1"):
+        ws = copy_workspace(tmp_path / seed)
+        stdout = b""
+        for args in (["discover", "."], ["enact", "wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json"]):
+            done = subprocess.run([sys.executable, "-c", "from tracelink.cli import main; main()", *args],
+                                  cwd=ws, env={**env, "PYTHONHASHSEED": seed}, capture_output=True, check=True)
+            stdout += done.stdout
+        files = {path.relative_to(ws).as_posix(): path.read_bytes() for path in ws.rglob("*") if path.is_file()}
+        runs.append((stdout, files))
+    assert b"registered 16 artifacts, 8 traces" in runs[0][0]
+    assert runs[0] == runs[1]
 
 
 def test_enact_missing_binding_names_pin(tmp_path, runner):

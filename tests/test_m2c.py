@@ -28,7 +28,7 @@ from tracelink.m2c import (
     strip_template,
 )
 from tracelink.m2m import execute_m2m, parse_m2m
-from tracelink.model import parse_metamodel, parse_model, resolve_path
+from tracelink.model import Element, Model, parse_metamodel, parse_model, resolve_path
 from tracelink.paths import normalize_marker_path, parse_path
 
 from conftest import WORKSPACE_FIXTURE
@@ -160,6 +160,14 @@ def test_eval_error_on_unset_reference_carries_location():
         render(t, plat_model(with_target=False))
     assert exc.value.model_path == "root"
     assert exc.value.line == 1
+
+
+def test_render_rejects_a_root_of_another_class_than_the_template_parameter():
+    psmm = parse_metamodel((WORKSPACE_FIXTURE / "PSMM.mm.json").read_text())
+    template = parse_template((WORKSPACE_FIXTURE / "GenContiki.m2c").read_text(), {"PSMM": psmm})
+    feature_root = Model("", "PSMM", Element("Feature", {"key": "k", "value": "v"}))
+    with pytest.raises(ConformanceError, match="^root: model root is a 'Feature', template needs a 'PsmModel'$"):
+        render(template, feature_root)
 
 
 # -- augmentation ----------------------------------------------------------------

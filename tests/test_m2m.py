@@ -322,11 +322,17 @@ def test_output_conformance_enforced():
         execute_m2m(t, {"src": node_model()}, AB_METAMODELS)
 
 
-def test_target_pattern_outside_the_output_metamodel_fails_conformance():
+def test_target_pattern_outside_the_output_metamodel_fails_at_parse():
     text = IDENTITY_RULE.replace("to t : MMB!Feature (node_id <- s.id)", "to t : MMA!Node (id <- s.id)")
-    t = parse_m2m(text, AB_METAMODELS)
-    with pytest.raises(ConformanceError, match="unknown class 'Node'"):
-        execute_m2m(t, {"src": node_model()}, AB_METAMODELS)
+    with pytest.raises(SchemaError, match="rule 'Node2Feature': pattern variable 't' targets 'MMA', "
+                                          "not the output metamodel 'MMB'"):
+        parse_m2m(text, AB_METAMODELS)
+
+
+def test_target_pattern_in_an_unknown_metamodel_is_an_unknown_class():
+    text = IDENTITY_RULE.replace("to t : MMB!Feature (node_id <- s.id)", "to t : MMC!Node (id <- s.id)")
+    with pytest.raises(UnknownClass, match="MMC"):
+        parse_m2m(text, AB_METAMODELS)
 
 
 def test_wrong_input_metamodel_rejected():

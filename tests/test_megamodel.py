@@ -4,6 +4,7 @@ import pytest
 
 from tracelink.errors import AmbiguousMetamodel, DanglingRelation, DuplicateId, IntegrityError
 from tracelink.megamodel import (
+    _check_dataflow_acyclic,
     FlowDirection,
     Megamodel,
     Relation,
@@ -225,6 +226,12 @@ def test_dataflow_cycle_rejected():
     })
     with pytest.raises(IntegrityError, match="cycle"):
         load_megamodel(text)
+
+
+def test_a_dataflow_chain_of_any_depth_is_acyclic():
+    # Head first, so the search goes 3,000 hops deep from its first start node.
+    hops = 3000
+    _check_dataflow_acyclic({f"Model:m{n}": (f"Model:m{n + 1}",) for n in range(hops)})
 
 
 def test_dataflow_needs_direction():

@@ -187,6 +187,26 @@ def test_object_edge_against_control_flow_is_a_cycle():
     assert set(exc.value.cycle) >= {"A", "B"}
 
 
+def test_cycle_is_reported_from_the_first_action_the_walk_reaches_twice():
+    # B -> C -> D -> B is a cycle and A waits on it; the walk starts at the
+    # smallest action left, A, and follows smallest predecessors: A, D, C, B, D.
+    text = proc_json(
+        [{"id": "i", "kind": "Initial"}, *(action(x) for x in "ABCD"), {"id": "f", "kind": "Final"}],
+        [["i", "B"], ["B", "C"], ["C", "D"], ["D", "B"], ["D", "A"], ["A", "f"]])
+    with pytest.raises(CycleError) as exc:
+        schedule(parse_process(text))
+    assert exc.value.cycle == ["D", "C", "B", "D"]
+    assert str(exc.value) == "precedence cycle: D -> C -> B -> D"
+
+
+def test_a_thousand_chained_actions_run_one_per_stage():
+    ids = [f"a{n:04}" for n in range(1000)]
+    text = proc_json(
+        [{"id": "i", "kind": "Initial"}, *(action(x) for x in ids), {"id": "f", "kind": "Final"}],
+        [["i", ids[0]], *([a, b] for a, b in zip(ids, ids[1:])), [ids[-1], "f"]])
+    assert schedule(parse_process(text)).stages == tuple((x,) for x in ids)
+
+
 def test_fork_join_precedence_through_non_action_nodes(workspace):
     p = parse_process(read_text(workspace, PROCESS_URI))
     plan = schedule(p)
