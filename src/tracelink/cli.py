@@ -195,7 +195,7 @@ def run_m2c(file: Path, model_uri: str, out_dir: Path):
     augmented = m2c.augment_template(t)
     annotated = m2c.render_augmented(augmented, model)
     clean_uri = (out_dir / t.name).as_posix()
-    clean, tr, _tree = m2c.extract_trace(
+    clean, tr = m2c.extract_trace(
         annotated, model_uri, clean_uri,
         trace_id=f"trace:{file.stem}", transformation_id=f"TransformationM2C:{file.name}")
     write_text(root, clean_uri, clean)

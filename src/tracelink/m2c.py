@@ -36,7 +36,7 @@ from .model import (
     resolve_path,
 )
 from .paths import normalize_marker_path, parse_path
-from .trace import ElementRef, LocalTraceModel, TraceLink, build_identifier_tree, span_at
+from .trace import ElementRef, LocalTraceModel, TraceLink, span_at
 
 DEFAULT_MARKERS = ("{{", "}}")
 
@@ -697,7 +697,7 @@ def extract_trace(
     transformation_id: str = "",
     execution_stamp: int = 0,
 ):
-    """Strip markers and recover (cleanText, LocalTraceModel, TraceIdentifierTree).
+    """Strip markers and recover (cleanText, LocalTraceModel).
 
     Offsets are byte-based over the clean output. Outer regions span their
     whole extent, nested regions included.
@@ -750,8 +750,7 @@ def extract_trace(
         for path, start, end in regions
     )
     trace = LocalTraceModel(trace_id, transformation_id, execution_stamp, links)
-    tree = build_identifier_tree([r[0] for r in regions])
-    return clean_bytes.decode("utf-8"), trace, tree
+    return clean_bytes.decode("utf-8"), trace
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ returns a new value.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -250,49 +251,41 @@ def _check_dataflow_acyclic(edges: dict[str, tuple[str, ...]]):
             stack.pop()
 
 
-def _reaches(edges: dict[str, tuple[str, ...]], start: str, goal: str) -> bool:
-    stack, seen = [start], {start}
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        for succ in edges.get(node, ()):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Registration
 # ---------------------------------------------------------------------------
 
-def register(mgm: Megamodel, entry: ResourceEntry, relations: list[Relation] = ()) -> Megamodel:
-    """Add one resource plus relations; existing content is untouched.
+def register(mgm: Megamodel, entry: ResourceEntry, relations: Sequence[Relation] = ()) -> Megamodel:
+    """Add one resource plus relations: ``register_all`` with one entry."""
+    return register_all(mgm, [(entry, relations)])
 
-    Only the new entry and relations are checked, against the registry's
-    indexes, which the result inherits grown by them. The registry itself
-    is trusted: ``validate`` checks a whole one.
+
+def register_all(mgm: Megamodel,
+                 registrations: Sequence[tuple[ResourceEntry, Sequence[Relation]]]) -> Megamodel:
+    """Add resources, each with its relations, in order; existing content is
+    untouched.
+
+    Each entry and its relations are checked against the registry grown by
+    the entries before it, so a relation may name only those. The DataFlow
+    is checked for cycles once, at the end. The registry itself is trusted:
+    ``validate`` checks a whole one.
     """
-    if entry.id in mgm.by_id:
-        raise DuplicateId(entry.id)
-    by_id = {**mgm.by_id, entry.id: entry}
-    for rel in relations:
-        if rel.from_id not in by_id or rel.to_id not in by_id:
-            raise DanglingRelation(f"relation references unknown id: {rel.from_id} -> {rel.to_id}")
-    _check_resource(entry)
-    added = set(relations) - mgm.relations
-    for rel in added:
-        _check_relation(rel, by_id)
-    dataflow = dict(mgm.dataflow)
-    flows = [rel for rel in added if rel.kind == RelationKind.DATA_FLOW]
-    for rel in flows:
-        dataflow[rel.from_id] = dataflow.get(rel.from_id, ()) + (rel.to_id,)
-    for rel in flows:
-        if _reaches(dataflow, rel.to_id, rel.from_id):
-            raise IntegrityError(f"dataflow cycle through '{rel.to_id}'")
-    new = Megamodel(mgm.resources | {entry}, mgm.relations | added)
-    new.__dict__.update(by_id=by_id, dataflow=dataflow)
+    by_id = dict(mgm.by_id)
+    relations = set(mgm.relations)
+    for entry, entry_relations in registrations:
+        if entry.id in by_id:
+            raise DuplicateId(entry.id)
+        by_id[entry.id] = entry
+        for rel in entry_relations:
+            if rel.from_id not in by_id or rel.to_id not in by_id:
+                raise DanglingRelation(f"relation references unknown id: {rel.from_id} -> {rel.to_id}")
+        _check_resource(entry)
+        for rel in entry_relations:
+            if rel not in relations:
+                _check_relation(rel, by_id)
+                relations.add(rel)
+    new = Megamodel(mgm.resources.union(entry for entry, _ in registrations), frozenset(relations))
+    _check_dataflow_acyclic(new.dataflow)
     return new
 
 

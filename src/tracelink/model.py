@@ -23,7 +23,7 @@ from functools import cached_property
 from json.encoder import encode_basestring  # json's own C escaper for ensure_ascii=False
 
 from .errors import ConformanceError, NotInModel, ParseError, PathNotFound, SchemaError
-from .paths import ROOT_PATH, ElementPath, PathSegment, parse_path
+from .paths import IDENTIFIER, ROOT_NAME, ROOT_PATH, ElementPath, _canonical, parse_path
 
 PRIMITIVE_TYPES = ("string", "int", "float", "bool")
 
@@ -259,6 +259,8 @@ def _check_metamodel(mm: Metamodel):
                 raise SchemaError(f"class '{cls.name}': duplicate feature '{feat.name}'")
             feature_names.add(feat.name)
         for coll in cls.collections:
+            if IDENTIFIER.fullmatch(coll.name) is None:  # collection names are path segments
+                raise SchemaError(f"class '{cls.name}', collection '{coll.name}': not an identifier")
             if mm.class_named(coll.element_class) is None:
                 raise SchemaError(
                     f"class '{cls.name}', collection '{coll.name}': unknown class '{coll.element_class}'")
@@ -367,8 +369,7 @@ def check_conformance(m: Model, mm: Metamodel) -> list[Violation]:
     violations: list[Violation] = []
     seen: set[int] = set()
 
-    def visit(e: Element, path: ElementPath):
-        path_str = str(path)
+    def visit(e: Element, path_str: str, prefix: str):
         if id(e) in seen:
             violations.append(Violation(path_str, "element contained more than once"))
             return
@@ -408,14 +409,14 @@ def check_conformance(m: Model, mm: Metamodel) -> list[Violation]:
         for name, children in e.collections.items():
             decl = cls.features.get(name) if cls else None
             for i, child in enumerate(children):
-                child_path = _child_path(path, name, i)
+                child_path = f"{prefix}{name}[{i}]"
                 if isinstance(decl, CollectionDef) and child.class_name != decl.element_class:
                     violations.append(Violation(
-                        str(child_path),
+                        child_path,
                         f"collection '{name}' holds class '{decl.element_class}', got '{child.class_name}'"))
-                visit(child, child_path)
+                visit(child, child_path, child_path + ".")
 
-    visit(m.root, ROOT_PATH)
+    visit(m.root, ROOT_NAME, "")  # children of the root are addressed without a "root." prefix
     violations.sort(key=lambda v: (v.path, v.message))
     return violations
 
@@ -433,35 +434,27 @@ def ensure_conforms(m: Model, mm: Metamodel):
     m.checked_against = mm
 
 
-def _child_path(parent: ElementPath, name: str, index: int) -> ElementPath:
-    # Children of the root are addressed without a "root." prefix.
-    if parent == ROOT_PATH:
-        return ElementPath((PathSegment(name, index),))
-    return parent.child(name, index)
-
-
 # ---------------------------------------------------------------------------
 # Path resolution
 # ---------------------------------------------------------------------------
 
 def resolve_path(m: Model, p: ElementPath) -> Element:
     """Walk collections/indices from the root to the addressed element."""
-    segments = p.segments
+    steps = str(p).split(".")
     current = m.root
-    start = 0
-    if segments[0].index is None:
-        if segments[0].name != "root":
-            raise PathNotFound(str(segments[0]))
-        if len(segments) == 1:
-            return current
-        start = 1
-    for seg in segments[start:]:
-        if seg.index is None:
-            raise PathNotFound(str(seg))
-        children = current.collections.get(seg.name)
-        if children is None or seg.index >= len(children):
-            raise PathNotFound(str(seg))
-        current = children[seg.index]
+    if "[" not in steps[0]:
+        if steps[0] != ROOT_NAME:
+            raise PathNotFound(steps[0])
+        del steps[0]
+    for step in steps:
+        name, indexed, index = step.partition("[")
+        if not indexed:
+            raise PathNotFound(step)
+        children = current.collections.get(name)
+        i = int(index[:-1])
+        if children is None or i >= len(children):
+            raise PathNotFound(step)
+        current = children[i]
     return current
 
 
@@ -477,10 +470,12 @@ def path_of(m: Model, e: Element) -> ElementPath:
 def iter_elements(m: Model):
     """Yield (path, element) pairs in pre-order, root first."""
 
-    def walk(e: Element, path: ElementPath):
-        yield path, e
+    def walk(e: Element, prefix: str):
         for name, children in e.collections.items():
             for i, child in enumerate(children):
-                yield from walk(child, _child_path(path, name, i))
+                text = f"{prefix}{name}[{i}]"
+                yield _canonical(text), child
+                yield from walk(child, text + ".")
 
-    yield from walk(m.root, ROOT_PATH)
+    yield ROOT_PATH, m.root
+    yield from walk(m.root, "")  # children of the root are addressed without a "root." prefix

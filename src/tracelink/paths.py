@@ -3,19 +3,29 @@
 A path like ``filters[0].sections[1]`` walks ordered containment collections
 from the model root. The single segment ``root`` addresses the root element
 itself.
+
+An ``ElementPath`` holds one value, its canonical printed text: indexes
+without leading zeros. Equality, hashing and ``str`` use that text, and
+``segments`` is derived from it on request.
 """
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 
 from .errors import PathSyntaxError
 
 ROOT_NAME = "root"
 
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CONT = frozenset(string.ascii_letters + string.digits + "_")
+# Collection names and segment names; `nat` is ASCII digits only.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DIGITS = re.compile(r"[0-9]*")
+_SEGMENT = rf"({IDENTIFIER.pattern})(?:\[([0-9]+)\])?"
+_PATH = re.compile(rf"{_SEGMENT}(?:\.{_SEGMENT})*")
+_SEGMENTS = re.compile(_SEGMENT)
+_LEADING_DOTTED = re.compile(rf"(?:{_SEGMENT}\.)*")  # whole segments, each with its '.'
+_LEADING_ZEROS = re.compile(r"\[0+(?=[0-9])")
 
 
 @dataclass(frozen=True)
@@ -29,63 +39,77 @@ class PathSegment:
         return self.name if self.index is None else f"{self.name}[{self.index}]"
 
 
-@dataclass(frozen=True)
 class ElementPath:
-    segments: tuple[PathSegment, ...]
+    """A path as its canonical text; built from segments or by ``parse_path``."""
 
-    def __post_init__(self):
-        if not self.segments:
+    __slots__ = ("_text",)
+
+    def __init__(self, segments: tuple[PathSegment, ...]):
+        if not segments:
             raise ValueError("a path needs at least one segment")
+        self._text = ".".join(map(str, segments))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ElementPath:
+            return NotImplemented
+        return self._text == other._text
+
+    def __hash__(self) -> int:
+        return hash(self._text)
 
     def __str__(self) -> str:
-        return ".".join(str(s) for s in self.segments)
+        return self._text
 
-    def child(self, name: str, index: int) -> "ElementPath":
-        return ElementPath(self.segments + (PathSegment(name, index),))
+    def __repr__(self) -> str:
+        return f"parse_path({self._text!r})"
+
+    @property
+    def segments(self) -> tuple[PathSegment, ...]:
+        return tuple(PathSegment(name, int(index) if index else None)
+                     for name, index in _SEGMENTS.findall(self._text))
 
     def sort_key(self) -> tuple:
         return tuple((s.name, -1 if s.index is None else s.index) for s in self.segments)
 
 
-ROOT_PATH = ElementPath((PathSegment(ROOT_NAME),))
+def _canonical(text: str) -> ElementPath:
+    """The path whose canonical text is ``text``, which the caller vouches for."""
+    path = object.__new__(ElementPath)
+    path._text = text
+    return path
+
+
+ROOT_PATH = _canonical(ROOT_NAME)
 
 
 def parse_path(s: str) -> ElementPath:
-    """Parse a path string; offsets in errors are byte positions."""
+    """Parse a path string; offsets in errors are byte positions (every
+    character before an error is ASCII)."""
+    if _PATH.fullmatch(s) is None:
+        raise _syntax_error(s)
+    if "[0" in s:
+        s = _LEADING_ZEROS.sub("[", s)
+    return _canonical(s)
+
+
+def _syntax_error(s: str) -> PathSyntaxError:
+    """The error for a string that is not a path, at the first offset where
+    no path can continue."""
     if not s:
-        raise PathSyntaxError("empty path", 0)
-    segments: list[PathSegment] = []
-    i = 0
-    n = len(s)
-    while True:
-        start = i
-        if i >= n or s[i] not in _IDENT_START:
-            raise PathSyntaxError("expected identifier", i)
+        return PathSyntaxError("empty path", 0)
+    i = _LEADING_DOTTED.match(s).end()
+    name = IDENTIFIER.match(s, i)
+    if name is None:
+        return PathSyntaxError("trailing '.'" if i == len(s) else "expected identifier", i)
+    i = name.end()
+    if s.startswith("[", i):
+        i = _DIGITS.match(s, i + 1).end()
+        if s[i - 1] == "[" or s[i:i + 1].isdigit():  # no digits, or a digit outside 0-9
+            return PathSyntaxError("expected index", i)
+        if not s.startswith("]", i):
+            return PathSyntaxError("expected ']'", i)
         i += 1
-        while i < n and s[i] in _IDENT_CONT:
-            i += 1
-        name = s[start:i]
-        index: int | None = None
-        if i < n and s[i] == "[":
-            j = i + 1
-            digits_start = j
-            while j < n and s[j].isdigit():
-                j += 1
-            if j == digits_start:
-                raise PathSyntaxError("expected index", j)
-            if j >= n or s[j] != "]":
-                raise PathSyntaxError("expected ']'", j)
-            index = int(s[digits_start:j])
-            i = j + 1
-        segments.append(PathSegment(name, index))
-        if i == n:
-            break
-        if s[i] != ".":
-            raise PathSyntaxError("expected '.'", i)
-        i += 1
-        if i == n:
-            raise PathSyntaxError("trailing '.'", i)
-    return ElementPath(tuple(segments))
+    return PathSyntaxError("expected '.'", i)
 
 
 def print_path(p: ElementPath) -> str:
@@ -99,8 +123,7 @@ def normalize_marker_path(p: ElementPath) -> ElementPath:
     index-less segment; it is dropped. A payload that is nothing but an
     index-less segment denotes the root element.
     """
-    if p.segments[0].index is None:
-        if len(p.segments) == 1:
-            return ROOT_PATH
-        return ElementPath(p.segments[1:])
-    return p
+    head, dot, rest = p._text.partition(".")
+    if "[" in head:
+        return p
+    return _canonical(rest) if dot else ROOT_PATH

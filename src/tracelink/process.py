@@ -38,7 +38,7 @@ from .megamodel import (
     ResourceKind,
     ResourceOrigin,
     load_metamodels,
-    register,
+    register_all,
     resource_id,
     validate,
 )
@@ -335,8 +335,7 @@ def enact(
         ensure_conforms(model, metamodels[mm_name])
         return model
 
-    current = mgm
-    artifacts: list[ResourceEntry] = []
+    registrations: list[tuple[ResourceEntry, list[Relation]]] = []
     traces: list[LocalTraceModel] = []
     log: list[str] = []
 
@@ -346,12 +345,12 @@ def enact(
             order = action_order(order)
             if sorted(order) != sorted(stage):
                 raise TracelinkError("action_order must permute the stage")
-        # Deltas keyed by action id; applied in sorted order after the stage.
+        # Deltas keyed by action id; collected in sorted order after the stage.
         deltas: dict[str, tuple[list[tuple[ResourceEntry, list[Relation]]], LocalTraceModel | None, str]] = {}
 
         for aid in order:
             action = actions[aid]
-            tr_res = current.resource(action.transformation)
+            tr_res = mgm.resource(action.transformation)
             try:
                 if tr_res.kind == ResourceKind.TRANSFORMATION_M2M:
                     kind = ResourceKind.MODEL
@@ -379,32 +378,32 @@ def enact(
             if kind == ResourceKind.MODEL:
                 mm_id = mm_resource_ids[action.output_pins[0].metamodel]
                 relations.append(Relation(out_id, mm_id, RelationKind.CONFORMS_TO))
-            registrations = [(ResourceEntry(out_id, kind, out_uri, ResourceOrigin.GENERATED,
-                                            produced_by=produced_by), relations)]
+            outputs = [(ResourceEntry(out_id, kind, out_uri, ResourceOrigin.GENERATED,
+                                      produced_by=produced_by), relations)]
             line = f"{aid}: {tr_res.uri} -> {out_uri}"
             if trace is not None:
                 trace_uri = f"{TRACE_DIR}/{aid}.trace.json"
                 write_text(root, trace_uri, save_trace(trace))
                 trace_id = resource_id(ResourceKind.TRACE_MODEL, trace_uri)
-                registrations.append((
+                outputs.append((
                     ResourceEntry(trace_id, ResourceKind.TRACE_MODEL, trace_uri, ResourceOrigin.GENERATED,
                                   produced_by=produced_by),
                     [Relation(trace_id, tr_res.id, RelationKind.TRACE_FOR)],
                 ))
                 line += f" (trace {trace_uri})"
-            deltas[aid] = registrations, trace, line
+            deltas[aid] = outputs, trace, line
 
         for aid in stage:
-            registrations, trace, line = deltas[aid]
-            for entry, relations in registrations:
-                current = register(current, entry, relations)
-                artifacts.append(entry)
+            outputs, trace, line = deltas[aid]
+            registrations += outputs
             if trace is not None:
                 traces.append(trace)
             log.append(f"[stage {stage_index}] {line}")
 
-    validate(current)  # register checked each addition on its own
-    return EnactmentResult(current, tuple(artifacts), tuple(traces), tuple(log), plan)
+    registered = register_all(mgm, registrations)
+    validate(registered)  # register_all trusts the registry it was given
+    artifacts = tuple(entry for entry, _ in registrations)
+    return EnactmentResult(registered, artifacts, tuple(traces), tuple(log), plan)
 
 
 def _output_uri(action_id: str, pin_name: str) -> str:
@@ -474,7 +473,7 @@ def _run_m2c_action(action, tr_res, root, metamodels, pin_inputs, load_model, st
     if augment:
         augmented = m2c.augment_template(template)
         annotated = m2c.render_augmented(augmented, model)
-        clean, trace, _tree = m2c.extract_trace(
+        clean, trace = m2c.extract_trace(
             annotated, in_uri, clean_uri,
             trace_id=f"trace:{action.id}", transformation_id=tr_res.id, execution_stamp=stamp)
         write_text(root, clean_uri + ".annotated", annotated.text)

@@ -104,7 +104,7 @@ def test_criterion_2_strip_equivalence(tmp_path):
         t = parse_template(source, metamodels)
         plain = render(t, model)
         annotated = render_augmented(augment_template(t), model)
-        clean, trace, _tree = extract_trace(annotated, model.uri, t.name)
+        clean, trace = extract_trace(annotated, model.uri, t.name)
         assert clean == plain  # byte-exact strip-equivalence
         # strict nesting: replay the marker scan with a plain stack
         _assert_strict_nesting(annotated)

@@ -198,6 +198,11 @@ def test_impact_typo_suggests_nearest_path(enacted_ws, runner):
     assert "did you mean 'indirect[0].indirectdevice[0]'" in result.output
 
 
+@pytest.mark.parametrize("path_text", ["wsn[\u00b2]", "wsn[\u0663]"], ids=["superscript-two", "arabic-indic-three"])
+def test_impact_rejects_an_index_of_non_ascii_digits(enacted_ws, runner, path_text):
+    assert_one_line_error(invoke(runner, enacted_ws, "impact", "Input.pim.model.json", path_text))
+
+
 def test_origin_by_line_col(enacted_ws, runner):
     result = invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", "9:3")
     assert result.exit_code == 0

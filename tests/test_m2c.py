@@ -30,6 +30,7 @@ from tracelink.m2c import (
 from tracelink.m2m import execute_m2m, parse_m2m
 from tracelink.model import Element, Model, parse_metamodel, parse_model, resolve_path
 from tracelink.paths import normalize_marker_path, parse_path
+from tracelink.trace import build_identifier_tree
 
 from conftest import WORKSPACE_FIXTURE
 from templates import (
@@ -45,6 +46,11 @@ from templates import (
     plat_model,
 )
 from worlds import random_world
+
+
+def source_tree(trace):
+    """The identifier tree over a trace's link sources."""
+    return build_identifier_tree([link.sources[0].path for link in trace.links])
 
 
 def loop_template():
@@ -221,7 +227,7 @@ def test_else_branch_with_model_text_wrapped_with_enclosing_binder():
     model.root.attrs["name"] = "gw"
     annotated = render_augmented(aug, model)
     assert annotated.text == "{{m}}fallback gw{{/}}"
-    clean, trace, _ = extract_trace(annotated, "plat.model.json", "x")
+    clean, trace = extract_trace(annotated, "plat.model.json", "x")
     assert clean == "fallback gw"
     assert str(trace.links[0].sources[0].path) == "root"
 
@@ -237,8 +243,8 @@ def test_nested_loops_realize_two_level_paths():
     annotated = render_augmented(aug, filters_model())
     assert "{{sourceModel.filters[0].sections[1]}}" in annotated.text
     assert "{{sourceModel.filters[1].sections[0]}}" in annotated.text
-    clean, trace, tree = extract_trace(annotated, "filters.model.json", "filters.txt")
-    assert {str(p) for p in tree.paths()} >= {
+    clean, trace = extract_trace(annotated, "filters.model.json", "filters.txt")
+    assert {str(p) for p in source_tree(trace).paths()} >= {
         "filters[0].sections[1]", "filters[1].sections[0]", "filters[0]", "filters[1]"}
 
 
@@ -248,9 +254,9 @@ def strip_equivalence(template_source, model, metamodels=None):
     t = parse_template(template_source, metamodels or ALL_METAMODELS)
     plain = render(t, model)
     annotated = render_augmented(augment_template(t), model)
-    clean, trace, tree = extract_trace(annotated, model.uri, t.name)
+    clean, trace = extract_trace(annotated, model.uri, t.name)
     assert clean == plain
-    return annotated, trace, tree
+    return annotated, trace
 
 
 def test_strip_equivalence_on_inline_fixtures():
@@ -264,17 +270,17 @@ def test_strip_equivalence_on_inline_fixtures():
 
 def test_markerless_text_extracts_to_itself():
     annotated = AnnotatedOutput("plain text, no markers\n", "x")
-    clean, trace, tree = extract_trace(annotated, "m", "f")
+    clean, trace = extract_trace(annotated, "m", "f")
     assert clean == "plain text, no markers\n"
     assert trace.links == ()
-    assert tree.paths() == []
+    assert source_tree(trace).paths() == []
 
 
 def test_span_soundness_and_nesting():
     aug = augment_template(nested_template())
     model = filters_model()
     annotated = render_augmented(aug, model)
-    clean, trace, _ = extract_trace(annotated, model.uri, "filters.txt")
+    clean, trace = extract_trace(annotated, model.uri, "filters.txt")
     data = clean.encode()
     by_path = {str(link.sources[0].path): link.targets[0] for link in trace.links}
     inner = by_path["filters[0].sections[0]"]
@@ -288,7 +294,7 @@ def test_extraction_link_order_is_document_order():
     aug = augment_template(nested_template())
     model = filters_model()
     annotated = render_augmented(aug, model)
-    _, trace, _ = extract_trace(annotated, model.uri, "f")
+    _, trace = extract_trace(annotated, model.uri, "f")
     opens = [str(link.sources[0].path) for link in trace.links]
     assert opens == ["filters[0]", "filters[0].sections[0]", "filters[0].sections[1]",
                      "filters[1]", "filters[1].sections[0]"]
@@ -318,7 +324,7 @@ def test_custom_marker_delimiters():
     model = list_model(["a"])
     annotated = render_augmented(augment_template(t), model)
     assert "<<m.elements[0]>>a,<</>>" in annotated.text
-    clean, trace, _ = extract_trace(annotated, model.uri, t.name)
+    clean, trace = extract_trace(annotated, model.uri, t.name)
     assert clean == "literal {{ braces }} stay\na,"
     assert str(trace.links[0].sources[0].path) == "elements[0]"
 
@@ -326,7 +332,7 @@ def test_custom_marker_delimiters():
 def test_template_tag_includes_template_name():
     aug = augment_template(loop_template())
     annotated = render_augmented(aug, list_model(["a"]))
-    _, trace, _ = extract_trace(annotated, "m", "f")
+    _, trace = extract_trace(annotated, "m", "f")
     assert trace.links[0].tags == {"template": "listing.java"}
 
 
@@ -367,8 +373,8 @@ def test_empty_collection_produces_no_markers():
     aug = augment_template(loop_template())
     annotated = render_augmented(aug, list_model([]))
     assert annotated.text == ""
-    clean, trace, tree = extract_trace(annotated, "m", "f")
-    assert (clean, trace.links, tree.paths()) == ("", (), [])
+    clean, trace = extract_trace(annotated, "m", "f")
+    assert (clean, trace.links, source_tree(trace).paths()) == ("", (), [])
 
 
 def test_non_ascii_string_literals_survive():
@@ -416,7 +422,7 @@ def bound_elements(mm, model):
 
 def assert_paths_resolve_to_bound_elements(mm, model):
     t = augment_template(parse_template(tree_template(mm, model.root.class_name), {mm.name: mm}))
-    clean, trace, _ = extract_trace(render_augmented(t, model), model.uri, "tree.txt")
+    clean, trace = extract_trace(render_augmented(t, model), model.uri, "tree.txt")
     expected = bound_elements(mm, model)
     marked = [resolve_path(model, link.sources[0].path) for link in trace.links]
     emitted = [resolve_path(model, normalize_marker_path(parse_path(text)))

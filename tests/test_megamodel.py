@@ -16,6 +16,7 @@ from tracelink.megamodel import (
     load_megamodel,
     megamodel_dot,
     register,
+    register_all,
     resource_id,
     save_megamodel,
 )
@@ -138,6 +139,21 @@ def test_register_checks_the_new_entry_and_relations():
         register(base, ResourceEntry("Model:g", ResourceKind.MODEL, "g", ResourceOrigin.GENERATED))
     with pytest.raises(IntegrityError, match="ConformsTo"):
         register(base, trace_entry(), [Relation(model_entry().id, m2m_entry().id, RelationKind.CONFORMS_TO)])
+
+
+def test_register_all_checks_each_entry_against_those_before_it():
+    into = Relation(model_entry().id, m2m_entry().id, RelationKind.DATA_FLOW, FlowDirection.INPUT)
+    back = Relation(m2m_entry().id, model_entry().id, RelationKind.DATA_FLOW, FlowDirection.OUTPUT)
+    batch = register_all(Megamodel(), [(m2m_entry(), []), (model_entry(), [into])])
+    assert batch == register(register(Megamodel(), m2m_entry()), model_entry(), [into])
+    fresh = Megamodel(batch.resources, batch.relations)
+    assert (batch.by_id, batch.dataflow) == (fresh.by_id, fresh.dataflow)
+    with pytest.raises(DanglingRelation):  # a relation may name only earlier entries
+        register_all(Megamodel(), [(model_entry(), [into]), (m2m_entry(), [])])
+    with pytest.raises(DuplicateId):
+        register_all(Megamodel(), [(m2m_entry(), []), (m2m_entry(), [])])
+    with pytest.raises(IntegrityError, match="cycle"):
+        register_all(Megamodel(), [(m2m_entry(), []), (model_entry(), [into]), (trace_entry(), [back])])
 
 
 def test_enactment_validates_the_registry_it_returns(workspace):

@@ -65,6 +65,15 @@ def test_dangling_collection_class_rejected():
         parse_metamodel(text)
 
 
+@pytest.mark.parametrize("name", ["my-items", "1st", "", "a.b", "a[0]", "kids "])
+def test_collection_name_must_be_an_identifier(name):
+    # Collection names are path segments; a trace would record "my-items[0]",
+    # which no path parser reads back.
+    text = json.dumps({"name": "M", "classes": [{"name": "A", "collections": [{"class": "A", "name": name}]}]})
+    with pytest.raises(SchemaError, match=re.escape(f"class 'A', collection '{name}'")):
+        parse_metamodel(text)
+
+
 def test_unknown_attribute_type_rejected():
     text = '{"name": "M", "classes": [{"name": "A", "attributes": [{"name": "x", "type": "decimal"}]}]}'
     with pytest.raises(SchemaError, match="decimal"):

@@ -1,5 +1,7 @@
+import string
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelink.errors import PathSyntaxError
@@ -59,6 +61,24 @@ def test_syntax_errors_carry_offsets(text, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize("text,offset", [
+    ("wsn[\u00b2]", 4),  # superscript two: str.isdigit, but int() rejects it
+    ("wsn[\u0663]", 4),  # Arabic-Indic three: int() reads it as 3
+    ("wsn[1\u0663]", 5),
+])
+def test_an_index_is_ascii_digits(text, offset):
+    with pytest.raises(PathSyntaxError, match="expected index") as exc:
+        parse_path(text)
+    assert exc.value.offset == offset
+
+
+def test_leading_zeros_are_read_and_printed_without():
+    p = parse_path("a[007].b[00].c[10]")
+    assert p == parse_path("a[7].b[0].c[10]")
+    assert str(p) == "a[7].b[0].c[10]"
+    assert p.segments == (PathSegment("a", 7), PathSegment("b", 0), PathSegment("c", 10))
+
+
 _ident = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
 _segment = st.tuples(_ident, st.one_of(st.none(), st.integers(0, 50)))
 
@@ -66,7 +86,87 @@ _segment = st.tuples(_ident, st.one_of(st.none(), st.integers(0, 50)))
 @given(st.lists(_segment, min_size=1, max_size=6))
 def test_path_round_trip_property(segs):
     p = ElementPath(tuple(PathSegment(n, i) for n, i in segs))
-    assert parse_path(print_path(p)) == p
+    parsed = parse_path(print_path(p))
+    assert parsed == p and hash(parsed) == hash(p)
+    assert p.segments == parsed.segments == tuple(PathSegment(n, i) for n, i in segs)
+    assert p.sort_key() == parsed.sort_key() == tuple((n, -1 if i is None else i) for n, i in segs)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(_ident, st.integers(0, 50), st.integers(0, 3)), min_size=1, max_size=6))
+def test_non_canonical_spellings_equal_their_canonical_form(segs):
+    spelled = ".".join(f"{n}[{'0' * zeros}{i}]" for n, i, zeros in segs)
+    canonical = ".".join(f"{n}[{i}]" for n, i, _ in segs)
+    assert parse_path(spelled) == parse_path(canonical)
+    assert str(parse_path(spelled)) == canonical
+
+
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CONT = frozenset(string.ascii_letters + string.digits + "_")
+
+
+def character_loop_parse(s: str) -> ElementPath:
+    """The parser that compiled scanning replaced, kept as the oracle for its
+    errors. One line differs, marked: an index is ASCII digits only; the old
+    loop took any ``str.isdigit`` character, so ``int()`` raised ValueError or
+    read ``[\u0663]`` as ``[3]``."""
+    if not s:
+        raise PathSyntaxError("empty path", 0)
+    segments: list[PathSegment] = []
+    i = 0
+    n = len(s)
+    while True:
+        start = i
+        if i >= n or s[i] not in _IDENT_START:
+            raise PathSyntaxError("expected identifier", i)
+        i += 1
+        while i < n and s[i] in _IDENT_CONT:
+            i += 1
+        name = s[start:i]
+        index: int | None = None
+        if i < n and s[i] == "[":
+            j = i + 1
+            digits_start = j
+            while j < n and s[j].isdigit():
+                if s[j] not in string.digits:  # the one change
+                    raise PathSyntaxError("expected index", j)
+                j += 1
+            if j == digits_start:
+                raise PathSyntaxError("expected index", j)
+            if j >= n or s[j] != "]":
+                raise PathSyntaxError("expected ']'", j)
+            index = int(s[digits_start:j])
+            i = j + 1
+        segments.append(PathSegment(name, index))
+        if i == n:
+            break
+        if s[i] != ".":
+            raise PathSyntaxError("expected '.'", i)
+        i += 1
+        if i == n:
+            raise PathSyntaxError("trailing '.'", i)
+    return ElementPath(tuple(segments))
+
+
+def _outcome(parse, s):
+    try:
+        return str(parse(s))
+    except PathSyntaxError as exc:
+        return f"PathSyntaxError: {exc} ({exc.offset})"
+
+
+# Near-paths: an identifier, then pieces of segments and stray characters.
+_near_paths = st.builds(
+    lambda head, rest: head + "".join(rest),
+    st.sampled_from(("a", "b_", "")),
+    st.lists(st.sampled_from(("a", ".b", "[", "]", ".", "0", "09", "[1]", "[0]", "\u00b2", "\u0663", " ")),
+             max_size=6))
+
+
+@settings(max_examples=600)
+@given(st.one_of(st.text(alphabet="ab_09[].\u00b2\u0663 ", max_size=12), _near_paths))
+def test_parse_path_agrees_with_the_character_loop(s):
+    assert _outcome(parse_path, s) == _outcome(character_loop_parse, s)
 
 
 def test_empty_segments_rejected():
