@@ -264,7 +264,7 @@ def impact(model_uri: str, path_text: str, fmt: str):
     """Everything reachable from a model element, layer by layer."""
     root = _workspace_root()
     g = gtm.query_gtm(_load_mgm(root), root, model_uri, forward=True)
-    anchor = gtm.ElemNode(model_uri, str(parse_path(path_text)))
+    anchor = gtm.ElemNode(model_uri, parse_path(path_text))
     try:
         report = gtm.change_impact(g, anchor)
     except AnchorNotFound as exc:
@@ -339,7 +339,7 @@ def gtm_dot(around: str | None, radius: int):
         if "@" in around:
             anchor = gtm.origin_track(g, location=(file_uri, offset)).anchor
         else:
-            anchor = gtm.ElemNode(uri, str(parse_path(path_text)))
+            anchor = gtm.ElemNode(uri, parse_path(path_text))
     click.echo(gtm.export_dot(g, around=anchor, radius=radius), nl=False)
 
 

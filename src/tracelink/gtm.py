@@ -28,21 +28,13 @@ from typing import Callable, Iterable, Iterator
 from .errors import AnchorNotFound, LocationOutsideSpans, ParseError, TracelinkError
 from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels, trace_scope
 from .model import _load_json, parse_model, resolve_path
-from .paths import ElementPath
 from .trace import CodeSpan, ElementRef, LocalTraceModel, load_trace
 from .workspace import read_text
 
 
-@dataclass(frozen=True)
-class ElemNode:
-    model_uri: str
-    path: str  # canonical printed form
-
-    def __str__(self) -> str:
-        return f"{self.model_uri}:{self.path}"
-
-
-CodeNode = CodeSpan  # code endpoints join the map as the trace's own spans
+# Endpoints join the map as the traces' own element references and code spans.
+ElemNode = ElementRef
+CodeNode = CodeSpan
 TraceNode = ElemNode | CodeNode
 
 
@@ -112,12 +104,6 @@ def _adjacency(edges, forward: bool) -> dict[TraceNode, tuple[TraceNode, ...]]:
     return {a: tuple(bs) for a, bs in neighbours.items()}
 
 
-def _as_node(target: ElementRef | CodeSpan) -> TraceNode:
-    if isinstance(target, ElementRef):
-        return ElemNode(target.model_uri, str(target.path))
-    return target
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -130,12 +116,11 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
     """
     metamodels, _ = load_metamodels(mgm, root)
     model_cache: dict[str, object] = {}
-    resolvable_cache: dict[tuple[str, str], str | None] = {}
+    resolvable_cache: dict[ElemNode, str | None] = {}
 
-    def unresolvable_reason(node: ElemNode, path: ElementPath) -> str | None:
-        key = (node.model_uri, node.path)
-        if key in resolvable_cache:
-            return resolvable_cache[key]
+    def unresolvable_reason(node: ElemNode) -> str | None:
+        if node in resolvable_cache:
+            return resolvable_cache[node]
         reason = None
         if node.model_uri not in model_cache:
             try:
@@ -156,10 +141,10 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
             reason = cached
         else:
             try:
-                resolve_path(cached, path)
+                resolve_path(cached, node.path)
             except TracelinkError:
                 reason = "path does not resolve"
-        resolvable_cache[key] = reason
+        resolvable_cache[node] = reason
         return reason
 
     return _join((load_trace(read_text(root, res.uri))
@@ -193,7 +178,7 @@ def _within(trace: LocalTraceModel, inputs: set[str], outputs: set[str]) -> bool
 
 
 def _join(traces: Iterable[LocalTraceModel],
-          unresolvable_reason: Callable[[ElemNode, ElementPath], str | None] | None = None) -> GlobalTraceMap:
+          unresolvable_reason: Callable[[ElemNode], str | None] | None = None) -> GlobalTraceMap:
     """One node per endpoint and one edge per (source, target) pair of
     every link; with ``unresolvable_reason``, edges with an element
     endpoint it names a reason for are flagged dangling and warned of."""
@@ -203,21 +188,19 @@ def _join(traces: Iterable[LocalTraceModel],
     for trace in traces:
         for link in trace.links:
             tag = link.tags.get("rule") or link.tags.get("template") or ""
+            nodes.update(link.sources)
+            nodes.update(link.targets)
             for source in link.sources:
-                src_node = _as_node(source)
                 for target in link.targets:
-                    dst_node = _as_node(target)
                     dangling = False
                     if unresolvable_reason is not None:
-                        for ref, endpoint in ((source, src_node), (target, dst_node)):
+                        for endpoint in (source, target):
                             if isinstance(endpoint, ElemNode):
-                                reason = unresolvable_reason(endpoint, ref.path)
+                                reason = unresolvable_reason(endpoint)
                                 if reason is not None:
                                     dangling = True
                                     warnings[f"dangling trace endpoint {endpoint}: {reason}"] = None
-                    nodes.add(src_node)
-                    nodes.add(dst_node)
-                    edges.add(GtmEdge(src_node, dst_node, trace.transformation_id, tag, dangling))
+                    edges.add(GtmEdge(source, target, trace.transformation_id, tag, dangling))
     return GlobalTraceMap(frozenset(nodes), frozenset(edges), tuple(warnings))
 
 
@@ -297,7 +280,7 @@ def _enclosing_span(g: GlobalTraceMap, file_uri: str, offset: int) -> CodeNode:
 def report_json(report: AnalysisReport) -> dict:
     def node_json(n: TraceNode) -> dict:
         if isinstance(n, ElemNode):
-            return {"kind": "element", "model": n.model_uri, "path": n.path}
+            return {"kind": "element", "model": n.model_uri, "path": str(n.path)}  # a plain str for canonical_json
         return {"kind": "code", "file": n.file_uri, "startByte": n.start_byte,
                 "endByte": n.end_byte, "line": n.start_line, "col": n.start_col}
 

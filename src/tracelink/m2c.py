@@ -479,7 +479,7 @@ def render(t: Template, m: Model) -> str:
 
     def model_path(e: Element) -> str:
         if not paths:
-            paths.update((id(x), str(p)) for p, x in iter_elements(m))
+            paths.update((id(x), p) for p, x in iter_elements(m))
         return paths[id(e)]
 
     class_named = t.metamodel.class_named

@@ -393,18 +393,18 @@ def load_megamodel(text: str) -> Megamodel:
     try:
         resources = frozenset(
             ResourceEntry(
-                raw["id"],
+                _string(raw, "id"),
                 ResourceKind(raw["kind"]),
-                raw["uri"],
+                _string(raw, "uri"),
                 ResourceOrigin(raw["origin"]),
-                raw.get("producedBy"),
+                _string(raw, "producedBy") if "producedBy" in raw else None,
             )
             for raw in data.get("resources", [])
         )
         relations = frozenset(
             Relation(
-                raw["from"],
-                raw["to"],
+                _string(raw, "from"),
+                _string(raw, "to"),
                 RelationKind(raw["kind"]),
                 FlowDirection(raw["direction"]) if "direction" in raw else None,
             )
@@ -415,6 +415,12 @@ def load_megamodel(text: str) -> Megamodel:
     mgm = Megamodel(resources, relations)
     validate(mgm)
     return mgm
+
+
+def _string(raw: dict, key: str) -> str:
+    if type(raw[key]) is not str:
+        raise IntegrityError(f"megamodel field '{key}' must be a string: {raw[key]!r}")
+    return raw[key]
 
 
 # ---------------------------------------------------------------------------

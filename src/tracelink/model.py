@@ -440,7 +440,7 @@ def ensure_conforms(m: Model, mm: Metamodel):
 
 def resolve_path(m: Model, p: ElementPath) -> Element:
     """Walk collections/indices from the root to the addressed element."""
-    steps = str(p).split(".")
+    steps = p.split(".")
     current = m.root
     if "[" not in steps[0]:
         if steps[0] != ROOT_NAME:

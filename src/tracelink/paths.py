@@ -4,9 +4,9 @@ A path like ``filters[0].sections[1]`` walks ordered containment collections
 from the model root. The single segment ``root`` addresses the root element
 itself.
 
-An ``ElementPath`` holds one value, its canonical printed text: indexes
-without leading zeros. Equality, hashing and ``str`` use that text, and
-``segments`` is derived from it on request.
+An ``ElementPath`` is a ``str`` whose value is the path's canonical text:
+indexes without leading zeros. It compares and hashes equal to that text,
+and ``segments`` is derived from it on request.
 """
 
 from __future__ import annotations
@@ -39,34 +39,26 @@ class PathSegment:
         return self.name if self.index is None else f"{self.name}[{self.index}]"
 
 
-class ElementPath:
+class ElementPath(str):
     """A path as its canonical text; built from segments or by ``parse_path``."""
 
-    __slots__ = ("_text",)
+    __slots__ = ()
 
-    def __init__(self, segments: tuple[PathSegment, ...]):
+    def __new__(cls, segments: tuple[PathSegment, ...]):
         if not segments:
             raise ValueError("a path needs at least one segment")
-        self._text = ".".join(map(str, segments))
+        return str.__new__(cls, ".".join(map(str, segments)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ElementPath:
-            return NotImplemented
-        return self._text == other._text
-
-    def __hash__(self) -> int:
-        return hash(self._text)
-
-    def __str__(self) -> str:
-        return self._text
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild through __new__
+        return (self.segments,)
 
     def __repr__(self) -> str:
-        return f"parse_path({self._text!r})"
+        return f"parse_path({str.__repr__(self)})"
 
     @property
     def segments(self) -> tuple[PathSegment, ...]:
         return tuple(PathSegment(name, int(index) if index else None)
-                     for name, index in _SEGMENTS.findall(self._text))
+                     for name, index in _SEGMENTS.findall(self))
 
     def sort_key(self) -> tuple:
         return tuple((s.name, -1 if s.index is None else s.index) for s in self.segments)
@@ -74,9 +66,7 @@ class ElementPath:
 
 def _canonical(text: str) -> ElementPath:
     """The path whose canonical text is ``text``, which the caller vouches for."""
-    path = object.__new__(ElementPath)
-    path._text = text
-    return path
+    return str.__new__(ElementPath, text)
 
 
 ROOT_PATH = _canonical(ROOT_NAME)
@@ -123,7 +113,7 @@ def normalize_marker_path(p: ElementPath) -> ElementPath:
     index-less segment; it is dropped. A payload that is nothing but an
     index-less segment denotes the root element.
     """
-    head, dot, rest = p._text.partition(".")
+    head, dot, rest = p.partition(".")
     if "[" in head:
         return p
     return _canonical(rest) if dot else ROOT_PATH

@@ -300,6 +300,7 @@ def enact(
     edge feeds. ``action_order`` reorders execution within a stage (used to
     demonstrate order independence); registration stays in sorted order.
     """
+    validate(mgm)  # register_all trusts the registry it is given
     plan = schedule(p)
     metamodels, mm_resource_ids = load_metamodels(mgm, root)
 
@@ -400,10 +401,8 @@ def enact(
                 traces.append(trace)
             log.append(f"[stage {stage_index}] {line}")
 
-    registered = register_all(mgm, registrations)
-    validate(registered)  # register_all trusts the registry it was given
     artifacts = tuple(entry for entry, _ in registrations)
-    return EnactmentResult(registered, artifacts, tuple(traces), tuple(log), plan)
+    return EnactmentResult(register_all(mgm, registrations), artifacts, tuple(traces), tuple(log), plan)
 
 
 def _output_uri(action_id: str, pin_name: str) -> str:

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
 import tracelink
+from tracelink import model
 from tracelink.cli import cli
 
 from conftest import copy_workspace
@@ -66,6 +68,27 @@ def test_enact_writes_artifacts_and_summary(enacted_ws):
         ["GenArduino", "GenContiki", "GenGateway", "GenRIOT"],
     ]
     assert len(summary["traces"]) == 8
+
+
+def test_written_documents_never_reach_the_json_fallback(tmp_path, runner, monkeypatch):
+    """``canonical_json`` sends a document holding any value of a type it
+    does not write (an ``ElementPath``, say) to ``json.dumps``, which writes
+    the same bytes 2.5 times slower. Every writer passes plain types."""
+
+    def dumps(*args, **kwargs):
+        raise AssertionError("canonical_json fell back to json.dumps")
+
+    monkeypatch.setattr(model, "json", SimpleNamespace(**{**vars(json), "dumps": dumps}))
+    ws = copy_workspace(tmp_path)
+    for args in (
+        ("discover", str(ws)),
+        ("enact", "wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json"),
+        ("impact", "Input.pim.model.json", "indirect[0].indirectdevice[0]", "--format", "json"),
+        ("origin", "out/GenContiki/Sink.c", "9:1", "--format", "json"),
+        ("trace", "show", str(ws / "traces/MapContiki.trace.json"), "--format", "json"),
+    ):
+        result = invoke(runner, ws, *args)
+        assert result.exit_code == 0, result.output
 
 
 def test_enact_twice_is_stable(enacted_ws, runner):

@@ -24,7 +24,7 @@ from tracelink.gtm import (
 )
 from tracelink.megamodel import Megamodel, ResourceKind, load_metamodels
 from tracelink.model import parse_model
-from tracelink.trace import CodeSpan, load_trace
+from tracelink.trace import CodeSpan, ElementRef, load_trace
 from tracelink.workspace import read_text
 
 from chains import closure_oracle, node_key, random_chain, write_chain
@@ -77,6 +77,19 @@ def test_gtm_edges_match_local_links_exactly(enacted):
     g = build_gtm(result.megamodel, ws)
     actual = {(node_key(e.src), node_key(e.dst)) for e in g.edges}
     assert actual == expected
+
+
+def test_element_nodes_are_trace_element_refs():
+    assert ElemNode is ElementRef and CodeNode is CodeSpan
+
+
+def test_map_nodes_are_the_traces_own_endpoints(enacted):
+    ws, _, result = enacted
+    g = build_gtm(result.megamodel, ws)
+    traces = [load_trace(read_text(ws, res.uri)) for res in result.megamodel.of_kind(ResourceKind.TRACE_MODEL)]
+    assert g.nodes == {ref for t in traces for link in t.links for ref in (*link.sources, *link.targets)}
+    by_text = ElemNode("Input.pim.model.json", "indirect[0].indirectdevice[0]")
+    assert by_text in g.nodes and ElementRef(by_text.model_uri, paths.parse_path(by_text.path)) in g.nodes
 
 
 def test_anchor_without_outgoing_edges_has_empty_layers(tmp_path):

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from tracelink.errors import TracelinkError
-from tracelink.megamodel import load_megamodel, save_megamodel
+from tracelink.megamodel import load_megamodel, megamodel_dot, save_megamodel
 from tracelink.model import parse_metamodel, parse_model
 from tracelink.process import parse_process
 from tracelink.trace import load_trace
@@ -41,6 +41,13 @@ def _model(mm_uri):
     return lambda text, ws: parse_model(text, parse_metamodel(read_text(ws, mm_uri)))
 
 
+def _megamodel(text, ws):
+    """Load, then save, reload and draw the registry, as the commands do."""
+    mgm = load_megamodel(text)
+    assert load_megamodel(save_megamodel(mgm)) == mgm
+    megamodel_dot(mgm)
+
+
 # (name, workspace uri, loader); the megamodel is taken from the enactment.
 CASES = [
     ("M2M trace", "traces/MapDataCollector.trace.json", lambda text, ws: load_trace(text)),
@@ -50,7 +57,7 @@ CASES = [
     ("PSM metamodel", "PSMM.mm.json", lambda text, ws: parse_metamodel(text)),
     ("PIM model", "Input.pim.model.json", _model("PIMM.mm.json")),
     ("M2M output model", "out/MapContiki/contiki.model.json", _model("PSMM.mm.json")),
-    ("megamodel", None, lambda text, ws: load_megamodel(text)),
+    ("megamodel", None, _megamodel),
 ]
 
 

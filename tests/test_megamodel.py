@@ -21,7 +21,7 @@ from tracelink.megamodel import (
     save_megamodel,
 )
 from tracelink.process import enact, parse_process
-from tracelink.workspace import read_text
+from tracelink.workspace import OUTPUT_DIR, TRACE_DIR, read_text
 
 from conftest import BINDINGS, PROCESS_URI, run_enactment
 
@@ -162,6 +162,7 @@ def test_enactment_validates_the_registry_it_returns(workspace):
     process = parse_process(read_text(workspace, PROCESS_URI))
     with pytest.raises(IntegrityError, match="producer"):
         enact(process, Megamodel(mgm.resources | {stray}, mgm.relations), dict(BINDINGS), workspace)
+    assert not [*workspace.glob(f"{OUTPUT_DIR}/**/*"), *workspace.glob(f"{TRACE_DIR}/**/*")]  # nothing written
 
 
 def test_registered_indexes_match_a_fresh_build(workspace):

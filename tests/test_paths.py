@@ -1,3 +1,5 @@
+import copy
+import pickle
 import string
 
 import pytest
@@ -167,6 +169,19 @@ _near_paths = st.builds(
 @given(st.one_of(st.text(alphabet="ab_09[].\u00b2\u0663 ", max_size=12), _near_paths))
 def test_parse_path_agrees_with_the_character_loop(s):
     assert _outcome(parse_path, s) == _outcome(character_loop_parse, s)
+
+
+def test_a_path_is_its_canonical_text():
+    p = parse_path("a[007].b")
+    assert p == "a[7].b" and hash(p) == hash("a[7].b")
+    assert isinstance(p, str) and p != "a[007].b"
+    assert repr(p) == "parse_path('a[7].b')"
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+def test_copies_stay_paths(clone):
+    p = parse_path("x_1[10].y")
+    assert type(clone(p)) is ElementPath and clone(p) == p and clone(p).segments == p.segments
 
 
 def test_empty_segments_rejected():

@@ -114,6 +114,12 @@ def test_empty_links_round_trip():
     assert load_trace(save_trace(t)) == t
 
 
+def test_a_reference_by_path_equals_one_by_its_text():
+    by_path, by_text = ElementRef("m", parse_path("a[0]")), ElementRef("m", "a[0]")
+    assert by_path == by_text and hash(by_path) == hash(by_text)
+    assert str(by_path) == str(by_text) == "m:a[0]"
+
+
 def test_link_without_sources_rejected():
     with pytest.raises(IntegrityError):
         TraceLink(sources=(), targets=(CodeSpan("f", 0, 1, 1, 1),))
