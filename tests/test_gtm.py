@@ -1,15 +1,18 @@
 import hashlib
 import json
 import random
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelink import paths
+from tracelink.cli import cli
 from tracelink.errors import AnchorNotFound, LocationOutsideSpans
 from tracelink.gtm import (
     CodeNode,
@@ -22,7 +25,7 @@ from tracelink.gtm import (
     origin_track,
     report_json,
 )
-from tracelink.megamodel import Megamodel, ResourceKind, load_metamodels
+from tracelink.megamodel import Megamodel, ResourceKind, load_metamodels, save_megamodel
 from tracelink.model import parse_model
 from tracelink.trace import CodeSpan, ElementRef, load_trace
 from tracelink.workspace import read_text
@@ -393,6 +396,36 @@ def test_export_dot_slices_are_unchanged(enacted, radius):
     g = build_gtm(result.megamodel, ws)
     text = "".join(export_dot(g, around=n, radius=radius) for n in sorted(g.nodes, key=node_key))
     assert hashlib.sha256(text.encode()).hexdigest() == DOT_SLICE_DIGESTS[radius]
+
+
+# sha256 of `tracelink gtm dot`, whole and sliced, on copies of the enacted
+# workspace whose MapContiki output model is kept, deleted, or replaced by a
+# JSON array; the last two draw that model's edges dashed.
+AROUND = "Input.pim.model.json:indirect[0].indirectdevice[0]"
+GTM_DOT_DIGESTS = {
+    ("kept", None): "9b70a0196f05a524184ff84541ce1d70aa9a23110f9c72de26aca569515bcde7",
+    ("deleted", None): "9eedbb6c002ec305330333930192cd2da00a67ee684be7e440ececc0734c74da",
+    ("array", None): "9eedbb6c002ec305330333930192cd2da00a67ee684be7e440ececc0734c74da",
+    ("deleted", AROUND): "dd4fcdaa12d75d349619ab23e50f2f181e92f51d68596a9d3b595d9145b75f16",
+}
+
+
+@pytest.mark.parametrize("model, around", list(GTM_DOT_DIGESTS), ids=lambda v: {None: "whole", AROUND: "around"}.get(v, v))
+def test_gtm_dot_output_is_unchanged(enacted, tmp_path, model, around):
+    ws, _, result = enacted
+    clone = tmp_path / "clone"
+    shutil.copytree(ws, clone)
+    (clone / "megamodel.json").write_text(save_megamodel(result.megamodel), encoding="utf-8")
+    contiki = clone / "out/MapContiki/contiki.model.json"
+    if model == "deleted":
+        contiki.unlink()
+    elif model == "array":
+        contiki.write_text("[]", encoding="utf-8")
+    args = ["gtm", "dot", *(("--around", around) if around else ())]
+    dot = CliRunner().invoke(cli, args, env={"TRACELINK_WORKSPACE": str(clone)}, catch_exceptions=False)
+    assert dot.exit_code == 0
+    assert ("style=dashed" in dot.output) == (model != "kept")
+    assert hashlib.sha256(dot.output.encode()).hexdigest() == GTM_DOT_DIGESTS[model, around]
 
 
 def test_warnings_are_unique_in_first_seen_order(enacted, tmp_path):
