@@ -325,7 +325,8 @@ def gtm_group():
 @_handle_errors
 def gtm_dot(around: str | None, radius: int):
     root = _workspace_root()
-    g = gtm.build_gtm(_load_mgm(root), root)
+    mgm = _load_mgm(root)
+    g = gtm.build_gtm(mgm, root)
     anchor = None
     if around is not None:
         try:
@@ -340,7 +341,7 @@ def gtm_dot(around: str | None, radius: int):
             anchor = gtm.origin_track(g, location=(file_uri, offset)).anchor
         else:
             anchor = gtm.ElemNode(uri, parse_path(path_text))
-    click.echo(gtm.export_dot(g, around=anchor, radius=radius), nl=False)
+    click.echo(gtm.export_dot(g, anchor, radius, gtm.dangling_endpoints(g, mgm, root)), nl=False)
 
 
 @cli.group("trace")

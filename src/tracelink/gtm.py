@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import AnchorNotFound, LocationOutsideSpans, ParseError, TracelinkError
 from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels, trace_scope
@@ -44,7 +44,6 @@ class GtmEdge:
     dst: TraceNode
     via: str  # transformation resource id
     rule_tag: str
-    dangling: bool = False
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class GlobalTraceMap:
 
     nodes: frozenset[TraceNode]
     edges: frozenset[GtmEdge]
-    warnings: tuple[str, ...] = ()
 
     @cached_property
     def successors(self) -> dict[TraceNode, tuple[TraceNode, ...]]:
@@ -109,64 +107,27 @@ def _adjacency(edges, forward: bool) -> dict[TraceNode, tuple[TraceNode, ...]]:
 # ---------------------------------------------------------------------------
 
 def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
-    """Join all local trace models referenced by the megamodel.
-
-    Model-element endpoints whose path no longer resolves are reported as
-    warnings; their edges stay, flagged dangling.
-    """
-    metamodels, _ = load_metamodels(mgm, root)
-    model_cache: dict[str, object] = {}
-    resolvable_cache: dict[ElemNode, str | None] = {}
-
-    def unresolvable_reason(node: ElemNode) -> str | None:
-        if node in resolvable_cache:
-            return resolvable_cache[node]
-        reason = None
-        if node.model_uri not in model_cache:
-            try:
-                text = read_text(root, node.model_uri)
-                data = _load_json(text)
-                if not isinstance(data, dict):
-                    raise ParseError("model document must be an object")
-                mm_name = data.get("metamodel")
-                mm = metamodels.get(mm_name)
-                if mm is None:
-                    model_cache[node.model_uri] = f"metamodel '{mm_name}' is not registered"
-                else:
-                    model_cache[node.model_uri] = parse_model(text, mm, uri=node.model_uri)
-            except (OSError, TracelinkError, ValueError) as exc:
-                model_cache[node.model_uri] = f"model not loadable: {exc}"
-        cached = model_cache[node.model_uri]
-        if isinstance(cached, str):
-            reason = cached
-        else:
-            try:
-                resolve_path(cached, node.path)
-            except TracelinkError:
-                reason = "path does not resolve"
-        resolvable_cache[node] = reason
-        return reason
-
-    return _join((load_trace(read_text(root, res.uri))
-                  for res in mgm.of_kind(ResourceKind.TRACE_MODEL)), unresolvable_reason)
+    """Join every trace model the megamodel registers. Parses no model;
+    ``dangling_endpoints`` finds the endpoints that no longer resolve."""
+    load_metamodels(mgm, root)  # a malformed metamodel fails every map alike
+    return _join(load_trace(read_text(root, res.uri)) for res in mgm.of_kind(ResourceKind.TRACE_MODEL))
 
 
 def query_gtm(mgm: Megamodel, root: Path, uri: str, forward: bool) -> GlobalTraceMap:
     """The part of the map that an impact (``forward``) or origin query
     anchored in artifact ``uri`` can reach.
 
-    Reads only the traces ``megamodel.trace_scope`` names, and all of them
-    when it names none or when a trace read links an artifact outside its
-    transformation's inputs or outputs. Parses no model, so it reports no
-    dangling endpoints; no query reads them.
+    Reads only the traces ``megamodel.trace_scope`` names, and builds the
+    whole map when it names none or when a trace read links an artifact
+    outside its transformation's inputs or outputs.
     """
-    load_metamodels(mgm, root)  # a malformed metamodel fails every query alike
     scope = trace_scope(mgm, uri, forward)
     if scope is not None:
+        load_metamodels(mgm, root)  # a malformed metamodel fails every query alike
         traces = [load_trace(read_text(root, trace_uri)) for trace_uri, _, _ in scope]
         if all(_within(t, inputs, outputs) for t, (_, inputs, outputs) in zip(traces, scope)):
             return _join(traces)
-    return _join(load_trace(read_text(root, res.uri)) for res in mgm.of_kind(ResourceKind.TRACE_MODEL))
+    return build_gtm(mgm, root)
 
 
 def _within(trace: LocalTraceModel, inputs: set[str], outputs: set[str]) -> bool:
@@ -177,31 +138,51 @@ def _within(trace: LocalTraceModel, inputs: set[str], outputs: set[str]) -> bool
                for link in trace.links)
 
 
-def _join(traces: Iterable[LocalTraceModel],
-          unresolvable_reason: Callable[[ElemNode], str | None] | None = None) -> GlobalTraceMap:
-    """One node per endpoint and one edge per (source, target) pair of
-    every link; with ``unresolvable_reason``, edges with an element
-    endpoint it names a reason for are flagged dangling and warned of."""
+def _join(traces: Iterable[LocalTraceModel]) -> GlobalTraceMap:
+    """One node per endpoint and one edge per (source, target) pair of every link."""
     nodes: set[TraceNode] = set()
     edges: set[GtmEdge] = set()
-    warnings: dict[str, None] = {}  # insertion-ordered set
     for trace in traces:
         for link in trace.links:
             tag = link.tags.get("rule") or link.tags.get("template") or ""
             nodes.update(link.sources)
             nodes.update(link.targets)
-            for source in link.sources:
-                for target in link.targets:
-                    dangling = False
-                    if unresolvable_reason is not None:
-                        for endpoint in (source, target):
-                            if isinstance(endpoint, ElemNode):
-                                reason = unresolvable_reason(endpoint)
-                                if reason is not None:
-                                    dangling = True
-                                    warnings[f"dangling trace endpoint {endpoint}: {reason}"] = None
-                    edges.add(GtmEdge(source, target, trace.transformation_id, tag, dangling))
-    return GlobalTraceMap(frozenset(nodes), frozenset(edges), tuple(warnings))
+            edges.update(GtmEdge(source, target, trace.transformation_id, tag)
+                         for source in link.sources for target in link.targets)
+    return GlobalTraceMap(frozenset(nodes), frozenset(edges))
+
+
+def dangling_endpoints(g: GlobalTraceMap, mgm: Megamodel, root: Path) -> dict[ElemNode, str]:
+    """Each element node of ``g`` whose path no longer resolves, in node
+    order, with the reason. A model file that cannot be read, is not a
+    JSON object, or does not conform is not loadable."""
+    metamodels, _ = load_metamodels(mgm, root)
+
+    @cache
+    def load(uri: str):  # the parsed model, or why it cannot be had
+        try:
+            text = read_text(root, uri)
+            data = _load_json(text)
+            if not isinstance(data, dict):
+                raise ParseError("model document must be an object")
+            mm_name = data.get("metamodel")
+            if not isinstance(mm_name, str) or mm_name not in metamodels:
+                return f"metamodel '{mm_name}' is not registered"
+            return parse_model(text, metamodels[mm_name], uri=uri)
+        except (OSError, TracelinkError, ValueError) as exc:
+            return f"model not loadable: {exc}"
+
+    dangling: dict[ElemNode, str] = {}
+    for node in sorted((n for n in g.nodes if isinstance(n, ElemNode)), key=_node_key):
+        model = load(node.model_uri)
+        if isinstance(model, str):
+            dangling[node] = model
+            continue
+        try:
+            resolve_path(model, node.path)
+        except TracelinkError:
+            dangling[node] = "path does not resolve"
+    return dangling
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +276,11 @@ def report_json(report: AnalysisReport) -> dict:
 # DOT export
 # ---------------------------------------------------------------------------
 
-def export_dot(g: GlobalTraceMap, around: TraceNode | None = None, radius: int = 2) -> str:
+def export_dot(g: GlobalTraceMap, around: TraceNode | None = None, radius: int = 2,
+               dangling: Collection[TraceNode] = ()) -> str:
     """DOT text; with ``around`` set, only the induced subgraph within
-    ``radius`` undirected steps of the anchor."""
+    ``radius`` undirected steps of the anchor. Edges with an endpoint in
+    ``dangling`` are dashed."""
     nodes = set(g.nodes)
     edges = set(g.edges)
     if around is not None:
@@ -313,7 +296,7 @@ def export_dot(g: GlobalTraceMap, around: TraceNode | None = None, radius: int =
         shape = "ellipse" if isinstance(node, ElemNode) else "note"
         lines.append(f'  n{i} [label="{_dot_escape(str(node))}" shape={shape}];')
     for edge in sorted(edges, key=lambda e: (_node_key(e.src), _node_key(e.dst), e.via, e.rule_tag)):
-        style = " style=dashed" if edge.dangling else ""
+        style = " style=dashed" if edge.src in dangling or edge.dst in dangling else ""
         lines.append(
             f'  {ids[edge.src]} -> {ids[edge.dst]} [label="{_dot_escape(edge.rule_tag)}"{style}];')
     lines.append("}")

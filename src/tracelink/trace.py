@@ -148,12 +148,10 @@ def load_trace(text: str) -> LocalTraceModel:
                 raise IntegrityError("trace link sources must be model elements")
             targets = tuple(_target_from_json(x) for x in raw.get("targets", []))
             links.append(TraceLink(sources, targets, dict(tags)))
-        return LocalTraceModel(
-            id=data["id"],
-            transformation_id=data["transformation"],
-            execution_stamp=data["executionStamp"],
-            links=tuple(links),
-        )
+        trace_id, transformation_id, stamp = data["id"], data["transformation"], data["executionStamp"]
+        if not (isinstance(trace_id, str) and isinstance(transformation_id, str) and type(stamp) is int):
+            raise IntegrityError("trace id and transformation must be strings, executionStamp an integer")
+        return LocalTraceModel(trace_id, transformation_id, stamp, tuple(links))
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"trace file is missing or mistypes a field: {exc}") from exc
 

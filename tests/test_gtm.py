@@ -21,12 +21,12 @@ from tracelink.gtm import (
     GtmEdge,
     build_gtm,
     change_impact,
+    dangling_endpoints,
     export_dot,
     origin_track,
     report_json,
 )
-from tracelink.megamodel import Megamodel, ResourceKind, load_metamodels, save_megamodel
-from tracelink.model import parse_model
+from tracelink.megamodel import Megamodel, ResourceKind, save_megamodel
 from tracelink.trace import CodeSpan, ElementRef, load_trace
 from tracelink.workspace import read_text
 
@@ -205,38 +205,57 @@ def test_report_rendering_uses_depth_arrows(tmp_path):
     assert [len(layer) for layer in data["layers"]] == [1, 1]
 
 
-def test_dangling_targets_warn_but_keep_edges(enacted, tmp_path):
-    import shutil
+CONTIKI = "out/MapContiki/contiki.model.json"
 
+
+def clone_of(enacted, tmp_path):
     ws, _, result = enacted
     clone = tmp_path / "clone"
     shutil.copytree(ws, clone)
-    (clone / "out/MapContiki/contiki.model.json").unlink()
-    g = build_gtm(result.megamodel, clone)
-    assert g.warnings
-    assert any(e.dangling for e in g.edges)
+    return clone, result.megamodel, build_gtm(result.megamodel, ws)
+
+
+def elements_of(g, *uris):
+    return sorted((n for n in g.nodes if isinstance(n, ElemNode) and n.model_uri in uris), key=node_key)
+
+
+def test_dangling_endpoints_keep_their_edges(enacted, tmp_path):
+    clone, mgm, enacted_map = clone_of(enacted, tmp_path)
+    (clone / CONTIKI).unlink()
+    g = build_gtm(mgm, clone)
+    assert g == enacted_map  # the map is its traces alone
+    dangling = dangling_endpoints(g, mgm, clone)
+    assert list(dangling) == elements_of(g, CONTIKI) != []
+    assert set(dangling.values()) == {
+        f"model not loadable: [Errno 2] No such file or directory: '{clone / CONTIKI}'"}
     # edges survive: the anchor still reaches the generated span
     anchor = ElemNode("Input.pim.model.json", "indirect[0].indirectdevice[0]")
     assert any(isinstance(n, CodeNode) for n in impact_set(g, anchor))
+    dashed = {e for e in g.edges if e.src in dangling or e.dst in dangling}
+    assert export_dot(g, dangling=dangling).count("style=dashed") == len(dashed) > 0
+    assert "style=dashed" not in export_dot(g)
 
 
-def test_build_gtm_parses_each_trace_path_once(enacted, monkeypatch):
+def test_build_gtm_parses_no_model_and_each_trace_path_once(enacted, monkeypatch):
     ws, _, result = enacted
     calls = []
     original = paths.parse_path
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("build_gtm parsed a model")
+
     for name, module in list(sys.modules.items()):
-        if (name == "tracelink" or name.startswith("tracelink.")) and getattr(module, "parse_path", None) is original:
-            monkeypatch.setattr(module, "parse_path", lambda s: calls.append(s) or original(s))
-    g = build_gtm(result.megamodel, ws)
+        if name == "tracelink" or name.startswith("tracelink."):
+            if getattr(module, "parse_path", None) is original:
+                monkeypatch.setattr(module, "parse_path", lambda s: calls.append(s) or original(s))
+            if getattr(module, "parse_model", None) is not None:
+                monkeypatch.setattr(module, "parse_model", no_model)
+    build_gtm(result.megamodel, ws)
     during_build = len(calls)
-    # What loading every trace file and parsing every traced model costs alone.
+    # What loading every trace file costs alone.
     calls.clear()
-    metamodels, _ = load_metamodels(result.megamodel, ws)
     for res in result.megamodel.of_kind(ResourceKind.TRACE_MODEL):
         load_trace(read_text(ws, res.uri))
-    for uri in sorted({n.model_uri for n in g.nodes if isinstance(n, ElemNode)}):
-        text = read_text(ws, uri)
-        parse_model(text, metamodels[json.loads(text)["metamodel"]], uri=uri)
     assert during_build == len(calls) > 0
 
 
@@ -410,17 +429,17 @@ GTM_DOT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("model, around", list(GTM_DOT_DIGESTS), ids=lambda v: {None: "whole", AROUND: "around"}.get(v, v))
+@pytest.mark.parametrize("model, around", list(GTM_DOT_DIGESTS),
+                         ids=lambda v: {None: "whole", AROUND: "around"}.get(v, v))
 def test_gtm_dot_output_is_unchanged(enacted, tmp_path, model, around):
     ws, _, result = enacted
     clone = tmp_path / "clone"
     shutil.copytree(ws, clone)
     (clone / "megamodel.json").write_text(save_megamodel(result.megamodel), encoding="utf-8")
-    contiki = clone / "out/MapContiki/contiki.model.json"
     if model == "deleted":
-        contiki.unlink()
+        (clone / CONTIKI).unlink()
     elif model == "array":
-        contiki.write_text("[]", encoding="utf-8")
+        (clone / CONTIKI).write_text("[]", encoding="utf-8")
     args = ["gtm", "dot", *(("--around", around) if around else ())]
     dot = CliRunner().invoke(cli, args, env={"TRACELINK_WORKSPACE": str(clone)}, catch_exceptions=False)
     assert dot.exit_code == 0
@@ -428,36 +447,57 @@ def test_gtm_dot_output_is_unchanged(enacted, tmp_path, model, around):
     assert hashlib.sha256(dot.output.encode()).hexdigest() == GTM_DOT_DIGESTS[model, around]
 
 
-def test_warnings_are_unique_in_first_seen_order(enacted, tmp_path):
-    import shutil
-
-    ws, _, result = enacted
-    clone = tmp_path / "clone"
-    shutil.copytree(ws, clone)
-    gone = {"out/MapContiki/contiki.model.json", "out/MapRIOT/riot.model.json"}
+def test_dangling_endpoints_are_listed_once_in_node_order(enacted, tmp_path):
+    clone, mgm, enacted_map = clone_of(enacted, tmp_path)
+    gone = ("out/MapRIOT/riot.model.json", CONTIKI)
     for uri in gone:
         (clone / uri).unlink()
-    g = build_gtm(result.megamodel, clone)
-    expected = []
-    for res in result.megamodel.of_kind(ResourceKind.TRACE_MODEL):
-        for link in load_trace(read_text(clone, res.uri)).links:
-            for pair in ((s, t) for s in link.sources for t in link.targets):
-                for ref in pair:
-                    if not isinstance(ref, CodeSpan) and ref.model_uri in gone and str(ref) not in expected:
-                        expected.append(str(ref))
-    assert len(expected) == 10
-    assert [w.split(": model not loadable: ")[0] for w in g.warnings] == [
-        f"dangling trace endpoint {endpoint}" for endpoint in expected]
+    g = build_gtm(mgm, clone)
+    assert g == enacted_map
+    dangling = dangling_endpoints(g, mgm, clone)
+    assert len(dangling) == 10
+    assert list(dangling) == elements_of(g, *gone)
+    assert dangling == {n: f"model not loadable: [Errno 2] No such file or directory: '{clone / n.model_uri}'"
+                        for n in dangling}
 
 
 def test_model_that_is_no_object_dangles(enacted, tmp_path):
-    import shutil
+    clone, mgm, enacted_map = clone_of(enacted, tmp_path)
+    (clone / CONTIKI).write_text("[]", encoding="utf-8")
+    g = build_gtm(mgm, clone)
+    assert g == enacted_map
+    dangling = dangling_endpoints(g, mgm, clone)
+    assert list(dangling) == elements_of(g, CONTIKI) != []
+    assert set(dangling.values()) == {"model not loadable: model document must be an object"}
 
-    ws, _, result = enacted
-    clone = tmp_path / "clone"
-    shutil.copytree(ws, clone)
-    (clone / "out/MapContiki/contiki.model.json").write_text("[]", encoding="utf-8")
-    g = build_gtm(result.megamodel, clone)
-    assert g.warnings and all(
-        w.endswith("model not loadable: model document must be an object") for w in g.warnings)
-    assert any(e.dangling for e in g.edges)
+
+def _set(key, value):
+    def change(doc):
+        doc[key] = value
+    return change
+
+
+def _drop_source_b(doc):
+    doc["root"]["collections"]["networks"][0]["collections"]["platforms"].pop()
+
+
+@pytest.mark.parametrize("change, reason, path", [
+    (_set("metamodel", "Nope"), "metamodel 'Nope' is not registered", None),
+    (_set("metamodel", [1]), "metamodel '[1]' is not registered", None),
+    (_set("root", 0), "model not loadable: root: element must be an object", None),
+    (_drop_source_b, "path does not resolve", "networks[0].platforms[1]"),
+], ids=["unregistered", "unhashable-name", "not-conforming", "path-gone"])
+def test_dangling_endpoint_reasons(enacted, tmp_path, change, reason, path):
+    """Each reason but an unreadable file or a document that is no object,
+    which the tests above check; ``path`` is the one endpoint that dangles,
+    or None where every endpoint in the model does."""
+    clone, mgm, enacted_map = clone_of(enacted, tmp_path)
+    doc = json.loads((clone / CONTIKI).read_text(encoding="utf-8"))
+    change(doc)
+    (clone / CONTIKI).write_text(json.dumps(doc), encoding="utf-8")
+    g = build_gtm(mgm, clone)
+    assert g == enacted_map
+    expected = elements_of(g, CONTIKI) if path is None else [ElemNode(CONTIKI, path)]
+    dangling = dangling_endpoints(g, mgm, clone)
+    assert dangling == dict.fromkeys(expected, reason)
+    assert list(dangling) == expected != []

@@ -9,10 +9,11 @@ import json
 import pytest
 
 from tracelink.errors import TracelinkError
+from tracelink.gtm import _join
 from tracelink.megamodel import load_megamodel, megamodel_dot, save_megamodel
 from tracelink.model import parse_metamodel, parse_model
 from tracelink.process import parse_process
-from tracelink.trace import load_trace
+from tracelink.trace import load_trace, save_trace
 from tracelink.workspace import read_text
 
 REPLACEMENTS = (None, 0, 1.5, True, "x", [], {}, [1], {"a": 1})
@@ -48,10 +49,18 @@ def _megamodel(text, ws):
     megamodel_dot(mgm)
 
 
+def _trace(text, ws):
+    """Load, then save and reload the trace and join it into a map, as the
+    commands do."""
+    t = load_trace(text)
+    assert load_trace(save_trace(t)) == t
+    _join([t])
+
+
 # (name, workspace uri, loader); the megamodel is taken from the enactment.
 CASES = [
-    ("M2M trace", "traces/MapDataCollector.trace.json", lambda text, ws: load_trace(text)),
-    ("M2C trace", "traces/GenRIOT.trace.json", lambda text, ws: load_trace(text)),
+    ("M2M trace", "traces/MapDataCollector.trace.json", _trace),
+    ("M2C trace", "traces/GenRIOT.trace.json", _trace),
     ("process", "wsn-iot.proc.json", lambda text, ws: parse_process(text)),
     ("PIM metamodel", "PIMM.mm.json", lambda text, ws: parse_metamodel(text)),
     ("PSM metamodel", "PSMM.mm.json", lambda text, ws: parse_metamodel(text)),

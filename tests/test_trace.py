@@ -163,6 +163,19 @@ def test_span_field_that_is_no_integer_rejected(field, value):
         load_trace(json.dumps(data))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("id", 7), ("id", None), ("transformation", {"a": 1}), ("transformation", [1]),
+    ("executionStamp", True), ("executionStamp", 1.0), ("executionStamp", "3"),
+])
+def test_mistyped_header_field_rejected(field, value):
+    import json
+
+    data = json.loads(save_trace(_sample_trace()))
+    data[field] = value
+    with pytest.raises(IntegrityError, match="must be strings, executionStamp an integer"):
+        load_trace(json.dumps(data))
+
+
 def test_negative_span_rejected():
     with pytest.raises(IntegrityError):
         CodeSpan("f", 5, 4, 1, 1)
