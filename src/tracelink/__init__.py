@@ -24,8 +24,8 @@ _EXPORTS = {
                       " save_megamodel load_megamodel"),
         ("m2m", "TransformationM2M parse_m2m print_m2m execute_m2m augment_m2m strip_m2m"
                 " execute_augmented_m2m"),
-        ("m2c", "Template AnnotatedOutput parse_template print_template render augment_template"
-                " strip_template render_augmented extract_trace"),
+        ("m2c", "Template parse_template print_template render augment_template strip_template"
+                " render_traced"),
         ("trace", "TraceLink LocalTraceModel ElementRef CodeSpan TraceIdentifierTree"
                   " build_identifier_tree save_trace load_trace"),
         ("process", "ProcessModel ExecutionPlan EnactmentResult parse_process schedule enact"),

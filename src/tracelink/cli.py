@@ -184,7 +184,8 @@ def run_m2m(file: Path, inputs: tuple[str, ...], out_path: Path):
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
 @_handle_errors
 def run_m2c(file: Path, model_uri: str, out_dir: Path):
-    """Render one template with markers; extract the clean file plus trace."""
+    """Render one template with markers; write the clean file, its annotated
+    sidecar and the trace."""
     from . import m2c
     from .model import parse_model
 
@@ -192,14 +193,12 @@ def run_m2c(file: Path, model_uri: str, out_dir: Path):
     metamodels = _workspace_metamodels(root)
     t = m2c.parse_template(file.read_text(encoding="utf-8"), metamodels)
     model = parse_model(read_text(root, model_uri), t.metamodel, uri=model_uri)
-    augmented = m2c.augment_template(t)
-    annotated = m2c.render_augmented(augmented, model)
     clean_uri = (out_dir / t.name).as_posix()
-    clean, tr = m2c.extract_trace(
-        annotated, model_uri, clean_uri,
+    clean, annotated, tr = m2c.render_traced(
+        m2c.augment_template(t), model, model_uri, clean_uri,
         trace_id=f"trace:{file.stem}", transformation_id=f"TransformationM2C:{file.name}")
     write_text(root, clean_uri, clean)
-    write_text(root, clean_uri + ".annotated", annotated.text)
+    write_text(root, clean_uri + ".annotated", annotated)
     write_text(root, f"{TRACE_DIR}/{t.name}.trace.json", trace.save_trace(tr))
     click.echo(clean_uri)
 
@@ -327,7 +326,6 @@ def gtm_dot(around: str | None, radius: int):
     root = _workspace_root()
     mgm = _load_mgm(root)
     g = gtm.build_gtm(mgm, root)
-    anchor = None
     if around is not None:
         try:
             if "@" in around:
@@ -341,7 +339,8 @@ def gtm_dot(around: str | None, radius: int):
             anchor = gtm.origin_track(g, location=(file_uri, offset)).anchor
         else:
             anchor = gtm.ElemNode(uri, parse_path(path_text))
-    click.echo(gtm.export_dot(g, anchor, radius, gtm.dangling_endpoints(g, mgm, root)), nl=False)
+        g = gtm.slice_around(g, anchor, radius)  # only the drawn models are parsed
+    click.echo(gtm.export_dot(g, dangling=gtm.dangling_endpoints(g, mgm, root)), nl=False)
 
 
 @cli.group("trace")

@@ -154,14 +154,6 @@ class TemplateTypeError(TracelinkError):
         self.line = line
 
 
-class UnbalancedMarker(TracelinkError):
-    """Marker open/close tokens in annotated output violate stack discipline."""
-
-    def __init__(self, offset: int):
-        super().__init__(f"unbalanced marker at offset {offset}")
-        self.offset = offset
-
-
 class AnchorNotFound(TracelinkError):
     """The query anchor is not a node of the global trace map."""
 

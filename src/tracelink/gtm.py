@@ -276,26 +276,29 @@ def report_json(report: AnalysisReport) -> dict:
 # DOT export
 # ---------------------------------------------------------------------------
 
+def slice_around(g: GlobalTraceMap, around: TraceNode, radius: int) -> GlobalTraceMap:
+    """The subgraph induced by the nodes within ``radius`` undirected steps
+    of ``around``."""
+    if around not in g.nodes:
+        raise AnchorNotFound(str(around))
+    nodes = frozenset({around}.union(*islice(_bfs_layers(around, g.successors, g.predecessors), max(radius, 0))))
+    return GlobalTraceMap(nodes, frozenset(e for e in g.edges if e.src in nodes and e.dst in nodes))
+
+
 def export_dot(g: GlobalTraceMap, around: TraceNode | None = None, radius: int = 2,
                dangling: Collection[TraceNode] = ()) -> str:
-    """DOT text; with ``around`` set, only the induced subgraph within
-    ``radius`` undirected steps of the anchor. Edges with an endpoint in
-    ``dangling`` are dashed."""
-    nodes = set(g.nodes)
-    edges = set(g.edges)
+    """DOT text; with ``around`` set, only ``slice_around(g, around, radius)``.
+    Edges with an endpoint in ``dangling`` are dashed."""
     if around is not None:
-        if around not in g.nodes:
-            raise AnchorNotFound(str(around))
-        nodes = {around}.union(*islice(_bfs_layers(around, g.successors, g.predecessors), max(radius, 0)))
-        edges = {e for e in g.edges if e.src in nodes and e.dst in nodes}
+        g = slice_around(g, around, radius)
 
     lines = ["digraph gtm {", "  rankdir=LR;"]
     ids: dict[TraceNode, str] = {}
-    for i, node in enumerate(sorted(nodes, key=_node_key)):
+    for i, node in enumerate(sorted(g.nodes, key=_node_key)):
         ids[node] = f"n{i}"
         shape = "ellipse" if isinstance(node, ElemNode) else "note"
         lines.append(f'  n{i} [label="{_dot_escape(str(node))}" shape={shape}];')
-    for edge in sorted(edges, key=lambda e: (_node_key(e.src), _node_key(e.dst), e.via, e.rule_tag)):
+    for edge in sorted(g.edges, key=lambda e: (_node_key(e.src), _node_key(e.dst), e.via, e.rule_tag)):
         style = " style=dashed" if edge.src in dangling or edge.dst in dangling else ""
         lines.append(
             f'  {ids[edge.src]} -> {ids[edge.dst]} [label="{_dot_escape(edge.rule_tag)}"{style}];')

@@ -3,9 +3,11 @@
 ``*.m2c`` templates (grammar in docs/formats.md) render a model to text.
 The augmentation pass rewrites a template so that each loop iteration and
 each model-deriving conditional branch emits its element's identifier path
-between marker delimiters (``{{path}} ... {{/}}`` by default). Extraction
-removes the markers, recovering the original output byte-for-byte, and
-turns every marker region into a trace link targeting a code span.
+between marker delimiters (``{{path}} ... {{/}}`` by default). A traced
+render records each such region's element and byte span in the clean text
+as it writes, and puts the markers into the annotated text only, so the
+clean text is the plain render byte-for-byte whatever the model's values
+hold.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from .errors import (
     ConformanceError,
     EvalError,
     ParseError,
-    PathSyntaxError,
     TemplateTypeError,
     TransformationError,
-    UnbalancedMarker,
 )
 from .m2m import _escape, _Parser, _Token, _unescape
 from .model import (
@@ -35,7 +35,6 @@ from .model import (
     iter_elements,
     resolve_path,
 )
-from .paths import normalize_marker_path, parse_path
 from .trace import ElementRef, LocalTraceModel, TraceLink, span_at
 
 DEFAULT_MARKERS = ("{{", "}}")
@@ -126,16 +125,6 @@ class Template:
     param_class: str
     metamodel: Metamodel
     body: tuple[TemplateNode, ...]
-    marker_open: str = DEFAULT_MARKERS[0]
-    marker_close: str = DEFAULT_MARKERS[1]
-
-
-@dataclass(frozen=True)
-class AnnotatedOutput:
-    """Rendered text still carrying marker-delimited trace regions."""
-
-    text: str
-    template_name: str
     marker_open: str = DEFAULT_MARKERS[0]
     marker_close: str = DEFAULT_MARKERS[1]
 
@@ -466,15 +455,32 @@ def _to_text(value: object) -> str:
     return repr(value)
 
 
-def render(t: Template, m: Model) -> str:
-    """Render the template over a conforming model."""
+@dataclass(frozen=True)
+class _Region:
+    """A marker-wrapped body as ``render_traced`` walks it: the region of
+    ``target``'s element around ``body``. Its markers go to the annotated
+    text only."""
+
+    target: TNav
+    body: tuple[TemplateNode, ...]
+    line: int
+
+
+def _render(t: Template, m: Model) -> tuple[list[str], list[list]]:
+    """The one rendering walk. Returns the runs of clean text with each
+    ``_Region``'s markers between them (runs at even indexes, markers at odd
+    ones), and each region's [path, start byte, end byte] in the clean text,
+    in open order."""
     if m.metamodel_name != t.metamodel.name:
         raise ConformanceError("root", f"model conforms to '{m.metamodel_name}', template needs '{t.metamodel.name}'")
     if m.root.class_name != t.param_class:
         raise ConformanceError("root", f"model root is a '{m.root.class_name}', template needs a '{t.param_class}'")
     ensure_conforms(m, t.metamodel)
 
-    out: list[str] = []
+    out: list[str] = []  # pieces written since the last marker
+    runs: list[str] = []
+    regions: list[list] = []
+    offset = 0  # clean bytes before ``out``
     paths: dict[int, str] = {}  # id(element) -> path, built on first use
 
     def model_path(e: Element) -> str:
@@ -482,7 +488,20 @@ def render(t: Template, m: Model) -> str:
             paths.update((id(x), p) for p, x in iter_elements(m))
         return paths[id(e)]
 
+    def path_text(e: Element) -> str:
+        return t.param_var if e is m.root else f"{t.param_var}.{model_path(e)}"
+
+    def mark(marker: str) -> int:
+        """End the run of text before ``marker``; return the marker's clean byte offset."""
+        nonlocal offset
+        text = "".join(out)
+        out.clear()
+        runs.extend((text, marker))
+        offset += len(text.encode("utf-8"))
+        return offset
+
     class_named = t.metamodel.class_named
+    closer = t.marker_open + "/" + t.marker_close
 
     def eval_nav(nav: TNav, env: dict[str, object], line: int) -> object:
         current = env[nav.steps[0]]
@@ -528,8 +547,7 @@ def render(t: Template, m: Model) -> str:
         elif isinstance(expr, TIndex):
             out.append(str(env["i"]))
         elif isinstance(expr, TPathOf):
-            element = eval_nav(expr.target, env, line)
-            out.append(t.param_var if element is m.root else f"{t.param_var}.{model_path(element)}")
+            out.append(path_text(eval_nav(expr.target, env, line)))
         else:
             out.append(_to_text(eval_nav(expr, env, line)))
 
@@ -546,9 +564,48 @@ def render(t: Template, m: Model) -> str:
             elif isinstance(node, IfNode):
                 branch = node.then_body if eval_cond(node.cond, env, node.line) else node.else_body
                 run(branch, env)
+            elif isinstance(node, _Region):
+                element = eval_nav(node.target, env, node.line)
+                region = [model_path(element), mark(f"{t.marker_open}{path_text(element)}{t.marker_close}"), 0]
+                regions.append(region)
+                run(node.body, env)
+                region[2] = mark(closer)
 
     run(t.body, {t.param_var: m.root})
-    return "".join(out)
+    runs.append("".join(out))
+    return runs, regions
+
+
+def render(t: Template, m: Model) -> str:
+    """Render the template over a conforming model."""
+    return "".join(_render(t, m)[0])
+
+
+def render_traced(t: Template, m: Model, model_uri: str, clean_file_uri: str, *, trace_id: str = "",
+                  transformation_id: str = "", execution_stamp: int = 0) -> tuple[str, str, LocalTraceModel]:
+    """Render an augmented template; return (cleanText, annotatedText, trace).
+
+    The clean text is ``render`` of the stripped template; the annotated
+    text is ``render`` of ``t``, markers and all. Each marker-wrapped loop
+    body or branch that runs becomes one link, in the order the regions
+    open, from its element to its byte span in the clean text. Outer
+    regions span their whole extent, nested regions included.
+    """
+    if not is_template_augmented(t):
+        raise TransformationError(f"template '{t.name}' is not augmented")
+    traced = _rewrap(t, lambda body, inner: (_Region(body[1].expr.target, inner, body[1].line),))
+    runs, regions = _render(traced, m)
+    text = "".join(runs[::2])
+    newlines = [nl.start() for nl in re.finditer(b"\n", text.encode("utf-8"))]
+    links = tuple(
+        TraceLink(
+            sources=(ElementRef(model_uri, path),),
+            targets=(span_at(clean_file_uri, newlines, start, end),),
+            tags={"template": t.name},
+        )
+        for path, start, end in regions
+    )
+    return text, "".join(runs), LocalTraceModel(trace_id, transformation_id, execution_stamp, links)
 
 
 # ---------------------------------------------------------------------------
@@ -652,105 +709,34 @@ def augment_template(t: Template) -> Template:
     return replace(t, body=tuple(walk(t.body, {t.param_var: t.param_class}, t.param_var)))
 
 
-def strip_template(t: Template) -> Template:
-    """Undo augmentation: drop the injected marker nodes."""
+def _rewrap(t: Template, wrapped) -> Template:
+    """``t`` with each marker-wrapped body replaced by ``wrapped(body, inner)``,
+    where ``inner`` is the body's unwrapped content, itself rewrapped."""
 
     def walk(nodes):
         out = []
         for node in nodes:
             if isinstance(node, ForNode):
-                body = _unwrap(node.body, t) if _is_wrapped(node.body, t) else node.body
-                out.append(replace(node, body=tuple(walk(body))))
+                out.append(replace(node, body=fix(node.body)))
             elif isinstance(node, IfNode):
-                then_body = _unwrap(node.then_body, t) if _is_wrapped(node.then_body, t) else node.then_body
-                else_body = _unwrap(node.else_body, t) if _is_wrapped(node.else_body, t) else node.else_body
-                out.append(replace(node, then_body=tuple(walk(then_body)), else_body=tuple(walk(else_body))))
+                out.append(replace(node, then_body=fix(node.then_body), else_body=fix(node.else_body)))
             else:
                 out.append(node)
-        return out
+        return tuple(out)
 
-    return replace(t, body=tuple(walk(t.body)))
+    def fix(body):
+        return wrapped(body, walk(_unwrap(body, t))) if _is_wrapped(body, t) else walk(body)
+
+    return replace(t, body=walk(t.body))
+
+
+def strip_template(t: Template) -> Template:
+    """Undo augmentation: drop the injected marker nodes."""
+    return _rewrap(t, lambda body, inner: inner)
 
 
 def is_template_augmented(t: Template) -> bool:
     return augment_template(t) == t
-
-
-def render_augmented(t: Template, m: Model) -> AnnotatedOutput:
-    """Render an augmented template; the output carries marker regions."""
-    if not is_template_augmented(t):
-        raise TransformationError(f"template '{t.name}' is not augmented")
-    return AnnotatedOutput(render(t, m), t.name, t.marker_open, t.marker_close)
-
-
-# ---------------------------------------------------------------------------
-# Extraction
-# ---------------------------------------------------------------------------
-
-
-def extract_trace(
-    a: AnnotatedOutput,
-    model_uri: str,
-    clean_file_uri: str,
-    *,
-    trace_id: str = "",
-    transformation_id: str = "",
-    execution_stamp: int = 0,
-):
-    """Strip markers and recover (cleanText, LocalTraceModel).
-
-    Offsets are byte-based over the clean output. Outer regions span their
-    whole extent, nested regions included.
-    """
-    data = a.text.encode("utf-8")
-    open_b = a.marker_open.encode("utf-8")
-    close_b = a.marker_close.encode("utf-8")
-    closer_b = open_b + b"/" + close_b
-
-    clean = bytearray()
-    regions: list[list] = []  # [path, start, end], in open order
-    stack: list[int] = []
-    i = 0
-    while i < len(data):
-        if data.startswith(closer_b, i):
-            if not stack:
-                raise UnbalancedMarker(i)
-            regions[stack.pop()][2] = len(clean)
-            i += len(closer_b)
-        elif data.startswith(open_b, i):
-            j = data.find(close_b, i + len(open_b))
-            if j == -1:
-                raise UnbalancedMarker(i)
-            payload = data[i + len(open_b):j].decode("utf-8")
-            try:
-                path = normalize_marker_path(parse_path(payload))
-            except PathSyntaxError as exc:
-                raise PathSyntaxError(f"bad marker payload {payload!r}", i + len(open_b)) from exc
-            stack.append(len(regions))
-            regions.append([path, len(clean), -1])
-            i = j + len(close_b)
-        else:
-            k = data.find(open_b, i)
-            if k == -1:
-                clean += data[i:]
-                break
-            clean += data[i:k]
-            i = k
-    if stack:
-        raise UnbalancedMarker(len(data))
-
-    clean_bytes = bytes(clean)
-    newlines = [m.start() for m in re.finditer(b"\n", clean_bytes)]
-    links = tuple(
-        TraceLink(
-            sources=(ElementRef(model_uri, path),),
-            targets=(span_at(clean_file_uri, newlines, start, end),),
-            tags={"template": a.template_name},
-        )
-        for path, start, end in regions
-    )
-    trace = LocalTraceModel(trace_id, transformation_id, execution_stamp, links)
-    return clean_bytes.decode("utf-8"), trace
 
 
 # ---------------------------------------------------------------------------

@@ -105,15 +105,3 @@ def _syntax_error(s: str) -> PathSyntaxError:
 def print_path(p: ElementPath) -> str:
     return str(p)
 
-
-def normalize_marker_path(p: ElementPath) -> ElementPath:
-    """Make an extracted marker payload model-root-relative.
-
-    Marker payloads may carry the template's parameter alias as a leading
-    index-less segment; it is dropped. A payload that is nothing but an
-    index-less segment denotes the root element.
-    """
-    head, dot, rest = p.partition(".")
-    if "[" in head:
-        return p
-    return _canonical(rest) if dot else ROOT_PATH

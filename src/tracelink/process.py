@@ -470,12 +470,10 @@ def _run_m2c_action(action, tr_res, root, metamodels, pin_inputs, load_model, st
     clean_uri = f"{OUTPUT_DIR}/{action.id}/{template.name}"
     trace = None
     if augment:
-        augmented = m2c.augment_template(template)
-        annotated = m2c.render_augmented(augmented, model)
-        clean, trace = m2c.extract_trace(
-            annotated, in_uri, clean_uri,
+        clean, annotated, trace = m2c.render_traced(
+            m2c.augment_template(template), model, in_uri, clean_uri,
             trace_id=f"trace:{action.id}", transformation_id=tr_res.id, execution_stamp=stamp)
-        write_text(root, clean_uri + ".annotated", annotated.text)
+        write_text(root, clean_uri + ".annotated", annotated)
     else:
         clean = m2c.render(template, model)
     write_text(root, clean_uri, clean)

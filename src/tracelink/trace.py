@@ -173,7 +173,7 @@ class TraceTreeNode:
 
 
 class TraceIdentifierTree:
-    """Prefix tree over element paths extracted from annotated output."""
+    """Prefix tree over element paths, such as the sources of a trace's links."""
 
     def __init__(self):
         self.root = TraceTreeNode("root", None)

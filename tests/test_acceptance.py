@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tracelink import gtm
-from tracelink.m2c import augment_template, extract_trace, parse_template, render, render_augmented
+from tracelink.m2c import augment_template, parse_template, render, render_traced
 from tracelink.m2m import augment_m2m, execute_augmented_m2m, execute_m2m, parse_m2m
 from tracelink.megamodel import ResourceKind, ResourceOrigin, discover, load_megamodel, save_megamodel
 from tracelink.model import parse_metamodel, parse_model, serialize_metamodel, serialize_model
@@ -103,36 +103,45 @@ def test_criterion_2_strip_equivalence(tmp_path):
     for source, model, metamodels in cases:
         t = parse_template(source, metamodels)
         plain = render(t, model)
-        annotated = render_augmented(augment_template(t), model)
-        clean, trace = extract_trace(annotated, model.uri, t.name)
+        clean, annotated, trace = render_traced(augment_template(t), model, model.uri, t.name)
         assert clean == plain  # byte-exact strip-equivalence
-        # strict nesting: replay the marker scan with a plain stack
-        _assert_strict_nesting(annotated)
+        # strict nesting: replay the marker scan with a plain stack; it also
+        # re-derives each region's clean byte span, for the trace's links
+        spans = _assert_strict_nesting(annotated, t.marker_open, t.marker_close)
+        assert spans == [(str(link.sources[0].path), link.targets[0].start_byte, link.targets[0].end_byte)
+                         for link in trace.links]
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     report("criterion 2", f"strip-equivalence on {len(cases)} template/model pairs ({elapsed:.2f}s)")
 
 
-def _assert_strict_nesting(annotated):
-    text = annotated.text
-    opener, closer = annotated.marker_open, annotated.marker_close
+def _assert_strict_nesting(text, opener, closer):
+    """Check that the markers in ``text`` nest; return each region's payload
+    (without the template parameter) and clean byte span, in open order.
+    Holds only where no model value contains a delimiter."""
     end_token = opener + "/" + closer
-    depth = 0
+    spans = []
+    stack = []
+    clean_bytes = 0
     i = 0
     while i < len(text):
         if text.startswith(end_token, i):
-            depth -= 1
-            assert depth >= 0, "close without open"
+            assert stack, "close without open"
+            spans[stack.pop()][2] = clean_bytes
             i += len(end_token)
         elif text.startswith(opener, i):
             j = text.find(closer, i)
             assert j != -1, "unterminated marker"
-            depth += 1
+            _, dot, path = text[i + len(opener):j].partition(".")
+            stack.append(len(spans))
+            spans.append([path if dot else "root", clean_bytes, None])
             i = j + len(closer)
         else:
+            clean_bytes += len(text[i].encode("utf-8"))
             i += 1
-    assert depth == 0, "unclosed markers remain"
+    assert not stack, "unclosed markers remain"
+    return [tuple(span) for span in spans]
 
 
 # -----------------------------------------------------------------------------

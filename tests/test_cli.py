@@ -425,6 +425,34 @@ def test_run_m2c_produces_clean_annotated_and_trace(tmp_path, runner):
     assert "{{" not in clean and "{{" in annotated
 
 
+@pytest.mark.parametrize("name", ["a{{filters[0]}}b{{/}}c", "source{{/}}a"])
+def test_marker_text_in_a_model_value_is_generated_and_traced(tmp_path, runner, name):
+    """A device name that holds marker text reaches the code as written, and
+    its line leads back to the device."""
+    ws = copy_workspace(tmp_path)
+    pim = ws / "Input.pim.model.json"
+    doc = pim.read_text(encoding="utf-8")
+    assert doc.count('"source-a"') == 1
+    pim.write_text(doc.replace('"source-a"', json.dumps(name)), encoding="utf-8")
+    assert invoke(runner, ws, "discover", str(ws)).exit_code == 0
+    enacted = invoke(runner, ws, "enact", "wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json")
+    assert enacted.exit_code == 0, enacted.output
+
+    sink = (ws / "out/GenContiki/Sink.c").read_bytes()
+    line = f'  "{name}@10.0.0.11",\n'.encode()
+    assert sink.count(line) == 1
+    origin = invoke(runner, ws, "origin", "out/GenContiki/Sink.c", f"@{sink.index(line) + 3}")
+    assert origin.exit_code == 0, origin.output
+    assert origin.output.splitlines()[-1] == "==> Input.pim.model.json:wsn[0].device[0]"
+    device = json.loads(pim.read_text(encoding="utf-8"))["root"]["collections"]["wsn"][0]["collections"]["device"][0]
+    assert device["attrs"]["name"] == name
+
+    rendered = invoke(runner, ws, "run-m2c", str(ws / "GenContiki.m2c"),
+                      "--in", "out/MapContiki/contiki.model.json", "--out", "gen")
+    assert rendered.exit_code == 0, rendered.output
+    assert (ws / "gen/Sink.c").read_bytes() == sink
+
+
 def test_version_flag(runner):
     result = runner.invoke(cli, ["--version"])
     assert result.exit_code == 0

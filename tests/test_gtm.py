@@ -447,6 +447,25 @@ def test_gtm_dot_output_is_unchanged(enacted, tmp_path, model, around):
     assert hashlib.sha256(dot.output.encode()).hexdigest() == GTM_DOT_DIGESTS[model, around]
 
 
+def test_gtm_dot_around_parses_only_the_models_it_draws(enacted, tmp_path, monkeypatch):
+    from tracelink import gtm, model
+
+    clone, mgm, g = clone_of(enacted, tmp_path)
+    (clone / "megamodel.json").write_text(save_megamodel(mgm), encoding="utf-8")
+    parsed = []
+    original = model.parse_model
+    monkeypatch.setattr(gtm, "parse_model", lambda *a, **kw: parsed.append(kw["uri"]) or original(*a, **kw))
+    dot = CliRunner().invoke(cli, ["gtm", "dot", "--around", AROUND, "--radius", "1"],
+                             env={"TRACELINK_WORKSPACE": str(clone)}, catch_exceptions=False)
+    assert dot.exit_code == 0
+    # The anchor and its one-step neighbours, read off the whole map's edges.
+    anchor = ElemNode(*AROUND.split(":"))
+    edges = [e for e in g.edges if anchor in (e.src, e.dst)]
+    drawn = {anchor, *(n for e in edges for n in (e.src, e.dst))}
+    assert dot.output.count(" -> ") == len(edges) == 1
+    assert sorted(parsed) == sorted({n.model_uri for n in drawn if isinstance(n, ElemNode)})
+
+
 def test_dangling_endpoints_are_listed_once_in_node_order(enacted, tmp_path):
     clone, mgm, enacted_map = clone_of(enacted, tmp_path)
     gone = ("out/MapRIOT/riot.model.json", CONTIKI)

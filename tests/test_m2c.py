@@ -8,28 +8,24 @@ from tracelink.errors import (
     ConformanceError,
     EvalError,
     ParseError,
-    PathSyntaxError,
     TemplateTypeError,
-    UnbalancedMarker,
 )
 from tracelink.m2c import (
-    AnnotatedOutput,
     EmitNode,
     ForNode,
     IfNode,
     TextNode,
     augment_template,
-    extract_trace,
     is_template_augmented,
     parse_template,
     print_template,
     render,
-    render_augmented,
+    render_traced,
     strip_template,
 )
 from tracelink.m2m import execute_m2m, parse_m2m
 from tracelink.model import Element, Model, parse_metamodel, parse_model, resolve_path
-from tracelink.paths import normalize_marker_path, parse_path
+from tracelink.paths import ROOT_PATH, parse_path
 from tracelink.trace import build_identifier_tree
 
 from conftest import WORKSPACE_FIXTURE
@@ -180,8 +176,8 @@ def test_render_rejects_a_root_of_another_class_than_the_template_parameter():
 
 def test_loop_augmentation_emits_marker_per_iteration():
     aug = augment_template(loop_template())
-    annotated = render_augmented(aug, list_model(["a", "b"]))
-    assert annotated.text == (
+    _, annotated, _ = render_traced(aug, list_model(["a", "b"]), "m", "f")
+    assert annotated == (
         "{{sourceModel.elements[0]}}public String a;\n{{/}}"
         "{{sourceModel.elements[1]}}public String b;\n{{/}}"
     )
@@ -189,15 +185,15 @@ def test_loop_augmentation_emits_marker_per_iteration():
 
 def test_conditional_augmentation_wraps_then_with_governing_element():
     aug = augment_template(cond_template())
-    annotated = render_augmented(aug, plat_model(with_target=True))
-    assert annotated.text == "{{sourceModel.platforms[0]}}public String contiki;\n{{/}}"
+    _, annotated, _ = render_traced(aug, plat_model(with_target=True), "m", "f")
+    assert annotated == "{{sourceModel.platforms[0]}}public String contiki;\n{{/}}"
 
 
 def test_conditional_else_branch_stays_unwrapped():
     # The else branch emits no model-derived text, so no markers appear.
     aug = augment_template(cond_template())
-    annotated = render_augmented(aug, plat_model(with_target=False))
-    assert annotated.text == "public boolean improper = TRUE;\n"
+    _, annotated, _ = render_traced(aug, plat_model(with_target=False), "m", "f")
+    assert annotated == "public boolean improper = TRUE;\n"
 
 
 def test_pure_text_template_unchanged():
@@ -225,9 +221,8 @@ def test_else_branch_with_model_text_wrapped_with_enclosing_binder():
     aug = augment_template(t)
     model = plat_model(with_target=False)
     model.root.attrs["name"] = "gw"
-    annotated = render_augmented(aug, model)
-    assert annotated.text == "{{m}}fallback gw{{/}}"
-    clean, trace = extract_trace(annotated, "plat.model.json", "x")
+    clean, annotated, trace = render_traced(aug, model, "plat.model.json", "x")
+    assert annotated == "{{m}}fallback gw{{/}}"
     assert clean == "fallback gw"
     assert str(trace.links[0].sources[0].path) == "root"
 
@@ -240,21 +235,19 @@ def test_strip_template_inverts_augmentation():
 
 def test_nested_loops_realize_two_level_paths():
     aug = augment_template(nested_template())
-    annotated = render_augmented(aug, filters_model())
-    assert "{{sourceModel.filters[0].sections[1]}}" in annotated.text
-    assert "{{sourceModel.filters[1].sections[0]}}" in annotated.text
-    clean, trace = extract_trace(annotated, "filters.model.json", "filters.txt")
+    _, annotated, trace = render_traced(aug, filters_model(), "filters.model.json", "filters.txt")
+    assert "{{sourceModel.filters[0].sections[1]}}" in annotated
+    assert "{{sourceModel.filters[1].sections[0]}}" in annotated
     assert {str(p) for p in source_tree(trace).paths()} >= {
         "filters[0].sections[1]", "filters[1].sections[0]", "filters[0]", "filters[1]"}
 
 
-# -- extraction ------------------------------------------------------------------
+# -- traced rendering ------------------------------------------------------------
 
 def strip_equivalence(template_source, model, metamodels=None):
     t = parse_template(template_source, metamodels or ALL_METAMODELS)
     plain = render(t, model)
-    annotated = render_augmented(augment_template(t), model)
-    clean, trace = extract_trace(annotated, model.uri, t.name)
+    clean, annotated, trace = render_traced(augment_template(t), model, model.uri, t.name)
     assert clean == plain
     return annotated, trace
 
@@ -268,19 +261,10 @@ def test_strip_equivalence_on_inline_fixtures():
     strip_equivalence(PURE_TEXT_TEMPLATE, list_model(["a"]))
 
 
-def test_markerless_text_extracts_to_itself():
-    annotated = AnnotatedOutput("plain text, no markers\n", "x")
-    clean, trace = extract_trace(annotated, "m", "f")
-    assert clean == "plain text, no markers\n"
-    assert trace.links == ()
-    assert source_tree(trace).paths() == []
-
-
 def test_span_soundness_and_nesting():
     aug = augment_template(nested_template())
     model = filters_model()
-    annotated = render_augmented(aug, model)
-    clean, trace = extract_trace(annotated, model.uri, "filters.txt")
+    clean, _, trace = render_traced(aug, model, model.uri, "filters.txt")
     data = clean.encode()
     by_path = {str(link.sources[0].path): link.targets[0] for link in trace.links}
     inner = by_path["filters[0].sections[0]"]
@@ -293,26 +277,10 @@ def test_span_soundness_and_nesting():
 def test_extraction_link_order_is_document_order():
     aug = augment_template(nested_template())
     model = filters_model()
-    annotated = render_augmented(aug, model)
-    _, trace = extract_trace(annotated, model.uri, "f")
+    _, _, trace = render_traced(aug, model, model.uri, "f")
     opens = [str(link.sources[0].path) for link in trace.links]
     assert opens == ["filters[0]", "filters[0].sections[0]", "filters[0].sections[1]",
                      "filters[1]", "filters[1].sections[0]"]
-
-
-def test_unbalanced_markers_rejected():
-    with pytest.raises(UnbalancedMarker) as exc:
-        extract_trace(AnnotatedOutput("text {{/}} more", "x"), "m", "f")
-    assert exc.value.offset == 5
-    with pytest.raises(UnbalancedMarker):
-        extract_trace(AnnotatedOutput("{{a[0]}} unclosed", "x"), "m", "f")
-    with pytest.raises(UnbalancedMarker):
-        extract_trace(AnnotatedOutput("{{a[0]", "x"), "m", "f")
-
-
-def test_bad_marker_payload_is_a_path_error():
-    with pytest.raises(PathSyntaxError):
-        extract_trace(AnnotatedOutput("{{not a path!}}x{{/}}", "x"), "m", "f")
 
 
 def test_custom_marker_delimiters():
@@ -322,17 +290,15 @@ def test_custom_marker_delimiters():
     t = parse_template(source, ALL_METAMODELS)
     assert (t.marker_open, t.marker_close) == ("<<", ">>")
     model = list_model(["a"])
-    annotated = render_augmented(augment_template(t), model)
-    assert "<<m.elements[0]>>a,<</>>" in annotated.text
-    clean, trace = extract_trace(annotated, model.uri, t.name)
+    clean, annotated, trace = render_traced(augment_template(t), model, model.uri, t.name)
+    assert "<<m.elements[0]>>a,<</>>" in annotated
     assert clean == "literal {{ braces }} stay\na,"
     assert str(trace.links[0].sources[0].path) == "elements[0]"
 
 
 def test_template_tag_includes_template_name():
     aug = augment_template(loop_template())
-    annotated = render_augmented(aug, list_model(["a"]))
-    _, trace = extract_trace(annotated, "m", "f")
+    _, _, trace = render_traced(aug, list_model(["a"]), "m", "f")
     assert trace.links[0].tags == {"template": "listing.java"}
 
 
@@ -340,12 +306,58 @@ def test_render_augmented_requires_augmented_template():
     from tracelink.errors import TransformationError
 
     with pytest.raises(TransformationError):
-        render_augmented(loop_template(), list_model(["a"]))
+        render_traced(loop_template(), list_model(["a"]), "m", "f")
 
 
 def test_literal_emit_escapes_brackets():
     t = parse_template('[template x (m : ListMM!Root)]arr["[]"/] done[/template]', ALL_METAMODELS)
     assert render(t, list_model([])) == "arr[] done"
+
+
+# Values built from marker text of both delimiter pairs, quotes, a backslash,
+# non-ASCII text and a newline; the empty list gives the empty string.
+MARKER_TEXT = st.lists(st.sampled_from(
+    ["{{", "}}", "{{/}}", "{{filters[0]}}", "<<", ">>", "<</>>", '"', "\\", "é", "ок", "\n", "x"]),
+    max_size=5).map("".join)
+CUSTOM_FILTERS_TEMPLATE = (
+    '[template f.txt (m : FiltersMM!Root) markers("<<", ">>")]'
+    "[for (f : m.filters)][f.name/]:[for (s : f.sections)][s.title/];[/for]\n[/for][/template]"
+)
+
+
+def drawn_filters_model(filters):
+    root = Element("Root", collections={"filters": [
+        Element("Filter", {"name": name}, {"sections": [Element("Section", {"title": t}) for t in titles]})
+        for name, titles in filters]})
+    return Model("filters.model.json", "FiltersMM", root)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(MARKER_TEXT, max_size=3), st.lists(st.tuples(MARKER_TEXT, st.lists(MARKER_TEXT, max_size=3)),
+                                                    max_size=3))
+def test_marker_text_in_values_leaves_clean_text_and_spans_intact(names, filters):
+    # (template, model, each region's path and clean text, in open order)
+    cases = [
+        (LOOP_TEMPLATE, list_model(names),
+         [(f"elements[{i}]", f"public String {n};\n") for i, n in enumerate(names)]),
+        (NESTED_TEMPLATE, drawn_filters_model(filters),
+         [region for i, (_, titles) in enumerate(filters) for region in [
+             (f"filters[{i}]", "".join(f"{t};\n" for t in titles)),
+             *((f"filters[{i}].sections[{j}]", f"{t};\n") for j, t in enumerate(titles))]]),
+        (CUSTOM_FILTERS_TEMPLATE, drawn_filters_model(filters),
+         [region for i, (name, titles) in enumerate(filters) for region in [
+             (f"filters[{i}]", f"{name}:" + "".join(f"{t};" for t in titles) + "\n"),
+             *((f"filters[{i}].sections[{j}]", f"{t};") for j, t in enumerate(titles))]]),
+    ]
+    for source, model, regions in cases:
+        t = parse_template(source, ALL_METAMODELS)
+        clean, _, trace = render_traced(augment_template(t), model, model.uri, t.name)
+        assert clean == render(t, model)
+        data = clean.encode("utf-8")
+        spans = [link.targets[0] for link in trace.links]
+        assert all(0 <= s.start_byte <= s.end_byte <= len(data) for s in spans)
+        assert [(str(link.sources[0].path), data[s.start_byte:s.end_byte].decode("utf-8"))
+                for link, s in zip(trace.links, spans)] == regions
 
 
 # -- printing --------------------------------------------------------------------
@@ -371,9 +383,8 @@ def test_printed_plain_template_round_trips_bytes():
 
 def test_empty_collection_produces_no_markers():
     aug = augment_template(loop_template())
-    annotated = render_augmented(aug, list_model([]))
-    assert annotated.text == ""
-    clean, trace = extract_trace(annotated, "m", "f")
+    clean, annotated, trace = render_traced(aug, list_model([]), "m", "f")
+    assert annotated == ""
     assert (clean, trace.links, source_tree(trace).paths()) == ("", (), [])
 
 
@@ -420,13 +431,19 @@ def bound_elements(mm, model):
     return out
 
 
+def from_path_emit(text):
+    """The model path of a ``path()`` emit, which leads with the template's
+    parameter: ``v0`` is the root, ``v0.a[1]`` is ``a[1]``."""
+    _, dot, rest = text.partition(".")
+    return parse_path(rest) if dot else ROOT_PATH
+
+
 def assert_paths_resolve_to_bound_elements(mm, model):
     t = augment_template(parse_template(tree_template(mm, model.root.class_name), {mm.name: mm}))
-    clean, trace = extract_trace(render_augmented(t, model), model.uri, "tree.txt")
+    clean, _, trace = render_traced(t, model, model.uri, "tree.txt")
     expected = bound_elements(mm, model)
     marked = [resolve_path(model, link.sources[0].path) for link in trace.links]
-    emitted = [resolve_path(model, normalize_marker_path(parse_path(text)))
-               for text in re.split("[;|]", clean)[:-1]]
+    emitted = [resolve_path(model, from_path_emit(text)) for text in re.split("[;|]", clean)[:-1]]
     assert len(marked) == len(emitted) == len(expected)
     assert all(a is b for a, b in zip(marked, expected))
     assert all(a is b for a, b in zip(emitted, expected))

@@ -11,7 +11,6 @@ from tracelink.paths import (
     ROOT_PATH,
     ElementPath,
     PathSegment,
-    normalize_marker_path,
     parse_path,
     print_path,
 )
@@ -187,13 +186,6 @@ def test_copies_stay_paths(clone):
 def test_empty_segments_rejected():
     with pytest.raises(ValueError):
         ElementPath(())
-
-
-def test_normalize_drops_leading_alias():
-    assert str(normalize_marker_path(parse_path("sourceModel.elements[0]"))) == "elements[0]"
-    assert str(normalize_marker_path(parse_path("elements[0]"))) == "elements[0]"
-    assert normalize_marker_path(parse_path("sourceModel")) == ROOT_PATH
-    assert normalize_marker_path(parse_path("root")) == ROOT_PATH
 
 
 def test_sort_key_orders_indices_numerically():

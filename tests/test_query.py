@@ -317,7 +317,7 @@ def test_query_commands_import_only_the_query_modules(enacted_ws):
         assert "tracelink.gtm" in modules
 
 
-# The package's public names before its imports turned lazy.
+# The package's public names, each of which its lazy imports must bind.
 PUBLIC = [
     "TracelinkError", "ElementPath", "PathSegment", "parse_path", "print_path", "Metamodel",
     "Model", "Element", "Violation", "parse_metamodel", "serialize_metamodel", "parse_model",
@@ -325,8 +325,8 @@ PUBLIC = [
     "ResourceEntry", "Relation", "ResourceKind", "ResourceOrigin", "discover", "register",
     "save_megamodel", "load_megamodel", "TransformationM2M", "parse_m2m", "print_m2m",
     "execute_m2m", "augment_m2m", "strip_m2m", "execute_augmented_m2m", "Template",
-    "AnnotatedOutput", "parse_template", "print_template", "render", "augment_template",
-    "strip_template", "render_augmented", "extract_trace", "TraceLink", "LocalTraceModel",
+    "parse_template", "print_template", "render", "augment_template", "strip_template",
+    "render_traced", "TraceLink", "LocalTraceModel",
     "ElementRef", "CodeSpan", "TraceIdentifierTree", "build_identifier_tree", "save_trace",
     "load_trace", "ProcessModel", "ExecutionPlan", "EnactmentResult", "parse_process",
     "schedule", "enact", "GlobalTraceMap", "build_gtm", "change_impact", "origin_track",
