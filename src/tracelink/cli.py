@@ -8,6 +8,7 @@ any error exits nonzero.
 from __future__ import annotations
 
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -287,13 +288,14 @@ def origin(file_uri: str, location: str, fmt: str):
 
 
 def _location_to_byte(root: Path, file_uri: str, location: str) -> int:
-    try:
-        if location.startswith("@"):
-            return int(location[1:])
-        line_s, col_s = location.split(":", 1)
-        line, col = int(line_s), int(col_s)
-    except ValueError:
+    # ASCII digits only, as in path indexes; int() alone also reads "1_0", " 3", "+3" and "١٠".
+    match = re.fullmatch(r"@([0-9]+)|([0-9]+):([0-9]+)", location)
+    if match is None:
         _fail(f"location must be LINE:COL or @BYTE, got {location!r}")
+    byte, line_s, col_s = match.groups()
+    if byte is not None:
+        return int(byte)
+    line, col = int(line_s), int(col_s)
     lines = (root / file_uri).read_bytes().split(b"\n")
     if line < 1 or line > len(lines):
         _fail(f"{file_uri} has no line {line}")

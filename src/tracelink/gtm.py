@@ -23,7 +23,7 @@ from functools import cache, cached_property
 from itertools import accumulate, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import AnchorNotFound, LocationOutsideSpans, ParseError, TracelinkError
 from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels, trace_scope
@@ -38,8 +38,7 @@ CodeNode = CodeSpan
 TraceNode = ElemNode | CodeNode
 
 
-@dataclass(frozen=True)
-class GtmEdge:
+class GtmEdge(NamedTuple):
     src: TraceNode
     dst: TraceNode
     via: str  # transformation resource id
@@ -83,7 +82,11 @@ class AnalysisReport:
     kind: str  # "impact" or "origin"
     anchor: TraceNode
     layers: tuple[frozenset[TraceNode], ...]
-    rendered: str
+
+    @property
+    def rendered(self) -> str:
+        """The report's text, built when read."""
+        return _render(self.anchor, self.layers)
 
 
 def _node_key(node: TraceNode) -> tuple:
@@ -214,8 +217,7 @@ def change_impact(g: GlobalTraceMap, anchor: ElemNode) -> AnalysisReport:
     """Forward closure: everything derived from the anchor element."""
     if anchor not in g.nodes:
         raise AnchorNotFound(str(anchor))
-    layers = tuple(_bfs_layers(anchor, g.successors))
-    return AnalysisReport("impact", anchor, layers, _render(anchor, layers))
+    return AnalysisReport("impact", anchor, tuple(_bfs_layers(anchor, g.successors)))
 
 
 def origin_track(g: GlobalTraceMap, anchor: TraceNode | None = None,
@@ -231,8 +233,7 @@ def origin_track(g: GlobalTraceMap, anchor: TraceNode | None = None,
         anchor = _enclosing_span(g, *location)
     if anchor not in g.nodes:
         raise AnchorNotFound(str(anchor))
-    layers = tuple(_bfs_layers(anchor, g.predecessors))
-    return AnalysisReport("origin", anchor, layers, _render(anchor, layers))
+    return AnalysisReport("origin", anchor, tuple(_bfs_layers(anchor, g.predecessors)))
 
 
 def _enclosing_span(g: GlobalTraceMap, file_uri: str, offset: int) -> CodeNode:

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import IntegrityError, ParseError
 from .model import _load_json, canonical_json
 from .paths import ROOT_PATH, ElementPath, parse_path
 
 
-@dataclass(frozen=True)
-class ElementRef:
+class ElementRef(NamedTuple):
     """An element of a model, addressed by workspace-relative URI plus path."""
 
     model_uri: str
@@ -26,23 +26,26 @@ class ElementRef:
         return f"{self.model_uri}:{self.path}"
 
 
-@dataclass(frozen=True)
-class CodeSpan:
+class CodeSpan(NamedTuple("CodeSpan", [("file_uri", str), ("start_byte", int), ("end_byte", int),
+                                       ("start_line", int), ("start_col", int)])):
     """Half-open byte range [start_byte, end_byte) in a generated file.
 
     Line and column are 1-based and derived from the byte offsets over the
     clean (marker-free) file content.
     """
 
-    file_uri: str
-    start_byte: int
-    end_byte: int
-    start_line: int
-    start_col: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.start_byte <= self.end_byte):
-            raise IntegrityError(f"bad span [{self.start_byte}, {self.end_byte})")
+    def __new__(cls, file_uri: str, start_byte: int, end_byte: int, start_line: int, start_col: int):
+        if not 0 <= start_byte <= end_byte:
+            raise IntegrityError(f"bad span [{start_byte}, {end_byte})")
+        if start_line < 1 or start_col < 1:
+            raise IntegrityError(f"bad span start {start_line}:{start_col}")
+        return tuple.__new__(cls, (file_uri, start_byte, end_byte, start_line, start_col))
+
+    @classmethod
+    def _make(cls, fields) -> CodeSpan:  # so that _replace checks the span too
+        return cls(*fields)
 
     def __str__(self) -> str:
         return f"{self.file_uri}:{self.start_line}:{self.start_col}"

@@ -261,6 +261,17 @@ def test_origin_rejects_bad_locations(enacted_ws, runner, location):
     assert_one_line_error(invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", location))
 
 
+def test_origin_location_is_ascii_digits_only(enacted_ws, runner):
+    # int() reads each bad location as one of the plain ones, which are answered.
+    for plain in ("9:3", "@200"):
+        assert invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", plain).exit_code == 0
+    for location in ["0_9:3", "\u0669:3", "9:+3", "9: 3", " 9:3", "9:3\n",
+                     "@2_00", "@ 200", "@\u0662\u0660\u0660", "@+200", "@-1"]:
+        result = invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", location)
+        assert result.exit_code == 1, location
+        assert result.output == f"error: location must be LINE:COL or @BYTE, got {location!r}\n"
+
+
 def test_origin_column_counts_within_its_line(enacted_ws, runner):
     clean = (enacted_ws / "out/GenContiki/Sink.c").read_bytes()
     offset = clean.find(b'"sink-0')

@@ -95,6 +95,22 @@ def test_map_nodes_are_the_traces_own_endpoints(enacted):
     assert by_text in g.nodes and ElementRef(by_text.model_uri, paths.parse_path(by_text.path)) in g.nodes
 
 
+def test_a_node_by_text_is_the_node_load_trace_builds(enacted):
+    ws, _, result = enacted
+    loaded = load_trace(read_text(ws, "traces/MapContiki.trace.json")).links[0].sources[0]
+    by_text = ElemNode(loaded.model_uri, str(loaded.path))
+    assert type(by_text.path) is str and type(loaded.path) is paths.ElementPath
+    assert by_text == loaded and hash(by_text) == hash(loaded) and {by_text: 1}[loaded] == 1
+
+
+def test_edges_are_tuples_of_their_fields():
+    a, b = ElemNode("a", "x[0]"), CodeNode("f", 0, 1, 1, 1)
+    edge = GtmEdge(a, b, "Gen", "r")
+    assert edge == (a, b, "Gen", "r") and hash(edge) == hash((a, b, "Gen", "r"))
+    assert (edge.src, edge.dst, edge.via, edge.rule_tag) == (a, b, "Gen", "r")
+    assert repr(edge).startswith("GtmEdge(src=ElementRef(model_uri='a', path='x[0]'), dst=CodeSpan(")
+
+
 def test_anchor_without_outgoing_edges_has_empty_layers(tmp_path):
     mgm, _ = write_chain(tmp_path, [
         [(("a.model.json", "items[0]"), ("b.model.json", "items[0]"))],

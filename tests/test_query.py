@@ -159,6 +159,21 @@ def test_cli_answers_equal_full_map(enacted_ws, monkeypatch):
     assert statuses == {0, 1}  # answers, and AnchorNotFound / LocationOutsideSpans
 
 
+def test_only_text_output_renders(enacted_ws, monkeypatch):
+    def refuse(anchor, layers):
+        raise AssertionError(f"rendered the report of {anchor}")
+
+    monkeypatch.setattr(gtm, "_render", refuse)
+    g = build_gtm(megamodel.load_megamodel(read_text(enacted_ws, "megamodel.json")), enacted_ws)
+    impact = change_impact(g, ElemNode(PIM, "indirect[0].indirectdevice[0]"))
+    origin = origin_track(g, location=(SINK, (enacted_ws / SINK).read_bytes().find(b'"sink-0')))
+    assert impact.layers and origin.layers
+    assert run(enacted_ws, "impact", PIM, "indirect[0].indirectdevice[0]", "--format", "json")[0] == 0
+    assert run(enacted_ws, "origin", SINK, "9:1", "--format", "json")[0] == 0
+    with pytest.raises(AssertionError, match="rendered the report"):
+        impact.rendered
+
+
 def count_reads(monkeypatch):
     counts = {"load_trace": 0, "parse_model": 0}
     for name in counts:

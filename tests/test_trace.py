@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -179,6 +181,56 @@ def test_mistyped_header_field_rejected(field, value):
 def test_negative_span_rejected():
     with pytest.raises(IntegrityError):
         CodeSpan("f", 5, 4, 1, 1)
+
+
+@pytest.mark.parametrize("line, col", [(0, 1), (1, 0), (0, -3), (-1, 5)])
+def test_span_starting_before_line_or_column_one_rejected(line, col):
+    with pytest.raises(IntegrityError, match=f"bad span start {line}:{col}"):
+        CodeSpan("f", 0, 1, line, col)
+
+
+def test_stored_span_at_line_zero_rejected():
+    import json
+
+    data = json.loads(save_trace(_sample_trace()))
+    data["links"][1]["targets"][0].update(startLine=0, startCol=-3)
+    with pytest.raises(IntegrityError, match="bad span start 0:-3"):
+        load_trace(json.dumps(data))
+
+
+def test_endpoints_are_tuples_of_their_fields():
+    ref, span = ElementRef("m", parse_path("a[0]")), CodeSpan("f", 0, 3, 1, 1)
+    assert ref == ("m", "a[0]") and hash(ref) == hash(("m", "a[0]"))
+    assert span == ("f", 0, 3, 1, 1) and hash(span) == hash(("f", 0, 3, 1, 1))
+    assert repr(ref) == "ElementRef(model_uri='m', path=parse_path('a[0]'))"
+    assert repr(span) == "CodeSpan(file_uri='f', start_byte=0, end_byte=3, start_line=1, start_col=1)"
+    assert (str(ref), str(span)) == ("m:a[0]", "f:1:1")
+
+
+@given(uri=st.text(max_size=5), index=st.integers(0, 20), start=st.integers(0, 20),
+       length=st.integers(0, 20), line=st.integers(1, 20), col=st.integers(1, 20))
+def test_an_element_ref_never_equals_a_code_span(uri, index, start, length, line, col):
+    ref, span = ElementRef(uri, parse_path(f"a[{index}]")), CodeSpan(uri, start, start + length, line, col)
+    assert ref != span and span != ref and len({ref, span}) == 2
+
+
+@pytest.mark.parametrize("endpoint", [ElementRef("m", parse_path("x_1[10].y")), CodeSpan("f", 2, 9, 1, 3)],
+                         ids=["element", "code"])
+def test_endpoints_copy_and_pickle(endpoint):
+    for twin in (copy.copy(endpoint), copy.deepcopy(endpoint), pickle.loads(pickle.dumps(endpoint))):
+        assert twin == endpoint and type(twin) is type(endpoint) and str(twin) == str(endpoint)
+    assert type(pickle.loads(pickle.dumps(endpoint))[1]) is type(endpoint[1])
+
+
+def test_rebuilding_a_bad_span_rejected():
+    span = CodeSpan("f", 2, 9, 1, 3)
+    with pytest.raises(IntegrityError, match=r"bad span \[9, 2\)"):
+        span._replace(start_byte=9, end_byte=2)
+    with pytest.raises(IntegrityError, match="bad span start 0:3"):
+        CodeSpan._make(["f", 2, 9, 0, 3])
+    rebuild, args = span.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]  # what pickle.loads calls
+    with pytest.raises(IntegrityError, match=r"bad span \[-1, 9\)"):
+        rebuild(args[0], "f", -1, 9, 1, 3)
 
 
 def test_malformed_trace_json():
