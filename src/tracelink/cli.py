@@ -1,18 +1,18 @@
 """Command-line frontend: discovery, augmentation, enactment, analysis.
 
 All commands are workspace-relative; the workspace root is the current
-directory unless TRACELINK_WORKSPACE is set. Diagnostics go to stderr and
-any error exits nonzero.
+directory unless TRACELINK_WORKSPACE is set. Output goes to stdout. An error
+prints one ``error:`` line on stderr and exits 2 for a usage error, 1 for
+any other.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
+import os
 import re
 import sys
 from pathlib import Path
-
-import click
 
 from . import __version__, gtm, megamodel, trace
 from .errors import AmbiguousMetamodel, AnchorNotFound, TracelinkError
@@ -21,29 +21,17 @@ from .model import canonical_json, parse_metamodel
 from .paths import parse_path
 from .workspace import MEGAMODEL_FILE, OUTPUT_DIR, TRACE_DIR, read_text, workspace_lock, write_text
 
+# ASCII digits only, as in path indexes; int() alone also reads "1_0", " 3", "+3" and "١٠".
+_AT_BYTE = "@([0-9]+)"
+
 
 def _workspace_root() -> Path:
-    import os
-
     return Path(os.environ.get("TRACELINK_WORKSPACE", ".")).resolve()
 
 
-def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except TracelinkError as exc:
-            _fail(str(exc))
-        except OSError as exc:
-            _fail(str(exc))
-
-    return wrapper
+def _fail(message: str, status: int = 1):
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(status)
 
 
 def _load_mgm(root: Path) -> Megamodel:
@@ -66,15 +54,6 @@ def _workspace_metamodels(root: Path) -> dict:
     return out
 
 
-@click.group()
-@click.version_option(__version__, prog_name="tracelink")
-def cli():
-    """Enact transformation chains and answer end-to-end trace queries."""
-
-
-@cli.command()
-@click.argument("directory", type=click.Path(path_type=Path))
-@_handle_errors
 def discover(directory: Path):
     """Register workspace resources and write megamodel.json."""
     mgm = megamodel.discover(directory)
@@ -82,41 +61,30 @@ def discover(directory: Path):
     for kind in ResourceKind:
         count = len(mgm.of_kind(kind))
         if count:
-            click.echo(f"{kind.value}: {count}")
-    click.echo(f"registered {len(mgm.resources)} resources, {len(mgm.relations)} relations")
+            print(f"{kind.value}: {count}")
+    print(f"registered {len(mgm.resources)} resources, {len(mgm.relations)} relations")
 
 
-@cli.group()
-def mgm():
-    """Inspect the stored megamodel."""
-
-
-@mgm.command("show")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@_handle_errors
 def mgm_show(fmt: str):
+    """List the registered resources."""
     root = _workspace_root()
     m = _load_mgm(root)
     if fmt == "json":
-        click.echo(megamodel.save_megamodel(m), nl=False)
+        sys.stdout.write(megamodel.save_megamodel(m))
         return
     width = max((len(r.kind.value) for r in m.resources), default=4)
     owidth = max((len(r.origin.value) for r in m.resources), default=6)
     for res in sorted(m.resources, key=lambda r: (r.kind.value, r.uri)):
-        click.echo(f"{res.kind.value:<{width}}  {res.origin.value:<{owidth}}  {res.uri}")
-    click.echo(f"resources: {len(m.resources)}  relations: {len(m.relations)}")
+        print(f"{res.kind.value:<{width}}  {res.origin.value:<{owidth}}  {res.uri}")
+    print(f"resources: {len(m.resources)}  relations: {len(m.relations)}")
 
 
-@mgm.command("dot")
-@_handle_errors
 def mgm_dot():
+    """Draw the megamodel in Graphviz DOT."""
     root = _workspace_root()
-    click.echo(megamodel.megamodel_dot(_load_mgm(root)), nl=False)
+    sys.stdout.write(megamodel.megamodel_dot(_load_mgm(root)))
 
 
-@cli.command("augment-m2m")
-@click.argument("file", type=click.Path(path_type=Path))
-@_handle_errors
 def augment_m2m_cmd(file: Path):
     """Write FILE.aug.m2m with trace clauses on every target pattern."""
     from . import m2m
@@ -126,12 +94,9 @@ def augment_m2m_cmd(file: Path):
     t = m2m.parse_m2m(file.read_text(encoding="utf-8"), metamodels)
     out = file.with_name(file.name + ".aug.m2m")
     out.write_text(m2m.print_m2m(m2m.augment_m2m(t)), encoding="utf-8", newline="")
-    click.echo(str(out))
+    print(out)
 
 
-@cli.command("augment-m2c")
-@click.argument("file", type=click.Path(path_type=Path))
-@_handle_errors
 def augment_m2c_cmd(file: Path):
     """Write FILE.aug.m2c with identifier-path markers inserted."""
     from . import m2c
@@ -141,15 +106,10 @@ def augment_m2c_cmd(file: Path):
     t = m2c.parse_template(file.read_text(encoding="utf-8"), metamodels)
     out = file.with_name(file.name + ".aug.m2c")
     out.write_text(m2c.print_template(m2c.augment_template(t)), encoding="utf-8", newline="")
-    click.echo(str(out))
+    print(out)
 
 
-@cli.command("run-m2m")
-@click.argument("file", type=click.Path(path_type=Path))
-@click.option("--in", "inputs", multiple=True, metavar="ALIAS=MODEL", help="bind an input alias")
-@click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
-@_handle_errors
-def run_m2m(file: Path, inputs: tuple[str, ...], out_path: Path):
+def run_m2m(file: Path, inputs: list[str], out_path: Path):
     """Execute one M2M file; augmented files also write OUT.trace.json."""
     from . import m2m
     from .model import parse_model, serialize_model
@@ -176,14 +136,9 @@ def run_m2m(file: Path, inputs: tuple[str, ...], out_path: Path):
     else:
         result = m2m.execute_m2m(t, models, metamodels, out_uri)
     write_text(root, out_uri, serialize_model(result))
-    click.echo(out_uri)
+    print(out_uri)
 
 
-@cli.command("run-m2c")
-@click.argument("file", type=click.Path(path_type=Path))
-@click.option("--in", "model_uri", required=True, metavar="MODEL")
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
-@_handle_errors
 def run_m2c(file: Path, model_uri: str, out_dir: Path):
     """Render one template with markers; write the clean file, its annotated
     sidecar and the trace."""
@@ -201,15 +156,10 @@ def run_m2c(file: Path, model_uri: str, out_dir: Path):
     write_text(root, clean_uri, clean)
     write_text(root, clean_uri + ".annotated", annotated)
     write_text(root, f"{TRACE_DIR}/{t.name}.trace.json", trace.save_trace(tr))
-    click.echo(clean_uri)
+    print(clean_uri)
 
 
-@cli.command()
-@click.argument("process_uri")
-@click.option("--bind", "binds", multiple=True, metavar="PIN=MODEL", help="bind an external input pin")
-@click.option("--no-augment", is_flag=True, help="run bare transformations, no traces")
-@_handle_errors
-def enact(process_uri: str, binds: tuple[str, ...], no_augment: bool):
+def enact(process_uri: str, binds: list[str], no_augment: bool):
     """Enact a process: run all actions, register artifacts and traces."""
     from . import process
 
@@ -242,8 +192,8 @@ def enact(process_uri: str, binds: tuple[str, ...], no_augment: bool):
         }
         write_text(root, f"{OUTPUT_DIR}/enactment.json", canonical_json(summary))
     for line in result.log:
-        click.echo(line)
-    click.echo(f"registered {len(result.artifacts)} artifacts, {len(result.traces)} traces")
+        print(line)
+    print(f"registered {len(result.artifacts)} artifacts, {len(result.traces)} traces")
 
 
 def _suggest_anchor(g: gtm.GlobalTraceMap, model_uri: str, path_text: str) -> str:
@@ -255,11 +205,6 @@ def _suggest_anchor(g: gtm.GlobalTraceMap, model_uri: str, path_text: str) -> st
     return f"; did you mean '{close[0]}'?" if close else ""
 
 
-@cli.command()
-@click.argument("model_uri")
-@click.argument("path_text", metavar="PATH")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@_handle_errors
 def impact(model_uri: str, path_text: str, fmt: str):
     """Everything reachable from a model element, layer by layer."""
     root = _workspace_root()
@@ -269,15 +214,9 @@ def impact(model_uri: str, path_text: str, fmt: str):
         report = gtm.change_impact(g, anchor)
     except AnchorNotFound as exc:
         _fail(str(exc) + _suggest_anchor(g, model_uri, path_text))
-        return
     _emit_report(root, report, fmt, "impact")
 
 
-@cli.command()
-@click.argument("file_uri")
-@click.argument("location", metavar="LINE:COL|@BYTE")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@_handle_errors
 def origin(file_uri: str, location: str, fmt: str):
     """Trace a code location back to the model elements it came from."""
     root = _workspace_root()
@@ -288,8 +227,7 @@ def origin(file_uri: str, location: str, fmt: str):
 
 
 def _location_to_byte(root: Path, file_uri: str, location: str) -> int:
-    # ASCII digits only, as in path indexes; int() alone also reads "1_0", " 3", "+3" and "١٠".
-    match = re.fullmatch(r"@([0-9]+)|([0-9]+):([0-9]+)", location)
+    match = re.fullmatch(f"{_AT_BYTE}|([0-9]+):([0-9]+)", location)
     if match is None:
         _fail(f"location must be LINE:COL or @BYTE, got {location!r}")
     byte, line_s, col_s = match.groups()
@@ -311,65 +249,123 @@ def _emit_report(root: Path, report: gtm.AnalysisReport, fmt: str, name: str):
     else:
         text = report.rendered
     write_text(root, f"{OUTPUT_DIR}/reports/{name}.txt", text)
-    click.echo(text, nl=False)
+    sys.stdout.write(text)
 
 
-@cli.group("gtm")
-def gtm_group():
-    """Global trace map exports."""
-
-
-@gtm_group.command("dot")
-@click.option("--around", metavar="MODEL:PATH|FILE@BYTE", default=None,
-              help="slice the map around an anchor")
-@click.option("--radius", type=int, default=2, show_default=True)
-@_handle_errors
 def gtm_dot(around: str | None, radius: int):
+    """Draw the global trace map in Graphviz DOT."""
     root = _workspace_root()
     mgm = _load_mgm(root)
     g = gtm.build_gtm(mgm, root)
     if around is not None:
-        try:
-            if "@" in around:
-                file_uri, offset_s = around.rsplit("@", 1)
-                offset = int(offset_s)
-            else:
-                uri, path_text = around.rsplit(":", 1)
-        except ValueError:
+        # An anchor with an "@" is FILE@BYTE; without, MODEL:PATH splits at its last ":".
+        match = re.fullmatch(f"(.*){_AT_BYTE}|([^@]*):([^@:]*)", around, re.DOTALL)
+        if match is None:
             _fail(f"--around must be MODEL:PATH or FILE@BYTE, got {around!r}")
-        if "@" in around:
-            anchor = gtm.origin_track(g, location=(file_uri, offset)).anchor
-        else:
-            anchor = gtm.ElemNode(uri, parse_path(path_text))
+        file_uri, byte, uri, path_text = match.groups()
+        anchor = (gtm.origin_track(g, location=(file_uri, int(byte))).anchor if byte is not None
+                  else gtm.ElemNode(uri, parse_path(path_text)))
         g = gtm.slice_around(g, anchor, radius)  # only the drawn models are parsed
-    click.echo(gtm.export_dot(g, dangling=gtm.dangling_endpoints(g, mgm, root)), nl=False)
+    sys.stdout.write(gtm.export_dot(g, dangling=gtm.dangling_endpoints(g, mgm, root)))
 
 
-@cli.group("trace")
-def trace_group():
-    """Inspect stored trace models."""
-
-
-@trace_group.command("show")
-@click.argument("file", type=click.Path(path_type=Path))
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@_handle_errors
 def trace_show(file: Path, fmt: str):
-    text = file.read_text(encoding="utf-8")
-    t = trace.load_trace(text)
+    """List a trace model's links."""
+    t = trace.load_trace(file.read_text(encoding="utf-8"))
     if fmt == "json":
-        click.echo(trace.save_trace(t), nl=False)
+        sys.stdout.write(trace.save_trace(t))
         return
-    click.echo(f"{t.id} (for {t.transformation_id}, stamp {t.execution_stamp})")
+    print(f"{t.id} (for {t.transformation_id}, stamp {t.execution_stamp})")
     for link in t.links:
         tags = " ".join(f"{k}={v}" for k, v in sorted(link.tags.items()))
         sources = ", ".join(str(s) for s in link.sources)
         targets = ", ".join(str(x) for x in link.targets)
-        click.echo(f"  [{tags}] {sources} -> {targets}")
+        print(f"  [{tags}] {sources} -> {targets}")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        _fail(message, status=2)
+
+
+def _parser() -> _Parser:
+    def command(commands, name: str, run=None, doc: str | None = None, fmt: bool = False):
+        doc = " ".join((doc or run.__doc__).split())
+        parser = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        parser.set_defaults(run=run, group=parser)  # a group runs nothing and prints its help
+        if fmt:
+            parser.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
+        return parser
+
+    def subcommands(parser):
+        return parser.add_subparsers(title="commands", metavar="COMMAND")
+
+    top = _Parser(prog="tracelink", allow_abbrev=False,
+                  description="Enact transformation chains and answer end-to-end trace queries.")
+    top.add_argument("--version", action="version", version=f"tracelink, version {__version__}")
+    top.set_defaults(run=None, group=top)
+    commands = subcommands(top)
+    command(commands, "discover", discover).add_argument("directory", metavar="DIRECTORY", type=Path)
+    mgm = subcommands(command(commands, "mgm", doc="Inspect the stored megamodel."))
+    command(mgm, "show", mgm_show, fmt=True)
+    command(mgm, "dot", mgm_dot)
+    command(commands, "augment-m2m", augment_m2m_cmd).add_argument("file", metavar="FILE", type=Path)
+    command(commands, "augment-m2c", augment_m2c_cmd).add_argument("file", metavar="FILE", type=Path)
+    p = command(commands, "run-m2m", run_m2m)
+    p.add_argument("file", metavar="FILE", type=Path)
+    p.add_argument("--in", dest="inputs", action="append", default=[], metavar="ALIAS=MODEL",
+                   help="bind an input alias")
+    p.add_argument("--out", dest="out_path", required=True, metavar="PATH", type=Path)
+    p = command(commands, "run-m2c", run_m2c)
+    p.add_argument("file", metavar="FILE", type=Path)
+    p.add_argument("--in", dest="model_uri", required=True, metavar="MODEL")
+    p.add_argument("--out", dest="out_dir", required=True, metavar="PATH", type=Path)
+    p = command(commands, "enact", enact)
+    p.add_argument("process_uri", metavar="PROCESS_URI")
+    p.add_argument("--bind", dest="binds", action="append", default=[], metavar="PIN=MODEL",
+                   help="bind an external input pin")
+    p.add_argument("--no-augment", action="store_true", help="run bare transformations, no traces")
+    p = command(commands, "impact", impact, fmt=True)
+    p.add_argument("model_uri", metavar="MODEL_URI")
+    p.add_argument("path_text", metavar="PATH")
+    p = command(commands, "origin", origin, fmt=True)
+    p.add_argument("file_uri", metavar="FILE_URI")
+    p.add_argument("location", metavar="LINE:COL|@BYTE")
+    p = command(subcommands(command(commands, "gtm", doc="Global trace map exports.")), "dot", gtm_dot)
+    p.add_argument("--around", metavar="MODEL:PATH|FILE@BYTE", help="slice the map around an anchor")
+    p.add_argument("--radius", type=int, default=2, metavar="INTEGER", help="default: %(default)s")
+    traces = subcommands(command(commands, "trace", doc="Inspect stored trace models."))
+    command(traces, "show", trace_show, fmt=True).add_argument("file", metavar="FILE", type=Path)
+    return top
+
+
+class _Cli:
+    """The ``tracelink`` command, with a click command's ``name`` and ``main``."""
+
+    name = "tracelink"
+    parser = _parser()
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        """Run ``args`` (default ``sys.argv[1:]``); after a success, exit 0 if
+        ``standalone_mode``, else return. Help always names the program tracelink."""
+        ns = vars(self.parser.parse_args(args))
+        run, group = ns.pop("run"), ns.pop("group")
+        if run is None:
+            group.print_help(sys.stderr)
+            sys.exit(2)
+        try:
+            run(**ns)
+        except (TracelinkError, OSError) as exc:
+            _fail(str(exc))
+        if standalone_mode:
+            sys.exit(0)
+
+
+cli = _Cli()
 
 
 def main():
-    cli(prog_name="tracelink")
+    cli.main()
 
 
 if __name__ == "__main__":

@@ -111,12 +111,15 @@ class Violation:
 # ---------------------------------------------------------------------------
 
 def _load_json(text: str, source: str | None = None) -> object:
-    """``json.loads``; a syntax error is a ``ParseError`` naming ``source``, line and column."""
+    """``json.loads``; a syntax error is a ``ParseError`` naming ``source``, line and
+    column, and so is nesting deeper than the decoder's recursion limit."""
+    prefix = "" if source is None else f"{source}: "
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        message = exc.msg if source is None else f"{source}: {exc.msg}"
-        raise ParseError(message, line=exc.lineno, column=exc.colno) from exc
+        raise ParseError(prefix + exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError(prefix + "JSON nested too deeply") from exc
 
 
 def _require(cond: bool, message: str):

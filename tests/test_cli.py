@@ -57,6 +57,13 @@ def test_discover_missing_directory(tmp_path, runner):
     assert result.exit_code == 1
 
 
+def test_discover_reports_json_nested_past_the_decoder_limit(tmp_path, runner):
+    (tmp_path / "x.model.json").write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    result = invoke(runner, tmp_path, "discover", str(tmp_path))
+    assert_one_line_error(result)
+    assert result.output == "error: x.model.json: JSON nested too deeply\n"
+
+
 def test_enact_writes_artifacts_and_summary(enacted_ws):
     ws = enacted_ws
     assert (ws / "out/GenContiki/Sink.c").exists()
@@ -281,9 +288,55 @@ def test_origin_column_counts_within_its_line(enacted_ws, runner):
     assert by_col.exit_code == 0 and by_col.output == by_byte.output
 
 
-@pytest.mark.parametrize("around", ["nocolon", "out/GenContiki/Sink.c@x"])
+# int() reads each of the last four bytes as 200, an anchor whose slice is drawn.
+@pytest.mark.parametrize("around", ["nocolon", "out/GenContiki/Sink.c@x", "out/GenContiki/Sink.c@2_00",
+                                    "out/GenContiki/Sink.c@ 200", "out/GenContiki/Sink.c@\u0662\u0660\u0660",
+                                    "out/GenContiki/Sink.c@+200"])
 def test_gtm_dot_rejects_malformed_anchors(enacted_ws, runner, around):
-    assert_one_line_error(invoke(runner, enacted_ws, "gtm", "dot", "--around", around))
+    result = invoke(runner, enacted_ws, "gtm", "dot", "--around", around)
+    assert_one_line_error(result)
+    assert result.output == f"error: --around must be MODEL:PATH or FILE@BYTE, got {around!r}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["gtm", "dot", "--radius", "x"],
+    ["impact", "Input.pim.model.json"],
+    ["impact", "Input.pim.model.json", "indirect[0].indirectdevice[0]", "--format", "xml"],
+    ["no-such-command"],
+    ["run-m2c", "GenContiki.m2c", "--in", "contiki.model.json"],
+    ["gtm", "dot", "--rad", "1"],
+], ids=["radius-not-int", "impact-without-path", "unknown-format", "unknown-command",
+        "run-m2c-without-out", "abbreviated-option"])
+def test_usage_error_is_one_line_with_status_2(enacted_ws, runner, args):
+    result = invoke(runner, enacted_ws, *args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("group", [[], ["mgm"], ["gtm"], ["trace"]])
+def test_bare_group_prints_its_help_on_stderr_with_status_2(runner, group):
+    result = runner.invoke(cli, group)
+    assert result.exit_code == 2
+    assert result.stdout == "" and result.stderr.startswith(f"usage: {' '.join(['tracelink', *group])} ")
+
+
+def test_help_lists_commands_and_options(runner):
+    top = runner.invoke(cli, ["--help"])
+    assert top.exit_code == 0
+    for name in ["discover", "mgm", "augment-m2m", "augment-m2c", "run-m2m", "run-m2c", "enact",
+                 "impact", "origin", "gtm", "trace", "--version"]:
+        assert name in top.output, name
+    impact = runner.invoke(cli, ["impact", "--help"])
+    assert impact.exit_code == 0
+    assert "MODEL_URI PATH" in impact.output and "--format" in impact.output
+
+
+def test_query_import_leaves_click_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelink.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", "import sys, tracelink.cli; print('click' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_mgm_show_and_dot(enacted_ws, runner):
@@ -467,4 +520,4 @@ def test_marker_text_in_a_model_value_is_generated_and_traced(tmp_path, runner, 
 def test_version_flag(runner):
     result = runner.invoke(cli, ["--version"])
     assert result.exit_code == 0
-    assert "tracelink" in result.output
+    assert result.output == f"tracelink, version {tracelink.__version__}\n"

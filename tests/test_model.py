@@ -125,6 +125,11 @@ def test_malformed_json_is_a_parse_error():
         parse_metamodel("{not json")
 
 
+def test_json_nested_past_the_decoder_limit_is_a_parse_error(pimm):
+    with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+        parse_model("[" * 5000 + "]" * 5000, pimm)
+
+
 def test_bundled_pim_metamodel_has_seven_classes(pimm):
     assert len(pimm.classes) == 7
     names = {c.name for c in pimm.classes}
