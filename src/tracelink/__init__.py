@@ -17,9 +17,9 @@ _EXPORTS = {
     module: names.split()
     for module, names in (
         ("errors", "TracelinkError"),
-        ("paths", "ElementPath PathSegment parse_path print_path"),
+        ("paths", "ElementPath parse_path"),
         ("model", "Metamodel Model Element Violation parse_metamodel serialize_metamodel parse_model"
-                  " serialize_model check_conformance resolve_path path_of"),
+                  " serialize_model check_conformance resolve_path"),
         ("megamodel", "Megamodel ResourceEntry Relation ResourceKind ResourceOrigin discover register"
                       " save_megamodel load_megamodel"),
         ("m2m", "TransformationM2M parse_m2m print_m2m execute_m2m augment_m2m strip_m2m"

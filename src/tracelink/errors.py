@@ -49,10 +49,6 @@ class PathNotFound(TracelinkError):
         self.segment = segment
 
 
-class NotInModel(TracelinkError):
-    """The element is not reachable from the model root."""
-
-
 class AmbiguousMetamodel(TracelinkError):
     """Two metamodel files in one workspace declare the same name."""
 

@@ -503,10 +503,10 @@ def _eval_guard(guard: Guard, element: Element) -> bool:
 
 
 def _in_path_order(root: Element) -> list[Element]:
-    """Every element of the tree, in the order ``ElementPath.sort_key`` gives
-    their paths: collections by name, elements by index, each element before
-    its contents. The root's bare ``root`` segment sorts among the names of
-    its collections, before a collection named ``root``."""
+    """Every element of the tree, in source-path order: collections by name,
+    elements by numeric index, each element before its contents. The root's
+    path, the bare name ``root``, sorts among the names of its collections,
+    before a collection named ``root``."""
     order: list[Element] = []
 
     def visit(e: Element, names: list[str]):
@@ -544,7 +544,7 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
     for rule in t.rules:
         rules_for.setdefault((rule.from_metamodel, rule.from_class), []).append(rule)
     instances: list[_Instance] = []
-    in_trace_order: list[_Instance] = []  # source path, as ElementPath.sort_key orders it
+    in_trace_order: list[_Instance] = []  # by source path, in _in_path_order's order
     image_of: dict[int, list[Element]] = {}
     elem_paths: dict[int, tuple[str, object]] = {}
     for alias in sorted(inputs):

@@ -104,12 +104,6 @@ class Megamodel:
     def of_kind(self, kind: ResourceKind) -> list[ResourceEntry]:
         return sorted((r for r in self.resources if r.kind == kind), key=lambda r: r.uri)
 
-    def relations_of(self, kind: RelationKind) -> list[Relation]:
-        return sorted(
-            (rel for rel in self.relations if rel.kind == kind),
-            key=lambda rel: (rel.from_id, rel.to_id, rel.direction or ""),
-        )
-
 
 def resource_id(kind: ResourceKind, uri: str) -> str:
     """Stable, content-independent id."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring  # json's own C escaper for ensure_ascii=False
 
-from .errors import ConformanceError, NotInModel, ParseError, PathNotFound, SchemaError
+from .errors import ConformanceError, ParseError, PathNotFound, SchemaError
 from .paths import IDENTIFIER, ROOT_NAME, ROOT_PATH, ElementPath, _canonical, parse_path
 
 PRIMITIVE_TYPES = ("string", "int", "float", "bool")
@@ -459,15 +459,6 @@ def resolve_path(m: Model, p: ElementPath) -> Element:
             raise PathNotFound(step)
         current = children[i]
     return current
-
-
-def path_of(m: Model, e: Element) -> ElementPath:
-    """Canonical containment path of ``e`` in ``m`` (identity comparison):
-    the first pre-order match of ``iter_elements``."""
-    for path, candidate in iter_elements(m):
-        if candidate is e:
-            return path
-    raise NotInModel(f"element of class '{e.class_name}' is not reachable from the model root")
 
 
 def iter_elements(m: Model):

@@ -5,14 +5,12 @@ from the model root. The single segment ``root`` addresses the root element
 itself.
 
 An ``ElementPath`` is a ``str`` whose value is the path's canonical text:
-indexes without leading zeros. It compares and hashes equal to that text,
-and ``segments`` is derived from it on request.
+indexes without leading zeros. It compares and hashes equal to that text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import PathSyntaxError
 
@@ -23,45 +21,20 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DIGITS = re.compile(r"[0-9]*")
 _SEGMENT = rf"({IDENTIFIER.pattern})(?:\[([0-9]+)\])?"
 _PATH = re.compile(rf"{_SEGMENT}(?:\.{_SEGMENT})*")
-_SEGMENTS = re.compile(_SEGMENT)
 _LEADING_DOTTED = re.compile(rf"(?:{_SEGMENT}\.)*")  # whole segments, each with its '.'
 _LEADING_ZEROS = re.compile(r"\[0+(?=[0-9])")
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """One step: a collection name plus index, or a bare name (root/alias)."""
-
-    name: str
-    index: int | None = None
-
-    def __str__(self) -> str:
-        return self.name if self.index is None else f"{self.name}[{self.index}]"
-
-
 class ElementPath(str):
-    """A path as its canonical text; built from segments or by ``parse_path``."""
+    """A path as its canonical text; ``ElementPath(text)`` is ``parse_path(text)``."""
 
     __slots__ = ()
 
-    def __new__(cls, segments: tuple[PathSegment, ...]):
-        if not segments:
-            raise ValueError("a path needs at least one segment")
-        return str.__new__(cls, ".".join(map(str, segments)))
-
-    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild through __new__
-        return (self.segments,)
+    def __new__(cls, text: str):  # copy and pickle rebuild through str.__getnewargs__
+        return parse_path(text)
 
     def __repr__(self) -> str:
         return f"parse_path({str.__repr__(self)})"
-
-    @property
-    def segments(self) -> tuple[PathSegment, ...]:
-        return tuple(PathSegment(name, int(index) if index else None)
-                     for name, index in _SEGMENTS.findall(self))
-
-    def sort_key(self) -> tuple:
-        return tuple((s.name, -1 if s.index is None else s.index) for s in self.segments)
 
 
 def _canonical(text: str) -> ElementPath:
@@ -100,8 +73,4 @@ def _syntax_error(s: str) -> PathSyntaxError:
             return PathSyntaxError("expected ']'", i)
         i += 1
     return PathSyntaxError("expected '.'", i)
-
-
-def print_path(p: ElementPath) -> str:
-    return str(p)
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import IntegrityError, ParseError
 from .model import _load_json, canonical_json
-from .paths import ROOT_PATH, ElementPath, parse_path
+from .paths import ROOT_NAME, ROOT_PATH, ElementPath, _canonical, parse_path
 
 
 class ElementRef(NamedTuple):
@@ -164,55 +164,56 @@ def load_trace(text: str) -> LocalTraceModel:
 # ---------------------------------------------------------------------------
 
 class TraceTreeNode:
-    """Tree node keyed by (name, index); ``terminal`` marks an inserted path end."""
+    """Tree node: ``children`` by (name, index); ``terminal`` marks an inserted path end."""
 
-    __slots__ = ("name", "index", "children", "terminal")
+    __slots__ = ("children", "terminal")
 
-    def __init__(self, name: str, index: int | None):
-        self.name = name
-        self.index = index
+    def __init__(self):
         self.children: dict[tuple[str, int | None], TraceTreeNode] = {}
         self.terminal = False
+
+
+def _sibling_order(key: tuple[str, int | None]) -> tuple[str, int]:
+    """Siblings by name, then by index; a bare name sorts before index 0."""
+    name, index = key
+    return name, -1 if index is None else index
 
 
 class TraceIdentifierTree:
     """Prefix tree over element paths, such as the sources of a trace's links."""
 
     def __init__(self):
-        self.root = TraceTreeNode("root", None)
+        self.root = TraceTreeNode()
 
     def insert(self, path: ElementPath):
-        if path == ROOT_PATH:
-            self.root.terminal = True
-            return
         node = self.root
-        for seg in path.segments:
-            key = (seg.name, seg.index)
-            child = node.children.get(key)
-            if child is None:
-                child = TraceTreeNode(seg.name, seg.index)
-                node.children[key] = child
-            node = child
+        if path != ROOT_PATH:
+            for step in path.split("."):
+                name, _, index = step.partition("[")
+                key = (name, int(index[:-1]) if index else None)
+                node = node.children.setdefault(key, TraceTreeNode())
         node.terminal = True
 
     def paths(self) -> list[ElementPath]:
-        """Re-enumerate all inserted paths, sorted."""
+        """Every inserted path, in the order M2M trace links take: pre-order,
+        siblings in ``_sibling_order``, and the root's own path sorted as the
+        bare name ``root`` among the root's children."""
         out: list[ElementPath] = []
+
+        def walk(node: TraceTreeNode, keys: list, prefix: str):
+            for name, index in keys:
+                child = node.children[name, index]
+                text = prefix + (name if index is None else f"{name}[{index}]")
+                if child.terminal:
+                    out.append(_canonical(text))
+                walk(child, sorted(child.children, key=_sibling_order), text + ".")
+
+        keys = sorted(self.root.children, key=_sibling_order)
+        before = sum(_sibling_order(key) < (ROOT_NAME, -1) for key in keys)
+        walk(self.root, keys[:before], "")
         if self.root.terminal:
             out.append(ROOT_PATH)
-
-        def walk(node: TraceTreeNode, trail: tuple):
-            from .paths import PathSegment
-
-            for key in sorted(node.children, key=lambda k: (k[0], -1 if k[1] is None else k[1])):
-                child = node.children[key]
-                segs = trail + (PathSegment(child.name, child.index),)
-                if child.terminal:
-                    out.append(ElementPath(segs))
-                walk(child, segs)
-
-        walk(self.root, ())
-        out.sort(key=lambda p: p.sort_key())
+        walk(self.root, keys[before:], "")
         return out
 
 

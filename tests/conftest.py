@@ -21,6 +21,14 @@ def copy_workspace(dest: Path) -> Path:
     return ws
 
 
+def source_path_key(path: str) -> tuple:
+    """The order of M2M trace links and of identifier-tree paths, read off a
+    path's text: names, then numeric indexes (a bare name before index 0),
+    so ``x[2]`` before ``x[10]`` and the bare ``root`` among collection names."""
+    steps = (step.partition("[") for step in path.split("."))
+    return tuple((name, int(index[:-1]) if index else -1) for name, _, index in steps)
+
+
 def run_enactment(ws: Path, **kwargs):
     mgm = mg.discover(ws)
     process = pr.parse_process(read_text(ws, PROCESS_URI))

@@ -15,7 +15,7 @@ from tracelink.m2c import augment_template, parse_template, render, render_trace
 from tracelink.m2m import augment_m2m, execute_augmented_m2m, execute_m2m, parse_m2m
 from tracelink.megamodel import ResourceKind, ResourceOrigin, discover, load_megamodel, save_megamodel
 from tracelink.model import parse_metamodel, parse_model, serialize_metamodel, serialize_model
-from tracelink.paths import ElementPath, PathSegment, parse_path
+from tracelink.paths import parse_path
 from tracelink.trace import build_identifier_tree, load_trace, save_trace
 
 import templates as tf
@@ -166,9 +166,8 @@ def test_criterion_3_identifier_tree_fidelity():
     for _ in range(1000):
         paths = []
         for _ in range(rng.randint(0, 12)):
-            segs = tuple(PathSegment(rng.choice("abcdef"), rng.randint(0, 4))
-                         for _ in range(rng.randint(1, 5)))
-            paths.append(ElementPath(segs))
+            text = ".".join(f"{rng.choice('abcdef')}[{rng.randint(0, 4)}]" for _ in range(rng.randint(1, 5)))
+            paths.append(parse_path(text))
         assert set(build_identifier_tree(paths).paths()) == set(paths)
     report("criterion 3", "two-branch tree reproduced; 1000 random path sets round-trip")
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tracelink.errors import (
@@ -28,7 +30,7 @@ from tracelink.model import (
 )
 from tracelink.paths import parse_path
 
-from conftest import WORKSPACE_FIXTURE
+from conftest import WORKSPACE_FIXTURE, source_path_key
 
 AB_METAMODELS = {
     "MMA": parse_metamodel(
@@ -46,6 +48,24 @@ output dst : MMB;
 rule Node2Feature {
   from s : MMA!Node
   to t : MMB!Feature (node_id <- s.id)
+}
+"""
+
+
+TREE_METAMODELS = {
+    name: parse_metamodel(json.dumps({"name": name, "classes": [{
+        "name": cls, "attributes": [{"name": "id", "type": "string"}],
+        "collections": [{"class": cls, "name": c} for c in ("a", "x", "z")]}]}))
+    for name, cls in (("MMA", "Node"), ("MMB", "Feature"))
+}
+
+TREE_RULE = """
+transformation NodeTree;
+input src : MMA;
+output dst : MMB;
+rule Node2Feature {
+  from s : MMA!Node
+  to t : MMB!Feature (id <- s.id, a <- s.a, x <- s.x, z <- s.z)
 }
 """
 
@@ -301,8 +321,22 @@ def test_trace_supports_bidirectional_queries(workspace_metamodels, input_pim):
 def test_trace_link_order_is_by_source_path(workspace_metamodels, input_pim):
     t = augment_m2m(load_fixture_m2m("MapContiki.m2m", workspace_metamodels))
     _, trace = execute_augmented_m2m(t, {"pim": input_pim}, workspace_metamodels, "psm.model.json")
-    keys = [link.sources[0].path.sort_key() for link in trace.links]
-    assert keys == sorted(keys)
+    paths = [link.sources[0].path for link in trace.links]
+    assert paths == sorted(paths, key=source_path_key)
+
+    # Twelve elements in one collection, so that x[2] must come before x[10],
+    # and collections named on both sides of the bare "root".
+    def node(i, **collections):
+        return Element("Node", {"id": str(i)}, collections)
+
+    t = augment_m2m(parse_m2m(TREE_RULE, TREE_METAMODELS))
+    model = Model("in.model.json", "MMA", node(0, x=[node(i, a=[node(100 + i)]) for i in range(1, 13)],
+                                                 a=[node(13)], z=[node(14)]))
+    _, trace = execute_augmented_m2m(t, {"src": model}, TREE_METAMODELS, "out.model.json")
+    paths = [str(link.sources[0].path) for link in trace.links]
+    assert len(paths) == 27 and paths == sorted(paths, key=source_path_key)
+    assert paths[:3] == ["a[0]", "root", "x[0]"] and paths[-1] == "z[0]"
+    assert paths.index("x[2]") < paths.index("x[10]") and paths != sorted(paths)
 
 
 def test_execution_is_deterministic(workspace_metamodels, input_pim):

@@ -58,11 +58,11 @@ def test_discover_bundled_workspace_counts(workspace):
     assert counts[ResourceKind.TRANSFORMATION_M2C] == 4
     assert counts[ResourceKind.PROCESS_MODEL] == 1
     assert len(mgm.resources) == 12
-    conforms = mgm.relations_of(RelationKind.CONFORMS_TO)
+    conforms = [rel for rel in mgm.relations if rel.kind == RelationKind.CONFORMS_TO]
     assert len(conforms) == 1
     assert conforms[0].from_id == "Model:Input.pim.model.json"
     assert conforms[0].to_id == "Metamodel:PIMM.mm.json"
-    assert len(mgm.relations_of(RelationKind.WEAVE_BINDING)) == 8
+    assert sum(rel.kind == RelationKind.WEAVE_BINDING for rel in mgm.relations) == 8
 
 
 def test_discover_is_idempotent(workspace):
@@ -194,7 +194,7 @@ def test_post_enactment_round_trip_and_structure(workspace):
     assert len(mgm.of_kind(ResourceKind.GENERATED_FILE)) == 4
     traces = mgm.of_kind(ResourceKind.TRACE_MODEL)
     assert len(traces) == 8
-    trace_for = mgm.relations_of(RelationKind.TRACE_FOR)
+    trace_for = [rel for rel in mgm.relations if rel.kind == RelationKind.TRACE_FOR]
     assert sorted(r.from_id for r in trace_for) == sorted(r.id for r in traces)
     # every trace has exactly one TraceFor
     assert len(trace_for) == 8

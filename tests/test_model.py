@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracelink.errors import ConformanceError, NotInModel, ParseError, PathNotFound, SchemaError
+from tracelink.errors import ConformanceError, ParseError, PathNotFound, SchemaError
 from tracelink.megamodel import ResourceKind
 from tracelink.model import (
     ClassDef,
@@ -19,7 +19,6 @@ from tracelink.model import (
     iter_elements,
     parse_metamodel,
     parse_model,
-    path_of,
     resolve_path,
     serialize_metamodel,
     serialize_model,
@@ -339,17 +338,10 @@ def test_resolve_root_prefix(input_pim):
     assert via_prefix is resolve_path(input_pim, parse_path("filters[0]"))
 
 
-def test_path_of_root(input_pim):
-    assert path_of(input_pim, input_pim.root) == ROOT_PATH
-
-
-def test_path_of_round_trips_for_every_element(input_pim):
-    for expected_path, element in iter_elements(input_pim):
-        p = path_of(input_pim, element)
-        assert p == expected_path
+def test_every_element_path_resolves_to_its_element(input_pim):
+    pairs = list(iter_elements(input_pim))
+    assert pairs[0] == (ROOT_PATH, input_pim.root)
+    assert len({p for p, _ in pairs}) == len(pairs)
+    for p, element in pairs:
+        assert parse_path(p) == p
         assert resolve_path(input_pim, p) is element
-
-
-def test_path_of_detached_element(input_pim):
-    with pytest.raises(NotInModel):
-        path_of(input_pim, Element("Device"))

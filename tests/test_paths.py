@@ -7,28 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelink.errors import PathSyntaxError
-from tracelink.paths import (
-    ROOT_PATH,
-    ElementPath,
-    PathSegment,
-    parse_path,
-    print_path,
-)
+from tracelink.paths import ROOT_PATH, ElementPath, parse_path
 
 
 def test_two_segment_indexed_path():
     p = parse_path("filters[0].sections[1]")
-    assert p.segments == (PathSegment("filters", 0), PathSegment("sections", 1))
+    assert type(p) is ElementPath and p == "filters[0].sections[1]"
 
 
 def test_sibling_path():
     p = parse_path("filters[1].sections[0]")
-    assert p.segments == (PathSegment("filters", 1), PathSegment("sections", 0))
+    assert p == "filters[1].sections[0]" and p != parse_path("filters[0].sections[1]")
 
 
 def test_bare_root_segment():
-    assert parse_path("root") == ROOT_PATH
-    assert parse_path("root").segments == (PathSegment("root", None),)
+    assert parse_path("root") == ROOT_PATH == "root"
 
 
 @pytest.mark.parametrize("text", [
@@ -40,7 +33,7 @@ def test_bare_root_segment():
     "x_1[10].y[0].z[3]",
 ])
 def test_print_parse_round_trip(text):
-    assert print_path(parse_path(text)) == text
+    assert str(parse_path(text)) == text
 
 
 @pytest.mark.parametrize("text,offset", [
@@ -77,7 +70,6 @@ def test_leading_zeros_are_read_and_printed_without():
     p = parse_path("a[007].b[00].c[10]")
     assert p == parse_path("a[7].b[0].c[10]")
     assert str(p) == "a[7].b[0].c[10]"
-    assert p.segments == (PathSegment("a", 7), PathSegment("b", 0), PathSegment("c", 10))
 
 
 _ident = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
@@ -86,11 +78,11 @@ _segment = st.tuples(_ident, st.one_of(st.none(), st.integers(0, 50)))
 
 @given(st.lists(_segment, min_size=1, max_size=6))
 def test_path_round_trip_property(segs):
-    p = ElementPath(tuple(PathSegment(n, i) for n, i in segs))
-    parsed = parse_path(print_path(p))
-    assert parsed == p and hash(parsed) == hash(p)
-    assert p.segments == parsed.segments == tuple(PathSegment(n, i) for n, i in segs)
-    assert p.sort_key() == parsed.sort_key() == tuple((n, -1 if i is None else i) for n, i in segs)
+    text = ".".join(n if i is None else f"{n}[{i}]" for n, i in segs)
+    parsed = parse_path(text)
+    assert parsed == text and hash(parsed) == hash(text) and str(parsed) == text
+    assert type(ElementPath(text)) is ElementPath and ElementPath(text) == parsed
+    assert character_loop_parse(text) == text
 
 
 @settings(max_examples=50)
@@ -106,14 +98,14 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 _IDENT_CONT = frozenset(string.ascii_letters + string.digits + "_")
 
 
-def character_loop_parse(s: str) -> ElementPath:
+def character_loop_parse(s: str) -> str:
     """The parser that compiled scanning replaced, kept as the oracle for its
-    errors. One line differs, marked: an index is ASCII digits only; the old
-    loop took any ``str.isdigit`` character, so ``int()`` raised ValueError or
-    read ``[\u0663]`` as ``[3]``."""
+    errors and its canonical text. One line differs, marked: an index is ASCII
+    digits only; the old loop took any ``str.isdigit`` character, so ``int()``
+    raised ValueError or read ``[\u0663]`` as ``[3]``."""
     if not s:
         raise PathSyntaxError("empty path", 0)
-    segments: list[PathSegment] = []
+    steps: list[str] = []
     i = 0
     n = len(s)
     while True:
@@ -123,8 +115,7 @@ def character_loop_parse(s: str) -> ElementPath:
         i += 1
         while i < n and s[i] in _IDENT_CONT:
             i += 1
-        name = s[start:i]
-        index: int | None = None
+        segment = s[start:i]
         if i < n and s[i] == "[":
             j = i + 1
             digits_start = j
@@ -136,9 +127,9 @@ def character_loop_parse(s: str) -> ElementPath:
                 raise PathSyntaxError("expected index", j)
             if j >= n or s[j] != "]":
                 raise PathSyntaxError("expected ']'", j)
-            index = int(s[digits_start:j])
+            segment += f"[{int(s[digits_start:j])}]"
             i = j + 1
-        segments.append(PathSegment(name, index))
+        steps.append(segment)
         if i == n:
             break
         if s[i] != ".":
@@ -146,7 +137,7 @@ def character_loop_parse(s: str) -> ElementPath:
         i += 1
         if i == n:
             raise PathSyntaxError("trailing '.'", i)
-    return ElementPath(tuple(segments))
+    return ".".join(steps)
 
 
 def _outcome(parse, s):
@@ -180,15 +171,21 @@ def test_a_path_is_its_canonical_text():
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
 def test_copies_stay_paths(clone):
     p = parse_path("x_1[10].y")
-    assert type(clone(p)) is ElementPath and clone(p) == p and clone(p).segments == p.segments
+    assert type(clone(p)) is ElementPath and clone(p) == p and repr(clone(p)) == repr(p)
 
 
 def test_empty_segments_rejected():
-    with pytest.raises(ValueError):
-        ElementPath(())
+    with pytest.raises(PathSyntaxError, match="empty path"):
+        ElementPath("")
 
 
-def test_sort_key_orders_indices_numerically():
-    a = parse_path("x[2]")
-    b = parse_path("x[10]")
-    assert a.sort_key() < b.sort_key()
+@pytest.mark.parametrize("text,canonical", [("a[007]", "a[7]"), ("abc", "abc"), ("filters[0]", "filters[0]")])
+def test_element_path_parses_its_text(text, canonical):
+    p = ElementPath(text)
+    assert type(p) is ElementPath and p == canonical and p == parse_path(text)
+
+
+@pytest.mark.parametrize("text", ["filters[", "a..b", "[0]"])
+def test_element_path_rejects_what_parse_path_rejects(text):
+    with pytest.raises(PathSyntaxError):
+        ElementPath(text)

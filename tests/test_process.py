@@ -284,7 +284,7 @@ def test_bundled_enactment_counts(workspace):
 
 
 def test_enactment_checks_each_model_once_and_never_searches_paths(workspace, monkeypatch):
-    calls = {"check_conformance": 0, "path_of": 0}
+    calls = {"check_conformance": 0}
     modules = [m for n, m in sys.modules.items() if n == "tracelink" or n.startswith("tracelink.")]
     for name in calls:
         original = getattr(model_module, name)
@@ -299,7 +299,7 @@ def test_enactment_checks_each_model_once_and_never_searches_paths(workspace, mo
     run_enactment(workspace)
     # The PIM where it is parsed, and each of the four M2M outputs where it
     # is assembled; the M2C renders reuse the M2M outputs from memory.
-    assert calls == {"check_conformance": 5, "path_of": 0}
+    assert calls == {"check_conformance": 5}
 
 
 def test_missing_binding_names_action_and_pin(workspace):

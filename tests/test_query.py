@@ -334,9 +334,9 @@ def test_query_commands_import_only_the_query_modules(enacted_ws):
 
 # The package's public names, each of which its lazy imports must bind.
 PUBLIC = [
-    "TracelinkError", "ElementPath", "PathSegment", "parse_path", "print_path", "Metamodel",
+    "TracelinkError", "ElementPath", "parse_path", "Metamodel",
     "Model", "Element", "Violation", "parse_metamodel", "serialize_metamodel", "parse_model",
-    "serialize_model", "check_conformance", "resolve_path", "path_of", "Megamodel",
+    "serialize_model", "check_conformance", "resolve_path", "Megamodel",
     "ResourceEntry", "Relation", "ResourceKind", "ResourceOrigin", "discover", "register",
     "save_megamodel", "load_megamodel", "TransformationM2M", "parse_m2m", "print_m2m",
     "execute_m2m", "augment_m2m", "strip_m2m", "execute_augmented_m2m", "Template",

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracelink.errors import IntegrityError, ParseError
-from tracelink.paths import ROOT_PATH, ElementPath, PathSegment, parse_path
+from tracelink.paths import ROOT_PATH, parse_path
 from tracelink.trace import (
     CodeSpan,
     ElementRef,
@@ -18,6 +18,8 @@ from tracelink.trace import (
     save_trace,
     span_at,
 )
+
+from conftest import source_path_key
 
 
 def path(s):
@@ -65,23 +67,25 @@ def test_hundred_random_paths_round_trip():
     rng = random.Random(7)
     pool = []
     for _ in range(100):
-        segs = tuple(
-            PathSegment(rng.choice("abcdef"), rng.randint(0, 5))
-            for _ in range(rng.randint(1, 4))
-        )
-        pool.append(ElementPath(segs))
+        text = ".".join(f"{rng.choice('abcdef')}[{rng.randint(0, 5)}]" for _ in range(rng.randint(1, 4)))
+        pool.append(parse_path(text))
     tree = build_identifier_tree(pool)
     assert set(tree.paths()) == set(pool)
 
 
-_seg = st.tuples(st.sampled_from("abcd"), st.integers(0, 3))
+def test_paths_come_in_source_path_order():
+    paths = [ROOT_PATH, path("a.b"), path("a[2]"), path("a[10]"), path("a[2].b[0]")]
+    assert build_identifier_tree(paths).paths() == ["a.b", "a[2]", "a[2].b[0]", "a[10]", "root"]
+
+
+_seg = st.tuples(st.sampled_from(("a", "b", "root", "s")), st.one_of(st.none(), st.integers(0, 11)))
 _path = st.lists(_seg, min_size=1, max_size=4).map(
-    lambda segs: ElementPath(tuple(PathSegment(n, i) for n, i in segs)))
+    lambda segs: parse_path(".".join(n if i is None else f"{n}[{i}]" for n, i in segs)))
 
 
 @given(st.lists(_path, max_size=30))
 def test_tree_enumeration_equals_input_set(paths):
-    assert set(build_identifier_tree(paths).paths()) == set(paths)
+    assert build_identifier_tree(paths).paths() == sorted(set(paths), key=source_path_key)
 
 
 # -- links and serialization --------------------------------------------------
