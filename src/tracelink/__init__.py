@@ -20,7 +20,7 @@ _EXPORTS = {
         ("paths", "ElementPath parse_path"),
         ("model", "Metamodel Model Element Violation parse_metamodel serialize_metamodel parse_model"
                   " serialize_model check_conformance resolve_path"),
-        ("megamodel", "Megamodel ResourceEntry Relation ResourceKind ResourceOrigin discover register"
+        ("megamodel", "Megamodel ResourceEntry Relation ResourceKind ResourceOrigin discover"
                       " save_megamodel load_megamodel"),
         ("m2m", "TransformationM2M parse_m2m print_m2m execute_m2m augment_m2m strip_m2m"
                 " execute_augmented_m2m"),

@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from . import __version__, gtm, megamodel, trace
-from .errors import AmbiguousMetamodel, AnchorNotFound, TracelinkError
+from .errors import AnchorNotFound, TracelinkError
 from .megamodel import Megamodel, ResourceKind, ResourceOrigin
-from .model import canonical_json, parse_metamodel
+from .model import canonical_json
 from .paths import parse_path
 from .workspace import MEGAMODEL_FILE, OUTPUT_DIR, TRACE_DIR, read_text, workspace_lock, write_text
 
@@ -43,15 +43,10 @@ def _load_mgm(root: Path) -> Megamodel:
 
 def _workspace_metamodels(root: Path) -> dict:
     """The metamodels discovery would register, for file-local commands."""
-    out = {}
-    for uri, kind in megamodel.workspace_files(root):
-        if kind != ResourceKind.METAMODEL:
-            continue
-        mm = parse_metamodel(read_text(root, uri))
-        if mm.name in out:
-            raise AmbiguousMetamodel(mm.name)
-        out[mm.name] = mm
-    return out
+    found = frozenset(
+        megamodel.ResourceEntry(megamodel.resource_id(kind, uri), kind, uri, ResourceOrigin.DISCOVERED)
+        for uri, kind in megamodel.workspace_files(root) if kind == ResourceKind.METAMODEL)
+    return megamodel.load_metamodels(Megamodel(found), root)[0]
 
 
 def discover(directory: Path):

@@ -65,10 +65,6 @@ class DuplicateId(TracelinkError):
         self.resource_id = resource_id
 
 
-class DanglingRelation(TracelinkError):
-    """Relation endpoint does not name a registered resource."""
-
-
 class IntegrityError(TracelinkError):
     """A stored file violates an invariant of its format."""
 

@@ -286,13 +286,9 @@ def slice_around(g: GlobalTraceMap, around: TraceNode, radius: int) -> GlobalTra
     return GlobalTraceMap(nodes, frozenset(e for e in g.edges if e.src in nodes and e.dst in nodes))
 
 
-def export_dot(g: GlobalTraceMap, around: TraceNode | None = None, radius: int = 2,
-               dangling: Collection[TraceNode] = ()) -> str:
-    """DOT text; with ``around`` set, only ``slice_around(g, around, radius)``.
-    Edges with an endpoint in ``dangling`` are dashed."""
-    if around is not None:
-        g = slice_around(g, around, radius)
-
+def export_dot(g: GlobalTraceMap, dangling: Collection[TraceNode] = ()) -> str:
+    """DOT text; edges with an endpoint in ``dangling`` are dashed. Draw a
+    slice with ``export_dot(slice_around(g, anchor, radius))``."""
     lines = ["digraph gtm {", "  rankdir=LR;"]
     ids: dict[TraceNode, str] = {}
     for i, node in enumerate(sorted(g.nodes, key=_node_key)):

@@ -13,7 +13,6 @@ instantiated target pattern, tagged with the generating rule's name.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -37,7 +36,6 @@ from .model import (
     iter_elements,
     resolve_path,
 )
-from .paths import ROOT_NAME
 from .trace import ElementRef, LocalTraceModel, TraceLink
 
 # ---------------------------------------------------------------------------
@@ -502,27 +500,6 @@ def _eval_guard(guard: Guard, element: Element) -> bool:
     return (value == lit) if guard.op == "=" else (value != lit)
 
 
-def _in_path_order(root: Element) -> list[Element]:
-    """Every element of the tree, in source-path order: collections by name,
-    elements by numeric index, each element before its contents. The root's
-    path, the bare name ``root``, sorts among the names of its collections,
-    before a collection named ``root``."""
-    order: list[Element] = []
-
-    def visit(e: Element, names: list[str]):
-        for name in names:
-            for child in e.collections[name]:
-                order.append(child)
-                visit(child, sorted(child.collections))
-
-    names = sorted(root.collections)
-    before = bisect_left(names, ROOT_NAME)
-    visit(root, names[:before])
-    order.append(root)
-    visit(root, names[before:])
-    return order
-
-
 def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, Metamodel],
          output_uri: str) -> tuple[Model, list[tuple[_Instance, int, Element]], dict[int, object]]:
     """Output model, traced (instance, pattern index, image) triples, and
@@ -543,13 +520,11 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
     rules_for: dict[tuple[str, str], list[Rule]] = {}
     for rule in t.rules:
         rules_for.setdefault((rule.from_metamodel, rule.from_class), []).append(rule)
-    instances: list[_Instance] = []
-    in_trace_order: list[_Instance] = []  # by source path, in _in_path_order's order
+    instances: list[_Instance] = []  # by input alias, then source path: the trace order
     image_of: dict[int, list[Element]] = {}
     elem_paths: dict[int, tuple[str, object]] = {}
     for alias in sorted(inputs):
         model = inputs[alias]
-        matched_here: dict[int, _Instance] = {}
         for path, element in iter_elements(model):
             elem_paths[id(element)] = (alias, path)
             matched = [
@@ -562,12 +537,8 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
                 continue
             rule = matched[0]
             images = [Element(p.class_name) for p in rule.targets]
-            inst = _Instance(alias, path, element, rule, images)
-            instances.append(inst)
-            matched_here[id(element)] = inst
+            instances.append(_Instance(alias, path, element, rule, images))
             image_of[id(element)] = images
-        in_trace_order += (matched_here[id(e)] for e in _in_path_order(model.root)
-                           if id(e) in matched_here)
 
     image_ids = {id(img) for inst in instances for img in inst.images}
 
@@ -665,7 +636,7 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
 
     # Deterministic trace order: input alias, source path, then target pattern index.
     traced: list[tuple[_Instance, int, Element]] = []
-    for inst in in_trace_order:
+    for inst in instances:
         for idx, (pattern, image) in enumerate(zip(inst.rule.targets, inst.images)):
             if pattern.traced:
                 traced.append((inst, idx, image))

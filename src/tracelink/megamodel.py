@@ -2,8 +2,8 @@
 
 Resources (metamodels, models, transformations, process models, trace
 models, generated files) are referenced by workspace-relative URI; trace
-data stays in its own files. Megamodel values are immutable; registration
-returns a new value.
+data stays in its own files. Megamodel values are immutable and check
+themselves whole when made; registration returns a new value.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
-from .errors import AmbiguousMetamodel, DanglingRelation, DuplicateId, IntegrityError, ParseError
+from .errors import AmbiguousMetamodel, DuplicateId, IntegrityError, ParseError
 from .model import Metamodel, _load_json, canonical_json, parse_metamodel
 from .workspace import OUTPUT_DIR, TRACE_DIR, read_text
 
@@ -85,6 +85,23 @@ class Megamodel:
     resources: frozenset[ResourceEntry] = frozenset()
     relations: frozenset[Relation] = frozenset()
 
+    def __post_init__(self):
+        """Check the whole registry: unique ids, every resource and relation,
+        and a dataflow without cycles. Every value passes, so no caller
+        checks a registry again."""
+        seen: set[str] = set()
+        for res in self.resources:
+            if res.id in seen:
+                raise IntegrityError(f"duplicate resource id '{res.id}'")
+            seen.add(res.id)
+            if not res.uri:
+                raise IntegrityError(f"resource '{res.id}' has an empty uri")
+            if res.origin == ResourceOrigin.GENERATED and not res.produced_by:
+                raise IntegrityError(f"generated resource '{res.id}' lacks a producer")
+        for rel in self.relations:
+            _check_relation(rel, self.by_id)
+        _check_dataflow_acyclic(self.dataflow)
+
     @cached_property
     def by_id(self) -> dict[str, ResourceEntry]:
         return {r.id: r for r in self.resources}
@@ -111,11 +128,14 @@ def resource_id(kind: ResourceKind, uri: str) -> str:
 
 
 def load_metamodels(mgm: Megamodel, root: Path) -> tuple[dict[str, Metamodel], dict[str, str]]:
-    """The registered metamodels by name, and their resource ids by name."""
+    """The registered metamodels by name, and their resource ids by name.
+    Two that declare one name are ambiguous, as in discovery."""
     metamodels: dict[str, Metamodel] = {}
     resource_ids: dict[str, str] = {}
     for res in mgm.of_kind(ResourceKind.METAMODEL):
         mm = parse_metamodel(read_text(root, res.uri))
+        if mm.name in metamodels:
+            raise AmbiguousMetamodel(mm.name)
         metamodels[mm.name] = mm
         resource_ids[mm.name] = res.id
     return metamodels, resource_ids
@@ -177,29 +197,8 @@ def trace_scope(mgm: Megamodel, uri: str, forward: bool) -> list[tuple[str, set[
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Integrity rules
 # ---------------------------------------------------------------------------
-
-def validate(mgm: Megamodel):
-    """Check the whole registry: unique ids, every resource and relation,
-    and a dataflow without cycles."""
-    seen: set[str] = set()
-    for res in mgm.resources:
-        if res.id in seen:
-            raise IntegrityError(f"duplicate resource id '{res.id}'")
-        seen.add(res.id)
-        _check_resource(res)
-    for rel in mgm.relations:
-        _check_relation(rel, mgm.by_id)
-    _check_dataflow_acyclic(mgm.dataflow)
-
-
-def _check_resource(res: ResourceEntry):
-    if not res.uri:
-        raise IntegrityError(f"resource '{res.id}' has an empty uri")
-    if res.origin == ResourceOrigin.GENERATED and not res.produced_by:
-        raise IntegrityError(f"generated resource '{res.id}' lacks a producer")
-
 
 def _check_relation(rel: Relation, by_id: dict[str, ResourceEntry]):
     src = by_id.get(rel.from_id)
@@ -249,38 +248,21 @@ def _check_dataflow_acyclic(edges: dict[str, tuple[str, ...]]):
 # Registration
 # ---------------------------------------------------------------------------
 
-def register(mgm: Megamodel, entry: ResourceEntry, relations: Sequence[Relation] = ()) -> Megamodel:
-    """Add one resource plus relations: ``register_all`` with one entry."""
-    return register_all(mgm, [(entry, relations)])
-
-
 def register_all(mgm: Megamodel,
                  registrations: Sequence[tuple[ResourceEntry, Sequence[Relation]]]) -> Megamodel:
-    """Add resources, each with its relations, in order; existing content is
-    untouched.
+    """Add resources, each with its relations; existing content is untouched.
 
-    Each entry and its relations are checked against the registry grown by
-    the entries before it, so a relation may name only those. The DataFlow
-    is checked for cycles once, at the end. The registry itself is trusted:
-    ``validate`` checks a whole one.
+    The grown registry checks itself whole, so a relation may name any entry
+    of the batch. A re-registered id is refused here: the union of resource
+    sets would drop an identical entry silently.
     """
-    by_id = dict(mgm.by_id)
-    relations = set(mgm.relations)
-    for entry, entry_relations in registrations:
-        if entry.id in by_id:
+    ids = set(mgm.by_id)
+    for entry, _ in registrations:
+        if entry.id in ids:
             raise DuplicateId(entry.id)
-        by_id[entry.id] = entry
-        for rel in entry_relations:
-            if rel.from_id not in by_id or rel.to_id not in by_id:
-                raise DanglingRelation(f"relation references unknown id: {rel.from_id} -> {rel.to_id}")
-        _check_resource(entry)
-        for rel in entry_relations:
-            if rel not in relations:
-                _check_relation(rel, by_id)
-                relations.add(rel)
-    new = Megamodel(mgm.resources.union(entry for entry, _ in registrations), frozenset(relations))
-    _check_dataflow_acyclic(new.dataflow)
-    return new
+        ids.add(entry.id)
+    return Megamodel(mgm.resources.union(entry for entry, _ in registrations),
+                     mgm.relations.union(rel for _, relations in registrations for rel in relations))
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +331,7 @@ def discover(workspace_root: str | Path) -> Megamodel:
             if node.transformation and node.transformation in known_ids:
                 relations.append(Relation(pm_id, node.transformation, RelationKind.WEAVE_BINDING))
 
-    mgm = Megamodel(frozenset(resources), frozenset(relations))
-    validate(mgm)
-    return mgm
+    return Megamodel(frozenset(resources), frozenset(relations))
 
 
 def _peek_json_field(path: Path, key: str) -> str | None:
@@ -406,9 +386,7 @@ def load_megamodel(text: str) -> Megamodel:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise IntegrityError(f"megamodel file is malformed: {exc}") from exc
-    mgm = Megamodel(resources, relations)
-    validate(mgm)
-    return mgm
+    return Megamodel(resources, relations)
 
 
 def _string(raw: dict, key: str) -> str:

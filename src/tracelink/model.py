@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -320,7 +321,7 @@ def _parse_element(raw: object, where: str) -> Element:
 
 
 def parse_model(text: str, mm: Metamodel, uri: str = "") -> Model:
-    """Parse and validate a model document against ``mm``."""
+    """Parse a model document and check that it conforms to ``mm``."""
     data = _load_json(text)
     _require(isinstance(data, dict), "model document must be an object")
     declared = data.get("metamodel")
@@ -443,13 +444,10 @@ def ensure_conforms(m: Model, mm: Metamodel):
 
 def resolve_path(m: Model, p: ElementPath) -> Element:
     """Walk collections/indices from the root to the addressed element."""
-    steps = p.split(".")
     current = m.root
-    if "[" not in steps[0]:
-        if steps[0] != ROOT_NAME:
-            raise PathNotFound(steps[0])
-        del steps[0]
-    for step in steps:
+    if p == ROOT_NAME:
+        return current
+    for step in p.split("."):
         name, indexed, index = step.partition("[")
         if not indexed:
             raise PathNotFound(step)
@@ -462,14 +460,21 @@ def resolve_path(m: Model, p: ElementPath) -> Element:
 
 
 def iter_elements(m: Model):
-    """Yield (path, element) pairs in pre-order, root first."""
+    """Yield (path, element) pairs in source-path order (docs/formats.md,
+    "Element paths"): collections by name, elements by index, each element
+    before its contents, and the root's path, the bare name ``root``, among
+    the root's collection names. M2M trace links come in this order, and
+    ``TraceIdentifierTree.paths`` lists paths in it too."""
 
-    def walk(e: Element, prefix: str):
-        for name, children in e.collections.items():
-            for i, child in enumerate(children):
+    def walk(e: Element, names: list[str], prefix: str):
+        for name in names:
+            for i, child in enumerate(e.collections[name]):
                 text = f"{prefix}{name}[{i}]"
                 yield _canonical(text), child
-                yield from walk(child, text + ".")
+                yield from walk(child, sorted(child.collections), text + ".")
 
+    names = sorted(m.root.collections)
+    before = bisect_left(names, ROOT_NAME)
+    yield from walk(m.root, names[:before], "")  # children of the root are addressed without a "root." prefix
     yield ROOT_PATH, m.root
-    yield from walk(m.root, "")  # children of the root are addressed without a "root." prefix
+    yield from walk(m.root, names[before:], "")

@@ -2,7 +2,8 @@
 
 A path like ``filters[0].sections[1]`` walks ordered containment collections
 from the model root. The single segment ``root`` addresses the root element
-itself.
+itself, and one leading ``root.`` is dropped: ``root.filters[0]`` is
+``filters[0]``.
 
 An ``ElementPath`` is a ``str`` whose value is the path's canonical text:
 indexes without leading zeros. It compares and hashes equal to that text.
@@ -15,6 +16,7 @@ import re
 from .errors import PathSyntaxError
 
 ROOT_NAME = "root"
+_ROOT_PREFIX = ROOT_NAME + "."  # the root's own step, dropped: `root.a[0]` is `a[0]`
 
 # Collection names and segment names; `nat` is ASCII digits only.
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -46,10 +48,11 @@ ROOT_PATH = _canonical(ROOT_NAME)
 
 
 def parse_path(s: str) -> ElementPath:
-    """Parse a path string; offsets in errors are byte positions (every
-    character before an error is ASCII)."""
+    """Parse a path string into its canonical text; offsets in errors are
+    byte positions (every character before an error is ASCII)."""
     if _PATH.fullmatch(s) is None:
         raise _syntax_error(s)
+    s = s.removeprefix(_ROOT_PREFIX)
     if "[0" in s:
         s = _LEADING_ZEROS.sub("[", s)
     return _canonical(s)

@@ -40,7 +40,6 @@ from .megamodel import (
     load_metamodels,
     register_all,
     resource_id,
-    validate,
 )
 from .model import Model, _load_json, ensure_conforms, parse_model, serialize_model
 from .trace import LocalTraceModel, save_trace
@@ -84,9 +83,6 @@ class ProcessModel:
     nodes: tuple[ProcNode, ...]
     control_edges: tuple[tuple[str, str], ...]
     object_edges: tuple[ObjectEdge, ...]
-
-    def node(self, node_id: str) -> ProcNode | None:
-        return next((n for n in self.nodes if n.id == node_id), None)
 
     def actions(self) -> list[ProcNode]:
         return [n for n in self.nodes if n.kind == NodeKind.ACTION]
@@ -300,7 +296,6 @@ def enact(
     edge feeds. ``action_order`` reorders execution within a stage (used to
     demonstrate order independence); registration stays in sorted order.
     """
-    validate(mgm)  # register_all trusts the registry it is given
     plan = schedule(p)
     metamodels, mm_resource_ids = load_metamodels(mgm, root)
 

@@ -195,9 +195,10 @@ class TraceIdentifierTree:
         node.terminal = True
 
     def paths(self) -> list[ElementPath]:
-        """Every inserted path, in the order M2M trace links take: pre-order,
-        siblings in ``_sibling_order``, and the root's own path sorted as the
-        bare name ``root`` among the root's children."""
+        """Every inserted path, in the source-path order ``iter_elements``
+        walks a model in, which M2M trace links take: pre-order, siblings in
+        ``_sibling_order``, and the root's own path sorted as the bare name
+        ``root`` among the root's children."""
         out: list[ElementPath] = []
 
         def walk(node: TraceTreeNode, keys: list, prefix: str):

@@ -228,6 +228,29 @@ def test_impact_typo_suggests_nearest_path(enacted_ws, runner):
     assert "did you mean 'indirect[0].indirectdevice[0]'" in result.output
 
 
+def test_impact_reads_a_root_prefixed_path_as_the_path_itself(enacted_ws, runner):
+    plain = invoke(runner, enacted_ws, "impact", "Input.pim.model.json", "indirect[0].indirectdevice[0]")
+    prefixed = invoke(runner, enacted_ws, "impact", "Input.pim.model.json", "root.indirect[0].indirectdevice[0]")
+    assert prefixed.exit_code == plain.exit_code == 0
+    assert prefixed.stdout_bytes == plain.stdout_bytes
+
+
+def test_enact_rejects_two_registered_metamodels_with_one_name(tmp_path, runner):
+    ws = copy_workspace(tmp_path)
+    assert invoke(runner, ws, "discover", str(ws)).exit_code == 0
+    pimm = json.loads((ws / "PIMM.mm.json").read_text())
+    pimm["classes"].append({"name": "Extra"})
+    (ws / "zz-PIMM.mm.json").write_text(json.dumps(pimm))
+    mgm = json.loads((ws / "megamodel.json").read_text())
+    mgm["resources"].append(
+        {"id": "Metamodel:zz-PIMM.mm.json", "kind": "Metamodel", "origin": "Discovered", "uri": "zz-PIMM.mm.json"})
+    (ws / "megamodel.json").write_text(json.dumps(mgm))
+    result = invoke(runner, ws, "enact", "wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json")
+    assert_one_line_error(result)
+    assert "metamodel 'PIMM' is defined by more than one file" in result.output
+    assert not (ws / "out").exists()
+
+
 @pytest.mark.parametrize("path_text", ["wsn[\u00b2]", "wsn[\u0663]"], ids=["superscript-two", "arabic-indic-three"])
 def test_impact_rejects_an_index_of_non_ascii_digits(enacted_ws, runner, path_text):
     assert_one_line_error(invoke(runner, enacted_ws, "impact", "Input.pim.model.json", path_text))

@@ -25,6 +25,7 @@ from tracelink.gtm import (
     export_dot,
     origin_track,
     report_json,
+    slice_around,
 )
 from tracelink.megamodel import Megamodel, ResourceKind, save_megamodel
 from tracelink.trace import CodeSpan, ElementRef, load_trace
@@ -297,7 +298,7 @@ def test_export_dot_slice_matches_origin_nodes(enacted):
     span = next(n for n in g.nodes
                 if isinstance(n, CodeNode) and n.file_uri == "out/GenContiki/Sink.c" and n.start_line == 9)
     report = origin_track(g, anchor=span)
-    dot = export_dot(g, around=span, radius=2)
+    dot = export_dot(slice_around(g, span, 2))
     for layer in report.layers:
         for node in layer:
             assert str(node) in dot
@@ -402,7 +403,7 @@ def test_queried_and_fresh_maps_compare_equal(enacted):
     span = next(n for n in queried.nodes if isinstance(n, CodeNode))
     change_impact(queried, ElemNode("Input.pim.model.json", "wsn[0].device[0]"))
     origin_track(queried, location=(span.file_uri, span.start_byte))
-    export_dot(queried, around=span, radius=1)
+    export_dot(slice_around(queried, span, 1))
     assert queried == fresh
     assert hash(queried) == hash(fresh)
     assert repr(queried) == repr(fresh) == text
@@ -415,7 +416,7 @@ def test_hand_built_map_answers_queries():
     assert g == GlobalTraceMap(frozenset(), frozenset())
 
 
-# sha256 of export_dot(g, around=n, radius=r) over every node n of the
+# sha256 of export_dot(slice_around(g, n, r)) over every node n of the
 # bundled GTM, in node_key order, as written before the query index existed.
 DOT_SLICE_DIGESTS = {
     0: "8a31949526c7f89f6602578aa8ebd8c0b4d7bc784c539f66636ef637e40cad9a",
@@ -429,7 +430,7 @@ DOT_SLICE_DIGESTS = {
 def test_export_dot_slices_are_unchanged(enacted, radius):
     ws, _, result = enacted
     g = build_gtm(result.megamodel, ws)
-    text = "".join(export_dot(g, around=n, radius=radius) for n in sorted(g.nodes, key=node_key))
+    text = "".join(export_dot(slice_around(g, n, radius)) for n in sorted(g.nodes, key=node_key))
     assert hashlib.sha256(text.encode()).hexdigest() == DOT_SLICE_DIGESTS[radius]
 
 

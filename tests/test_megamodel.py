@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from tracelink.errors import AmbiguousMetamodel, DanglingRelation, DuplicateId, IntegrityError
+from tracelink.errors import AmbiguousMetamodel, DuplicateId, IntegrityError
 from tracelink.megamodel import (
     _check_dataflow_acyclic,
     FlowDirection,
@@ -15,15 +16,11 @@ from tracelink.megamodel import (
     discover,
     load_megamodel,
     megamodel_dot,
-    register,
     register_all,
     resource_id,
     save_megamodel,
 )
-from tracelink.process import enact, parse_process
-from tracelink.workspace import OUTPUT_DIR, TRACE_DIR, read_text
-
-from conftest import BINDINGS, PROCESS_URI, run_enactment
+from conftest import run_enactment
 
 
 def trace_entry(uri="traces/t.trace.json"):
@@ -93,10 +90,19 @@ def test_discover_skips_output_and_trace_dirs(workspace):
 
 # -- registration ----------------------------------------------------------------
 
+def model_entry(uri="a.model.json"):
+    return ResourceEntry(resource_id(ResourceKind.MODEL, uri), ResourceKind.MODEL, uri,
+                         ResourceOrigin.DISCOVERED)
+
+
+INTO = Relation(model_entry().id, m2m_entry().id, RelationKind.DATA_FLOW, FlowDirection.INPUT)
+BACK = Relation(m2m_entry().id, model_entry().id, RelationKind.DATA_FLOW, FlowDirection.OUTPUT)
+
+
 def test_register_adds_trace_with_trace_for():
-    base = register(Megamodel(), m2m_entry())
+    base = register_all(Megamodel(), [(m2m_entry(), [])])
     entry = trace_entry()
-    updated = register(base, entry, [Relation(entry.id, m2m_entry().id, RelationKind.TRACE_FOR)])
+    updated = register_all(base, [(entry, [Relation(entry.id, m2m_entry().id, RelationKind.TRACE_FOR)])])
     assert entry in updated.resources
     assert any(r.kind == RelationKind.TRACE_FOR for r in updated.relations)
     # prior value untouched
@@ -105,64 +111,73 @@ def test_register_adds_trace_with_trace_for():
 
 
 def test_register_duplicate_id_rejected():
-    base = register(Megamodel(), m2m_entry())
+    # An identical entry would vanish in the union of resource sets.
+    base = register_all(Megamodel(), [(m2m_entry(), [])])
     with pytest.raises(DuplicateId):
-        register(base, m2m_entry())
+        register_all(base, [(m2m_entry(), [])])
+    with pytest.raises(DuplicateId):
+        register_all(Megamodel(), [(m2m_entry(), []), (m2m_entry(), [])])
 
 
 def test_register_dangling_relation_rejected():
     entry = trace_entry()
-    with pytest.raises(DanglingRelation):
-        register(Megamodel(), entry, [Relation(entry.id, "TransformationM2M:ghost.m2m", RelationKind.TRACE_FOR)])
-
-
-def model_entry(uri="a.model.json"):
-    return ResourceEntry(resource_id(ResourceKind.MODEL, uri), ResourceKind.MODEL, uri,
-                         ResourceOrigin.DISCOVERED)
+    with pytest.raises(IntegrityError, match="relation endpoint missing"):
+        register_all(Megamodel(), [(entry, [Relation(entry.id, "TransformationM2M:ghost.m2m", RelationKind.TRACE_FOR)])])
 
 
 def test_register_rejects_a_dataflow_cycle():
-    base = register(register(Megamodel(), m2m_entry()), model_entry())
-    into = Relation(model_entry().id, m2m_entry().id, RelationKind.DATA_FLOW, FlowDirection.INPUT)
-    back = Relation(m2m_entry().id, model_entry().id, RelationKind.DATA_FLOW, FlowDirection.OUTPUT)
+    base = register_all(Megamodel(), [(m2m_entry(), []), (model_entry(), [])])
     with pytest.raises(IntegrityError, match="cycle"):
-        register(base, trace_entry(), [into, back])
+        register_all(base, [(trace_entry(), [INTO, BACK])])
     # The cycle may also close over a relation registered earlier.
-    with_input = register(base, trace_entry(), [into])
+    with_input = register_all(base, [(trace_entry(), [INTO])])
     with pytest.raises(IntegrityError, match="cycle"):
-        register(with_input, model_entry("b.model.json"), [back])
+        register_all(with_input, [(model_entry("b.model.json"), [BACK])])
 
 
 def test_register_checks_the_new_entry_and_relations():
-    base = register(register(Megamodel(), m2m_entry()), model_entry())
+    base = register_all(Megamodel(), [(m2m_entry(), []), (model_entry(), [])])
     with pytest.raises(IntegrityError, match="producer"):
-        register(base, ResourceEntry("Model:g", ResourceKind.MODEL, "g", ResourceOrigin.GENERATED))
+        register_all(base, [(ResourceEntry("Model:g", ResourceKind.MODEL, "g", ResourceOrigin.GENERATED), [])])
     with pytest.raises(IntegrityError, match="ConformsTo"):
-        register(base, trace_entry(), [Relation(model_entry().id, m2m_entry().id, RelationKind.CONFORMS_TO)])
+        register_all(base, [(trace_entry(), [Relation(model_entry().id, m2m_entry().id, RelationKind.CONFORMS_TO)])])
 
 
-def test_register_all_checks_each_entry_against_those_before_it():
-    into = Relation(model_entry().id, m2m_entry().id, RelationKind.DATA_FLOW, FlowDirection.INPUT)
-    back = Relation(m2m_entry().id, model_entry().id, RelationKind.DATA_FLOW, FlowDirection.OUTPUT)
-    batch = register_all(Megamodel(), [(m2m_entry(), []), (model_entry(), [into])])
-    assert batch == register(register(Megamodel(), m2m_entry()), model_entry(), [into])
-    fresh = Megamodel(batch.resources, batch.relations)
-    assert (batch.by_id, batch.dataflow) == (fresh.by_id, fresh.dataflow)
-    with pytest.raises(DanglingRelation):  # a relation may name only earlier entries
-        register_all(Megamodel(), [(model_entry(), [into]), (m2m_entry(), [])])
-    with pytest.raises(DuplicateId):
-        register_all(Megamodel(), [(m2m_entry(), []), (m2m_entry(), [])])
+def test_register_all_checks_the_grown_registry_whole():
+    batch = register_all(Megamodel(), [(m2m_entry(), []), (model_entry(), [INTO])])
+    assert batch == Megamodel(frozenset({m2m_entry(), model_entry()}), frozenset({INTO}))
+    # A relation may name any entry of its own batch, a later one too.
+    assert register_all(Megamodel(), [(model_entry(), [INTO]), (m2m_entry(), [])]) == batch
     with pytest.raises(IntegrityError, match="cycle"):
-        register_all(Megamodel(), [(m2m_entry(), []), (model_entry(), [into]), (trace_entry(), [back])])
+        register_all(Megamodel(), [(m2m_entry(), []), (model_entry(), [INTO]), (trace_entry(), [BACK])])
 
 
-def test_enactment_validates_the_registry_it_returns(workspace):
-    mgm = discover(workspace)
-    stray = ResourceEntry("Model:stray", ResourceKind.MODEL, "stray", ResourceOrigin.GENERATED)
-    process = parse_process(read_text(workspace, PROCESS_URI))
-    with pytest.raises(IntegrityError, match="producer"):
-        enact(process, Megamodel(mgm.resources | {stray}, mgm.relations), dict(BINDINGS), workspace)
-    assert not [*workspace.glob(f"{OUTPUT_DIR}/**/*"), *workspace.glob(f"{TRACE_DIR}/**/*")]  # nothing written
+def model_to_m2m(kind, direction=None):
+    return Relation(model_entry().id, m2m_entry().id, kind, direction)
+
+
+BOTH = [model_entry(), m2m_entry()]
+# Rule -> (resources, relations, the error's message).
+INVALID_REGISTRIES = {
+    "duplicate-id": ([m2m_entry(), replace(m2m_entry(), uri="y.m2m")], [], "duplicate resource id"),
+    "empty-uri": ([replace(model_entry(), uri="")], [], "empty uri"),
+    "no-producer": ([replace(model_entry(), origin=ResourceOrigin.GENERATED)], [], "lacks a producer"),
+    "conforms-to": (BOTH, [model_to_m2m(RelationKind.CONFORMS_TO)], "ConformsTo must link"),
+    "trace-for": (BOTH, [model_to_m2m(RelationKind.TRACE_FOR)], "TraceFor must link"),
+    "weave-binding": (BOTH, [model_to_m2m(RelationKind.WEAVE_BINDING)], "WeaveBinding must link"),
+    "dataflow-direction": (BOTH, [model_to_m2m(RelationKind.DATA_FLOW)], "DataFlow without direction"),
+    "dataflow-input": (BOTH, [replace(BACK, direction=FlowDirection.INPUT)], "DataFlow must link"),
+    "dataflow-output": (BOTH, [model_to_m2m(RelationKind.DATA_FLOW, FlowDirection.OUTPUT)], "DataFlow must link"),
+    "missing-endpoint": ([model_entry()], [INTO], "relation endpoint missing"),
+    "dataflow-cycle": (BOTH, [INTO, BACK], "dataflow cycle"),
+}
+
+
+@pytest.mark.parametrize("rule", INVALID_REGISTRIES)
+def test_an_invalid_registry_cannot_be_built(rule):
+    resources, relations, message = INVALID_REGISTRIES[rule]
+    with pytest.raises(IntegrityError, match=message):
+        Megamodel(frozenset(resources), frozenset(relations))
 
 
 def test_registered_indexes_match_a_fresh_build(workspace):

@@ -23,9 +23,11 @@ from tracelink.model import (
     serialize_metamodel,
     serialize_model,
 )
+from tracelink.m2m import execute_m2m, parse_m2m
 from tracelink.paths import ROOT_PATH, parse_path
+from tracelink.trace import build_identifier_tree
 
-from conftest import WORKSPACE_FIXTURE, copy_workspace, run_enactment
+from conftest import WORKSPACE_FIXTURE, copy_workspace, run_enactment, source_path_key
 from templates import ALL_METAMODELS
 from worlds import random_world
 
@@ -340,8 +342,29 @@ def test_resolve_root_prefix(input_pim):
 
 def test_every_element_path_resolves_to_its_element(input_pim):
     pairs = list(iter_elements(input_pim))
-    assert pairs[0] == (ROOT_PATH, input_pim.root)
+    assert (ROOT_PATH, input_pim.root) in pairs
     assert len({p for p, _ in pairs}) == len(pairs)
     for p, element in pairs:
         assert parse_path(p) == p
         assert resolve_path(input_pim, p) is element
+
+
+def _walked(m):
+    return [p for p, _ in iter_elements(m)]
+
+
+def test_iter_elements_walks_in_source_path_order(input_pim):
+    # Collection names out of order, and one named like the root's path.
+    leaf = Element("N")
+    root = Element("N", collections={"z": [leaf] * 11, "root": [Element("N", collections={"b": [leaf]})],
+                                     "a": [leaf]})
+    assert _walked(Model("", "M", root)) == [
+        "a[0]", "root", "root[0]", "root[0].b[0]", *(f"z[{i}]" for i in range(11))]
+    models = [input_pim]
+    for seed in range(6):
+        metamodels, text, model = random_world(seed)
+        models += [model, execute_m2m(parse_m2m(text, metamodels), {"src": model}, metamodels)]
+    for m in models:
+        paths = _walked(m)
+        assert paths == sorted(paths, key=source_path_key)
+        assert build_identifier_tree(paths).paths() == paths

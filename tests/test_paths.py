@@ -24,6 +24,12 @@ def test_bare_root_segment():
     assert parse_path("root") == ROOT_PATH == "root"
 
 
+def test_one_leading_root_step_is_dropped():
+    assert parse_path("root.a[0].b[01]") == "a[0].b[1]"
+    assert parse_path("root.root[0]") == parse_path("root[0]") == "root[0]"  # a collection named root
+    assert parse_path("a[0].root") == "a[0].root"
+
+
 @pytest.mark.parametrize("text", [
     "filters[0].sections[1]",
     "filters[1].sections[0]",

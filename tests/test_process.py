@@ -9,6 +9,7 @@ from tracelink.errors import (
     CycleError,
     MissingBinding,
     ParseError,
+    TracelinkError,
     TransformationError,
     WellFormednessError,
 )
@@ -49,7 +50,7 @@ LINEAR = proc_json(
 def test_minimal_process_parses():
     p = parse_process(LINEAR)
     assert len(p.nodes) == 3
-    assert p.node("A").kind == NodeKind.ACTION
+    assert {n.id: n.kind for n in p.nodes}["A"] == NodeKind.ACTION
 
 
 PIPED = {
@@ -337,6 +338,71 @@ def test_engine_failures_are_wrapped_with_action_id(identity_workspace):
     p = parse_process(read_text(ws, "identity.proc.json"))
     with pytest.raises(TransformationError, match="CopyIt"):
         enact(p, mgm, {"m": "in.model.json"}, ws)
+
+
+OTHER_MM = {"name": "OtherMM", "classes": [{"name": "Other"}]}
+PAIR_M2M = IDENTITY_M2M.replace("transformation Identity;", "transformation Pair;").replace(
+    "output o", "input n : OtherMM;\noutput o")
+SHOW_M2C = "[template show.txt (n : NodeMM!Node)]id [n.id/]\n[/template]"
+NODE = (("m", "NodeMM"),)
+# Action A runs ``tr`` with these pins, after ``files`` are written over the
+# workspace; each case sets what differs from this working enactment.
+WORKING = {"tr": "TransformationM2M:Identity.m2m", "inputs": NODE, "outputs": NODE, "files": {},
+           "action_order": None}
+M2C = {"tr": "TransformationM2C:Show.m2c", "outputs": ()}
+# Case -> (changes to WORKING, the error's class, its message).
+ENACTMENT_ERRORS = {
+    "pin-matches-no-alias": ({"inputs": (("x", "NodeMM"),)}, TransformationError,
+                             "action 'A': pin 'x' matches no input alias of 'Identity.m2m'"),
+    "pin-carries-another-metamodel": ({"inputs": (("m", "OtherMM"),)}, TransformationError,
+                                      "action 'A': pin 'm' carries 'OtherMM' but the transformation expects 'NodeMM'"),
+    "alias-without-pin": ({"tr": "TransformationM2M:Pair.m2m"}, TransformationError,
+                          "action 'A': no pins feed input aliases: n"),
+    "m2m-without-output-pin": ({"outputs": ()}, TransformationError,
+                               "action 'A': an M2M action needs exactly one output pin"),
+    "output-pin-carries-another-metamodel": ({"outputs": (("o", "OtherMM"),)}, TransformationError,
+                                             "action 'A': output pin carries 'OtherMM' but the transformation "
+                                             "produces 'NodeMM'"),
+    "m2c-without-input-pin": ({**M2C, "inputs": ()}, TransformationError,
+                              "action 'A': an M2C action needs exactly one input pin"),
+    "m2c-pin-carries-another-metamodel": ({**M2C, "inputs": (("m", "OtherMM"),)}, TransformationError,
+                                          "action 'A': pin 'm' carries 'OtherMM' but the template expects 'NodeMM'"),
+    "m2c-with-output-pin": ({**M2C, "outputs": NODE}, TransformationError,
+                            "action 'A': an M2C action writes files, not model pins"),
+    "model-of-another-metamodel": ({"tr": "TransformationM2M:Pair.m2m", "inputs": (*NODE, ("n", "OtherMM"))},
+                                   ConformanceError, "root: model 'in.model.json' conforms to 'NodeMM', "
+                                                     "pin of action 'A' needs 'OtherMM'"),
+    "unknown-metamodel": ({"inputs": (("m", "NoMM"),)}, WellFormednessError,
+                          "action 'A': pin 'm' names unknown metamodel 'NoMM'"),
+    "unregistered": ({"tr": "TransformationM2M:Ghost.m2m"}, TransformationError,
+                     "action 'A': transformation is not registered in the megamodel"),
+    "not-a-transformation": ({"tr": "Metamodel:NodeMM.mm.json"}, TransformationError,
+                             "action 'A': resource 'Metamodel:NodeMM.mm.json' is not a transformation"),
+    "parse-error": ({**M2C, "files": {"Show.m2c": SHOW_M2C.replace("[/template]", "")}}, TransformationError,
+                    "action 'A': missing closing tag, expected one of ('/template',)"),
+    "m2m-lexer": ({"files": {"Identity.m2m": "transformation Identity; @"}}, TransformationError,
+                  "action 'A': unexpected character '@' (line 1, col 26)"),
+    "action-order": ({"action_order": lambda order: order[1:]}, TracelinkError,
+                     "action_order must permute the stage"),
+}
+
+
+@pytest.mark.parametrize("case", ENACTMENT_ERRORS)
+def test_enactment_errors_name_their_cause(identity_workspace, case):
+    changes, error, message = ENACTMENT_ERRORS[case]
+    run = {**WORKING, **changes}
+    ws = identity_workspace
+    (ws / "OtherMM.mm.json").write_text(canonical_json(OTHER_MM))
+    (ws / "Pair.m2m").write_text(PAIR_M2M)
+    (ws / "Show.m2c").write_text(SHOW_M2C)
+    for name, text in run["files"].items():
+        (ws / name).write_text(text)
+    nodes = [{"id": "i", "kind": "Initial"}, action("A", run["tr"], run["inputs"], run["outputs"]),
+             {"id": "f", "kind": "Final"}]
+    p = parse_process(proc_json(nodes, [["i", "A"], ["A", "f"]]))
+    with pytest.raises(error) as caught:
+        enact(p, discover(ws), {pin: "in.model.json" for pin in "mnx"}, ws, action_order=run["action_order"])
+    assert (caught.type, str(caught.value)) == (error, message)
 
 
 def _tree_bytes(root):

@@ -337,7 +337,7 @@ PUBLIC = [
     "TracelinkError", "ElementPath", "parse_path", "Metamodel",
     "Model", "Element", "Violation", "parse_metamodel", "serialize_metamodel", "parse_model",
     "serialize_model", "check_conformance", "resolve_path", "Megamodel",
-    "ResourceEntry", "Relation", "ResourceKind", "ResourceOrigin", "discover", "register",
+    "ResourceEntry", "Relation", "ResourceKind", "ResourceOrigin", "discover",
     "save_megamodel", "load_megamodel", "TransformationM2M", "parse_m2m", "print_m2m",
     "execute_m2m", "augment_m2m", "strip_m2m", "execute_augmented_m2m", "Template",
     "parse_template", "print_template", "render", "augment_template", "strip_template",
