@@ -22,7 +22,7 @@ from .errors import (
     TemplateTypeError,
     TransformationError,
 )
-from .m2m import _escape, _Parser, _Token, _unescape
+from .m2m import _escape, _Parser
 from .model import (
     AttributeDef,
     CollectionDef,
@@ -133,74 +133,64 @@ class Template:
 # Tag scanner and parser
 # ---------------------------------------------------------------------------
 
+# The M2M token pattern's groups over the tag symbols, without comments.
 _TAG_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<arrow>->)
-      | (?P<neq>!=)
-      | (?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<float>\d+\.\d+)
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<sym>[():!.,/=>])
+    r"""\s*
+      (?: ([A-Za-z_][A-Za-z0-9_]*)
+        | (->|!=|[():!.,/=>])
+        | (\d+\.\d+)
+        | (\d+)
+        | ("(?:[^"\\\n]|\\.)*")
+        | \Z
+        | (.) )
     """,
     re.VERBOSE,
 )
 
 
-def _tokenize_tag(content: str, line: int) -> list[_Token]:
-    """Tag tokens, each carrying the tag's line and no column."""
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(content):
-        m = _TAG_TOKEN_RE.match(content, pos)
-        if m is None:
-            raise ParseError(f"bad token in tag: {content[pos:]!r}", line=line)
-        kind = m.lastgroup
-        if kind == "string":
-            tokens.append(_Token("string", _unescape(m.group()[1:-1]), line, None))
-        elif kind == "int":
-            tokens.append(_Token("int", int(m.group()), line, None))
-        elif kind == "float":
-            tokens.append(_Token("float", float(m.group()), line, None))
-        elif kind == "ident":
-            tokens.append(_Token("ident", m.group(), line, None))
-        elif kind != "ws":
-            tokens.append(_Token(m.group(), m.group(), line, None))
-        pos = m.end()
-    tokens.append(_Token("end", None, line, None))
-    return tokens
-
-
 class _TagExprParser(_Parser):
-    """Tag expressions, over the M2M parser's token cursor."""
+    """Tag expressions, over the M2M parser's token reader. Words are all
+    "ident", the end kind is "end", and errors carry the tag's line only."""
+
+    pattern, keywords, end = _TAG_TOKEN_RE, (), "end"
+
+    def __init__(self, content: str, line: int):
+        self.line = line
+        super().__init__(content)
+
+    def error(self, message: str):
+        raise ParseError(message, line=self.line)
+
+    def bad_character(self):
+        self.error(f"bad token in tag: {self.text[self.offset():]!r}")
 
     def nav(self) -> TNav:
-        steps = [self.expect("ident").value]
+        steps = [self.expect("ident")]
         while self.accept("."):
-            steps.append(self.expect("ident").value)
+            steps.append(self.expect("ident"))
         return TNav(tuple(steps))
 
     def literal(self, expected: str = "a literal") -> TLiteral:
-        tok = self.cur
-        if tok.kind in ("string", "int", "float"):
+        kind, value = self.tokens[self.i]
+        if kind in ("string", "int", "float"):
             self.i += 1
-            return TLiteral(tok.value)
-        if tok.kind == "ident" and tok.value in ("true", "false"):
+            return TLiteral(value)
+        if kind == "ident" and value in ("true", "false"):
             self.i += 1
-            return TLiteral(tok.value == "true")
+            return TLiteral(value == "true")
         self.error(f"expected {expected}")
         raise AssertionError
 
     def emit_expr(self) -> TemplateExpr:
-        tok = self.cur
-        if tok.kind != "ident" or tok.value in ("true", "false"):
+        kind, value = self.tokens[self.i]
+        if kind != "ident" or value in ("true", "false"):
             return self.literal("an expression")
-        if tok.value == "path" and self.tokens[self.i + 1].kind == "(":
+        if value == "path" and self.tokens[self.i + 1][0] == "(":
             self.i += 2
             target = self.nav()
             self.expect(")")
             return TPathOf(target)
-        if tok.value == "i" and self.tokens[self.i + 1].kind != ".":
+        if value == "i" and self.tokens[self.i + 1][0] != ".":
             self.i += 1
             return TIndex()
         return self.nav()
@@ -208,7 +198,7 @@ class _TagExprParser(_Parser):
     def cond(self) -> Cond:
         left = self.nav()
         if self.accept("->"):
-            if self.expect("ident").value != "size":
+            if self.expect("ident") != "size":
                 self.error("only size() is supported after '->'")
             self.expect("(")
             self.expect(")")
@@ -219,7 +209,7 @@ class _TagExprParser(_Parser):
                     break
             if op is None:
                 self.error("expected '>', '=', or '!=' after size()")
-            bound = self.expect("int").value
+            bound = self.expect("int")
             return SizeCond(left, op, bound)
         op = "=" if self.accept("=") else ("!=" if self.accept("!=") else None)
         if op is None:
@@ -281,23 +271,23 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
     name = body_of_header[:paren].strip()
     if not name or any(c.isspace() for c in name) or "/" in name:
         raise ParseError(f"bad template name {name!r}", line=header_line)
-    p = _TagExprParser(_tokenize_tag(body_of_header[paren:], header_line))
+    p = _TagExprParser(body_of_header[paren:], header_line)
     p.expect("(")
-    param_var = p.expect("ident").value
+    param_var = p.expect("ident")
     if param_var == "i":
         raise ParseError("'i' is reserved for the loop index", line=header_line)
     p.expect(":")
-    mm_name = p.expect("ident").value
+    mm_name = p.expect("ident")
     p.expect("!")
-    param_class = p.expect("ident").value
+    param_class = p.expect("ident")
     p.expect(")")
     markers = DEFAULT_MARKERS
-    if p.cur.kind == "ident" and p.cur.value == "markers":
+    if p.tokens[p.i] == ("ident", "markers"):
         p.i += 1
         p.expect("(")
-        mo = p.expect("string").value
+        mo = p.expect("string")
         p.expect(",")
-        mc = p.expect("string").value
+        mc = p.expect("string")
         p.expect(")")
         markers = (mo, mc)
     p.expect("end")
@@ -330,9 +320,9 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
             if stripped in ("/for", "/if", "/template", "else"):
                 raise ParseError(f"unexpected [{stripped}]", line=line)
             if word == "for":
-                tp = _TagExprParser(_tokenize_tag(stripped[len("for"):], line))
+                tp = _TagExprParser(stripped[len("for"):], line)
                 tp.expect("(")
-                var = tp.expect("ident").value
+                var = tp.expect("ident")
                 if var == "i":
                     raise ParseError("'i' is reserved for the loop index", line=line)
                 tp.expect(":")
@@ -342,7 +332,7 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
                 inner, _, pos = parse_body(pos, ("/for",))
                 nodes.append(ForNode(var, source, tuple(inner), line))
             elif word == "if":
-                tp = _TagExprParser(_tokenize_tag(stripped[len("if"):], line))
+                tp = _TagExprParser(stripped[len("if"):], line)
                 tp.expect("(")
                 cond = tp.cond()
                 tp.expect(")")
@@ -355,7 +345,7 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
             else:
                 if not stripped.endswith("/"):
                     raise ParseError(f"emit tag must end with '/': [{content}]", line=line)
-                tp = _TagExprParser(_tokenize_tag(stripped[:-1], line))
+                tp = _TagExprParser(stripped[:-1], line)
                 expr = tp.emit_expr()
                 tp.expect("end")
                 nodes.append(EmitNode(expr, line))

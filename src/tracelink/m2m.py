@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import (
     ConformanceError,
@@ -116,118 +116,100 @@ def is_augmented(t: TransformationM2M) -> bool:
 # Lexer
 # ---------------------------------------------------------------------------
 
+# One match per token, skipping the whitespace and comments before it. The
+# groups are (word, symbol, float, int, string, bad character); at the end of
+# the text every group is empty. Not DOTALL: a string's `\\.` must not take a
+# newline.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>--[^\n]*)
-      | (?P<arrow><-)
-      | (?P<neq>!=)
-      | (?P<float>\d+\.\d+)
-      | (?P<int>\d+)
-      | (?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<sym>[{}();,:!.=])
+    r"""(?:\s+|--[^\n]*)*
+      (?: ([A-Za-z_][A-Za-z0-9_]*)
+        | (<-|!=|[{}();,:!.=])
+        | (\d+\.\d+)
+        | (\d+)
+        | ("(?:[^"\\\n]|\\.)*")
+        | \Z
+        | (.) )
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"transformation", "input", "output", "rule", "from", "to", "traced", "concat", "true", "false"}
-
-
-class _Token(NamedTuple):
-    kind: str  # "ident", "string", "int", "float", or the symbol/keyword itself
-    value: object
-    line: int
-    col: int | None  # None inside an M2C tag, whose tokens carry the tag's line
-
+_BAD = ("bad", None)  # the token of a character no token starts with
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _unescape(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        if s[i] == "\\" and i + 1 < len(s):
-            out.append(_ESCAPES.get(s[i + 1], s[i + 1]))
-            i += 2
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line=line, column=pos - line_start + 1)
-        kind = m.lastgroup
-        raw = m.group()
-        col = pos - line_start + 1
-        if kind == "ws":
-            nl = raw.count("\n")
-            if nl:
-                line += nl
-                line_start = pos + raw.rindex("\n") + 1
-        elif kind == "comment":
-            pass
-        elif kind == "arrow" or kind == "neq" or kind == "sym":
-            tokens.append(_Token(raw, raw, line, col))
-        elif kind == "ident":
-            tokens.append(_Token(raw if raw in _KEYWORDS else "ident", raw, line, col))
-        elif kind == "string":
-            tokens.append(_Token("string", _unescape(raw[1:-1]), line, col))
-        elif kind == "int":
-            tokens.append(_Token("int", int(raw), line, col))
-        elif kind == "float":
-            tokens.append(_Token("float", float(raw), line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", None, line, len(text) - line_start + 1))
-    return tokens
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[1], m[1]), s)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+    """Recursive descent over ``(kind, value)`` tokens, read by index. A kind
+    is "ident", "string", "int", "float", the end kind, or the symbol or
+    keyword itself. A token's position is worked out only for an error, by
+    scanning the text again."""
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+    pattern, keywords, end = _TOKEN_RE, _KEYWORDS, "eof"
+
+    def __init__(self, text: str):
+        keywords, end = self.keywords, (self.end, None)
+        self.text = text
+        self.tokens = [
+            (w if w in keywords else "ident", w) if w
+            else (s, s) if s
+            else ("string", _unescape(q[1:-1])) if q
+            else ("int", int(n)) if n
+            else ("float", float(f)) if f
+            else _BAD if b
+            else end
+            for w, s, f, n, q, b in self.pattern.findall(text)
+        ]
+        self.i = 0
+        if _BAD in self.tokens:  # before any grammar error
+            self.i = self.tokens.index(_BAD)
+            self.bad_character()
+
+    def offset(self) -> int:
+        """The current token's offset in the text."""
+        m = next(islice(self.pattern.finditer(self.text), self.i, None))
+        return m.start(m.lastindex) if m.lastindex else m.end()
 
     def error(self, message: str):
-        raise ParseError(message, line=self.cur.line, column=self.cur.col)
+        offset = self.offset()
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        raise ParseError(message, line=self.text.count("\n", 0, line_start) + 1, column=offset - line_start + 1)
 
-    def accept(self, kind: str) -> _Token | None:
-        if self.cur.kind == kind:
-            tok = self.cur
+    def bad_character(self):
+        self.error(f"unexpected character {self.text[self.offset()]!r}")
+
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.i][0] == kind:
             self.i += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.accept(kind)
-        if tok is None:
-            self.error(f"expected {kind!r}, got {self.cur.kind!r}")
-        return tok
+    def expect(self, kind: str):
+        """The value of the current token, which must be of ``kind``."""
+        got, value = self.tokens[self.i]
+        if got != kind:
+            self.error(f"expected {kind!r}, got {got!r}")
+        self.i += 1
+        return value
 
     # transformation := "transformation" IDENT ";" decl* rule*
     def transformation(self) -> TransformationM2M:
         self.expect("transformation")
-        name = self.expect("ident").value
+        name = self.expect("ident")
         self.expect(";")
         inputs: list[tuple[str, str]] = []
         output: tuple[str, str] | None = None
-        while self.cur.kind in ("input", "output"):
-            is_input = self.cur.kind == "input"
+        while self.tokens[self.i][0] in ("input", "output"):
+            is_input = self.tokens[self.i][0] == "input"
             self.i += 1
-            alias = self.expect("ident").value
+            alias = self.expect("ident")
             self.expect(":")
-            mm = self.expect("ident").value
+            mm = self.expect("ident")
             self.expect(";")
             if is_input:
                 inputs.append((alias, mm))
@@ -240,17 +222,17 @@ class _Parser:
         if output is None:
             self.error("an output declaration is required")
         rules = []
-        while self.cur.kind == "rule":
+        while self.tokens[self.i][0] == "rule":
             rules.append(self.rule())
         self.expect("eof")
         return TransformationM2M(name, tuple(inputs), output, tuple(rules))
 
     def rule(self) -> Rule:
         self.expect("rule")
-        name = self.expect("ident").value
+        name = self.expect("ident")
         self.expect("{")
         self.expect("from")
-        from_var = self.expect("ident").value
+        from_var = self.expect("ident")
         self.expect(":")
         from_mm, from_class = self.qualified_class()
         guard = None
@@ -265,9 +247,9 @@ class _Parser:
         return Rule(name, from_var, from_mm, from_class, guard, tuple(targets))
 
     def qualified_class(self) -> tuple[str, str]:
-        mm = self.expect("ident").value
+        mm = self.expect("ident")
         self.expect("!")
-        cls = self.expect("ident").value
+        cls = self.expect("ident")
         return mm, cls
 
     def guard(self) -> Guard:
@@ -281,13 +263,13 @@ class _Parser:
         return Guard(left, op, right)
 
     def target(self) -> TargetPattern:
-        var = self.expect("ident").value
+        var = self.expect("ident")
         self.expect(":")
         mm, cls = self.qualified_class()
-        traced = self.accept("traced") is not None
+        traced = self.accept("traced")
         self.expect("(")
         bindings: list[Binding] = []
-        if self.cur.kind != ")":
+        if self.tokens[self.i][0] != ")":
             bindings.append(self.binding())
             while self.accept(","):
                 bindings.append(self.binding())
@@ -295,19 +277,19 @@ class _Parser:
         return TargetPattern(var, mm, cls, tuple(bindings), traced)
 
     def binding(self) -> Binding:
-        feature = self.expect("ident").value
+        feature = self.expect("ident")
         self.expect("<-")
         return Binding(feature, self.expr())
 
     def expr(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "string" or tok.kind == "int" or tok.kind == "float":
+        kind, value = self.tokens[self.i]
+        if kind == "string" or kind == "int" or kind == "float":
             self.i += 1
-            return Literal(tok.value)
-        if tok.kind in ("true", "false"):
+            return Literal(value)
+        if kind in ("true", "false"):
             self.i += 1
-            return Literal(tok.kind == "true")
-        if tok.kind == "concat":
+            return Literal(kind == "true")
+        if kind == "concat":
             self.i += 1
             self.expect("(")
             left = self.expr()
@@ -315,12 +297,11 @@ class _Parser:
             right = self.expr()
             self.expect(")")
             return Concat(left, right)
-        if tok.kind == "ident":
+        if kind == "ident":
             self.i += 1
             if self.accept("."):
-                feature = self.expect("ident").value
-                return Nav(tok.value, feature)
-            return VarRef(tok.value)
+                return Nav(value, self.expect("ident"))
+            return VarRef(value)
         self.error("expected an expression")
         raise AssertionError  # unreachable
 
@@ -407,7 +388,7 @@ def _check_expr(rule: Rule, expr: Expr, src_mm: Metamodel, target_vars: set[str]
 
 def parse_m2m(text: str, metamodels: dict[str, Metamodel]) -> TransformationM2M:
     """Parse and class-check a rule file against the given metamodels."""
-    t = _Parser(_lex(text)).transformation()
+    t = _Parser(text).transformation()
     _check_transformation(t, metamodels)
     return t
 
