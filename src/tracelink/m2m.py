@@ -32,6 +32,7 @@ from .model import (
     Metamodel,
     Model,
     ReferenceDef,
+    _type_ok,
     ensure_conforms,
     iter_elements,
     resolve_path,
@@ -329,8 +330,13 @@ def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]
             raise UnknownClass(rule.from_metamodel)
         if src_mm.class_named(rule.from_class) is None:
             raise UnknownClass(rule.from_class)
-        if rule.guard is not None and not isinstance(_check_nav(rule, rule.guard.left, src_mm), AttributeDef):
-            raise SchemaError(f"rule '{rule.name}': '{rule.guard.left.feature}' is not an attr")
+        if rule.guard is not None:
+            attr = _check_nav(rule, rule.guard.left, src_mm)
+            if not isinstance(attr, AttributeDef):
+                raise SchemaError(f"rule '{rule.name}': '{rule.guard.left.feature}' is not an attr")
+            if not _type_ok(attr.type, rule.guard.right.value):
+                raise SchemaError(f"rule '{rule.name}': guard compares {attr.type} attribute "
+                                  f"'{attr.name}' against {rule.guard.right.value!r}")
         target_vars: set[str] = set()
         for pattern in rule.targets:
             out_mm = metamodels.get(pattern.metamodel)

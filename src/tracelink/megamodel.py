@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
-from .errors import AmbiguousMetamodel, DuplicateId, IntegrityError, ParseError
+from .errors import AmbiguousMetamodel, DuplicateId, IntegrityError, ParseError, SchemaError
 from .model import Metamodel, _load_json, canonical_json, parse_metamodel
 from .workspace import OUTPUT_DIR, TRACE_DIR, read_text
 
@@ -129,11 +129,16 @@ def resource_id(kind: ResourceKind, uri: str) -> str:
 
 def load_metamodels(mgm: Megamodel, root: Path) -> tuple[dict[str, Metamodel], dict[str, str]]:
     """The registered metamodels by name, and their resource ids by name.
-    Two that declare one name are ambiguous, as in discovery."""
+    A malformed one fails with an error that names its file; two that
+    declare one name are ambiguous."""
     metamodels: dict[str, Metamodel] = {}
     resource_ids: dict[str, str] = {}
     for res in mgm.of_kind(ResourceKind.METAMODEL):
-        mm = parse_metamodel(read_text(root, res.uri))
+        try:
+            mm = parse_metamodel(read_text(root, res.uri))
+        except (ParseError, SchemaError) as exc:
+            exc.args = (f"{res.uri}: {exc}",)
+            raise
         if mm.name in metamodels:
             raise AmbiguousMetamodel(mm.name)
         metamodels[mm.name] = mm
@@ -293,22 +298,11 @@ def discover(workspace_root: str | Path) -> Megamodel:
         raise FileNotFoundError(f"workspace root '{root}' is not a directory")
 
     found = workspace_files(root)
-    resources: list[ResourceEntry] = []
+    resources = [ResourceEntry(resource_id(kind, uri), kind, uri, ResourceOrigin.DISCOVERED) for uri, kind in found]
     relations: list[Relation] = []
-    metamodel_names: dict[str, str] = {}  # metamodel name -> resource id
-
-    for uri, kind in found:
-        resources.append(ResourceEntry(resource_id(kind, uri), kind, uri, ResourceOrigin.DISCOVERED))
-
-    for uri, kind in found:
-        if kind != ResourceKind.METAMODEL:
-            continue
-        name = _peek_json_field(root / uri, "name")
-        if name is None:
-            continue
-        if name in metamodel_names:
-            raise AmbiguousMetamodel(name)
-        metamodel_names[name] = resource_id(kind, uri)
+    # Metamodel name -> resource id, loaded as every later command loads them.
+    _, metamodel_names = load_metamodels(
+        Megamodel(frozenset(r for r in resources if r.kind == ResourceKind.METAMODEL)), root)
 
     for uri, kind in found:
         if kind != ResourceKind.MODEL:

@@ -251,6 +251,22 @@ def test_enact_rejects_two_registered_metamodels_with_one_name(tmp_path, runner)
     assert not (ws / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["discover", "augment-m2m", "enact"])
+def test_a_metamodel_without_a_name_fails_every_command_naming_its_file(tmp_path, runner, command):
+    ws = copy_workspace(tmp_path)
+    assert invoke(runner, ws, "discover", str(ws)).exit_code == 0
+    (ws / "notes.mm.json").write_text('{"classes": []}')
+    mgm = json.loads((ws / "megamodel.json").read_text())
+    mgm["resources"].append(
+        {"id": "Metamodel:notes.mm.json", "kind": "Metamodel", "origin": "Discovered", "uri": "notes.mm.json"})
+    (ws / "megamodel.json").write_text(json.dumps(mgm))
+    args = {"discover": [str(ws)], "augment-m2m": [str(ws / "MapContiki.m2m")],
+            "enact": ["wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json"]}[command]
+    result = invoke(runner, ws, command, *args)
+    assert_one_line_error(result)
+    assert result.output == "error: notes.mm.json: metamodel needs a string 'name'\n"
+
+
 @pytest.mark.parametrize("path_text", ["wsn[\u00b2]", "wsn[\u0663]"], ids=["superscript-two", "arabic-indic-three"])
 def test_impact_rejects_an_index_of_non_ascii_digits(enacted_ws, runner, path_text):
     assert_one_line_error(invoke(runner, enacted_ws, "impact", "Input.pim.model.json", path_text))

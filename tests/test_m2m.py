@@ -114,6 +114,17 @@ def test_unknown_feature_rejected():
         parse_m2m(IDENTITY_RULE.replace("s.id", "s.nope"), AB_METAMODELS)
 
 
+@pytest.mark.parametrize("guard, literal", [('s.kind = 5', "string attribute 'kind' against 5"),
+                                            ('s.size != true', "int attribute 'size' against True")])
+def test_guard_literal_must_have_the_attribute_type(guard, literal):
+    metamodels = {**AB_METAMODELS, "MMA": parse_metamodel(
+        '{"name": "MMA", "classes": [{"name": "Node", '
+        '"attributes": [{"name": "kind", "type": "string"}, {"name": "size", "type": "int"}]}]}')}
+    text = IDENTITY_RULE.replace("from s : MMA!Node", f"from s : MMA!Node ({guard})").replace("s.id", "s.kind")
+    with pytest.raises(SchemaError, match=f"^rule 'Node2Feature': guard compares {literal}$"):
+        parse_m2m(text, metamodels)
+
+
 def test_duplicate_rule_names_rejected():
     doubled = IDENTITY_RULE + IDENTITY_RULE.split("output dst : MMB;")[1]
     with pytest.raises(SchemaError, match="duplicate rule"):
