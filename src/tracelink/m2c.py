@@ -133,7 +133,7 @@ class Template:
 # Tag scanner and parser
 # ---------------------------------------------------------------------------
 
-# The M2M token pattern's groups over the tag symbols, without comments.
+# The groups of `m2m._TOKEN_RE`, over the tag symbols; a tag has no comments.
 _TAG_TOKEN_RE = re.compile(
     r"""\s*
       (?: ([A-Za-z_][A-Za-z0-9_]*)

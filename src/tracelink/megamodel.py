@@ -298,8 +298,12 @@ def discover(workspace_root: str | Path) -> Megamodel:
         raise FileNotFoundError(f"workspace root '{root}' is not a directory")
 
     found = workspace_files(root)
-    resources = [ResourceEntry(resource_id(kind, uri), kind, uri, ResourceOrigin.DISCOVERED) for uri, kind in found]
+    resources: list[ResourceEntry] = []
     relations: list[Relation] = []
+
+    for uri, kind in found:
+        resources.append(ResourceEntry(resource_id(kind, uri), kind, uri, ResourceOrigin.DISCOVERED))
+
     # Metamodel name -> resource id, loaded as every later command loads them.
     _, metamodel_names = load_metamodels(
         Megamodel(frozenset(r for r in resources if r.kind == ResourceKind.METAMODEL)), root)
