@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 
@@ -235,6 +236,26 @@ def test_rebuilding_a_bad_span_rejected():
     rebuild, args = span.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]  # what pickle.loads calls
     with pytest.raises(IntegrityError, match=r"bad span \[-1, 9\)"):
         rebuild(args[0], "f", -1, 9, 1, 3)
+
+
+# sha256 of each trace file of the enacted fixture, as the writer saved it.
+TRACE_DIGESTS = {
+    "GenArduino": "d74c83f8259531b716014d8396677bb4882b588ffb174c909a11ad57a2b03ebb",
+    "GenContiki": "8b3723b0d371e2e7d9bf62410fc0fb58843f535a76e6a724c8a8d4378a2e3028",
+    "GenGateway": "08ea68fdd8d67280ee9f1dbe7e4e3a6743ff2daa0a03b5e419e729de81183f6f",
+    "GenRIOT": "5e142ea701314ae04a362f14eadb69de7b53e7663fa6f478ff89d796887a8ae4",
+    "MapArduino": "e6a8596dcf4e336fb8d0fffd2c440e05cd5e72930d6bfdc36507bb3e5bd9101c",
+    "MapContiki": "d7423f8d0bb0ea83bcdfe9dedd95c447b68e9f349ed735b511c8d14f0ccb5d3c",
+    "MapDataCollector": "a0f3929965aaf6bd7253f0c39d455d09ff8632cbf87512239b611d69916744f7",
+    "MapRIOT": "f1a692de9f7af2231ea3b0753fe60fa9c94f72b0e2b18e504717515089a0e7ee",
+}
+
+
+def test_enacted_trace_files_keep_their_bytes(enacted):
+    ws, _mgm, _result = enacted
+    digests = {p.name.removesuffix(".trace.json"): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (ws / "traces").glob("*.trace.json")}
+    assert digests == TRACE_DIGESTS
 
 
 def test_malformed_trace_json():
