@@ -1,8 +1,9 @@
 """Typed models and metamodels: parsing, conformance checking, path resolution.
 
 Concrete syntax is JSON (``*.mm.json`` / ``*.model.json``, see docs/formats.md).
-``canonical_json`` writes every JSON file tracelink saves: a dedicated writer
-that reproduces json's ``indent=2, sort_keys=True`` bytes exactly.
+``canonical_json`` writes every JSON file tracelink saves except trace files
+(``trace.save_trace``): a dedicated writer that reproduces json's
+``indent=2, sort_keys=True`` bytes exactly.
 Values are immutable after parse; engines that build models mutate fresh
 elements during construction only.
 
@@ -16,7 +17,6 @@ checked model and check a hand-built one.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -128,14 +128,12 @@ def _require(cond: bool, message: str):
         raise ParseError(message)
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
+
+
 def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
 
 
 # Scalar writers by exact type; a subclass (an enum, say) is left to json.
@@ -146,6 +144,50 @@ _JSON_SCALARS = {
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
+_scalar_writer = _JSON_SCALARS.get
+
+
+def _write_json(value: object, newline: str, emit: Callable[[str], None]):
+    """Emit ``value`` at the indent ``newline`` ends in; not a closure, which would reach itself."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(key)
+            item = value[key]
+            to_text = _scalar_writer(type(item))
+            if to_text is None:
+                emit(sep + encode_basestring(key) + ": ")
+                _write_json(item, inner, emit)
+            else:
+                emit(sep + encode_basestring(key) + ": " + to_text(item))
+            sep = "," + inner
+        emit(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            to_text = _scalar_writer(type(item))
+            if to_text is None:
+                emit(sep)
+                _write_json(item, inner, emit)
+            else:
+                emit(sep + to_text(item))
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        to_text = _scalar_writer(kind)
+        if to_text is None:
+            raise TypeError(kind)
+        emit(to_text(value))
 
 
 def canonical_json(data: object) -> str:
@@ -158,55 +200,11 @@ def canonical_json(data: object) -> str:
     cycle) goes to ``json.dumps`` whole, which coerces or raises as json does.
     """
     chunks: list[str] = []
-    emit = chunks.append
-    scalar = _JSON_SCALARS.get
-
-    def write(value: object, newline: str):
-        kind = type(value)
-        if kind is dict:
-            if not value:
-                emit("{}")
-                return
-            inner = newline + "  "
-            sep = "{" + inner
-            for key in sorted(value):
-                if type(key) is not str:
-                    raise TypeError(key)
-                item = value[key]
-                to_text = scalar(type(item))
-                if to_text is None:
-                    emit(sep + encode_basestring(key) + ": ")
-                    write(item, inner)
-                else:
-                    emit(sep + encode_basestring(key) + ": " + to_text(item))
-                sep = "," + inner
-            emit(newline + "}")
-        elif kind is list or kind is tuple:
-            if not value:
-                emit("[]")
-                return
-            inner = newline + "  "
-            sep = "[" + inner
-            for item in value:
-                to_text = scalar(type(item))
-                if to_text is None:
-                    emit(sep)
-                    write(item, inner)
-                else:
-                    emit(sep + to_text(item))
-                sep = "," + inner
-            emit(newline + "]")
-        else:
-            to_text = scalar(kind)
-            if to_text is None:
-                raise TypeError(kind)
-            emit(to_text(value))
-
     try:
-        write(data, "\n")
+        _write_json(data, "\n", chunks.append)
     except (TypeError, RecursionError):
         return json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    emit("\n")
+    chunks.append("\n")
     return "".join(chunks)
 
 

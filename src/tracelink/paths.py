@@ -2,8 +2,8 @@
 
 A path like ``filters[0].sections[1]`` walks ordered containment collections
 from the model root. The single segment ``root`` addresses the root element
-itself, and one leading ``root.`` is dropped: ``root.filters[0]`` is
-``filters[0]``.
+itself, and leading ``root.`` steps are dropped: ``root.filters[0]`` and
+``root.root.filters[0]`` are ``filters[0]``.
 
 An ``ElementPath`` is a ``str`` whose value is the path's canonical text:
 indexes without leading zeros. It compares and hashes equal to that text.
@@ -52,7 +52,8 @@ def parse_path(s: str) -> ElementPath:
     byte positions (every character before an error is ASCII)."""
     if _PATH.fullmatch(s) is None:
         raise _syntax_error(s)
-    s = s.removeprefix(_ROOT_PREFIX)
+    while s.startswith(_ROOT_PREFIX):  # all of them, so the canonical text parses to itself
+        s = s[len(_ROOT_PREFIX):]
     if "[0" in s:
         s = _LEADING_ZEROS.sub("[", s)
     return _canonical(s)

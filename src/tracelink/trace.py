@@ -2,17 +2,20 @@
 
 This is the shared vocabulary between both transformation engines and the
 global trace map: every transformation execution yields one local trace
-model, stored as a sidecar ``*.trace.json`` file.
+model, stored as a sidecar ``*.trace.json`` file. The constructors check every
+field such a file holds, so ``save_trace`` writes any trace that can be built
+straight from its fixed shape, and ``load_trace`` reads it back equal.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .errors import IntegrityError, ParseError
-from .model import _load_json, canonical_json
+from .model import _load_json
 from .paths import ROOT_NAME, ROOT_PATH, ElementPath, _canonical, parse_path
 
 
@@ -37,6 +40,10 @@ class CodeSpan(NamedTuple("CodeSpan", [("file_uri", str), ("start_byte", int), (
     __slots__ = ()
 
     def __new__(cls, file_uri: str, start_byte: int, end_byte: int, start_line: int, start_col: int):
+        if not type(start_byte) is type(end_byte) is type(start_line) is type(start_col) is int:  # not bool
+            raise IntegrityError(f"trace span fields must be integers: {start_byte, end_byte, start_line, start_col}")
+        if not isinstance(file_uri, str):
+            raise IntegrityError(f"trace span file must be a string: {file_uri!r}")
         if not 0 <= start_byte <= end_byte:
             raise IntegrityError(f"bad span [{start_byte}, {end_byte})")
         if start_line < 1 or start_col < 1:
@@ -70,12 +77,18 @@ class TraceLink:
     def __post_init__(self):
         if not self.sources:
             raise IntegrityError("trace link has no sources")
+        if any(type(s) is not ElementRef for s in self.sources):
+            raise IntegrityError("trace link sources must be model elements")
         if not self.targets:
             raise IntegrityError("trace link has no targets")
         kinds = {type(t) for t in self.targets}
-        if len(kinds) > 1:
-            raise IntegrityError("trace link mixes element and code targets")
-        if any(not k for k in self.tags):
+        if kinds not in ({ElementRef}, {CodeSpan}):
+            raise IntegrityError("trace link mixes element and code targets" if len(kinds) > 1
+                                 else "trace link targets must be model elements or code spans")
+        tags = self.tags
+        if not isinstance(tags, dict) or not all(isinstance(k, str) and isinstance(v, str) for k, v in tags.items()):
+            raise IntegrityError("trace link 'tags' must be an object of strings")
+        if "" in tags:
             raise IntegrityError("trace link has an empty tag key")
 
 
@@ -86,22 +99,14 @@ class LocalTraceModel:
     execution_stamp: int
     links: tuple[TraceLink, ...] = ()
 
+    def __post_init__(self):
+        if not (isinstance(self.id, str) and isinstance(self.transformation_id, str) and type(self.execution_stamp) is int):
+            raise IntegrityError("trace id and transformation must be strings, executionStamp an integer")
+
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def _target_to_json(t: ElementRef | CodeSpan) -> dict:
-    if isinstance(t, ElementRef):
-        return {"model": t.model_uri, "path": str(t.path)}
-    return {
-        "file": t.file_uri,
-        "startByte": t.start_byte,
-        "endByte": t.end_byte,
-        "startLine": t.start_line,
-        "startCol": t.start_col,
-    }
-
 
 def _target_from_json(raw: object) -> ElementRef | CodeSpan:
     if not isinstance(raw, dict):
@@ -109,27 +114,32 @@ def _target_from_json(raw: object) -> ElementRef | CodeSpan:
     if isinstance(raw.get("model"), str):
         return ElementRef(raw["model"], parse_path(raw["path"]))
     if isinstance(raw.get("file"), str):
-        span = [raw[key] for key in ("startByte", "endByte", "startLine", "startCol")]
-        if not all(type(value) is int for value in span):  # bool and float are not offsets
-            raise IntegrityError(f"trace span fields must be integers: {raw!r}")
-        return CodeSpan(raw["file"], *span)
+        return CodeSpan(raw["file"], *[raw[key] for key in ("startByte", "endByte", "startLine", "startCol")])
     raise IntegrityError(f"unrecognized trace target: {raw!r}")
 
 
+def _endpoints_json(ends: tuple[ElementRef, ...] | tuple[CodeSpan, ...]) -> str:
+    if type(ends[0]) is CodeSpan:  # the link's constructor checked that all are of one kind
+        return ",".join([f'\n        {{\n          "endByte": {s.end_byte},'
+                         f'\n          "file": {encode_basestring(s.file_uri)},\n          "startByte": {s.start_byte},'
+                         f'\n          "startCol": {s.start_col},\n          "startLine": {s.start_line}\n        }}'
+                         for s in ends])
+    return ",".join([f'\n        {{\n          "model": {encode_basestring(r.model_uri)},'
+                     f'\n          "path": {encode_basestring(r.path)}\n        }}' for r in ends])
+
+
 def save_trace(t: LocalTraceModel) -> str:
+    """The bytes canonical_json gives the trace's document (keys sorted, strings through json's
+    escaper), written from its fixed shape; the constructors vouch for each value's type."""
     links = []
     for link in t.links:
-        links.append({
-            "sources": [_target_to_json(s) for s in link.sources],
-            "targets": [_target_to_json(x) for x in link.targets],
-            "tags": dict(link.tags),
-        })
-    return canonical_json({
-        "id": t.id,
-        "transformation": t.transformation_id,
-        "executionStamp": t.execution_stamp,
-        "links": links,
-    })
+        tags = ",".join([f"\n        {encode_basestring(k)}: {encode_basestring(v)}" for k, v in sorted(link.tags.items())])
+        tags = "{" + tags + "\n      }" if tags else "{}"
+        links.append(f'\n    {{\n      "sources": [{_endpoints_json(link.sources)}\n      ],\n      "tags": {tags},'
+                     f'\n      "targets": [{_endpoints_json(link.targets)}\n      ]\n    }}')
+    links = "[" + ",".join(links) + "\n  ]" if links else "[]"
+    return (f'{{\n  "executionStamp": {t.execution_stamp},\n  "id": {encode_basestring(t.id)},'
+            f'\n  "links": {links},\n  "transformation": {encode_basestring(t.transformation_id)}\n}}\n')
 
 
 def load_trace(text: str) -> LocalTraceModel:
@@ -143,18 +153,9 @@ def load_trace(text: str) -> LocalTraceModel:
         for raw in data.get("links", []):
             if not isinstance(raw, dict):
                 raise IntegrityError("each trace link must be an object")
-            tags = raw.get("tags", {})
-            if not isinstance(tags, dict) or not all(isinstance(v, str) for v in tags.values()):
-                raise IntegrityError("trace link 'tags' must be an object of strings")
-            sources = tuple(_target_from_json(s) for s in raw.get("sources", []))
-            if any(isinstance(s, CodeSpan) for s in sources):
-                raise IntegrityError("trace link sources must be model elements")
-            targets = tuple(_target_from_json(x) for x in raw.get("targets", []))
-            links.append(TraceLink(sources, targets, dict(tags)))
-        trace_id, transformation_id, stamp = data["id"], data["transformation"], data["executionStamp"]
-        if not (isinstance(trace_id, str) and isinstance(transformation_id, str) and type(stamp) is int):
-            raise IntegrityError("trace id and transformation must be strings, executionStamp an integer")
-        return LocalTraceModel(trace_id, transformation_id, stamp, tuple(links))
+            links.append(TraceLink(tuple(map(_target_from_json, raw.get("sources", []))),
+                                   tuple(map(_target_from_json, raw.get("targets", []))), raw.get("tags", {})))
+        return LocalTraceModel(data["id"], data["transformation"], data["executionStamp"], tuple(links))
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"trace file is missing or mistypes a field: {exc}") from exc
 

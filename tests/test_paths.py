@@ -30,6 +30,14 @@ def test_one_leading_root_step_is_dropped():
     assert parse_path("a[0].root") == "a[0].root"
 
 
+@pytest.mark.parametrize("text, canonical", [("root.root.a[0]", "a[0]"), ("root.root.a", "a"),
+                                             ("root.root", "root"), ("root.root.root.root[2]", "root[2]")])
+def test_every_leading_root_step_is_dropped_so_a_path_parses_its_own_text(text, canonical):
+    p = parse_path(text)
+    assert p == canonical and parse_path(p) == p
+    assert copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p
+
+
 @pytest.mark.parametrize("text", [
     "filters[0].sections[1]",
     "filters[1].sections[0]",

@@ -1,13 +1,16 @@
 import copy
+import gc
 import hashlib
+import json
 import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelink.errors import IntegrityError, ParseError
+from tracelink.model import canonical_json
 from tracelink.paths import ROOT_PATH, parse_path
 from tracelink.trace import (
     CodeSpan,
@@ -119,6 +122,92 @@ def test_trace_round_trip():
 def test_empty_links_round_trip():
     t = LocalTraceModel("trace:empty", "TransformationM2C:X.m2c", 1, ())
     assert load_trace(save_trace(t)) == t
+
+
+# Text that json escapes or writes as is: quotes, backslashes, control
+# characters, U+2028 and non-ASCII letters, among any other characters.
+_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é中😀'), st.characters()), max_size=4)
+_element = st.builds(ElementRef, _text, _path)
+_span = st.builds(lambda file, start, length, line, col: CodeSpan(file, start, start + length, line, col),
+                  _text, st.integers(0, 10**6), st.integers(0, 99), st.integers(1, 10**4), st.integers(1, 500))
+_link = st.builds(
+    TraceLink,
+    st.lists(_element, min_size=1, max_size=2).map(tuple),
+    st.one_of(st.lists(_element, min_size=1, max_size=2), st.lists(_span, min_size=1, max_size=2)).map(tuple),
+    st.dictionaries(_text.filter(bool), _text, max_size=2),
+)
+_trace = st.builds(LocalTraceModel, _text, _text, st.integers(-2**70, 2**70),
+                   st.lists(_link, max_size=3).map(tuple))
+
+
+def _trace_document(t):
+    """A trace as the document its file holds, for json and canonical_json."""
+    def endpoint(e):
+        if isinstance(e, CodeSpan):
+            return {"file": e.file_uri, "startByte": e.start_byte, "endByte": e.end_byte,
+                    "startLine": e.start_line, "startCol": e.start_col}
+        return {"model": e.model_uri, "path": str(e.path)}
+
+    return {"id": t.id, "transformation": t.transformation_id, "executionStamp": t.execution_stamp,
+            "links": [{"sources": [endpoint(s) for s in link.sources],
+                       "targets": [endpoint(x) for x in link.targets], "tags": link.tags}
+                      for link in t.links]}
+
+
+@settings(max_examples=60)
+@given(_trace)
+def test_a_trace_is_written_as_json_writes_its_document_and_loads_back(t):
+    document = _trace_document(t)
+    expected = json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert save_trace(t) == canonical_json(document) == expected
+    assert load_trace(save_trace(t)) == t
+
+
+@pytest.mark.parametrize("fields", [("f", True, 5, 1, 1), ("f", 0, 5.0, 1, 1), ("f", 0, 5, None, 1),
+                                    ("f", 0, 5, 1, "1"), (b"f", 0, 5, 1, 1), (None, 0, 5, 1, 1)])
+def test_span_that_would_not_load_back_rejected(fields):
+    with pytest.raises(IntegrityError, match="trace span f"):
+        CodeSpan(*fields)
+
+
+@pytest.mark.parametrize("sources, targets, tags, message", [
+    ((CodeSpan("f", 0, 1, 1, 1),), (ElementRef("m", ROOT_PATH),), {}, "sources must be model elements"),
+    ((("m", ROOT_PATH),), (ElementRef("m", ROOT_PATH),), {}, "sources must be model elements"),
+    ((ElementRef("m", ROOT_PATH),), (("m", ROOT_PATH),), {}, "targets must be model elements or code spans"),
+    ((ElementRef("m", ROOT_PATH),), (ElementRef("m", ROOT_PATH),), {"rule": 5}, "'tags' must be an object"),
+    ((ElementRef("m", ROOT_PATH),), (ElementRef("m", ROOT_PATH),), {5: "x"}, "'tags' must be an object"),
+    ((ElementRef("m", ROOT_PATH),), (ElementRef("m", ROOT_PATH),), ["rule"], "'tags' must be an object"),
+    ((ElementRef("m", ROOT_PATH),), (ElementRef("m", ROOT_PATH),), {"": "x"}, "empty tag key"),
+])
+def test_link_that_would_not_load_back_rejected(sources, targets, tags, message):
+    with pytest.raises(IntegrityError, match=message):
+        TraceLink(sources, targets, tags)
+
+
+@pytest.mark.parametrize("header", [(7, "t", 1), ("i", None, 1), ("i", "t", True), ("i", "t", 1.0),
+                                    ("i", "t", "1")])
+def test_trace_header_that_would_not_load_back_rejected(header):
+    with pytest.raises(IntegrityError, match="must be strings, executionStamp an integer"):
+        LocalTraceModel(*header)
+
+
+def test_writers_leave_no_reference_cycles():
+    document = {"a": [1, {"b": [2.5, None, True, []]}, "x"], "c": {"d": {"e": "f"}}}
+    trace = _sample_trace()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        canonical_json(document)
+        save_trace(trace)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def test_a_reference_by_path_equals_one_by_its_text():
