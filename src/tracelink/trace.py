@@ -2,9 +2,9 @@
 
 This is the shared vocabulary between both transformation engines and the
 global trace map: every transformation execution yields one local trace
-model, stored as a sidecar ``*.trace.json`` file. The constructors check every
-field such a file holds, so ``save_trace`` writes any trace that can be built
-straight from its fixed shape, and ``load_trace`` reads it back equal.
+model, stored as a sidecar ``*.trace.json`` file. The constructors check each
+field such a file holds, except an element endpoint's uri and path (queries
+build many), so ``save_trace`` writes from the fixed shape what ``load_trace`` reads.
 """
 
 from __future__ import annotations
