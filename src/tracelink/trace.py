@@ -112,6 +112,8 @@ def _target_from_json(raw: object) -> ElementRef | CodeSpan:
     if not isinstance(raw, dict):
         raise IntegrityError("trace target must be an object")
     if isinstance(raw.get("model"), str):
+        if not isinstance(raw["path"], str):
+            raise IntegrityError(f"trace element path must be a string: {raw['path']!r}")
         return ElementRef(raw["model"], parse_path(raw["path"]))
     if isinstance(raw.get("file"), str):
         return CodeSpan(raw["file"], *[raw[key] for key in ("startByte", "endByte", "startLine", "startCol")])

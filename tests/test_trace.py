@@ -4,6 +4,7 @@ import hashlib
 import json
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,14 @@ def test_span_field_that_is_no_integer_rejected(field, value):
     data = json.loads(save_trace(_sample_trace()))
     data["links"][1]["targets"][0][field] = value
     with pytest.raises(IntegrityError):
+        load_trace(json.dumps(data))
+
+
+@pytest.mark.parametrize("value", [1.5, True, None, [], {}])
+def test_element_path_that_is_no_string_rejected(value):
+    data = json.loads(save_trace(_sample_trace()))
+    data["links"][0]["sources"][0]["path"] = value
+    with pytest.raises(IntegrityError, match=f"trace element path must be a string: {re.escape(repr(value))}$"):
         load_trace(json.dumps(data))
 
 
