@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -358,6 +359,50 @@ def test_bare_group_prints_its_help_on_stderr_with_status_2(runner, group):
     result = runner.invoke(cli, group)
     assert result.exit_code == 2
     assert result.stdout == "" and result.stderr.startswith(f"usage: {' '.join(['tracelink', *group])} ")
+
+
+# Every help text and usage error, as (exit status, stdout, stderr), by sha256.
+# argparse lays help out differently across Python versions, so they are
+# pinned for the version they were recorded with.
+TEXT_DIGESTS = {
+    "": "bd96e32f40bbb54aad23c4c4b6e21550f9e1d7220a6a476dedf0225b42eea244",
+    "--help": "e5128ea6df07c8cb3be0f1f6c89e745beb9c9c4636b2492443f4fa3510a33489",
+    "augment-m2c --help": "f3cbc779d0f4e17f6ad3fcdfb158495940794d770e38c99526abae0fadd6b27f",
+    "augment-m2m --help": "3302c1caf4c4d4396bb1e88456ff7ec39958d1c18cedcd1724630ae80d3743c0",
+    "discover --help": "ad49b24d8f078976ef3fd503a6253f0bee093875b76a903c41855f7ea87a9f43",
+    "enact --help": "7c5cbf6f8d5aaed647c36c60ce6c9c4bac205a5239e076c058fbc2372fb38e06",
+    "gtm": "581c8e1fb15ccba988a509ca7c44b8e1b3b13523ce79caea480134cb4af833cc",
+    "gtm --help": "56b4c92971ecf88292e36aae900c8fdfe984cb63a918463255f61bd4e1c29b0d",
+    "gtm dot --help": "aabcba03fda2568d31450a293c8791e1b91705b421e26b1dd9c9acac76553daa",
+    "gtm dot --rad 1": "758ec0b42847adad603c6f3007453618835b3de9070be9ab2677932bbbc28256",
+    "gtm dot --radius x": "1ea1f7a7f92c69776a26c647dd4eab9a5d3b8010f7a4edbc0f2b852c378fe50c",
+    "impact --help": "82f2601928790ea3e55614a034cf5f42e05778b6712172c211f599fa93e01b05",
+    "impact Input.pim.model.json": "43669a94d3b2822c26bb4bbab002c04d4866782024971b30918e78d1eda85123",
+    "impact Input.pim.model.json indirect[0].indirectdevice[0] --format xml": "1ec15ea285dfa117080b30d97604782562506e13aff7c376a75ebd4f847c9290",
+    "mgm": "6395fc762542fb84484009b26f4e07d955ee9e957fbf6445ff3f0449c0e315fd",
+    "mgm --help": "d4acdc40ebcd7359e44101a9c6df783eb2685dd028d733eaaec77e10dfd5c6a1",
+    "mgm dot --help": "309c1d9bfae817ca51941eb238074eb380d7233f272114e2867a73e2e3be5b6a",
+    "mgm show --help": "20e78fdf30f597451ca62b1895061bf7831b49ad5efca16e822b444c2b51c71b",
+    "no-such-command": "3bab91eca21809f16a376fa5f3e6e18920d7ca11e0e52f1cebde000b27b7d622",
+    "origin --help": "eeb704d1a114d44b2752d8a577f52d5a19c7b181eb9a239d3ef137ee2587581c",
+    "run-m2c --help": "ea8a98c8b09b8effa75cf2fe61697c5e7cb7b95544c2f2de17648f54d9f69065",
+    "run-m2c GenContiki.m2c --in contiki.model.json": "6f24d72c4beb9ba9fd096d8c8c9e16e48c9ace59a8d6c274f68cabc516a869eb",
+    "run-m2m --help": "1429ad11db835055ba427a579d20b4a011f1bf9eab6d48dc314734faa3f1b762",
+    "trace": "192cecfa498eb5f0987d2594cf223df6503f9614448a98c86c75a706ca4d1157",
+    "trace --help": "d86ea0140f848610c1db0ddf235f1a556becfad65eb43a490f174d877c045dd3",
+    "trace show --help": "79fc0101f8a0841087a6d463c851e3c40c64f7e5a805ce77c3c50fd4f3f218e3",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help texts recorded with Python 3.11")
+@pytest.mark.parametrize("args", sorted(TEXT_DIGESTS))
+def test_help_and_usage_texts_are_unchanged(runner, args):
+    result = runner.invoke(cli, args.split(), env={"COLUMNS": "80"})
+    assert _text_digest(result) == TEXT_DIGESTS[args]
+
+
+def _text_digest(result) -> str:
+    return hashlib.sha256(f"{result.exit_code}\0{result.stdout}\0{result.stderr}".encode()).hexdigest()
 
 
 def test_help_lists_commands_and_options(runner):
