@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Collection, Iterable, Iterator
 from functools import cache, cached_property
 from itertools import accumulate, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import AnchorNotFound, LocationOutsideSpans, ParseError, TracelinkError
 from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels, trace_scope
@@ -38,20 +38,14 @@ CodeNode = CodeSpan
 TraceNode = ElemNode | CodeNode
 
 
-class GtmEdge(NamedTuple):
-    src: TraceNode
-    dst: TraceNode
-    via: str  # transformation resource id
-    rule_tag: str
+# via: the transformation's resource id; rule_tag: the link's rule or template.
+GtmEdge = namedtuple("GtmEdge", "src dst via rule_tag")
 
 
-@dataclass(frozen=True)
-class GlobalTraceMap:
-    """The joined trace graph. Its query index lives in cached properties,
-    outside the fields, so equality, hashing and ``repr`` ignore it."""
-
-    nodes: frozenset[TraceNode]
-    edges: frozenset[GtmEdge]
+class GlobalTraceMap(namedtuple("GlobalTraceMap", "nodes edges")):
+    """The joined trace graph. Not slotted: its query index is cached
+    properties in the instance's ``__dict__``, outside the fields, so
+    equality, hashing and ``repr`` ignore it."""
 
     @cached_property
     def successors(self) -> dict[TraceNode, tuple[TraceNode, ...]]:
@@ -77,11 +71,11 @@ class GlobalTraceMap:
         return index
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    kind: str  # "impact" or "origin"
-    anchor: TraceNode
-    layers: tuple[frozenset[TraceNode], ...]
+class AnalysisReport(namedtuple("AnalysisReport", "kind anchor layers")):
+    """An ``"impact"`` or ``"origin"`` answer: the anchor node, and the
+    nodes first reached at each depth, one frozenset per layer."""
+
+    __slots__ = ()
 
     @property
     def rendered(self) -> str:

@@ -8,8 +8,8 @@ themselves whole when made; registration returns a new value.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path, PurePosixPath
@@ -60,37 +60,25 @@ DISCOVERY_SUFFIXES = (
 )
 
 
-@dataclass(frozen=True)
-class ResourceEntry:
-    id: str
-    kind: ResourceKind
-    uri: str
-    origin: ResourceOrigin
-    produced_by: str | None = None  # transformation execution id, Generated only
+# produced_by: the transformation execution id, of a Generated resource only.
+ResourceEntry = namedtuple("ResourceEntry", "id kind uri origin produced_by", defaults=(None,))
+# direction: a FlowDirection, of a DataFlow relation only.
+Relation = namedtuple("Relation", "from_id to_id kind direction", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class Relation:
-    from_id: str
-    to_id: str
-    kind: RelationKind
-    direction: FlowDirection | None = None  # DataFlow only
+class Megamodel(namedtuple("Megamodel", "resources relations")):
+    """The registry. Not slotted: its indexes are cached properties in the
+    instance's ``__dict__``, outside the fields, so equality, hashing and
+    ``repr`` ignore them."""
 
-
-@dataclass(frozen=True)
-class Megamodel:
-    """The registry. Its indexes live in cached properties, outside the
-    fields, so equality, hashing and ``repr`` ignore them."""
-
-    resources: frozenset[ResourceEntry] = frozenset()
-    relations: frozenset[Relation] = frozenset()
-
-    def __post_init__(self):
+    def __new__(cls, resources: frozenset[ResourceEntry] = frozenset(),
+                relations: frozenset[Relation] = frozenset()):
         """Check the whole registry: unique ids, every resource and relation,
         and a dataflow without cycles. Every value passes, so no caller
         checks a registry again."""
+        self = tuple.__new__(cls, (resources, relations))
         seen: set[str] = set()
-        for res in self.resources:
+        for res in resources:
             if res.id in seen:
                 raise IntegrityError(f"duplicate resource id '{res.id}'")
             seen.add(res.id)
@@ -98,9 +86,14 @@ class Megamodel:
                 raise IntegrityError(f"resource '{res.id}' has an empty uri")
             if res.origin == ResourceOrigin.GENERATED and not res.produced_by:
                 raise IntegrityError(f"generated resource '{res.id}' lacks a producer")
-        for rel in self.relations:
+        for rel in relations:
             _check_relation(rel, self.by_id)
         _check_dataflow_acyclic(self.dataflow)
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> Megamodel:  # so that _replace checks the registry too
+        return cls(*fields)
 
     @cached_property
     def by_id(self) -> dict[str, ResourceEntry]:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring  # json's own C escaper for ensure_ascii=False
 
@@ -33,31 +33,14 @@ PRIMITIVE_TYPES = ("string", "int", "float", "bool")
 # Metamodel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AttributeDef:
-    name: str
-    type: str  # one of PRIMITIVE_TYPES
+AttributeDef = namedtuple("AttributeDef", "name type")  # type: one of PRIMITIVE_TYPES
+CollectionDef = namedtuple("CollectionDef", "name element_class")
+ReferenceDef = namedtuple("ReferenceDef", "name target_class optional", defaults=(False,))
 
 
-@dataclass(frozen=True)
-class CollectionDef:
-    name: str
-    element_class: str
-
-
-@dataclass(frozen=True)
-class ReferenceDef:
-    name: str
-    target_class: str
-    optional: bool = False
-
-
-@dataclass(frozen=True)
-class ClassDef:
-    name: str
-    attributes: tuple[AttributeDef, ...] = ()
-    collections: tuple[CollectionDef, ...] = ()
-    references: tuple[ReferenceDef, ...] = ()
+class ClassDef(namedtuple("ClassDef", "name attributes collections references", defaults=((), (), ()))):
+    """A metamodel class. Not slotted, so ``features`` caches in the
+    instance's ``__dict__``, outside the fields, equality, hashing and ``repr``."""
 
     @cached_property
     def features(self) -> dict[str, AttributeDef | CollectionDef | ReferenceDef]:
@@ -66,10 +49,8 @@ class ClassDef:
         return {f.name: f for f in (*self.attributes, *self.collections, *self.references)}
 
 
-@dataclass(frozen=True)
-class Metamodel:
-    name: str
-    classes: tuple[ClassDef, ...] = ()
+class Metamodel(namedtuple("Metamodel", "name classes", defaults=((),))):
+    """A metamodel; ``class_named`` caches outside the fields, as ``ClassDef.features`` does."""
 
     @cached_property
     def class_named(self) -> Callable[[str], ClassDef | None]:
@@ -82,29 +63,57 @@ class Metamodel:
 # Model
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Element:
-    """One node of a model tree. Collections are ordered; order is significant."""
+    """One node of a model tree. Collections are ordered; order is significant.
 
-    class_name: str
-    attrs: dict[str, object] = field(default_factory=dict)
-    collections: dict[str, list["Element"]] = field(default_factory=dict)
-    refs: dict[str, ElementPath] = field(default_factory=dict)
+    Engines fill a fresh element's dicts while they build a model, so each
+    element gets dicts of its own; equal elements have equal fields."""
+
+    __slots__ = ("class_name", "attrs", "collections", "refs")
+    __hash__ = None
+
+    def __init__(self, class_name: str, attrs: dict[str, object] | None = None,
+                 collections: dict[str, list[Element]] | None = None, refs: dict[str, ElementPath] | None = None):
+        self.class_name = class_name
+        self.attrs = {} if attrs is None else attrs
+        self.collections = {} if collections is None else collections
+        self.refs = {} if refs is None else refs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.class_name, self.attrs, self.collections, self.refs)
+                == (other.class_name, other.attrs, other.collections, other.refs))
+
+    def __repr__(self) -> str:
+        return (f"Element(class_name={self.class_name!r}, attrs={self.attrs!r}, "
+                f"collections={self.collections!r}, refs={self.refs!r})")
 
 
-@dataclass
 class Model:
-    uri: str
-    metamodel_name: str
-    root: Element
-    # The metamodel ensure_conforms found this model to conform to.
-    checked_against: Metamodel | None = field(default=None, init=False, compare=False, repr=False)
+    """A model: its uri, its metamodel's name and its root element.
+    ``checked_against`` is the metamodel ``ensure_conforms`` found it to
+    conform to; it is left out of equality and ``repr``."""
+
+    __slots__ = ("uri", "metamodel_name", "root", "checked_against")
+    __hash__ = None
+
+    def __init__(self, uri: str, metamodel_name: str, root: Element):
+        self.uri = uri
+        self.metamodel_name = metamodel_name
+        self.root = root
+        self.checked_against: Metamodel | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.uri, self.metamodel_name, self.root) == (other.uri, other.metamodel_name, other.root)
+
+    def __repr__(self) -> str:
+        return f"Model(uri={self.uri!r}, metamodel_name={self.metamodel_name!r}, root={self.root!r})"
 
 
-@dataclass(frozen=True)
-class Violation:
-    path: str
-    message: str
+Violation = namedtuple("Violation", "path message")
 
 
 # ---------------------------------------------------------------------------

@@ -10,27 +10,25 @@ build many), so ``save_trace`` writes from the fixed shape what ``load_trace`` r
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring
-from typing import NamedTuple
 
 from .errors import IntegrityError, ParseError
 from .model import _load_json
-from .paths import ROOT_NAME, ROOT_PATH, ElementPath, _canonical, parse_path
+from .paths import ROOT_NAME, ROOT_PATH, ElementPath, _all_canonical, _canonical, parse_path
 
 
-class ElementRef(NamedTuple):
-    """An element of a model, addressed by workspace-relative URI plus path."""
+class ElementRef(namedtuple("ElementRef", "model_uri path")):
+    """An element of a model, addressed by workspace-relative URI plus
+    ``ElementPath``."""
 
-    model_uri: str
-    path: ElementPath
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.model_uri}:{self.path}"
 
 
-class CodeSpan(NamedTuple("CodeSpan", [("file_uri", str), ("start_byte", int), ("end_byte", int),
-                                       ("start_line", int), ("start_col", int)])):
+class CodeSpan(namedtuple("CodeSpan", "file_uri start_byte end_byte start_line start_col")):
     """Half-open byte range [start_byte, end_byte) in a generated file.
 
     Line and column are 1-based and derived from the byte offsets over the
@@ -66,58 +64,102 @@ def span_at(file_uri: str, newlines: list[int], start: int, end: int) -> CodeSpa
     return CodeSpan(file_uri, start, end, before + 1, start - last_nl)
 
 
-@dataclass(frozen=True)
-class TraceLink:
+_NO_TAGS = object()  # a shared {} default would be one dict for every link
+
+
+class TraceLink(namedtuple("TraceLink", "sources targets tags")):
     """Tagged link from source elements to target elements or code spans."""
 
-    sources: tuple[ElementRef, ...]
-    targets: tuple[ElementRef | CodeSpan, ...]
-    tags: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.sources:
+    def __new__(cls, sources: tuple[ElementRef, ...], targets: tuple[ElementRef | CodeSpan, ...],
+                tags: dict[str, str] = _NO_TAGS):
+        if tags is _NO_TAGS:
+            tags = {}
+        if not sources:
             raise IntegrityError("trace link has no sources")
-        if any(type(s) is not ElementRef for s in self.sources):
-            raise IntegrityError("trace link sources must be model elements")
-        if not self.targets:
+        for source in sources:
+            if type(source) is not ElementRef:
+                raise IntegrityError("trace link sources must be model elements")
+        if not targets:
             raise IntegrityError("trace link has no targets")
-        kinds = {type(t) for t in self.targets}
-        if kinds not in ({ElementRef}, {CodeSpan}):
-            raise IntegrityError("trace link mixes element and code targets" if len(kinds) > 1
-                                 else "trace link targets must be model elements or code spans")
-        tags = self.tags
-        if not isinstance(tags, dict) or not all(isinstance(k, str) and isinstance(v, str) for k, v in tags.items()):
+        kind = None
+        for target in targets:
+            if type(target) is not kind:
+                if kind is not None:
+                    raise IntegrityError("trace link mixes element and code targets")
+                kind = type(target)
+        if kind is not ElementRef and kind is not CodeSpan:
+            raise IntegrityError("trace link targets must be model elements or code spans")
+        if not isinstance(tags, dict):
             raise IntegrityError("trace link 'tags' must be an object of strings")
+        for key, value in tags.items():
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise IntegrityError("trace link 'tags' must be an object of strings")
         if "" in tags:
             raise IntegrityError("trace link has an empty tag key")
+        return tuple.__new__(cls, (sources, targets, tags))
+
+    @classmethod
+    def _make(cls, fields) -> TraceLink:  # so that _replace checks the link too
+        return cls(*fields)
 
 
-@dataclass
-class LocalTraceModel:
-    id: str
-    transformation_id: str
-    execution_stamp: int
-    links: tuple[TraceLink, ...] = ()
+class LocalTraceModel(namedtuple("LocalTraceModel", "id transformation_id execution_stamp links")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.id, str) and isinstance(self.transformation_id, str) and type(self.execution_stamp) is int):
+    def __new__(cls, id: str, transformation_id: str, execution_stamp: int, links: tuple[TraceLink, ...] = ()):
+        if not (isinstance(id, str) and isinstance(transformation_id, str) and type(execution_stamp) is int):
             raise IntegrityError("trace id and transformation must be strings, executionStamp an integer")
+        return tuple.__new__(cls, (id, transformation_id, execution_stamp, links))
+
+    @classmethod
+    def _make(cls, fields) -> LocalTraceModel:
+        return cls(*fields)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _target_from_json(raw: object) -> ElementRef | CodeSpan:
-    if not isinstance(raw, dict):
-        raise IntegrityError("trace target must be an object")
-    if isinstance(raw.get("model"), str):
-        if not isinstance(raw["path"], str):
-            raise IntegrityError(f"trace element path must be a string: {raw['path']!r}")
-        return ElementRef(raw["model"], parse_path(raw["path"]))
-    if isinstance(raw.get("file"), str):
-        return CodeSpan(raw["file"], *[raw[key] for key in ("startByte", "endByte", "startLine", "startCol")])
-    raise IntegrityError(f"unrecognized trace target: {raw!r}")
+def _endpoints_from_json(raws: list, texts: list[str], to_path) -> tuple[ElementRef | CodeSpan, ...]:
+    """One side of a link; each element's path is ``to_path`` of its text,
+    and the text is appended to ``texts``."""
+    out = []
+    for raw in raws:
+        if type(raw) is not dict:  # JSON objects load as exact dicts
+            raise IntegrityError("trace target must be an object")
+        uri = raw.get("model")
+        if type(uri) is str:
+            text = raw["path"]
+            if type(text) is not str:
+                raise IntegrityError(f"trace element path must be a string: {text!r}")
+            texts.append(text)
+            out.append(tuple.__new__(ElementRef, (uri, to_path(text))))
+        elif type(raw.get("file")) is str:
+            out.append(CodeSpan(raw["file"], raw["startByte"], raw["endByte"], raw["startLine"], raw["startCol"]))
+        else:
+            raise IntegrityError(f"unrecognized trace target: {raw!r}")
+    return tuple(out)
+
+
+def _trace_from_json(data: dict, to_path) -> tuple[LocalTraceModel, list[str]]:
+    """The trace a loaded document holds, and the text of each element path in it."""
+    raw_links = data.get("links", [])
+    if not isinstance(raw_links, list):
+        raise IntegrityError("trace 'links' must be a list")
+    texts: list[str] = []
+    links = []
+    try:
+        for raw in raw_links:
+            if type(raw) is not dict:
+                raise IntegrityError("each trace link must be an object")
+            links.append(TraceLink(_endpoints_from_json(raw.get("sources", ()), texts, to_path),
+                                   _endpoints_from_json(raw.get("targets", ()), texts, to_path),
+                                   raw.get("tags", _NO_TAGS)))
+        return LocalTraceModel(data["id"], data["transformation"], data["executionStamp"], tuple(links)), texts
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"trace file is missing or mistypes a field: {exc}") from exc
 
 
 def _endpoints_json(ends: tuple[ElementRef, ...] | tuple[CodeSpan, ...]) -> str:
@@ -145,21 +187,22 @@ def save_trace(t: LocalTraceModel) -> str:
 
 
 def load_trace(text: str) -> LocalTraceModel:
+    """Read the fixed shape ``save_trace`` writes: one JSON parse, endpoints
+    built by kind, every link checked by its constructor, and all the file's
+    path texts checked together, in one match. A file that fails a
+    check, or holds a path text ``parse_path`` would rewrite, is read again
+    with each path parsed where it stands, which raises the error for the
+    first fault in the file."""
     data = _load_json(text)
     if not isinstance(data, dict):
         raise ParseError("trace document must be an object")
-    if not isinstance(data.get("links", []), list):
-        raise IntegrityError("trace 'links' must be a list")
     try:
-        links = []
-        for raw in data.get("links", []):
-            if not isinstance(raw, dict):
-                raise IntegrityError("each trace link must be an object")
-            links.append(TraceLink(tuple(map(_target_from_json, raw.get("sources", []))),
-                                   tuple(map(_target_from_json, raw.get("targets", []))), raw.get("tags", {})))
-        return LocalTraceModel(data["id"], data["transformation"], data["executionStamp"], tuple(links))
-    except (KeyError, TypeError) as exc:
-        raise IntegrityError(f"trace file is missing or mistypes a field: {exc}") from exc
+        trace, texts = _trace_from_json(data, _canonical)
+        if _all_canonical(texts):
+            return trace
+    except IntegrityError:
+        pass
+    return _trace_from_json(data, parse_path)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,19 @@ def test_impact_rejects_an_index_of_non_ascii_digits(enacted_ws, runner, path_te
     assert_one_line_error(invoke(runner, enacted_ws, "impact", "Input.pim.model.json", path_text))
 
 
+@pytest.mark.parametrize("args, message", [
+    (["impact", "Input.pim.model.json", "a..b"], "expected identifier at offset 2"),
+    (["impact", "Input.pim.model.json", "wsn[\u00b2]"], "expected index at offset 4"),
+    (["origin", "out/GenContiki/Sink.c", "9:x"], "location must be LINE:COL or @BYTE, got '9:x'"),
+    (["origin", "out/GenContiki/Sink.c", "@2_00"], "location must be LINE:COL or @BYTE, got '@2_00'"),
+], ids=["path-dots", "path-index", "location-col", "location-byte"])
+def test_a_malformed_query_argument_fails_before_any_trace_is_read(enacted_ws, runner, args, message):
+    for trace_file in (enacted_ws / "traces").glob("*.trace.json"):
+        trace_file.write_text("{oops", encoding="utf-8")
+    result = invoke(runner, enacted_ws, *args)
+    assert result.exit_code == 1 and result.output == f"error: {message}\n"
+
+
 def test_origin_by_line_col(enacted_ws, runner):
     result = invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", "9:3")
     assert result.exit_code == 0
@@ -405,6 +418,52 @@ def _text_digest(result) -> str:
     return hashlib.sha256(f"{result.exit_code}\0{result.stdout}\0{result.stderr}".encode()).hexdigest()
 
 
+# Argument lists a command's own parser reads; each is read as the whole parser reads it.
+ONE_COMMAND_ARGS = [
+    ["discover", "."], ["discover"], ["discover", ".", "extra"], ["discover", "-x", "."],
+    ["mgm", "show"], ["mgm", "show", "--format", "json"], ["mgm", "show", "--format=xml"], ["mgm", "dot", "x"],
+    ["augment-m2m", "A.m2m"], ["augment-m2c"], ["augment-m2c", "--version", "A.m2c"],
+    ["run-m2m", "A.m2m", "--in", "a=b", "--in=c=d", "--out", "o"], ["run-m2m", "A.m2m"], ["run-m2m", "--out"],
+    ["run-m2c", "A.m2c", "--in", "m", "--out", "o/"], ["run-m2c", "A.m2c", "--out", "o", "--in"],
+    ["enact", "p.json", "--bind", "pim=x", "--no-augment"], ["enact", "--no-aug", "p"], ["enact", "--bind=a=b"],
+    ["impact", "M", "a[0]"], ["impact", "--format", "json", "M", "a[0]"], ["impact", "M", "-1"],
+    ["impact", "M"], ["impact", "M", "p", "q"], ["impact", "M", "p", "--format", "xml"], ["impact", "M", "p", "--fo=json"],
+    ["origin", "f.c", "9:1"], ["origin", "f.c", "@3", "--format=json"], ["origin", "f.c"], ["origin", "f.c", "-x"],
+    ["gtm", "dot"], ["gtm", "dot", "--radius", "3", "--around", "m:a"], ["gtm", "dot", "--radius=x"],
+    ["gtm", "dot", "--rad", "1"], ["gtm", "dot", "--around"], ["gtm", "dot", "--around=-1"],
+    ["trace", "show", "t.json"], ["trace", "show", "--format", "json", "t.json"], ["trace", "show"],
+]
+
+
+def _parse(parser, args, capsys):
+    try:
+        ns = vars(parser.parse_args(args))
+        status = 0
+    except SystemExit as exc:
+        ns, status = {}, exc.code
+    ns["group"] = getattr(ns.get("group"), "prog", None)  # the two parsers are distinct objects
+    return status, ns, capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", ONE_COMMAND_ARGS, ids=" ".join)
+def test_a_command_reads_its_arguments_as_the_whole_parser_does(args, capsys):
+    from tracelink.cli import _parser, _parser_for
+
+    own, rest = _parser_for(args)
+    assert own.prog == "tracelink " + " ".join(args[:len(args) - len(rest)])
+    assert _parse(own, rest, capsys) == _parse(_parser(), args, capsys)
+
+
+@pytest.mark.parametrize("args", [[], ["--version"], ["--help"], ["mgm"], ["gtm", "nope"], ["impact", "-h"],
+                                  ["impact", "M", "--help"], ["nope", "x"], ["impact", "--", "M", "p"]],
+                         ids=" ".join)
+def test_help_groups_and_unknown_commands_take_the_whole_parser(args):
+    from tracelink.cli import _parser_for
+
+    parser, rest = _parser_for(args)
+    assert parser.prog == "tracelink" and rest == args
+
+
 def test_help_lists_commands_and_options(runner):
     top = runner.invoke(cli, ["--help"])
     assert top.exit_code == 0
@@ -416,11 +475,26 @@ def test_help_lists_commands_and_options(runner):
     assert "MODEL_URI PATH" in impact.output and "--format" in impact.output
 
 
-def test_query_import_leaves_click_out():
+QUERY_RUN = """\
+import sys
+from tracelink.cli import cli
+cli.main(sys.argv[1:], standalone_mode=False)
+print(sorted({"click", "dataclasses", "inspect"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+def test_query_import_leaves_click_out(enacted_ws):
+    """Nor does an impact or an origin query load dataclasses or inspect."""
     env = dict(os.environ, PYTHONPATH=str(Path(tracelink.__file__).resolve().parent.parent))
     done = subprocess.run([sys.executable, "-c", "import sys, tracelink.cli; print('click' in sys.modules)"],
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+    env["TRACELINK_WORKSPACE"] = str(enacted_ws)
+    for query in (["impact", "Input.pim.model.json", "indirect[0].indirectdevice[0]"],
+                  ["origin", "out/GenContiki/Sink.c", "9:1"]):
+        done = subprocess.run([sys.executable, "-c", QUERY_RUN, *query], env=env, capture_output=True, text=True,
+                              check=True)
+        assert "=> " in done.stdout and done.stderr == "[]\n", query
 
 
 def test_mgm_show_and_dot(enacted_ws, runner):

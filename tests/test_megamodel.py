@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -159,14 +158,14 @@ def model_to_m2m(kind, direction=None):
 BOTH = [model_entry(), m2m_entry()]
 # Rule -> (resources, relations, the error's message).
 INVALID_REGISTRIES = {
-    "duplicate-id": ([m2m_entry(), replace(m2m_entry(), uri="y.m2m")], [], "duplicate resource id"),
-    "empty-uri": ([replace(model_entry(), uri="")], [], "empty uri"),
-    "no-producer": ([replace(model_entry(), origin=ResourceOrigin.GENERATED)], [], "lacks a producer"),
+    "duplicate-id": ([m2m_entry(), m2m_entry()._replace(uri="y.m2m")], [], "duplicate resource id"),
+    "empty-uri": ([model_entry()._replace(uri="")], [], "empty uri"),
+    "no-producer": ([model_entry()._replace(origin=ResourceOrigin.GENERATED)], [], "lacks a producer"),
     "conforms-to": (BOTH, [model_to_m2m(RelationKind.CONFORMS_TO)], "ConformsTo must link"),
     "trace-for": (BOTH, [model_to_m2m(RelationKind.TRACE_FOR)], "TraceFor must link"),
     "weave-binding": (BOTH, [model_to_m2m(RelationKind.WEAVE_BINDING)], "WeaveBinding must link"),
     "dataflow-direction": (BOTH, [model_to_m2m(RelationKind.DATA_FLOW)], "DataFlow without direction"),
-    "dataflow-input": (BOTH, [replace(BACK, direction=FlowDirection.INPUT)], "DataFlow must link"),
+    "dataflow-input": (BOTH, [BACK._replace(direction=FlowDirection.INPUT)], "DataFlow must link"),
     "dataflow-output": (BOTH, [model_to_m2m(RelationKind.DATA_FLOW, FlowDirection.OUTPUT)], "DataFlow must link"),
     "missing-endpoint": ([model_entry()], [INTO], "relation endpoint missing"),
     "dataflow-cycle": (BOTH, [INTO, BACK], "dataflow cycle"),

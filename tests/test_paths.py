@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelink.errors import PathSyntaxError
-from tracelink.paths import ROOT_PATH, ElementPath, parse_path
+from tracelink.paths import ROOT_PATH, ElementPath, _all_canonical, parse_path
 
 
 def test_two_segment_indexed_path():
@@ -203,3 +203,18 @@ def test_element_path_parses_its_text(text, canonical):
 def test_element_path_rejects_what_parse_path_rejects(text):
     with pytest.raises(PathSyntaxError):
         ElementPath(text)
+
+
+_token_text = st.lists(st.sampled_from(["a", "b_1", "root", "Z", ".", "[", "]", "0", "1", "07", "\n", "é"]),
+                       max_size=8).map("".join)
+
+
+@given(st.lists(_token_text, max_size=4))
+def test_texts_are_all_canonical_when_each_parses_to_itself(texts):
+    def parses_to_itself(text):
+        try:
+            return parse_path(text) == text
+        except PathSyntaxError:
+            return False
+
+    assert _all_canonical(texts) == all(map(parses_to_itself, texts))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelink.errors import IntegrityError, ParseError
+from tracelink.gtm import ElemNode, change_impact, origin_track, query_gtm
 from tracelink.model import canonical_json
 from tracelink.paths import ROOT_PATH, parse_path
 from tracelink.trace import (
@@ -192,9 +193,14 @@ def test_trace_header_that_would_not_load_back_rejected(header):
         LocalTraceModel(*header)
 
 
-def test_writers_leave_no_reference_cycles():
+def test_writers_leave_no_reference_cycles(enacted):
+    """Nor do the reader and a whole query, so what they build is freed
+    when dropped, without the cyclic collector."""
+    ws, _mgm, result = enacted
+    mgm = result.megamodel
     document = {"a": [1, {"b": [2.5, None, True, []]}, "x"], "c": {"d": {"e": "f"}}}
     trace = _sample_trace()
+    text = (ws / "traces/MapContiki.trace.json").read_text(encoding="utf-8")
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -202,6 +208,12 @@ def test_writers_leave_no_reference_cycles():
     try:
         canonical_json(document)
         save_trace(trace)
+        load_trace(text)
+        g = query_gtm(mgm, ws, "Input.pim.model.json", forward=True)
+        change_impact(g, ElemNode("Input.pim.model.json", parse_path("indirect[0].indirectdevice[0]")))
+        g = query_gtm(mgm, ws, "out/GenContiki/Sink.c", forward=False)
+        origin_track(g, location=("out/GenContiki/Sink.c", 200))
+        del g
         gc.collect()
         assert gc.garbage == []
     finally:
