@@ -40,7 +40,7 @@ ReferenceDef = namedtuple("ReferenceDef", "name target_class optional", defaults
 
 class ClassDef(namedtuple("ClassDef", "name attributes collections references", defaults=((), (), ()))):
     """A metamodel class. Not slotted, so ``features`` caches in the
-    instance's ``__dict__``, outside the fields, equality, hashing and ``repr``."""
+    instance's ``__dict__``, which equality, hashing and ``repr`` ignore."""
 
     @cached_property
     def features(self) -> dict[str, AttributeDef | CollectionDef | ReferenceDef]:

@@ -24,11 +24,9 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DIGITS = re.compile(r"[0-9]*")
 _SEGMENT = rf"({IDENTIFIER.pattern})(?:\[([0-9]+)\])?"
 _PATH = re.compile(rf"{_SEGMENT}(?:\.{_SEGMENT})*")
-# A path already in canonical text: no leading `root.` step, no leading zeros.
-_CANONICAL_SEGMENT = rf"{IDENTIFIER.pattern}(?:\[(?:0|[1-9][0-9]*)\])?"
-_CANONICAL_PATH = re.compile(rf"(?!{ROOT_NAME}\.){_CANONICAL_SEGMENT}(?:\.{_CANONICAL_SEGMENT})*")
-# Canonical segments, each ended by a '.' or a newline: paths one to a line, when
-# no line starts with `root.`. One level of repetition, which matches fastest.
+# Segments in canonical text (no leading zeros), each ended by a '.' or a
+# newline: canonical paths one to a line, when no line starts with `root.`.
+# One level of repetition, which matches fastest.
 _CANONICAL_LINES = re.compile(rf"(?:{IDENTIFIER.pattern}(?:\[(?:0|[1-9][0-9]*)\][.\n]|[.\n]))*")
 _LEADING_DOTTED = re.compile(rf"(?:{_SEGMENT}\.)*")  # whole segments, each with its '.'
 _LEADING_ZEROS = re.compile(r"\[0+(?=[0-9])")
@@ -65,8 +63,6 @@ def _all_canonical(texts: Collection[str]) -> bool:
 def parse_path(s: str) -> ElementPath:
     """Parse a path string into its canonical text; offsets in errors are
     byte positions (every character before an error is ASCII)."""
-    if _CANONICAL_PATH.fullmatch(s) is not None:  # as trace and model files hold them
-        return _canonical(s)
     if _PATH.fullmatch(s) is None:
         raise _syntax_error(s)
     while s.startswith(_ROOT_PREFIX):  # all of them, so the canonical text parses to itself

@@ -2,9 +2,12 @@
 
 This is the shared vocabulary between both transformation engines and the
 global trace map: every transformation execution yields one local trace
-model, stored as a sidecar ``*.trace.json`` file. The constructors check each
+model, stored as a sidecar ``*.trace.json`` file. Endpoints, links and trace
+models are named tuples, each equal to the plain tuple of its fields. The
+``__new__`` of ``CodeSpan``, ``TraceLink`` and ``LocalTraceModel`` checks each
 field such a file holds, except an element endpoint's uri and path (queries
-build many), so ``save_trace`` writes from the fixed shape what ``load_trace`` reads.
+build many), so ``save_trace`` writes from the fixed shape what
+``load_trace`` reads back in one pass.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ import pickle
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracelink.errors import PathSyntaxError
@@ -210,6 +210,12 @@ _token_text = st.lists(st.sampled_from(["a", "b_1", "root", "Z", ".", "[", "]", 
 
 
 @given(st.lists(_token_text, max_size=4))
+@example(["root", "a.root", "root[0].b", "x_1[10].y"])
+@example(["a", "root.b"])
+@example(["a[0]", "a[01]"])
+@example(["a\nb"])
+@example(["a.", "b"])
+@example([])
 def test_texts_are_all_canonical_when_each_parses_to_itself(texts):
     def parses_to_itself(text):
         try:

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracelink.errors import IntegrityError, ParseError
+from tracelink.errors import IntegrityError, ParseError, PathSyntaxError
 from tracelink.gtm import ElemNode, change_impact, origin_track, query_gtm
 from tracelink.model import canonical_json
-from tracelink.paths import ROOT_PATH, parse_path
+from tracelink.paths import ROOT_PATH, ElementPath, parse_path
 from tracelink.trace import (
     CodeSpan,
     ElementRef,
@@ -277,6 +277,22 @@ def test_element_path_that_is_no_string_rejected(value):
     data = json.loads(save_trace(_sample_trace()))
     data["links"][0]["sources"][0]["path"] = value
     with pytest.raises(IntegrityError, match=f"trace element path must be a string: {re.escape(repr(value))}$"):
+        load_trace(json.dumps(data))
+
+
+def test_a_stored_path_in_other_text_loads_as_its_canonical_text():
+    data = json.loads(save_trace(_sample_trace()))
+    data["links"][0]["sources"][0]["path"] = "root.wsn[00].device[0]"
+    loaded = load_trace(json.dumps(data))
+    assert loaded == _sample_trace() and type(loaded.links[0].sources[0].path) is ElementPath
+
+
+def test_a_stored_path_that_is_no_path_rejected_before_a_later_fault():
+    data = json.loads(save_trace(_sample_trace()))
+    data["links"][0]["sources"][0]["path"] = "wsn[0]..device[0]"
+    del data["links"][1]["tags"]["template"]
+    data["links"][1]["tags"][""] = "x"
+    with pytest.raises(PathSyntaxError, match="expected identifier at offset 7"):
         load_trace(json.dumps(data))
 
 
