@@ -26,8 +26,14 @@ _SEGMENT = rf"({IDENTIFIER.pattern})(?:\[([0-9]+)\])?"
 _PATH = re.compile(rf"{_SEGMENT}(?:\.{_SEGMENT})*")
 # Segments in canonical text (no leading zeros), each ended by a '.' or a
 # newline: canonical paths one to a line, when no line starts with `root.`.
-# One level of repetition, which matches fastest.
-_CANONICAL_LINES = re.compile(rf"(?:{IDENTIFIER.pattern}(?:\[(?:0|[1-9][0-9]*)\][.\n]|[.\n]))*")
+# No repeat here ever gives back what it matched, so where the engine has
+# possessive repeats (Python 3.11+), which run about twice as fast, they are
+# used; they match the same texts.
+_CANONICAL_LINES_PATTERN = r"(?:[A-Za-z_][A-Za-z0-9_]*{0}(?:\[(?:0|[1-9][0-9]*{0})\][.\n]|[.\n]))*{0}"
+try:
+    _CANONICAL_LINES = re.compile(_CANONICAL_LINES_PATTERN.format("+"))
+except re.error:
+    _CANONICAL_LINES = re.compile(_CANONICAL_LINES_PATTERN.format(""))
 _LEADING_DOTTED = re.compile(rf"(?:{_SEGMENT}\.)*")  # whole segments, each with its '.'
 _LEADING_ZEROS = re.compile(r"\[0+(?=[0-9])")
 

@@ -1,11 +1,13 @@
 import copy
 import pickle
+import re
 import string
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tracelink import paths
 from tracelink.errors import PathSyntaxError
 from tracelink.paths import ROOT_PATH, ElementPath, _all_canonical, parse_path
 
@@ -224,3 +226,7 @@ def test_texts_are_all_canonical_when_each_parses_to_itself(texts):
             return False
 
     assert _all_canonical(texts) == all(map(parses_to_itself, texts))
+    # The pattern without possessive repeats, which Python 3.10 compiles instead, matches alike.
+    lines = "".join(text + "\n" for text in texts)
+    plain = re.compile(paths._CANONICAL_LINES_PATTERN.format(""))
+    assert (plain.fullmatch(lines) is None) == (paths._CANONICAL_LINES.fullmatch(lines) is None)
