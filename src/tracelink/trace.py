@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Callable
 from json.encoder import encode_basestring
 
 from .errors import IntegrityError, ParseError
@@ -125,7 +126,8 @@ class LocalTraceModel(namedtuple("LocalTraceModel", "id transformation_id execut
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _endpoints_from_json(raws: list, texts: list[str], to_path) -> tuple[ElementRef | CodeSpan, ...]:
+def _endpoints_from_json(raws: list, texts: list[str],
+                         to_path: Callable[[str], ElementPath]) -> tuple[ElementRef | CodeSpan, ...]:
     """One side of a link; each element's path is ``to_path`` of its text,
     and the text is appended to ``texts``."""
     out = []
@@ -146,7 +148,7 @@ def _endpoints_from_json(raws: list, texts: list[str], to_path) -> tuple[Element
     return tuple(out)
 
 
-def _trace_from_json(data: dict, to_path) -> tuple[LocalTraceModel, list[str]]:
+def _trace_from_json(data: dict, to_path: Callable[[str], ElementPath]) -> tuple[LocalTraceModel, list[str]]:
     """The trace a loaded document holds, and the text of each element path in it."""
     raw_links = data.get("links", [])
     if not isinstance(raw_links, list):
