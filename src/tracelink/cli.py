@@ -12,6 +12,7 @@ import argparse
 import os
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__, gtm, megamodel, trace
@@ -353,18 +354,24 @@ def _parser() -> _Parser:
     return top
 
 
+@cache
+def _own_parser(words: tuple[str, ...]) -> _Parser:
+    """The parser of one runnable command, built once per process."""
+    return _command(None, *_RUNNABLE[words])
+
+
 def _parser_for(args: list[str]) -> tuple[_Parser, list[str]]:
     """The parser for ``args`` and the arguments it reads. A command that
     runs gets a parser of its own, the subparser it would get in
     ``_parser()``; help, a group, an unknown command, a top-level option
     and ``--`` take the whole parser, so argparse prints its own texts."""
     for n in (1, 2):
-        spec = _RUNNABLE.get(tuple(args[:n]))
-        if spec is not None:
+        words = tuple(args[:n])
+        if words in _RUNNABLE:
             rest = args[n:]
             if "-h" in rest or "--help" in rest or "--" in rest:
                 break
-            return _command(None, *spec), rest
+            return _own_parser(words), rest
     return _parser(), args
 
 
