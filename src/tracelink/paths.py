@@ -12,7 +12,6 @@ indexes without leading zeros. It compares and hashes equal to that text.
 from __future__ import annotations
 
 import re
-from collections.abc import Collection
 
 from .errors import PathSyntaxError
 
@@ -24,16 +23,6 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DIGITS = re.compile(r"[0-9]*")
 _SEGMENT = rf"({IDENTIFIER.pattern})(?:\[([0-9]+)\])?"
 _PATH = re.compile(rf"{_SEGMENT}(?:\.{_SEGMENT})*")
-# Segments in canonical text (no leading zeros), each ended by a '.' or a
-# newline: canonical paths one to a line, when no line starts with `root.`.
-# No repeat here ever gives back what it matched, so where the engine has
-# possessive repeats (Python 3.11+), which run about twice as fast, they are
-# used; they match the same texts.
-_CANONICAL_LINES_PATTERN = r"(?:[A-Za-z_][A-Za-z0-9_]*{0}(?:\[(?:0|[1-9][0-9]*{0})\][.\n]|[.\n]))*{0}"
-try:
-    _CANONICAL_LINES = re.compile(_CANONICAL_LINES_PATTERN.format("+"))
-except re.error:
-    _CANONICAL_LINES = re.compile(_CANONICAL_LINES_PATTERN.format(""))
 _LEADING_DOTTED = re.compile(rf"(?:{_SEGMENT}\.)*")  # whole segments, each with its '.'
 _LEADING_ZEROS = re.compile(r"\[0+(?=[0-9])")
 
@@ -56,14 +45,6 @@ def _canonical(text: str) -> ElementPath:
 
 
 ROOT_PATH = _canonical(ROOT_NAME)
-
-
-def _all_canonical(texts: Collection[str]) -> bool:
-    """Whether each of ``texts`` is a path in canonical text, which
-    ``parse_path`` returns as it is; one match for them all."""
-    lines = "".join([text + "\n" for text in texts])
-    return (lines.count("\n") == len(texts) and ("\n" + _ROOT_PREFIX) not in ("\n" + lines)
-            and _CANONICAL_LINES.fullmatch(lines) is not None)
 
 
 def parse_path(s: str) -> ElementPath:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Callable
 from json.encoder import encode_basestring
 
 from .errors import IntegrityError, ParseError
 from .model import _load_json
-from .paths import ROOT_NAME, ROOT_PATH, ElementPath, _all_canonical, _canonical, parse_path
+from .paths import ROOT_NAME, ROOT_PATH, ElementPath, _canonical, parse_path
 
 
 class ElementRef(namedtuple("ElementRef", "model_uri path")):
@@ -126,10 +125,8 @@ class LocalTraceModel(namedtuple("LocalTraceModel", "id transformation_id execut
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _endpoints_from_json(raws: list, texts: list[str],
-                         to_path: Callable[[str], ElementPath]) -> tuple[ElementRef | CodeSpan, ...]:
-    """One side of a link; each element's path is ``to_path`` of its text,
-    and the text is appended to ``texts``."""
+def _endpoints_from_json(raws: list) -> tuple[ElementRef | CodeSpan, ...]:
+    """One side of a link, each endpoint built by its kind."""
     out = []
     for raw in raws:
         if type(raw) is not dict:  # JSON objects load as exact dicts
@@ -139,32 +136,12 @@ def _endpoints_from_json(raws: list, texts: list[str],
             text = raw["path"]
             if type(text) is not str:
                 raise IntegrityError(f"trace element path must be a string: {text!r}")
-            texts.append(text)
-            out.append(tuple.__new__(ElementRef, (uri, to_path(text))))
+            out.append(tuple.__new__(ElementRef, (uri, parse_path(text))))
         elif type(raw.get("file")) is str:
             out.append(CodeSpan(raw["file"], raw["startByte"], raw["endByte"], raw["startLine"], raw["startCol"]))
         else:
             raise IntegrityError(f"unrecognized trace target: {raw!r}")
     return tuple(out)
-
-
-def _trace_from_json(data: dict, to_path: Callable[[str], ElementPath]) -> tuple[LocalTraceModel, list[str]]:
-    """The trace a loaded document holds, and the text of each element path in it."""
-    raw_links = data.get("links", [])
-    if not isinstance(raw_links, list):
-        raise IntegrityError("trace 'links' must be a list")
-    texts: list[str] = []
-    links = []
-    try:
-        for raw in raw_links:
-            if type(raw) is not dict:
-                raise IntegrityError("each trace link must be an object")
-            links.append(TraceLink(_endpoints_from_json(raw.get("sources", ()), texts, to_path),
-                                   _endpoints_from_json(raw.get("targets", ()), texts, to_path),
-                                   raw.get("tags", _NO_TAGS)))
-        return LocalTraceModel(data["id"], data["transformation"], data["executionStamp"], tuple(links)), texts
-    except (KeyError, TypeError) as exc:
-        raise IntegrityError(f"trace file is missing or mistypes a field: {exc}") from exc
 
 
 def _endpoints_json(ends: tuple[ElementRef, ...] | tuple[CodeSpan, ...]) -> str:
@@ -193,21 +170,23 @@ def save_trace(t: LocalTraceModel) -> str:
 
 def load_trace(text: str) -> LocalTraceModel:
     """Read the fixed shape ``save_trace`` writes: one JSON parse, endpoints
-    built by kind, every link checked by its constructor, and all the file's
-    path texts checked together, in one match. A file that fails a
-    check, or holds a path text ``parse_path`` would rewrite, is read again
-    with each path parsed where it stands, which raises the error for the
-    first fault in the file."""
+    built by kind, and every link checked by its constructor."""
     data = _load_json(text)
     if not isinstance(data, dict):
         raise ParseError("trace document must be an object")
+    raw_links = data.get("links", [])
+    if not isinstance(raw_links, list):
+        raise IntegrityError("trace 'links' must be a list")
+    links = []
     try:
-        trace, texts = _trace_from_json(data, _canonical)
-        if _all_canonical(texts):
-            return trace
-    except IntegrityError:
-        pass
-    return _trace_from_json(data, parse_path)[0]
+        for raw in raw_links:
+            if type(raw) is not dict:
+                raise IntegrityError("each trace link must be an object")
+            links.append(TraceLink(_endpoints_from_json(raw.get("sources", ())),
+                                   _endpoints_from_json(raw.get("targets", ())), raw.get("tags", _NO_TAGS)))
+        return LocalTraceModel(data["id"], data["transformation"], data["executionStamp"], tuple(links))
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"trace file is missing or mistypes a field: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

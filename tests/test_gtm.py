@@ -261,14 +261,10 @@ def test_build_gtm_parses_no_model_and_each_trace_path_once(enacted, monkeypatch
     def no_model(*args, **kwargs):
         raise AssertionError("build_gtm parsed a model")
 
-    all_canonical = paths._all_canonical  # trace files check their path texts in one call
-
     for name, module in list(sys.modules.items()):
         if name == "tracelink" or name.startswith("tracelink."):
             if getattr(module, "parse_path", None) is original:
                 monkeypatch.setattr(module, "parse_path", lambda s: calls.append(s) or original(s))
-            if getattr(module, "_all_canonical", None) is all_canonical:
-                monkeypatch.setattr(module, "_all_canonical", lambda texts: calls.extend(texts) or all_canonical(texts))
             if getattr(module, "parse_model", None) is not None:
                 monkeypatch.setattr(module, "parse_model", no_model)
     build_gtm(result.megamodel, ws)

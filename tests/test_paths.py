@@ -1,15 +1,13 @@
 import copy
 import pickle
-import re
 import string
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracelink import paths
 from tracelink.errors import PathSyntaxError
-from tracelink.paths import ROOT_PATH, ElementPath, _all_canonical, parse_path
+from tracelink.paths import ROOT_PATH, ElementPath, parse_path
 
 
 def test_two_segment_indexed_path():
@@ -205,28 +203,3 @@ def test_element_path_parses_its_text(text, canonical):
 def test_element_path_rejects_what_parse_path_rejects(text):
     with pytest.raises(PathSyntaxError):
         ElementPath(text)
-
-
-_token_text = st.lists(st.sampled_from(["a", "b_1", "root", "Z", ".", "[", "]", "0", "1", "07", "\n", "é"]),
-                       max_size=8).map("".join)
-
-
-@given(st.lists(_token_text, max_size=4))
-@example(["root", "a.root", "root[0].b", "x_1[10].y"])
-@example(["a", "root.b"])
-@example(["a[0]", "a[01]"])
-@example(["a\nb"])
-@example(["a.", "b"])
-@example([])
-def test_texts_are_all_canonical_when_each_parses_to_itself(texts):
-    def parses_to_itself(text):
-        try:
-            return parse_path(text) == text
-        except PathSyntaxError:
-            return False
-
-    assert _all_canonical(texts) == all(map(parses_to_itself, texts))
-    # The pattern without possessive repeats, which Python 3.10 compiles instead, matches alike.
-    lines = "".join(text + "\n" for text in texts)
-    plain = re.compile(paths._CANONICAL_LINES_PATTERN.format(""))
-    assert (plain.fullmatch(lines) is None) == (paths._CANONICAL_LINES.fullmatch(lines) is None)
