@@ -12,7 +12,6 @@ import argparse
 import os
 import re
 import sys
-from functools import cache
 from pathlib import Path
 
 from . import __version__, gtm, megamodel, trace
@@ -284,107 +283,67 @@ class _Parser(argparse.ArgumentParser):
         _fail(message, status=2)
 
 
-_FILE = (("file",), {"metavar": "FILE", "type": Path})
-
-# Every command in help order: its words, the function it runs (None for a
-# group, which prints its help), its help text if not the function's
-# docstring, whether it takes --format, and its arguments.
-_COMMANDS = (
-    (("discover",), discover, None, False, [(("directory",), {"metavar": "DIRECTORY", "type": Path})]),
-    (("mgm",), None, "Inspect the stored megamodel.", False, []),
-    (("mgm", "show"), mgm_show, None, True, []),
-    (("mgm", "dot"), mgm_dot, None, False, []),
-    (("augment-m2m",), augment_m2m_cmd, None, False, [_FILE]),
-    (("augment-m2c",), augment_m2c_cmd, None, False, [_FILE]),
-    (("run-m2m",), run_m2m, None, False, [
-        _FILE,
-        (("--in",), {"dest": "inputs", "action": "append", "default": [], "metavar": "ALIAS=MODEL",
-                     "help": "bind an input alias"}),
-        (("--out",), {"dest": "out_path", "required": True, "metavar": "PATH", "type": Path})]),
-    (("run-m2c",), run_m2c, None, False, [
-        _FILE,
-        (("--in",), {"dest": "model_uri", "required": True, "metavar": "MODEL"}),
-        (("--out",), {"dest": "out_dir", "required": True, "metavar": "PATH", "type": Path})]),
-    (("enact",), enact, None, False, [
-        (("process_uri",), {"metavar": "PROCESS_URI"}),
-        (("--bind",), {"dest": "binds", "action": "append", "default": [], "metavar": "PIN=MODEL",
-                       "help": "bind an external input pin"}),
-        (("--no-augment",), {"action": "store_true", "help": "run bare transformations, no traces"})]),
-    (("impact",), impact, None, True, [(("model_uri",), {"metavar": "MODEL_URI"}),
-                                       (("path_text",), {"metavar": "PATH"})]),
-    (("origin",), origin, None, True, [(("file_uri",), {"metavar": "FILE_URI"}),
-                                       (("location",), {"metavar": "LINE:COL|@BYTE"})]),
-    (("gtm",), None, "Global trace map exports.", False, []),
-    (("gtm", "dot"), gtm_dot, None, False, [
-        (("--around",), {"metavar": "MODEL:PATH|FILE@BYTE", "help": "slice the map around an anchor"}),
-        (("--radius",), {"type": int, "default": 2, "metavar": "INTEGER", "help": "default: %(default)s"})]),
-    (("trace",), None, "Inspect stored trace models.", False, []),
-    (("trace", "show"), trace_show, None, True, [_FILE]),
-)
-_RUNNABLE = {spec[0]: spec for spec in _COMMANDS if spec[1] is not None}
-
-
-def _command(parent, words: tuple[str, ...], run, doc: str | None, fmt: bool, arguments) -> _Parser:
-    """The parser of one command: a subparser of ``parent``, or with
-    ``parent`` None a parser of its own with the same program name."""
-    doc = " ".join((doc or run.__doc__).split())
-    if parent is None:
-        parser = _Parser(prog=" ".join(("tracelink", *words)), description=doc, allow_abbrev=False)
-    else:
-        parser = parent.add_parser(words[-1], help=doc, description=doc, allow_abbrev=False)
-    parser.set_defaults(run=run, group=parser)  # a group runs nothing and prints its help
-    if fmt:
-        parser.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    for flags, options in arguments:
-        parser.add_argument(*flags, **options)
-    return parser
-
-
 def _parser() -> _Parser:
-    """The whole command line, every command a subparser."""
+    def command(commands, name: str, run=None, doc: str | None = None, fmt: bool = False):
+        doc = " ".join((doc or run.__doc__).split())
+        parser = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        parser.set_defaults(run=run, group=parser)  # a group runs nothing and prints its help
+        if fmt:
+            parser.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
+        return parser
+
+    def subcommands(parser):
+        return parser.add_subparsers(title="commands", metavar="COMMAND")
+
     top = _Parser(prog="tracelink", allow_abbrev=False,
                   description="Enact transformation chains and answer end-to-end trace queries.")
     top.add_argument("--version", action="version", version=f"tracelink, version {__version__}")
     top.set_defaults(run=None, group=top)
-    subcommands = {(): top.add_subparsers(title="commands", metavar="COMMAND")}
-    for words, run, *spec in _COMMANDS:
-        parser = _command(subcommands[words[:-1]], words, run, *spec)
-        if run is None:
-            subcommands[words] = parser.add_subparsers(title="commands", metavar="COMMAND")
+    commands = subcommands(top)
+    command(commands, "discover", discover).add_argument("directory", metavar="DIRECTORY", type=Path)
+    mgm = subcommands(command(commands, "mgm", doc="Inspect the stored megamodel."))
+    command(mgm, "show", mgm_show, fmt=True)
+    command(mgm, "dot", mgm_dot)
+    command(commands, "augment-m2m", augment_m2m_cmd).add_argument("file", metavar="FILE", type=Path)
+    command(commands, "augment-m2c", augment_m2c_cmd).add_argument("file", metavar="FILE", type=Path)
+    p = command(commands, "run-m2m", run_m2m)
+    p.add_argument("file", metavar="FILE", type=Path)
+    p.add_argument("--in", dest="inputs", action="append", default=[], metavar="ALIAS=MODEL",
+                   help="bind an input alias")
+    p.add_argument("--out", dest="out_path", required=True, metavar="PATH", type=Path)
+    p = command(commands, "run-m2c", run_m2c)
+    p.add_argument("file", metavar="FILE", type=Path)
+    p.add_argument("--in", dest="model_uri", required=True, metavar="MODEL")
+    p.add_argument("--out", dest="out_dir", required=True, metavar="PATH", type=Path)
+    p = command(commands, "enact", enact)
+    p.add_argument("process_uri", metavar="PROCESS_URI")
+    p.add_argument("--bind", dest="binds", action="append", default=[], metavar="PIN=MODEL",
+                   help="bind an external input pin")
+    p.add_argument("--no-augment", action="store_true", help="run bare transformations, no traces")
+    p = command(commands, "impact", impact, fmt=True)
+    p.add_argument("model_uri", metavar="MODEL_URI")
+    p.add_argument("path_text", metavar="PATH")
+    p = command(commands, "origin", origin, fmt=True)
+    p.add_argument("file_uri", metavar="FILE_URI")
+    p.add_argument("location", metavar="LINE:COL|@BYTE")
+    p = command(subcommands(command(commands, "gtm", doc="Global trace map exports.")), "dot", gtm_dot)
+    p.add_argument("--around", metavar="MODEL:PATH|FILE@BYTE", help="slice the map around an anchor")
+    p.add_argument("--radius", type=int, default=2, metavar="INTEGER", help="default: %(default)s")
+    traces = subcommands(command(commands, "trace", doc="Inspect stored trace models."))
+    command(traces, "show", trace_show, fmt=True).add_argument("file", metavar="FILE", type=Path)
     return top
-
-
-@cache
-def _own_parser(words: tuple[str, ...]) -> _Parser:
-    """The parser of one runnable command, built once per process."""
-    return _command(None, *_RUNNABLE[words])
-
-
-def _parser_for(args: list[str]) -> tuple[_Parser, list[str]]:
-    """The parser for ``args`` and the arguments it reads. A command that
-    runs gets a parser of its own, the subparser it would get in
-    ``_parser()``; help, a group, an unknown command, a top-level option
-    and ``--`` take the whole parser, so argparse prints its own texts."""
-    for n in (1, 2):
-        words = tuple(args[:n])
-        if words in _RUNNABLE:
-            rest = args[n:]
-            if "-h" in rest or "--help" in rest or "--" in rest:
-                break
-            return _own_parser(words), rest
-    return _parser(), args
 
 
 class _Cli:
     """The ``tracelink`` command, with a click command's ``name`` and ``main``."""
 
     name = "tracelink"
+    parser = _parser()
 
     def main(self, args=None, prog_name=None, standalone_mode=True):
         """Run ``args`` (default ``sys.argv[1:]``); after a success, exit 0 if
         ``standalone_mode``, else return. Help always names the program tracelink."""
-        parser, args = _parser_for(sys.argv[1:] if args is None else list(args))
-        ns = vars(parser.parse_args(args))
+        ns = vars(self.parser.parse_args(args))
         run, group = ns.pop("run"), ns.pop("group")
         if run is None:
             group.print_help(sys.stderr)

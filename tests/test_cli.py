@@ -418,52 +418,6 @@ def _text_digest(result) -> str:
     return hashlib.sha256(f"{result.exit_code}\0{result.stdout}\0{result.stderr}".encode()).hexdigest()
 
 
-# Argument lists a command's own parser reads; each is read as the whole parser reads it.
-ONE_COMMAND_ARGS = [
-    ["discover", "."], ["discover"], ["discover", ".", "extra"], ["discover", "-x", "."],
-    ["mgm", "show"], ["mgm", "show", "--format", "json"], ["mgm", "show", "--format=xml"], ["mgm", "dot", "x"],
-    ["augment-m2m", "A.m2m"], ["augment-m2c"], ["augment-m2c", "--version", "A.m2c"],
-    ["run-m2m", "A.m2m", "--in", "a=b", "--in=c=d", "--out", "o"], ["run-m2m", "A.m2m"], ["run-m2m", "--out"],
-    ["run-m2c", "A.m2c", "--in", "m", "--out", "o/"], ["run-m2c", "A.m2c", "--out", "o", "--in"],
-    ["enact", "p.json", "--bind", "pim=x", "--no-augment"], ["enact", "--no-aug", "p"], ["enact", "--bind=a=b"],
-    ["impact", "M", "a[0]"], ["impact", "--format", "json", "M", "a[0]"], ["impact", "M", "-1"],
-    ["impact", "M"], ["impact", "M", "p", "q"], ["impact", "M", "p", "--format", "xml"], ["impact", "M", "p", "--fo=json"],
-    ["origin", "f.c", "9:1"], ["origin", "f.c", "@3", "--format=json"], ["origin", "f.c"], ["origin", "f.c", "-x"],
-    ["gtm", "dot"], ["gtm", "dot", "--radius", "3", "--around", "m:a"], ["gtm", "dot", "--radius=x"],
-    ["gtm", "dot", "--rad", "1"], ["gtm", "dot", "--around"], ["gtm", "dot", "--around=-1"],
-    ["trace", "show", "t.json"], ["trace", "show", "--format", "json", "t.json"], ["trace", "show"],
-]
-
-
-def _parse(parser, args, capsys):
-    try:
-        ns = vars(parser.parse_args(args))
-        status = 0
-    except SystemExit as exc:
-        ns, status = {}, exc.code
-    ns["group"] = getattr(ns.get("group"), "prog", None)  # the two parsers are distinct objects
-    return status, ns, capsys.readouterr()
-
-
-@pytest.mark.parametrize("args", ONE_COMMAND_ARGS, ids=" ".join)
-def test_a_command_reads_its_arguments_as_the_whole_parser_does(args, capsys):
-    from tracelink.cli import _parser, _parser_for
-
-    own, rest = _parser_for(args)
-    assert own.prog == "tracelink " + " ".join(args[:len(args) - len(rest)])
-    assert _parse(own, rest, capsys) == _parse(_parser(), args, capsys)
-
-
-@pytest.mark.parametrize("args", [[], ["--version"], ["--help"], ["mgm"], ["gtm", "nope"], ["impact", "-h"],
-                                  ["impact", "M", "--help"], ["nope", "x"], ["impact", "--", "M", "p"]],
-                         ids=" ".join)
-def test_help_groups_and_unknown_commands_take_the_whole_parser(args):
-    from tracelink.cli import _parser_for
-
-    parser, rest = _parser_for(args)
-    assert parser.prog == "tracelink" and rest == args
-
-
 def test_help_lists_commands_and_options(runner):
     top = runner.invoke(cli, ["--help"])
     assert top.exit_code == 0
