@@ -9,8 +9,6 @@ to generated code spans.
 
 __version__ = "0.1.0"
 
-import importlib
-
 # Public name -> submodule. Submodules load on first access (PEP 562), so a
 # command imports only the modules it uses.
 _EXPORTS = {
@@ -38,12 +36,11 @@ __all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:  # a submodule: ``tracelink.gtm`` works after a bare ``import tracelink``
-        return importlib.import_module(f".{name}", __name__)
-    module = _MODULE_OF.get(name)
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)  # ``tracelink.gtm`` after a bare ``import tracelink``
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+    __import__(f"{__name__}.{module}")  # the import statement's machinery, which ``-X importtime`` logs
+    return globals()[name] if name == module else getattr(globals()[module], name)
 
 
 def __dir__():

@@ -31,8 +31,8 @@ from .model import (
     Model,
     ReferenceDef,
     _type_ok,
+    element_index,
     ensure_conforms,
-    iter_elements,
     resolve_path,
 )
 from .trace import ElementRef, LocalTraceModel, TraceLink, span_at
@@ -471,12 +471,9 @@ def _render(t: Template, m: Model) -> tuple[list[str], list[list]]:
     runs: list[str] = []
     regions: list[list] = []
     offset = 0  # clean bytes before ``out``
-    paths: dict[int, str] = {}  # id(element) -> path, built on first use
 
     def model_path(e: Element) -> str:
-        if not paths:
-            paths.update((id(x), p) for p, x in iter_elements(m))
-        return paths[id(e)]
+        return element_index(m)[id(e)][0]  # the checked model's index, built on first use
 
     def path_text(e: Element) -> str:
         return t.param_var if e is m.root else f"{t.param_var}.{model_path(e)}"

@@ -33,8 +33,8 @@ from .model import (
     Model,
     ReferenceDef,
     _type_ok,
+    element_index,
     ensure_conforms,
-    iter_elements,
     resolve_path,
 )
 from .trace import ElementRef, LocalTraceModel, TraceLink
@@ -487,10 +487,43 @@ def _eval_guard(guard: Guard, element: Element) -> bool:
     return (value == lit) if guard.op == "=" else (value != lit)
 
 
+def _eval_expr(expr: Expr, element: Element, model: Model, pattern_images: dict[str, Element],
+               metamodels: dict[str, Metamodel]) -> object:
+    """The value of a binding's expression for the matched ``element`` of
+    ``model``; recursion is bounded by the expression's depth."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, VarRef):
+        if expr.var in pattern_images:
+            return pattern_images[expr.var]
+        return element
+    if isinstance(expr, Nav):
+        if expr.feature in element.attrs:
+            return element.attrs[expr.feature]
+        if expr.feature in element.collections:
+            return list(element.collections[expr.feature])
+        if expr.feature in element.refs:
+            return resolve_path(model, element.refs[expr.feature])
+        # Declared feature absent on this element: attrs and refs may be
+        # unset, collections default to empty.
+        feature = metamodels[model.metamodel_name].class_named(element.class_name).features.get(expr.feature)
+        return [] if isinstance(feature, CollectionDef) else None
+    if isinstance(expr, Concat):
+        left = _eval_expr(expr.left, element, model, pattern_images, metamodels)
+        right = _eval_expr(expr.right, element, model, pattern_images, metamodels)
+        if not isinstance(left, str) or not isinstance(right, str):
+            raise TransformationError("concat expects two string values")
+        return left + right
+    raise AssertionError(f"unhandled expr {expr!r}")
+
+
 def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, Metamodel],
-         output_uri: str) -> tuple[Model, list[tuple[_Instance, int, Element]], dict[int, object]]:
-    """Output model, traced (instance, pattern index, image) triples, and
-    the output path of every output element, keyed by ``id``."""
+         output_uri: str) -> tuple[Model, list[tuple[_Instance, int, Element]]]:
+    """Output model, checked and indexed, and the traced (instance, pattern
+    index, image) triples. Each output fact is checked in the phase that makes
+    it; a fault is a ``ConformanceError`` at the matched source path naming the
+    rule and the feature. Phase 2 raises its first fault when it ends, after
+    any binding that cannot be evaluated."""
     declared = dict(t.inputs)
     if set(inputs) != set(declared):
         raise TransformationError(
@@ -509,11 +542,9 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
         rules_for.setdefault((rule.from_metamodel, rule.from_class), []).append(rule)
     instances: list[_Instance] = []  # by input alias, then source path: the trace order
     image_of: dict[int, list[Element]] = {}
-    elem_paths: dict[int, tuple[str, object]] = {}
     for alias in sorted(inputs):
         model = inputs[alias]
-        for path, element in iter_elements(model):
-            elem_paths[id(element)] = (alias, path)
+        for path, element in element_index(model).values():
             matched = [
                 rule for rule in rules_for.get((model.metamodel_name, element.class_name), ())
                 if rule.guard is None or _eval_guard(rule.guard, element)
@@ -534,60 +565,43 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
             return source  # sibling pattern image, placed as-is
         images = image_of.get(id(source))
         if images is None:
-            _, path = elem_paths[id(source)]
-            raise UnresolvedBinding(str(path))
+            indexes = map(element_index, inputs.values())
+            raise UnresolvedBinding(next(str(index[id(source)][0]) for index in indexes if id(source) in index))
         return images[0]
-
-    def eval_expr(expr: Expr, element: Element, model: Model,
-                  pattern_images: dict[str, Element]) -> object:
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, VarRef):
-            if expr.var in pattern_images:
-                return pattern_images[expr.var]
-            return element
-        if isinstance(expr, Nav):
-            if expr.feature in element.attrs:
-                return element.attrs[expr.feature]
-            if expr.feature in element.collections:
-                return list(element.collections[expr.feature])
-            if expr.feature in element.refs:
-                return resolve_path(model, element.refs[expr.feature])
-            # Declared feature absent on this element: attrs and refs may be
-            # unset, collections default to empty.
-            feature = metamodels[model.metamodel_name].class_named(element.class_name).features.get(expr.feature)
-            return [] if isinstance(feature, CollectionDef) else None
-        if isinstance(expr, Concat):
-            left = eval_expr(expr.left, element, model, pattern_images)
-            right = eval_expr(expr.right, element, model, pattern_images)
-            if not isinstance(left, str) or not isinstance(right, str):
-                raise TransformationError("concat expects two string values")
-            return left + right
-        raise AssertionError(f"unhandled expr {expr!r}")
 
     # Phase 2: evaluate bindings with default resolution for element values.
     placed: dict[int, int] = {}
     pending_refs: list[tuple[Element, str, Element]] = []
+    fault: ConformanceError | None = None
     for inst in instances:
         model = inputs[inst.alias]
-        pattern_images = {p.var: img for p, img in zip(inst.rule.targets, inst.images)}
-        for pattern, image in zip(inst.rule.targets, inst.images):
-            features = metamodels[pattern.metamodel].class_named(pattern.class_name).features
+        rule = inst.rule
+        pattern_images = {p.var: img for p, img in zip(rule.targets, inst.images)}
+        for pattern, image in zip(rule.targets, inst.images):
+            features = out_mm.class_named(pattern.class_name).features
             for binding in pattern.bindings:
-                value = eval_expr(binding.expr, inst.element, model, pattern_images)
+                value = _eval_expr(binding.expr, inst.element, model, pattern_images, metamodels)
                 if value is None:
                     continue
                 feature = features[binding.feature]
                 if isinstance(feature, AttributeDef):
+                    if not _type_ok(feature.type, value):
+                        fault = fault or ConformanceError(
+                            inst.path, f"rule '{rule.name}': attribute '{feature.name}' "
+                                       f"expects {feature.type}, got {type(value).__name__}")
                     image.attrs[binding.feature] = value
                 elif isinstance(feature, ReferenceDef):
                     if isinstance(value, list):
                         raise TransformationError(
-                            f"rule '{inst.rule.name}': reference '{binding.feature}' bound to a collection")
+                            f"rule '{rule.name}': reference '{binding.feature}' bound to a collection")
                     target = resolve_image(value) if isinstance(value, Element) else None
                     if target is None:
                         raise TransformationError(
-                            f"rule '{inst.rule.name}': reference '{binding.feature}' needs an element value")
+                            f"rule '{rule.name}': reference '{binding.feature}' needs an element value")
+                    if target.class_name != feature.target_class:
+                        fault = fault or ConformanceError(
+                            inst.path, f"rule '{rule.name}': reference '{feature.name}' expects "
+                                       f"class '{feature.target_class}', got '{target.class_name}'")
                     pending_refs.append((image, binding.feature, target))
                 else:  # collection placement
                     children = value if isinstance(value, list) else [value]
@@ -595,10 +609,17 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
                     for child in children:
                         if not isinstance(child, Element):
                             raise TransformationError(
-                                f"rule '{inst.rule.name}': collection '{binding.feature}' needs element values")
+                                f"rule '{rule.name}': collection '{binding.feature}' needs element values")
                         child_image = resolve_image(child)
+                        if child_image.class_name != feature.element_class:
+                            fault = fault or ConformanceError(
+                                inst.path, f"rule '{rule.name}': collection '{feature.name}' holds "
+                                           f"class '{feature.element_class}', got '{child_image.class_name}'")
                         placed[id(child_image)] = placed.get(id(child_image), 0) + 1
                         bucket.append(child_image)
+
+    if fault is not None:
+        raise fault
 
     # Assembly: exactly one unplaced image is the output root.
     all_images = [img for inst in instances for img in inst.images]
@@ -612,27 +633,31 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
             f"output model must have exactly one root element, found {len(unplaced)} unplaced")
     out_model = Model(output_uri, t.output[1], unplaced[0])
 
-    out_paths = {id(element): path for path, element in iter_elements(out_model)}
+    index = element_index(out_model)
     for image, feature, target in pending_refs:
-        target_path = out_paths.get(id(target))
-        if target_path is None:
+        entry = index.get(id(target))
+        if entry is None:
             raise ConformanceError("root", "a reference points at an element outside the output tree")
-        image.refs[feature] = target_path
-
-    ensure_conforms(out_model, out_mm)
+        image.refs[feature] = entry[0]
 
     # Deterministic trace order: input alias, source path, then target pattern index.
     traced: list[tuple[_Instance, int, Element]] = []
     for inst in instances:
         for idx, (pattern, image) in enumerate(zip(inst.rule.targets, inst.images)):
+            for ref in out_mm.class_named(pattern.class_name).references:
+                if not ref.optional and ref.name not in image.refs:
+                    raise ConformanceError(
+                        inst.path, f"rule '{inst.rule.name}': required reference '{ref.name}' is unset")
             if pattern.traced:
                 traced.append((inst, idx, image))
-    return out_model, traced, out_paths
+    out_model.checked_against = out_mm
+    out_model.index = index
+    return out_model, traced
 
 
 def execute_m2m(t: TransformationM2M, inputs: dict[str, Model],
                 metamodels: dict[str, Metamodel], output_uri: str = "") -> Model:
-    model, _, _ = _run(t, inputs, metamodels, output_uri)
+    model, _ = _run(t, inputs, metamodels, output_uri)
     return model
 
 
@@ -648,11 +673,12 @@ def execute_augmented_m2m(
 ) -> tuple[Model, LocalTraceModel]:
     if not is_augmented(t):
         raise TransformationError("transformation is not augmented")
-    model, traced, out_paths = _run(t, inputs, metamodels, output_uri)
+    model, traced = _run(t, inputs, metamodels, output_uri)
+    index = model.index
     links = tuple(
         TraceLink(
             sources=(ElementRef(inputs[inst.alias].uri, inst.path),),
-            targets=(ElementRef(model.uri, out_paths[id(image)]),),
+            targets=(ElementRef(model.uri, index[id(image)][0]),),
             tags={"rule": inst.rule.name},
         )
         for inst, _idx, image in traced

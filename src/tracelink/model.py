@@ -7,11 +7,12 @@ Concrete syntax is JSON (``*.mm.json`` / ``*.model.json``, see docs/formats.md).
 Values are immutable after parse; engines that build models mutate fresh
 elements during construction only.
 
-Conformance is checked where a model enters: in ``parse_model`` and when
-the M2M engine assembles its output. The output check stays because M2M
-bindings are not type-checked: a rule may bind ``7`` to a string attribute.
+Conformance is checked where a model enters from disk, in ``parse_model``.
+The M2M engine checks each output fact in the phase that makes it, so its
+output conforms by construction and is marked checked without a second walk.
 ``ensure_conforms`` records the result on the model, so engines trust a
-checked model and check a hand-built one.
+checked model and check a hand-built one. A checked model also keeps its
+element index (``element_index``), built once on first use.
 """
 
 from __future__ import annotations
@@ -93,9 +94,10 @@ class Element:
 class Model:
     """A model: its uri, its metamodel's name and its root element.
     ``checked_against`` is the metamodel ``ensure_conforms`` found it to
-    conform to; it is left out of equality and ``repr``."""
+    conform to, and ``index`` the element index of a checked model; both
+    are left out of equality and ``repr``."""
 
-    __slots__ = ("uri", "metamodel_name", "root", "checked_against")
+    __slots__ = ("uri", "metamodel_name", "root", "checked_against", "index")
     __hash__ = None
 
     def __init__(self, uri: str, metamodel_name: str, root: Element):
@@ -103,6 +105,7 @@ class Model:
         self.metamodel_name = metamodel_name
         self.root = root
         self.checked_against: Metamodel | None = None
+        self.index: dict[int, tuple[ElementPath, Element]] | None = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -376,14 +379,16 @@ def _type_ok(declared: str, value: object) -> bool:
 
 
 def check_conformance(m: Model, mm: Metamodel) -> list[Violation]:
-    """All conformance violations, sorted by path. Empty list means conforming."""
+    """All conformance violations, sorted by path. Empty list means conforming.
+    The walk is pre-order from an explicit stack, so it is linear in depth."""
     violations: list[Violation] = []
     seen: set[int] = set()
-
-    def visit(e: Element, path_str: str, prefix: str):
+    stack = [(m.root, ROOT_NAME)]
+    while stack:
+        e, path_str = stack.pop()
         if id(e) in seen:
             violations.append(Violation(path_str, "element contained more than once"))
-            return
+            continue
         seen.add(id(e))
         cls = mm.class_named(e.class_name)
         if cls is None:
@@ -417,17 +422,18 @@ def check_conformance(m: Model, mm: Metamodel) -> list[Violation]:
             for ref in cls.references:
                 if not ref.optional and ref.name not in e.refs:
                     violations.append(Violation(path_str, f"required reference '{ref.name}' is unset"))
-        for name, children in e.collections.items():
+        # Children last first, so the first is visited next; the root's are
+        # addressed without a "root." prefix.
+        prefix = "" if e is m.root else path_str + "."
+        for name, children in reversed(e.collections.items()):
             decl = cls.features.get(name) if cls else None
-            for i, child in enumerate(children):
-                child_path = f"{prefix}{name}[{i}]"
+            for i in range(len(children) - 1, -1, -1):
+                child, child_path = children[i], f"{prefix}{name}[{i}]"
                 if isinstance(decl, CollectionDef) and child.class_name != decl.element_class:
                     violations.append(Violation(
                         child_path,
                         f"collection '{name}' holds class '{decl.element_class}', got '{child.class_name}'"))
-                visit(child, child_path, child_path + ".")
-
-    visit(m.root, ROOT_NAME, "")  # children of the root are addressed without a "root." prefix
+                stack.append((child, child_path))
     violations.sort(key=lambda v: (v.path, v.message))
     return violations
 
@@ -466,22 +472,40 @@ def resolve_path(m: Model, p: ElementPath) -> Element:
     return current
 
 
+def _walk(e: Element, names: list[str], prefix: str):
+    """Yield (path, element) for everything in ``e``'s collections ``names``,
+    in source-path order, from an explicit stack: linear in depth."""
+    stack = [(f"{prefix}{name}[{i}]", child) for name in names for i, child in enumerate(e.collections[name])]
+    stack.reverse()
+    while stack:
+        text, element = stack.pop()
+        yield _canonical(text), element
+        if element.collections:
+            prefix = text + "."
+            stack.extend(reversed([(f"{prefix}{name}[{i}]", child) for name in sorted(element.collections)
+                                   for i, child in enumerate(element.collections[name])]))
+
+
 def iter_elements(m: Model):
     """Yield (path, element) pairs in source-path order (docs/formats.md,
     "Element paths"): collections by name, elements by index, each element
     before its contents, and the root's path, the bare name ``root``, among
     the root's collection names. M2M trace links come in this order, and
     ``TraceIdentifierTree.paths`` lists paths in it too."""
-
-    def walk(e: Element, names: list[str], prefix: str):
-        for name in names:
-            for i, child in enumerate(e.collections[name]):
-                text = f"{prefix}{name}[{i}]"
-                yield _canonical(text), child
-                yield from walk(child, sorted(child.collections), text + ".")
-
     names = sorted(m.root.collections)
     before = bisect_left(names, ROOT_NAME)
-    yield from walk(m.root, names[:before], "")  # children of the root are addressed without a "root." prefix
+    yield from _walk(m.root, names[:before], "")  # children of the root are addressed without a "root." prefix
     yield ROOT_PATH, m.root
-    yield from walk(m.root, names[before:], "")
+    yield from _walk(m.root, names[before:], "")
+
+
+def element_index(m: Model) -> dict[int, tuple[ElementPath, Element]]:
+    """Every element of ``m`` by ``id``: its (path, element) pair, in
+    ``iter_elements`` order. A checked model keeps it, built on first use;
+    an unchecked one may still change, so its index is built afresh."""
+    index = m.index
+    if index is None:
+        index = {id(pair[1]): pair for pair in iter_elements(m)}
+        if m.checked_against is not None:
+            m.index = index
+    return index

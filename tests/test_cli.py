@@ -451,6 +451,19 @@ def test_query_import_leaves_click_out(enacted_ws):
         assert "=> " in done.stdout and done.stderr == "[]\n", query
 
 
+def test_importtime_lists_every_module_a_query_loads():
+    """``python -X importtime`` logs every tracelink module that ``import
+    tracelink.cli`` loads, so none hides inside another's own time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelink.__file__).resolve().parent.parent))
+    program = "import sys, tracelink.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tracelink'))"
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", program],
+                          env=env, capture_output=True, text=True, check=True)
+    logged = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    loaded = set(done.stdout.split())
+    assert {"tracelink", "tracelink.cli", "tracelink.gtm"} <= loaded
+    assert loaded <= logged
+
+
 def test_mgm_show_and_dot(enacted_ws, runner):
     shown = invoke(runner, enacted_ws, "mgm", "show")
     assert shown.exit_code == 0

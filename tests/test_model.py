@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -368,3 +369,39 @@ def test_iter_elements_walks_in_source_path_order(input_pim):
         paths = _walked(m)
         assert paths == sorted(paths, key=source_path_key)
         assert build_identifier_tree(paths).paths() == paths
+
+
+def _recursive_walk(e: Element, names, prefix: str):
+    """The reference walk: one generator per level."""
+    for name in names:
+        for i, child in enumerate(e.collections[name]):
+            text = f"{prefix}{name}[{i}]"
+            yield text, child
+            yield from _recursive_walk(child, sorted(child.collections), text + ".")
+
+
+def _tree(shape) -> Element:
+    """An element whose collections have ``shape``: name -> list of shapes."""
+    return Element("N", collections={name: [_tree(kid) for kid in kids] for name, kids in shape.items()})
+
+
+SHAPES = st.recursive(st.just({}), lambda kids: st.dictionaries(
+    st.sampled_from(["a", "root", "x", "z"]), st.lists(kids, max_size=3), max_size=3), max_leaves=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, st.lists(st.sampled_from(["a", "root", "z"]), max_size=320), SHAPES)
+def test_iter_elements_order_equals_a_recursive_walk(top, chain, bottom):
+    # A drawn tree whose first element holds a chain as deep as drawn, with
+    # a drawn tree at its end.
+    root = _tree(top)
+    holder = root
+    for name in chain:
+        holder.collections.setdefault(name, []).append(Element("N"))
+        holder = holder.collections[name][-1]
+    for name, kids in _tree(bottom).collections.items():
+        holder.collections.setdefault(name, []).extend(kids)
+    names = sorted(root.collections)
+    split = bisect_left(names, "root")  # the root's own path sorts among its collection names
+    expected = [*_recursive_walk(root, names[:split], ""), ("root", root), *_recursive_walk(root, names[split:], "")]
+    assert [(p, id(e)) for p, e in iter_elements(Model("", "M", root))] == [(p, id(e)) for p, e in expected]

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tracelink
 from tracelink import model as model_module
 from tracelink.errors import (
     ConformanceError,
@@ -19,7 +23,7 @@ from tracelink.process import NodeKind, enact, parse_process, schedule
 from tracelink.trace import load_trace
 from tracelink.workspace import read_text
 
-from conftest import BINDINGS, PROCESS_URI, run_enactment
+from conftest import BINDINGS, INPUT_URI, PROCESS_URI, run_enactment
 
 
 def proc_json(nodes, control, objects=()):
@@ -285,22 +289,26 @@ def test_bundled_enactment_counts(workspace):
 
 
 def test_enactment_checks_each_model_once_and_never_searches_paths(workspace, monkeypatch):
-    calls = {"check_conformance": 0}
+    calls = {"check_conformance": [], "iter_elements": []}  # the uri of each call's model
     modules = [m for n, m in sys.modules.items() if n == "tracelink" or n.startswith("tracelink.")]
     for name in calls:
         original = getattr(model_module, name)
 
-        def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
+        def counted(model, *args, _original=original, _name=name):
+            calls[_name].append(model.uri)
+            return _original(model, *args)
 
         for module in modules:  # also where a module imported the name
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    run_enactment(workspace)
-    # The PIM where it is parsed, and each of the four M2M outputs where it
-    # is assembled; the M2C renders reuse the M2M outputs from memory.
-    assert calls == {"check_conformance": 5}
+    _, result = run_enactment(workspace)
+    # The PIM is checked where it is parsed; each M2M output conforms by
+    # construction. Each model is walked once, into its element index: the
+    # PIM by the first M2M action, each output where it is assembled, and
+    # the M2C renders reuse the outputs' indexes from memory.
+    assert calls["check_conformance"] == [INPUT_URI]
+    outputs = [r.uri for r in result.megamodel.of_kind(ResourceKind.MODEL) if r.origin == ResourceOrigin.GENERATED]
+    assert sorted(calls["iter_elements"]) == sorted([INPUT_URI, *outputs]) and len(outputs) == 4
 
 
 def test_missing_binding_names_action_and_pin(workspace):
@@ -338,6 +346,48 @@ def test_engine_failures_are_wrapped_with_action_id(identity_workspace):
     p = parse_process(read_text(ws, "identity.proc.json"))
     with pytest.raises(TransformationError, match="CopyIt"):
         enact(p, mgm, {"m": "in.model.json"}, ws)
+
+
+DEEP_MM = {"name": "DeepMM", "classes": [{"name": "Node", "attributes": [{"name": "id", "type": "string"}],
+                                          "collections": [{"class": "Node", "name": "kids"}]}]}
+DEEP_PROC = {
+    "name": "deep",
+    "nodes": [
+        {"id": "i", "kind": "Initial"},
+        {"id": "Copy", "kind": "Action", "transformation": "TransformationM2M:Copy.m2m",
+         "inputPins": [{"name": "m", "metamodel": "DeepMM"}], "outputPins": [{"name": "o", "metamodel": "DeepMM"}]},
+        {"id": "Show", "kind": "Action", "transformation": "TransformationM2C:Show.m2c",
+         "inputPins": [{"name": "o", "metamodel": "DeepMM"}], "outputPins": []},
+        {"id": "f", "kind": "Final"},
+    ],
+    "controlEdges": [["i", "Copy"], ["Copy", "Show"], ["Show", "f"]],
+    "objectEdges": [{"from": "Copy", "fromPin": "o", "to": "Show", "toPin": "o"}],
+}
+
+
+def test_a_model_320_levels_deep_enacts_through_a_copy_and_a_loop(tmp_path):
+    depth = 320  # json's encoder and decoder recurse per level, so the text is written out
+    root = "".join(f'{{"class": "Node", "attrs": {{"id": "n{level}"}}, "collections": {{"kids": ['
+                   for level in range(1, depth))
+    root += f'{{"class": "Node", "attrs": {{"id": "n{depth}"}}}}' + "]}}" * (depth - 1)
+    ws = tmp_path / "deep"
+    ws.mkdir()
+    (ws / "DeepMM.mm.json").write_text(canonical_json(DEEP_MM))
+    (ws / "in.model.json").write_text(f'{{"metamodel": "DeepMM", "root": {root}}}')
+    (ws / "Copy.m2m").write_text("transformation Copy;\ninput m : DeepMM;\noutput o : DeepMM;\n"
+                                 "rule Node { from s : DeepMM!Node to t : DeepMM!Node (id <- s.id, kids <- s.kids) }\n")
+    (ws / "Show.m2c").write_text("[template show.txt (n : DeepMM!Node)][for (k : n.kids)]kid [k.id/]\n[/for][/template]")
+    (ws / "deep.proc.json").write_text(canonical_json(DEEP_PROC))
+    # In a fresh interpreter, as the command line runs: json's decoder counts
+    # its levels against the same recursion limit as the test runner's frames.
+    env = dict(os.environ, PYTHONPATH=str(Path(tracelink.__file__).resolve().parent.parent))
+    for args in (["discover", "."], ["enact", "deep.proc.json", "--bind", "m=in.model.json"]):
+        subprocess.run([sys.executable, "-m", "tracelink.cli", *args], cwd=ws, env=env, check=True, capture_output=True)
+    assert read_text(ws, "out/Show/show.txt") == "kid n2\n"
+    copy_trace, show_trace = (load_trace(read_text(ws, f"traces/{aid}.trace.json")) for aid in ("Copy", "Show"))
+    chain = [".".join(["kids[0]"] * level) for level in range(1, depth)]
+    assert [str(link.targets[0].path) for link in copy_trace.links] == [*chain, "root"]
+    assert [str(link.sources[0].path) for link in show_trace.links] == ["kids[0]"]
 
 
 OTHER_MM = {"name": "OtherMM", "classes": [{"name": "Other"}]}

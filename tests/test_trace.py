@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from tracelink.errors import IntegrityError, ParseError, PathSyntaxError
 from tracelink.gtm import ElemNode, change_impact, origin_track, query_gtm
-from tracelink.model import canonical_json
+from tracelink.m2m import augment_m2m, execute_augmented_m2m, parse_m2m
+from tracelink.model import canonical_json, parse_metamodel, parse_model
 from tracelink.paths import ROOT_PATH, ElementPath, parse_path
 from tracelink.trace import (
     CodeSpan,
@@ -194,13 +195,18 @@ def test_trace_header_that_would_not_load_back_rejected(header):
 
 
 def test_writers_leave_no_reference_cycles(enacted):
-    """Nor do the reader and a whole query, so what they build is freed
+    """Nor do the reader, a whole query, and parsing the fixture PIM and
+    running an augmented fixture M2M on it, so what they build is freed
     when dropped, without the cyclic collector."""
     ws, _mgm, result = enacted
     mgm = result.megamodel
     document = {"a": [1, {"b": [2.5, None, True, []]}, "x"], "c": {"d": {"e": "f"}}}
     trace = _sample_trace()
     text = (ws / "traces/MapContiki.trace.json").read_text(encoding="utf-8")
+    metamodels = {name: parse_metamodel((ws / f"{name}.mm.json").read_text(encoding="utf-8"))
+                  for name in ("PIMM", "PSMM")}
+    pim_text = (ws / "Input.pim.model.json").read_text(encoding="utf-8")
+    rules = augment_m2m(parse_m2m((ws / "MapContiki.m2m").read_text(encoding="utf-8"), metamodels))
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -209,6 +215,9 @@ def test_writers_leave_no_reference_cycles(enacted):
         canonical_json(document)
         save_trace(trace)
         load_trace(text)
+        pim = parse_model(pim_text, metamodels["PIMM"], uri="Input.pim.model.json")
+        execute_augmented_m2m(rules, {"pim": pim}, metamodels, "psm.model.json")
+        del pim
         g = query_gtm(mgm, ws, "Input.pim.model.json", forward=True)
         change_impact(g, ElemNode("Input.pim.model.json", parse_path("indirect[0].indirectdevice[0]")))
         g = query_gtm(mgm, ws, "out/GenContiki/Sink.c", forward=False)
