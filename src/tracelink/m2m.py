@@ -634,6 +634,8 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
     out_model = Model(output_uri, t.output[1], unplaced[0])
 
     index = element_index(out_model)
+    if len(index) != len(all_images):  # each image is placed once, so the others hold one another in a cycle
+        raise ConformanceError("root", "an output element is placed inside its own contents, outside the output tree")
     for image, feature, target in pending_refs:
         entry = index.get(id(target))
         if entry is None:

@@ -402,3 +402,23 @@ def test_non_ascii_literals_survive_parse_and_print():
     assert parse_m2m(print_m2m(t), AB_METAMODELS) == t
     out = execute_m2m(t, {"src": node_model()}, AB_METAMODELS)
     assert out.root.attrs["node_id"] == "café-n1"
+
+
+def test_an_image_placed_inside_itself_is_rejected():
+    # Placed once and so not the root, yet out of the output tree: the
+    # element would drop out of the output, and its trace link would have
+    # no target path.
+    mms = {"MMA": TREE_METAMODELS["MMA"]}
+    model = parse_model(json.dumps({"metamodel": "MMA", "root": {
+        "class": "Node", "attrs": {"id": "r"}, "collections": {"a": [{"class": "Node", "attrs": {"id": "k"}}]}}}),
+        mms["MMA"])
+    t = parse_m2m("""
+transformation Loop;
+input s : MMA;
+output o : MMA;
+rule Root { from s : MMA!Node (s.id = "r") to t : MMA!Node (id <- s.id) }
+rule Kid { from s : MMA!Node (s.id = "k") to t : MMA!Node (id <- s.id, a <- t) }
+""", mms)
+    for execute, rules in ((execute_m2m, t), (execute_augmented_m2m, augment_m2m(t))):
+        with pytest.raises(ConformanceError, match="^root: an output element is placed inside its own contents"):
+            execute(rules, {"s": model}, mms)
