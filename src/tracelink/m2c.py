@@ -1,13 +1,15 @@
 """Template-based model-to-code generation with trace markers.
 
 ``*.m2c`` templates (grammar in docs/formats.md) render a model to text.
-The augmentation pass rewrites a template so that each loop iteration and
-each model-deriving conditional branch emits its element's identifier path
-between marker delimiters (``{{path}} ... {{/}}`` by default). A traced
-render records each such region's element and byte span in the clean text
-as it writes, and puts the markers into the annotated text only, so the
-clean text is the plain render byte-for-byte whatever the model's values
-hold.
+The augmentation pass wraps each loop body and each model-deriving
+conditional branch in a ``RegionNode`` for its element. A region is one
+node from parse to render: the printer writes it as its element's
+identifier path between marker delimiters (``{{path}} ... {{/}}`` by
+default), and the parser reads that form back into a region where it
+wraps a whole loop body or branch. A traced render records each region's
+element and byte span in the clean text as it writes, and puts the markers
+into the annotated text only, so the clean text is the plain render
+byte-for-byte whatever the model's values hold.
 """
 
 from __future__ import annotations
@@ -115,7 +117,17 @@ class IfNode:
     line: int = 0
 
 
-TemplateNode = TextNode | EmitNode | ForNode | IfNode
+@dataclass(frozen=True)
+class RegionNode:
+    """The trace region of ``target``'s element around ``body``: a render
+    writes its markers, a traced render records its span."""
+
+    target: TNav
+    body: tuple["TemplateNode", ...]
+    line: int = 0
+
+
+TemplateNode = TextNode | EmitNode | ForNode | IfNode | RegionNode
 
 
 @dataclass(frozen=True)
@@ -253,6 +265,83 @@ def _scan_pieces(text: str):
     return pieces
 
 
+def _parse_body(pieces, pos: int, terminators: tuple[str, ...],
+                markers: tuple[str, str]) -> tuple[list[TemplateNode], str, int]:
+    nodes: list[TemplateNode] = []
+    while pos < len(pieces):
+        kind, content, line = pieces[pos]
+        pos += 1
+        if kind == "text":
+            if content:
+                nodes.append(TextNode(content, line))
+            continue
+        stripped = content.strip()
+        word = stripped.split("(", 1)[0].strip()
+        if stripped in terminators:
+            return nodes, stripped, pos
+        if stripped in ("/for", "/if", "/template", "else"):
+            raise ParseError(f"unexpected [{stripped}]", line=line)
+        if word == "for":
+            tp = _TagExprParser(stripped[len("for"):], line)
+            tp.expect("(")
+            var = tp.expect("ident")
+            if var == "i":
+                raise ParseError("'i' is reserved for the loop index", line=line)
+            tp.expect(":")
+            source = tp.nav()
+            tp.expect(")")
+            tp.expect("end")
+            inner, _, pos = _parse_body(pieces, pos, ("/for",), markers)
+            nodes.append(ForNode(var, source, _read_region(inner, markers), line))
+        elif word == "if":
+            tp = _TagExprParser(stripped[len("if"):], line)
+            tp.expect("(")
+            cond = tp.cond()
+            tp.expect(")")
+            tp.expect("end")
+            then_body, term, pos = _parse_body(pieces, pos, ("else", "/if"), markers)
+            else_body: list[TemplateNode] = []
+            if term == "else":
+                else_body, _, pos = _parse_body(pieces, pos, ("/if",), markers)
+            nodes.append(IfNode(cond, _read_region(then_body, markers), _read_region(else_body, markers), line))
+        else:
+            if not stripped.endswith("/"):
+                raise ParseError(f"emit tag must end with '/': [{content}]", line=line)
+            tp = _TagExprParser(stripped[:-1], line)
+            expr = tp.emit_expr()
+            tp.expect("end")
+            nodes.append(EmitNode(expr, line))
+    raise ParseError(f"missing closing tag, expected one of {terminators}")
+
+
+def _read_region(body: list[TemplateNode], markers: tuple[str, str]) -> tuple[TemplateNode, ...]:
+    """A parsed loop body or branch, as the one ``RegionNode`` it prints
+    from if it is a printed region, else as it is. The printed form is the
+    open delimiter, a ``path()`` emit, the close delimiter, the region's
+    body and the end marker; the close delimiter and the end marker merge
+    into the body's first and last text."""
+    mo, mc = markers
+    closer = mo + "/" + mc
+    if len(body) < 3:
+        return tuple(body)
+    head, emit, first, *rest = body
+    last = rest[-1] if rest else first
+    if not (isinstance(head, TextNode) and head.text == mo
+            and isinstance(emit, EmitNode) and isinstance(emit.expr, TPathOf)
+            and isinstance(first, TextNode) and first.text.startswith(mc)
+            and isinstance(last, TextNode) and last.text.endswith(closer)):
+        return tuple(body)
+    if not rest:
+        if len(first.text) < len(mc) + len(closer):
+            return tuple(body)
+        inner = [TextNode(first.text[len(mc):len(first.text) - len(closer)], first.line)]
+    else:
+        inner = [TextNode(first.text[len(mc):], first.line), *rest[:-1],
+                 TextNode(last.text[:len(last.text) - len(closer)], last.line)]
+    inner = tuple(node for node in inner if not isinstance(node, TextNode) or node.text)
+    return (RegionNode(emit.expr.target, inner, emit.line),)
+
+
 def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
     """Parse and type-check a template against its declared metamodel."""
     pieces = _scan_pieces(text)
@@ -304,60 +393,13 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
     if mm.class_named(param_class) is None:
         raise TemplateTypeError(f"unknown class '{param_class}' in metamodel '{mm_name}'", header_line)
 
-    def parse_body(pos: int, terminators: tuple[str, ...]) -> tuple[list[TemplateNode], str, int]:
-        nodes: list[TemplateNode] = []
-        while pos < len(pieces):
-            kind, content, line = pieces[pos]
-            pos += 1
-            if kind == "text":
-                if content:
-                    nodes.append(TextNode(content, line))
-                continue
-            stripped = content.strip()
-            word = stripped.split("(", 1)[0].strip()
-            if stripped in terminators:
-                return nodes, stripped, pos
-            if stripped in ("/for", "/if", "/template", "else"):
-                raise ParseError(f"unexpected [{stripped}]", line=line)
-            if word == "for":
-                tp = _TagExprParser(stripped[len("for"):], line)
-                tp.expect("(")
-                var = tp.expect("ident")
-                if var == "i":
-                    raise ParseError("'i' is reserved for the loop index", line=line)
-                tp.expect(":")
-                source = tp.nav()
-                tp.expect(")")
-                tp.expect("end")
-                inner, _, pos = parse_body(pos, ("/for",))
-                nodes.append(ForNode(var, source, tuple(inner), line))
-            elif word == "if":
-                tp = _TagExprParser(stripped[len("if"):], line)
-                tp.expect("(")
-                cond = tp.cond()
-                tp.expect(")")
-                tp.expect("end")
-                then_body, term, pos = parse_body(pos, ("else", "/if"))
-                else_body: list[TemplateNode] = []
-                if term == "else":
-                    else_body, _, pos = parse_body(pos, ("/if",))
-                nodes.append(IfNode(cond, tuple(then_body), tuple(else_body), line))
-            else:
-                if not stripped.endswith("/"):
-                    raise ParseError(f"emit tag must end with '/': [{content}]", line=line)
-                tp = _TagExprParser(stripped[:-1], line)
-                expr = tp.emit_expr()
-                tp.expect("end")
-                nodes.append(EmitNode(expr, line))
-        raise ParseError(f"missing closing tag, expected one of {terminators}")
-
-    body, _, pos = parse_body(idx, ("/template",))
+    body, _, pos = _parse_body(pieces, idx, ("/template",), markers)
     for kind, content, line in pieces[pos:]:
         if kind == "tag" or content.strip():
             raise ParseError("content after [/template]", line=line)
 
     t = Template(name, param_var, param_class, mm, tuple(body), markers[0], markers[1])
-    _check_template(t)
+    _check_template(t, t.body, {t.param_var: t.param_class}, False)
     return t
 
 
@@ -386,48 +428,52 @@ def _nav_feature(t: Template, nav: TNav, env: dict[str, str],
     return feature
 
 
-def _check_template(t: Template):
-    def check(nodes, env: dict[str, str], in_loop: bool):
-        for node in nodes:
-            if isinstance(node, TextNode):
-                continue
-            if isinstance(node, EmitNode):
-                expr = node.expr
-                if isinstance(expr, TLiteral):
-                    continue
-                if isinstance(expr, TIndex):
-                    if not in_loop:
-                        raise TemplateTypeError("'i' is only available inside a loop", node.line)
-                    continue
-                if isinstance(expr, TPathOf):
-                    if isinstance(_nav_feature(t, expr.target, env, node.line), (AttributeDef, CollectionDef)):
-                        raise TemplateTypeError("path() needs an element-valued expression", node.line)
-                    continue
-                if not isinstance(_nav_feature(t, expr, env, node.line), AttributeDef):
-                    raise TemplateTypeError(f"cannot emit non-attribute '{expr}'", node.line)
-            elif isinstance(node, ForNode):
-                source = _nav_feature(t, node.source, env, node.line)
-                if not isinstance(source, CollectionDef):
-                    raise TemplateTypeError(f"loop source '{node.source}' is not a collection", node.line)
-                if node.var in env:
-                    raise TemplateTypeError(f"variable '{node.var}' shadows an enclosing binder", node.line)
-                check(node.body, {**env, node.var: source.element_class}, True)
-            elif isinstance(node, IfNode):
-                cond = node.cond
-                if isinstance(cond, SizeCond):
-                    if not isinstance(_nav_feature(t, cond.target, env, node.line), (CollectionDef, ReferenceDef)):
-                        raise TemplateTypeError("size() needs a collection or reference", node.line)
-                else:
-                    attr = _nav_feature(t, cond.left, env, node.line)
-                    if not isinstance(attr, AttributeDef):
-                        raise TemplateTypeError("condition must compare an attribute", node.line)
-                    if not _type_ok(attr.type, cond.right.value):
-                        raise TemplateTypeError(
-                            f"condition compares {attr.type} attribute against {cond.right.value!r}", node.line)
-                check(node.then_body, env, in_loop)
-                check(node.else_body, env, in_loop)
+def _check_element(t: Template, nav: TNav, env: dict[str, str], line: int):
+    if isinstance(_nav_feature(t, nav, env, line), (AttributeDef, CollectionDef)):
+        raise TemplateTypeError("path() needs an element-valued expression", line)
 
-    check(t.body, {t.param_var: t.param_class}, False)
+
+def _check_template(t: Template, nodes, env: dict[str, str], in_loop: bool):
+    for node in nodes:
+        if isinstance(node, TextNode):
+            continue
+        if isinstance(node, EmitNode):
+            expr = node.expr
+            if isinstance(expr, TLiteral):
+                continue
+            if isinstance(expr, TIndex):
+                if not in_loop:
+                    raise TemplateTypeError("'i' is only available inside a loop", node.line)
+                continue
+            if isinstance(expr, TPathOf):
+                _check_element(t, expr.target, env, node.line)
+                continue
+            if not isinstance(_nav_feature(t, expr, env, node.line), AttributeDef):
+                raise TemplateTypeError(f"cannot emit non-attribute '{expr}'", node.line)
+        elif isinstance(node, ForNode):
+            source = _nav_feature(t, node.source, env, node.line)
+            if not isinstance(source, CollectionDef):
+                raise TemplateTypeError(f"loop source '{node.source}' is not a collection", node.line)
+            if node.var in env:
+                raise TemplateTypeError(f"variable '{node.var}' shadows an enclosing binder", node.line)
+            _check_template(t, node.body, {**env, node.var: source.element_class}, True)
+        elif isinstance(node, IfNode):
+            cond = node.cond
+            if isinstance(cond, SizeCond):
+                if not isinstance(_nav_feature(t, cond.target, env, node.line), (CollectionDef, ReferenceDef)):
+                    raise TemplateTypeError("size() needs a collection or reference", node.line)
+            else:
+                attr = _nav_feature(t, cond.left, env, node.line)
+                if not isinstance(attr, AttributeDef):
+                    raise TemplateTypeError("condition must compare an attribute", node.line)
+                if not _type_ok(attr.type, cond.right.value):
+                    raise TemplateTypeError(
+                        f"condition compares {attr.type} attribute against {cond.right.value!r}", node.line)
+            _check_template(t, node.then_body, env, in_loop)
+            _check_template(t, node.else_body, env, in_loop)
+        else:  # RegionNode
+            _check_element(t, node.target, env, node.line)
+            _check_template(t, node.body, env, in_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -445,78 +491,63 @@ def _to_text(value: object) -> str:
     return repr(value)
 
 
-@dataclass(frozen=True)
-class _Region:
-    """A marker-wrapped body as ``render_traced`` walks it: the region of
-    ``target``'s element around ``body``. Its markers go to the annotated
-    text only."""
+class _Render:
+    """One rendering walk's state: the runs of clean text with each region's
+    markers between them (runs at even indexes, markers at odd ones), and
+    each region's [path, start byte, end byte] in the clean text, in open
+    order."""
 
-    target: TNav
-    body: tuple[TemplateNode, ...]
-    line: int
+    __slots__ = ("t", "m", "class_named", "closer", "out", "runs", "regions", "offset")
 
+    def __init__(self, t: Template, m: Model):
+        self.t, self.m, self.class_named = t, m, t.metamodel.class_named
+        self.closer = t.marker_open + "/" + t.marker_close
+        self.out: list[str] = []  # pieces written since the last marker
+        self.runs: list[str] = []
+        self.regions: list[list] = []
+        self.offset = 0  # clean bytes before ``out``
 
-def _render(t: Template, m: Model) -> tuple[list[str], list[list]]:
-    """The one rendering walk. Returns the runs of clean text with each
-    ``_Region``'s markers between them (runs at even indexes, markers at odd
-    ones), and each region's [path, start byte, end byte] in the clean text,
-    in open order."""
-    if m.metamodel_name != t.metamodel.name:
-        raise ConformanceError("root", f"model conforms to '{m.metamodel_name}', template needs '{t.metamodel.name}'")
-    if m.root.class_name != t.param_class:
-        raise ConformanceError("root", f"model root is a '{m.root.class_name}', template needs a '{t.param_class}'")
-    ensure_conforms(m, t.metamodel)
+    def model_path(self, e: Element) -> str:
+        return element_index(self.m)[id(e)][0]  # the checked model's index, built on first use
 
-    out: list[str] = []  # pieces written since the last marker
-    runs: list[str] = []
-    regions: list[list] = []
-    offset = 0  # clean bytes before ``out``
+    def path_text(self, e: Element) -> str:
+        return self.t.param_var if e is self.m.root else f"{self.t.param_var}.{self.model_path(e)}"
 
-    def model_path(e: Element) -> str:
-        return element_index(m)[id(e)][0]  # the checked model's index, built on first use
-
-    def path_text(e: Element) -> str:
-        return t.param_var if e is m.root else f"{t.param_var}.{model_path(e)}"
-
-    def mark(marker: str) -> int:
+    def mark(self, marker: str) -> int:
         """End the run of text before ``marker``; return the marker's clean byte offset."""
-        nonlocal offset
-        text = "".join(out)
-        out.clear()
-        runs.extend((text, marker))
-        offset += len(text.encode("utf-8"))
-        return offset
+        text = "".join(self.out)
+        self.out.clear()
+        self.runs.extend((text, marker))
+        self.offset += len(text.encode("utf-8"))
+        return self.offset
 
-    class_named = t.metamodel.class_named
-    closer = t.marker_open + "/" + t.marker_close
-
-    def eval_nav(nav: TNav, env: dict[str, object], line: int) -> object:
+    def eval_nav(self, nav: TNav, env: dict[str, object], line: int) -> object:
         current = env[nav.steps[0]]
         for step in nav.steps[1:]:
-            feature = class_named(current.class_name).features.get(step)
+            feature = self.class_named(current.class_name).features.get(step)
             if isinstance(feature, AttributeDef):
                 if step not in current.attrs:
-                    raise EvalError(f"attribute '{step}' is unset", line, model_path(current))
+                    raise EvalError(f"attribute '{step}' is unset", line, self.model_path(current))
                 return current.attrs[step]
             if isinstance(feature, CollectionDef):
                 return list(current.collections.get(step, []))
             ref_path = current.refs.get(step)
             if ref_path is None:
-                raise EvalError(f"reference '{step}' is unset", line, model_path(current))
-            current = resolve_path(m, ref_path)
+                raise EvalError(f"reference '{step}' is unset", line, self.model_path(current))
+            current = resolve_path(self.m, ref_path)
         return current
 
-    def eval_cond(cond: Cond, env: dict[str, object], line: int) -> bool:
+    def eval_cond(self, cond: Cond, env: dict[str, object], line: int) -> bool:
         if isinstance(cond, SizeCond):
             steps = cond.target.steps
             holder = env[steps[0]]
             for step in steps[1:-1]:
                 ref_path = holder.refs.get(step)
                 if ref_path is None:
-                    raise EvalError(f"reference '{step}' is unset", line, model_path(holder))
-                holder = resolve_path(m, ref_path)
+                    raise EvalError(f"reference '{step}' is unset", line, self.model_path(holder))
+                holder = resolve_path(self.m, ref_path)
             last = steps[-1]
-            if isinstance(class_named(holder.class_name).features.get(last), CollectionDef):
+            if isinstance(self.class_named(holder.class_name).features.get(last), CollectionDef):
                 size = len(holder.collections.get(last, []))
             else:
                 size = 1 if last in holder.refs else 0
@@ -525,42 +556,51 @@ def _render(t: Template, m: Model) -> tuple[list[str], list[list]]:
             if cond.op == "=":
                 return size == cond.bound
             return size != cond.bound
-        value = eval_nav(cond.left, env, line)
+        value = self.eval_nav(cond.left, env, line)
         return (value == cond.right.value) if cond.op == "=" else (value != cond.right.value)
 
-    def emit(expr: TemplateExpr, env: dict[str, object], line: int):
+    def emit(self, expr: TemplateExpr, env: dict[str, object], line: int):
         if isinstance(expr, TLiteral):
-            out.append(_to_text(expr.value))
+            self.out.append(_to_text(expr.value))
         elif isinstance(expr, TIndex):
-            out.append(str(env["i"]))
+            self.out.append(str(env["i"]))
         elif isinstance(expr, TPathOf):
-            out.append(path_text(eval_nav(expr.target, env, line)))
+            self.out.append(self.path_text(self.eval_nav(expr.target, env, line)))
         else:
-            out.append(_to_text(eval_nav(expr, env, line)))
+            self.out.append(_to_text(self.eval_nav(expr, env, line)))
 
-    def run(nodes, env: dict[str, object]):
+    def run(self, nodes, env: dict[str, object]):
         for node in nodes:
             if isinstance(node, TextNode):
-                out.append(node.text)
+                self.out.append(node.text)
             elif isinstance(node, EmitNode):
-                emit(node.expr, env, node.line)
+                self.emit(node.expr, env, node.line)
             elif isinstance(node, ForNode):
-                items = eval_nav(node.source, env, node.line)
+                items = self.eval_nav(node.source, env, node.line)
                 for i, item in enumerate(items):
-                    run(node.body, {**env, node.var: item, "i": i})
+                    self.run(node.body, {**env, node.var: item, "i": i})
             elif isinstance(node, IfNode):
-                branch = node.then_body if eval_cond(node.cond, env, node.line) else node.else_body
-                run(branch, env)
-            elif isinstance(node, _Region):
-                element = eval_nav(node.target, env, node.line)
-                region = [model_path(element), mark(f"{t.marker_open}{path_text(element)}{t.marker_close}"), 0]
-                regions.append(region)
-                run(node.body, env)
-                region[2] = mark(closer)
+                self.run(node.then_body if self.eval_cond(node.cond, env, node.line) else node.else_body, env)
+            else:  # RegionNode
+                element = self.eval_nav(node.target, env, node.line)
+                opener = f"{self.t.marker_open}{self.path_text(element)}{self.t.marker_close}"
+                region = [self.model_path(element), self.mark(opener), 0]
+                self.regions.append(region)
+                self.run(node.body, env)
+                region[2] = self.mark(self.closer)
 
-    run(t.body, {t.param_var: m.root})
-    runs.append("".join(out))
-    return runs, regions
+
+def _render(t: Template, m: Model) -> tuple[list[str], list[list]]:
+    """The one rendering walk: the runs and regions of a ``_Render``."""
+    if m.metamodel_name != t.metamodel.name:
+        raise ConformanceError("root", f"model conforms to '{m.metamodel_name}', template needs '{t.metamodel.name}'")
+    if m.root.class_name != t.param_class:
+        raise ConformanceError("root", f"model root is a '{m.root.class_name}', template needs a '{t.param_class}'")
+    ensure_conforms(m, t.metamodel)
+    r = _Render(t, m)
+    r.run(t.body, {t.param_var: m.root})
+    r.runs.append("".join(r.out))
+    return r.runs, r.regions
 
 
 def render(t: Template, m: Model) -> str:
@@ -573,15 +613,14 @@ def render_traced(t: Template, m: Model, model_uri: str, clean_file_uri: str, *,
     """Render an augmented template; return (cleanText, annotatedText, trace).
 
     The clean text is ``render`` of the stripped template; the annotated
-    text is ``render`` of ``t``, markers and all. Each marker-wrapped loop
-    body or branch that runs becomes one link, in the order the regions
-    open, from its element to its byte span in the clean text. Outer
-    regions span their whole extent, nested regions included.
+    text is ``render`` of ``t``, markers and all. Each region that runs
+    becomes one link, in the order the regions open, from its element to
+    its byte span in the clean text. Outer regions span their whole extent,
+    nested regions included.
     """
     if not is_template_augmented(t):
         raise TransformationError(f"template '{t.name}' is not augmented")
-    traced = _rewrap(t, lambda body, inner: (_Region(body[1].expr.target, inner, body[1].line),))
-    runs, regions = _render(traced, m)
+    runs, regions = _render(t, m)
     text = "".join(runs[::2])
     newlines = [nl.start() for nl in re.finditer(b"\n", text.encode("utf-8"))]
     links = tuple(
@@ -602,61 +641,13 @@ def render_traced(t: Template, m: Model, model_uri: str, clean_file_uri: str, *,
 
 def _emits_model_text(nodes) -> bool:
     for node in nodes:
-        if isinstance(node, EmitNode):
+        if isinstance(node, (EmitNode, RegionNode)):
             return True
         if isinstance(node, ForNode) and _emits_model_text(node.body):
             return True
         if isinstance(node, IfNode) and (_emits_model_text(node.then_body) or _emits_model_text(node.else_body)):
             return True
     return False
-
-
-def _is_wrapped(body, t: Template) -> bool:
-    # Tolerates reparsed augmented sources, where the close delimiter and the
-    # end marker merge into adjacent text nodes.
-    if len(body) < 3:
-        return False
-    if not (isinstance(body[0], TextNode) and body[0].text == t.marker_open):
-        return False
-    if not (isinstance(body[1], EmitNode) and isinstance(body[1].expr, TPathOf)):
-        return False
-    rest = body[2:]
-    closer = t.marker_open + "/" + t.marker_close
-    first, last = rest[0], rest[-1]
-    if not (isinstance(first, TextNode) and first.text.startswith(t.marker_close)):
-        return False
-    if not (isinstance(last, TextNode) and last.text.endswith(closer)):
-        return False
-    if len(rest) == 1:
-        return len(first.text) >= len(t.marker_close) + len(closer)
-    return True
-
-
-def _wrap(body, target: TNav, line: int, t: Template):
-    return (
-        TextNode(t.marker_open, line),
-        EmitNode(TPathOf(target), line),
-        TextNode(t.marker_close, line),
-        *body,
-        TextNode(t.marker_open + "/" + t.marker_close, line),
-    )
-
-
-def _unwrap(body, t: Template):
-    closer = t.marker_open + "/" + t.marker_close
-    rest = list(body[2:])
-    if len(rest) == 1:
-        text = rest[0].text[len(t.marker_close):len(rest[0].text) - len(closer)]
-        return (TextNode(text, rest[0].line),) if text else ()
-    out = []
-    head = rest[0].text[len(t.marker_close):]
-    if head:
-        out.append(TextNode(head, rest[0].line))
-    out.extend(rest[1:-1])
-    tail = rest[-1].text[:len(rest[-1].text) - len(closer)]
-    if tail:
-        out.append(TextNode(tail, rest[-1].line))
-    return tuple(out)
 
 
 def _governing_nav(cond: Cond, t: Template, env: dict[str, str], line: int) -> TNav:
@@ -668,58 +659,55 @@ def _governing_nav(cond: Cond, t: Template, env: dict[str, str], line: int) -> T
     return TNav(cond.left.steps[:-1])
 
 
+def _region(body, target: TNav, line: int) -> tuple[TemplateNode, ...]:
+    """``body`` in a region of ``target``, unless it is one region already or
+    emits no model text."""
+    if not _emits_model_text(body) or len(body) == 1 and isinstance(body[0], RegionNode):
+        return body
+    return (RegionNode(target, body, line),)
+
+
+def _augment(t: Template, nodes, env: dict[str, str], binder: str) -> tuple[TemplateNode, ...]:
+    out = []
+    for node in nodes:
+        if isinstance(node, ForNode):
+            inner_env = {**env, node.var: _nav_feature(t, node.source, env, node.line).element_class}
+            inner = _augment(t, node.body, inner_env, node.var)
+            out.append(replace(node, body=_region(inner, TNav((node.var,)), node.line)))
+        elif isinstance(node, IfNode):
+            subject = _governing_nav(node.cond, t, env, node.line)
+            then_body = _region(_augment(t, node.then_body, env, binder), subject, node.line)
+            else_body = _region(_augment(t, node.else_body, env, binder), TNav((binder,)), node.line)
+            out.append(replace(node, then_body=then_body, else_body=else_body))
+        elif isinstance(node, RegionNode):
+            out.append(replace(node, body=_augment(t, node.body, env, binder)))
+        else:
+            out.append(node)
+    return tuple(out)
+
+
 def augment_template(t: Template) -> Template:
-    """Wrap loop bodies and model-deriving branches in path markers. Idempotent."""
-
-    def walk(nodes, env: dict[str, str], binder: str):
-        out = []
-        for node in nodes:
-            if isinstance(node, ForNode):
-                inner_env = {**env, node.var: _nav_feature(t, node.source, env, node.line).element_class}
-                inner = walk(node.body, inner_env, node.var)
-                if _emits_model_text(node.body) and not _is_wrapped(inner, t):
-                    inner = _wrap(inner, TNav((node.var,)), node.line, t)
-                out.append(replace(node, body=tuple(inner)))
-            elif isinstance(node, IfNode):
-                then_body = walk(node.then_body, env, binder)
-                else_body = walk(node.else_body, env, binder)
-                if _emits_model_text(node.then_body) and not _is_wrapped(then_body, t):
-                    subject = _governing_nav(node.cond, t, env, node.line)
-                    then_body = _wrap(then_body, subject, node.line, t)
-                if node.else_body and _emits_model_text(node.else_body) and not _is_wrapped(else_body, t):
-                    else_body = _wrap(else_body, TNav((binder,)), node.line, t)
-                out.append(replace(node, then_body=tuple(then_body), else_body=tuple(else_body)))
-            else:
-                out.append(node)
-        return out
-
-    return replace(t, body=tuple(walk(t.body, {t.param_var: t.param_class}, t.param_var)))
+    """Wrap loop bodies and model-deriving branches in regions. Idempotent."""
+    return replace(t, body=_augment(t, t.body, {t.param_var: t.param_class}, t.param_var))
 
 
-def _rewrap(t: Template, wrapped) -> Template:
-    """``t`` with each marker-wrapped body replaced by ``wrapped(body, inner)``,
-    where ``inner`` is the body's unwrapped content, itself rewrapped."""
-
-    def walk(nodes):
-        out = []
-        for node in nodes:
-            if isinstance(node, ForNode):
-                out.append(replace(node, body=fix(node.body)))
-            elif isinstance(node, IfNode):
-                out.append(replace(node, then_body=fix(node.then_body), else_body=fix(node.else_body)))
-            else:
-                out.append(node)
-        return tuple(out)
-
-    def fix(body):
-        return wrapped(body, walk(_unwrap(body, t))) if _is_wrapped(body, t) else walk(body)
-
-    return replace(t, body=walk(t.body))
+def _strip(nodes) -> tuple[TemplateNode, ...]:
+    out = []
+    for node in nodes:
+        if isinstance(node, ForNode):
+            out.append(replace(node, body=_strip(node.body)))
+        elif isinstance(node, IfNode):
+            out.append(replace(node, then_body=_strip(node.then_body), else_body=_strip(node.else_body)))
+        elif isinstance(node, RegionNode):
+            out.extend(_strip(node.body))
+        else:
+            out.append(node)
+    return tuple(out)
 
 
 def strip_template(t: Template) -> Template:
-    """Undo augmentation: drop the injected marker nodes."""
-    return _rewrap(t, lambda body, inner: inner)
+    """Undo augmentation: replace each region with its body."""
+    return replace(t, body=_strip(t.body))
 
 
 def is_template_augmented(t: Template) -> bool:
@@ -751,31 +739,34 @@ def _cond_text(cond: Cond) -> str:
     return f"{cond.left} {cond.op} {_expr_text(cond.right)}"
 
 
+def _print(t: Template, nodes, parts: list[str]):
+    for node in nodes:
+        if isinstance(node, TextNode):
+            parts.append(node.text)
+        elif isinstance(node, EmitNode):
+            parts.append(f"[{_expr_text(node.expr)}/]")
+        elif isinstance(node, ForNode):
+            parts.append(f"[for ({node.var} : {node.source})]")
+            _print(t, node.body, parts)
+            parts.append("[/for]")
+        elif isinstance(node, IfNode):
+            parts.append(f"[if ({_cond_text(node.cond)})]")
+            _print(t, node.then_body, parts)
+            if node.else_body:
+                parts.append("[else]")
+                _print(t, node.else_body, parts)
+            parts.append("[/if]")
+        else:  # RegionNode
+            parts.append(f"{t.marker_open}[path({node.target})/]{t.marker_close}")
+            _print(t, node.body, parts)
+            parts.append(f"{t.marker_open}/{t.marker_close}")
+
+
 def print_template(t: Template) -> str:
-    parts: list[str] = []
     header = f"[template {t.name} ({t.param_var} : {t.metamodel.name}!{t.param_class})"
     if (t.marker_open, t.marker_close) != DEFAULT_MARKERS:
-        header += f' markers("{t.marker_open}", "{t.marker_close}")'
-    parts.append(header + "]")
-
-    def walk(nodes):
-        for node in nodes:
-            if isinstance(node, TextNode):
-                parts.append(node.text)
-            elif isinstance(node, EmitNode):
-                parts.append(f"[{_expr_text(node.expr)}/]")
-            elif isinstance(node, ForNode):
-                parts.append(f"[for ({node.var} : {node.source})]")
-                walk(node.body)
-                parts.append("[/for]")
-            else:
-                parts.append(f"[if ({_cond_text(node.cond)})]")
-                walk(node.then_body)
-                if node.else_body:
-                    parts.append("[else]")
-                    walk(node.else_body)
-                parts.append("[/if]")
-
-    walk(t.body)
+        header += f' markers("{_escape(t.marker_open)}", "{_escape(t.marker_close)}")'
+    parts = [header + "]"]
+    _print(t, t.body, parts)
     parts.append("[/template]")
     return "".join(parts) + "\n"

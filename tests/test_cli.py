@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import tracelink
 from tracelink import model
 from tracelink.cli import cli
+from tracelink.trace import load_trace
 
 from conftest import copy_workspace
 
@@ -612,6 +613,21 @@ def test_run_m2c_produces_clean_annotated_and_trace(tmp_path, runner):
     clean = (ws / "gen/Sink.c").read_text()
     annotated = (ws / "gen/Sink.c.annotated").read_text()
     assert "{{" not in clean and "{{" in annotated
+
+
+def test_run_m2c_of_the_augmented_template_writes_what_the_template_does(tmp_path, runner):
+    ws = copy_workspace(tmp_path)
+    invoke(runner, ws, "run-m2m", str(ws / "MapContiki.m2m"),
+           "--in", "pim=Input.pim.model.json", "--out", "contiki.model.json")
+    assert invoke(runner, ws, "augment-m2c", str(ws / "GenContiki.m2c")).exit_code == 0
+    written = []
+    for template in ("GenContiki.m2c", "GenContiki.m2c.aug.m2c"):
+        result = invoke(runner, ws, "run-m2c", str(ws / template), "--in", "contiki.model.json", "--out", "gen")
+        assert result.exit_code == 0, result.output
+        written.append(((ws / "gen/Sink.c").read_bytes(), (ws / "gen/Sink.c.annotated").read_bytes(),
+                        load_trace((ws / "traces/Sink.c.trace.json").read_text(encoding="utf-8")).links))
+    assert written[0] == written[1]
+    assert written[0][2]
 
 
 @pytest.mark.parametrize("name", ["a{{filters[0]}}b{{/}}c", "source{{/}}a"])

@@ -375,10 +375,35 @@ def test_printed_template_reparses_to_equivalent_behavior():
         assert render(reparsed, model) == render(aug, model)
 
 
+QUOTING_MARKERS_TEMPLATE = ('[template q.txt (m : ListMM!Root) markers("<\\"", "\\\\>")]'
+                            "[for (e : m.elements)][e.name/],[/for][/template]")
+
+
 def test_printed_plain_template_round_trips_bytes():
-    t = parse_template(LOOP_TEMPLATE, ALL_METAMODELS)
-    printed = print_template(t)
-    assert print_template(parse_template(printed, ALL_METAMODELS)) == printed
+    psmm = {"PSMM": parse_metamodel((WORKSPACE_FIXTURE / "PSMM.mm.json").read_text(encoding="utf-8"))}
+    augmented = [(path.read_text(encoding="utf-8"), psmm) for path in sorted(WORKSPACE_FIXTURE.glob("Gen*.m2c"))]
+    augmented += [(source, ALL_METAMODELS) for source in (
+        LOOP_TEMPLATE, COND_TEMPLATE, NESTED_TEMPLATE, PURE_TEXT_TEMPLATE, CUSTOM_FILTERS_TEMPLATE,
+        QUOTING_MARKERS_TEMPLATE)]
+    cases = [(parse_template(LOOP_TEMPLATE, ALL_METAMODELS), ALL_METAMODELS)]
+    cases += [(augment_template(parse_template(source, mms)), mms) for source, mms in augmented]
+    assert len(cases) == 11
+    for t, metamodels in cases:
+        printed = print_template(t)
+        reparsed = parse_template(printed, metamodels)
+        assert print_template(reparsed) == printed
+        assert reparsed == t
+    assert all(is_template_augmented(parse_template(print_template(t), mms)) for t, mms in cases[1:])
+
+
+def test_quoting_marker_delimiters_are_printed_escaped():
+    t = parse_template(QUOTING_MARKERS_TEMPLATE, ALL_METAMODELS)
+    assert (t.marker_open, t.marker_close) == ('<"', "\\>")
+    printed = print_template(augment_template(t))
+    assert printed.startswith('[template q.txt (m : ListMM!Root) markers("<\\"", "\\\\>")]')
+    reparsed = parse_template(printed, ALL_METAMODELS)
+    _, annotated, _ = render_traced(reparsed, list_model(["a"]), "m", "f")
+    assert annotated == '<"m.elements[0]\\>a,<"/\\>'
 
 
 def test_empty_collection_produces_no_markers():

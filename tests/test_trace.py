@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import re
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from tracelink.errors import IntegrityError, ParseError, PathSyntaxError
 from tracelink.gtm import ElemNode, change_impact, origin_track, query_gtm
+from tracelink.m2c import augment_template, parse_template, print_template
 from tracelink.m2m import augment_m2m, execute_augmented_m2m, parse_m2m
 from tracelink.model import canonical_json, parse_metamodel, parse_model
 from tracelink.paths import ROOT_PATH, ElementPath, parse_path
@@ -26,7 +28,7 @@ from tracelink.trace import (
     span_at,
 )
 
-from conftest import source_path_key
+from conftest import copy_workspace, run_enactment, source_path_key
 
 
 def path(s):
@@ -194,6 +196,25 @@ def test_trace_header_that_would_not_load_back_rejected(header):
         LocalTraceModel(*header)
 
 
+@contextmanager
+def nothing_left_to_collect():
+    """Run the block with the cyclic collector off, then assert that it left
+    no unreachable object behind."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
 def test_writers_leave_no_reference_cycles(enacted):
     """Nor do the reader, a whole query, and parsing the fixture PIM and
     running an augmented fixture M2M on it, so what they build is freed
@@ -207,11 +228,7 @@ def test_writers_leave_no_reference_cycles(enacted):
                   for name in ("PIMM", "PSMM")}
     pim_text = (ws / "Input.pim.model.json").read_text(encoding="utf-8")
     rules = augment_m2m(parse_m2m((ws / "MapContiki.m2m").read_text(encoding="utf-8"), metamodels))
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
+    with nothing_left_to_collect():
         canonical_json(document)
         save_trace(trace)
         load_trace(text)
@@ -223,13 +240,18 @@ def test_writers_leave_no_reference_cycles(enacted):
         g = query_gtm(mgm, ws, "out/GenContiki/Sink.c", forward=False)
         origin_track(g, location=("out/GenContiki/Sink.c", 200))
         del g
-        gc.collect()
-        assert gc.garbage == []
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
+
+
+def test_an_augmented_enactment_leaves_no_reference_cycles(tmp_path):
+    """Nor do a whole augmented fixture enactment and the `augment-m2c` path
+    (parse, augment, print) of each fixture template."""
+    ws = copy_workspace(tmp_path)
+    psmm = {"PSMM": parse_metamodel((ws / "PSMM.mm.json").read_text(encoding="utf-8"))}
+    templates = [path.read_text(encoding="utf-8") for path in sorted(ws.glob("Gen*.m2c"))]
+    with nothing_left_to_collect():
+        run_enactment(ws)
+        for text in templates:
+            print_template(augment_template(parse_template(text, psmm)))
 
 
 def test_a_reference_by_path_equals_one_by_its_text():
