@@ -315,9 +315,9 @@ def _parse_body(pieces, pos: int, terminators: tuple[str, ...],
 
 
 def _read_region(body: list[TemplateNode], markers: tuple[str, str]) -> tuple[TemplateNode, ...]:
-    """A parsed loop body or branch, as the one ``RegionNode`` it prints
-    from if it is a printed region, else as it is. The printed form is the
-    open delimiter, a ``path()`` emit, the close delimiter, the region's
+    """A parsed loop body or branch: the ``RegionNode`` it was printed from,
+    if it is a printed region, else the body as it is. The printed form is
+    the open delimiter, a ``path()`` emit, the close delimiter, the region's
     body and the end marker; the close delimiter and the end marker merge
     into the body's first and last text."""
     mo, mc = markers

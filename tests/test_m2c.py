@@ -385,15 +385,14 @@ def test_printed_plain_template_round_trips_bytes():
     augmented += [(source, ALL_METAMODELS) for source in (
         LOOP_TEMPLATE, COND_TEMPLATE, NESTED_TEMPLATE, PURE_TEXT_TEMPLATE, CUSTOM_FILTERS_TEMPLATE,
         QUOTING_MARKERS_TEMPLATE)]
-    cases = [(parse_template(LOOP_TEMPLATE, ALL_METAMODELS), ALL_METAMODELS)]
-    cases += [(augment_template(parse_template(source, mms)), mms) for source, mms in augmented]
+    cases = [(parse_template(LOOP_TEMPLATE, ALL_METAMODELS), ALL_METAMODELS, False)]
+    cases += [(augment_template(parse_template(source, mms)), mms, True) for source, mms in augmented]
     assert len(cases) == 11
-    for t, metamodels in cases:
+    for t, metamodels, is_augmented in cases:
         printed = print_template(t)
         reparsed = parse_template(printed, metamodels)
         assert print_template(reparsed) == printed
-        assert reparsed == t
-    assert all(is_template_augmented(parse_template(print_template(t), mms)) for t, mms in cases[1:])
+        assert reparsed == t and is_template_augmented(reparsed) == is_augmented
 
 
 def test_quoting_marker_delimiters_are_printed_escaped():
