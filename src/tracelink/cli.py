@@ -1,9 +1,9 @@
 """Command-line frontend: discovery, augmentation, enactment, analysis.
 
-All commands are workspace-relative; the workspace root is the current
-directory unless TRACELINK_WORKSPACE is set. Output goes to stdout. An error
-prints one ``error:`` line on stderr and exits 2 for a usage error, 1 for
-any other.
+All commands are workspace-relative, path arguments included; the workspace
+root is the current directory unless TRACELINK_WORKSPACE is set. Output goes
+to stdout. An error prints one ``error:`` line on stderr and exits 2 for a
+usage error, 1 for any other.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ def _workspace_metamodels(root: Path) -> dict:
 
 def discover(directory: Path):
     """Register workspace resources and write megamodel.json."""
-    mgm = megamodel.discover(directory)
-    write_text(directory, MEGAMODEL_FILE, megamodel.save_megamodel(mgm))
+    root = _workspace_root() / directory
+    mgm = megamodel.discover(root)
+    write_text(root, MEGAMODEL_FILE, megamodel.save_megamodel(mgm))
     for kind in ResourceKind:
         count = len(mgm.of_kind(kind))
         if count:
@@ -86,9 +87,9 @@ def augment_m2m_cmd(file: Path):
 
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
-    t = m2m.parse_m2m(file.read_text(encoding="utf-8"), metamodels)
+    t = m2m.parse_m2m((root / file).read_text(encoding="utf-8"), metamodels)
     out = file.with_name(file.name + ".aug.m2m")
-    out.write_text(m2m.print_m2m(m2m.augment_m2m(t)), encoding="utf-8", newline="")
+    (root / out).write_text(m2m.print_m2m(m2m.augment_m2m(t)), encoding="utf-8", newline="")
     print(out)
 
 
@@ -98,9 +99,9 @@ def augment_m2c_cmd(file: Path):
 
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
-    t = m2c.parse_template(file.read_text(encoding="utf-8"), metamodels)
+    t = m2c.parse_template((root / file).read_text(encoding="utf-8"), metamodels)
     out = file.with_name(file.name + ".aug.m2c")
-    out.write_text(m2c.print_template(m2c.augment_template(t)), encoding="utf-8", newline="")
+    (root / out).write_text(m2c.print_template(m2c.augment_template(t)), encoding="utf-8", newline="")
     print(out)
 
 
@@ -111,7 +112,7 @@ def run_m2m(file: Path, inputs: list[str], out_path: Path):
 
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
-    t = m2m.parse_m2m(file.read_text(encoding="utf-8"), metamodels)
+    t = m2m.parse_m2m((root / file).read_text(encoding="utf-8"), metamodels)
     models = {}
 
     for item in inputs:
@@ -142,7 +143,7 @@ def run_m2c(file: Path, model_uri: str, out_dir: Path):
 
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
-    t = m2c.parse_template(file.read_text(encoding="utf-8"), metamodels)
+    t = m2c.parse_template((root / file).read_text(encoding="utf-8"), metamodels)
     model = parse_model(read_text(root, model_uri), t.metamodel, uri=model_uri)
     clean_uri = (out_dir / t.name).as_posix()
     clean, annotated, tr = m2c.render_traced(
@@ -266,7 +267,7 @@ def gtm_dot(around: str | None, radius: int):
 
 def trace_show(file: Path, fmt: str):
     """List a trace model's links."""
-    t = trace.load_trace(file.read_text(encoding="utf-8"))
+    t = trace.load_trace((_workspace_root() / file).read_text(encoding="utf-8"))
     if fmt == "json":
         sys.stdout.write(trace.save_trace(t))
         return

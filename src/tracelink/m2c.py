@@ -539,14 +539,9 @@ class _Render:
 
     def eval_cond(self, cond: Cond, env: dict[str, object], line: int) -> bool:
         if isinstance(cond, SizeCond):
-            steps = cond.target.steps
-            holder = env[steps[0]]
-            for step in steps[1:-1]:
-                ref_path = holder.refs.get(step)
-                if ref_path is None:
-                    raise EvalError(f"reference '{step}' is unset", line, self.model_path(holder))
-                holder = resolve_path(self.m, ref_path)
-            last = steps[-1]
+            # Static typing allows only references before the last step.
+            holder = self.eval_nav(TNav(cond.target.steps[:-1]), env, line)
+            last = cond.target.steps[-1]
             if isinstance(self.class_named(holder.class_name).features.get(last), CollectionDef):
                 size = len(holder.collections.get(last, []))
             else:

@@ -7,8 +7,8 @@ predecessors all ran in earlier stages. When no action is ready, the
 ``CycleError`` names the walk from the smallest action left along each one's
 smallest predecessor left, from the first action it reaches twice. Precedence
 depth has no limit. Enactment runs each action's transformation (augmented,
-so traces come out as a byproduct) and registers every produced artifact in
-the megamodel.
+so traces come out as a byproduct), then registers every produced artifact
+in the megamodel in (stage, action id) order.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .megamodel import (
     register_all,
     resource_id,
 )
-from .model import Model, _load_json, ensure_conforms, parse_model, serialize_model
+from .model import Model, _load_json, parse_model, serialize_model
 from .trace import LocalTraceModel, save_trace
 from .workspace import OUTPUT_DIR, TRACE_DIR, read_text, write_text
 
@@ -302,7 +302,7 @@ def enact(
     actions = {n.id: n for n in p.actions()}
     # Every input pin's model URI: the feeding output pin's, else its binding.
     pin_inputs = {(e.to_node, e.to_pin): _output_uri(e.from_node, e.from_pin) for e in p.object_edges}
-    for action in sorted(actions.values(), key=lambda n: n.id):
+    for _, action in sorted(actions.items()):  # by id; ids are unique
         for pin in (*action.input_pins, *action.output_pins):
             if pin.metamodel not in metamodels:
                 raise WellFormednessError(
@@ -317,83 +317,44 @@ def enact(
 
     # Pre-assign execution stamps in deterministic (stage, action id) order.
     stamps = {aid: n for n, aid in enumerate((aid for stage in plan.stages for aid in stage), start=1)}
+    runner = _Runner(root, metamodels, pin_inputs, augment)
+    done: dict[str, tuple[ResourceKind, str, LocalTraceModel | None]] = {}  # by action id
+    for stage in plan.stages:
+        order = stage if action_order is None else action_order(list(stage))
+        if sorted(order) != sorted(stage):
+            raise TracelinkError("action_order must permute the stage")
+        for aid in order:
+            done[aid] = runner.run(actions[aid], mgm.resource(actions[aid].transformation), stamps[aid])
 
-    # Models by URI: inputs as parsed, M2M outputs as produced in memory.
-    model_cache: dict[str, Model] = {}
-
-    def load_model(uri: str, mm_name: str, action_id: str) -> Model:
-        if uri not in model_cache:
-            model_cache[uri] = parse_model(read_text(root, uri), metamodels[mm_name], uri=uri)
-        model = model_cache[uri]
-        if model.metamodel_name != mm_name:
-            raise ConformanceError("root", f"model '{uri}' conforms to '{model.metamodel_name}', "
-                                           f"pin of action '{action_id}' needs '{mm_name}'")
-        ensure_conforms(model, metamodels[mm_name])
-        return model
-
+    # Register each output, fed by every input pin, and its trace in
+    # (stage, action id) order, whatever order the actions ran in.
     registrations: list[tuple[ResourceEntry, list[Relation]]] = []
     traces: list[LocalTraceModel] = []
     log: list[str] = []
-
     for stage_index, stage in enumerate(plan.stages, start=1):
-        order = list(stage)
-        if action_order is not None:
-            order = action_order(order)
-            if sorted(order) != sorted(stage):
-                raise TracelinkError("action_order must permute the stage")
-        # Deltas keyed by action id; collected in sorted order after the stage.
-        deltas: dict[str, tuple[list[tuple[ResourceEntry, list[Relation]]], LocalTraceModel | None, str]] = {}
-
-        for aid in order:
+        for aid in stage:
+            kind, out_uri, trace = done[aid]
             action = actions[aid]
             tr_res = mgm.resource(action.transformation)
-            try:
-                if tr_res.kind == ResourceKind.TRANSFORMATION_M2M:
-                    kind = ResourceKind.MODEL
-                    out_uri, trace = _run_m2m_action(
-                        action, tr_res, root, metamodels, pin_inputs,
-                        load_model, model_cache, stamps[aid], augment)
-                elif tr_res.kind == ResourceKind.TRANSFORMATION_M2C:
-                    kind = ResourceKind.GENERATED_FILE
-                    out_uri, trace = _run_m2c_action(
-                        action, tr_res, root, metamodels, pin_inputs, load_model, stamps[aid], augment)
-                else:
-                    raise TransformationError(f"resource '{tr_res.id}' is not a transformation", aid)
-            except (MissingBinding, ConformanceError, TransformationError):
-                raise
-            except TracelinkError as exc:
-                raise TransformationError(str(exc), aid) from exc
-
-            # Register the output, fed by every input pin, and its trace.
             produced_by = f"{tr_res.id}#{stamps[aid]}"
             out_id = resource_id(kind, out_uri)
             relations = [Relation(tr_res.id, out_id, RelationKind.DATA_FLOW, FlowDirection.OUTPUT)]
-            for pin in action.input_pins:
-                in_id = resource_id(ResourceKind.MODEL, pin_inputs[(aid, pin.name)])
-                relations.append(Relation(in_id, tr_res.id, RelationKind.DATA_FLOW, FlowDirection.INPUT))
+            relations += (Relation(resource_id(ResourceKind.MODEL, pin_inputs[(aid, pin.name)]), tr_res.id,
+                                   RelationKind.DATA_FLOW, FlowDirection.INPUT) for pin in action.input_pins)
             if kind == ResourceKind.MODEL:
-                mm_id = mm_resource_ids[action.output_pins[0].metamodel]
-                relations.append(Relation(out_id, mm_id, RelationKind.CONFORMS_TO))
-            outputs = [(ResourceEntry(out_id, kind, out_uri, ResourceOrigin.GENERATED,
-                                      produced_by=produced_by), relations)]
+                relations.append(Relation(out_id, mm_resource_ids[action.output_pins[0].metamodel],
+                                          RelationKind.CONFORMS_TO))
+            registrations.append((ResourceEntry(out_id, kind, out_uri, ResourceOrigin.GENERATED,
+                                                produced_by=produced_by), relations))
             line = f"{aid}: {tr_res.uri} -> {out_uri}"
             if trace is not None:
-                trace_uri = f"{TRACE_DIR}/{aid}.trace.json"
-                write_text(root, trace_uri, save_trace(trace))
+                trace_uri = _trace_uri(aid)
                 trace_id = resource_id(ResourceKind.TRACE_MODEL, trace_uri)
-                outputs.append((
-                    ResourceEntry(trace_id, ResourceKind.TRACE_MODEL, trace_uri, ResourceOrigin.GENERATED,
-                                  produced_by=produced_by),
-                    [Relation(trace_id, tr_res.id, RelationKind.TRACE_FOR)],
-                ))
-                line += f" (trace {trace_uri})"
-            deltas[aid] = outputs, trace, line
-
-        for aid in stage:
-            outputs, trace, line = deltas[aid]
-            registrations += outputs
-            if trace is not None:
+                registrations.append((ResourceEntry(trace_id, ResourceKind.TRACE_MODEL, trace_uri,
+                                                    ResourceOrigin.GENERATED, produced_by=produced_by),
+                                      [Relation(trace_id, tr_res.id, RelationKind.TRACE_FOR)]))
                 traces.append(trace)
+                line += f" (trace {trace_uri})"
             log.append(f"[stage {stage_index}] {line}")
 
     artifacts = tuple(entry for entry, _ in registrations)
@@ -404,72 +365,110 @@ def _output_uri(action_id: str, pin_name: str) -> str:
     return f"{OUTPUT_DIR}/{action_id}/{pin_name}.model.json"
 
 
-def _run_m2m_action(action, tr_res, root, metamodels, pin_inputs, load_model, model_cache, stamp, augment):
-    """Run one M2M action and write its output model; return the output's
-    uri and the trace, if augmented."""
-    transformation = m2m.parse_m2m(read_text(root, tr_res.uri), metamodels)
-    if augment:
-        transformation = m2m.augment_m2m(transformation)
+def _trace_uri(action_id: str) -> str:
+    return f"{TRACE_DIR}/{action_id}.trace.json"
 
-    declared = dict(transformation.inputs)
-    inputs: dict[str, Model] = {}
-    for pin in action.input_pins:
-        if pin.name not in declared:
+
+class _Runner:
+    """Runs one enactment's actions. ``models`` holds each model read or made so
+    far by URI: inputs as parsed, M2M outputs as produced, read from memory later."""
+
+    __slots__ = ("root", "metamodels", "pin_inputs", "augment", "models")
+
+    def __init__(self, root: Path, metamodels: dict, pin_inputs: dict[tuple[str, str], str], augment: bool):
+        self.root, self.metamodels, self.pin_inputs, self.augment = root, metamodels, pin_inputs, augment
+        self.models: dict[str, Model] = {}
+
+    def load(self, action: ProcNode, pin: Pin) -> Model:
+        """The model that feeds ``pin``, checked where it was parsed or made."""
+        uri = self.pin_inputs[(action.id, pin.name)]
+        if uri not in self.models:
+            self.models[uri] = parse_model(read_text(self.root, uri), self.metamodels[pin.metamodel], uri=uri)
+        model = self.models[uri]
+        if model.metamodel_name != pin.metamodel:
+            raise ConformanceError("root", f"model '{uri}' conforms to '{model.metamodel_name}', "
+                                           f"pin of action '{action.id}' needs '{pin.metamodel}'")
+        return model
+
+    def run(self, action: ProcNode, tr_res: ResourceEntry, stamp: int):
+        """Run one action and write its trace; an error other than a conformance
+        or transformation error is raised as the action's ``TransformationError``."""
+        if tr_res.kind == ResourceKind.TRANSFORMATION_M2M:
+            kind, engine = ResourceKind.MODEL, self.m2m
+        elif tr_res.kind == ResourceKind.TRANSFORMATION_M2C:
+            kind, engine = ResourceKind.GENERATED_FILE, self.m2c
+        else:
+            raise TransformationError(f"resource '{tr_res.id}' is not a transformation", action.id)
+        try:
+            out_uri, trace = engine(action, tr_res, stamp)
+        except (ConformanceError, TransformationError):
+            raise
+        except TracelinkError as exc:
+            raise TransformationError(str(exc), action.id) from exc
+        if trace is not None:
+            write_text(self.root, _trace_uri(action.id), save_trace(trace))
+        return kind, out_uri, trace
+
+    def m2m(self, action: ProcNode, tr_res: ResourceEntry, stamp: int):
+        """Run one M2M action and write its output model; return its uri and the trace."""
+        transformation = m2m.parse_m2m(read_text(self.root, tr_res.uri), self.metamodels)
+        if self.augment:
+            transformation = m2m.augment_m2m(transformation)
+
+        declared = dict(transformation.inputs)
+        inputs: dict[str, Model] = {}
+        for pin in action.input_pins:
+            if pin.name not in declared:
+                raise TransformationError(
+                    f"pin '{pin.name}' matches no input alias of '{tr_res.uri}'", action.id)
+            if declared[pin.name] != pin.metamodel:
+                raise TransformationError(
+                    f"pin '{pin.name}' carries '{pin.metamodel}' but the transformation expects "
+                    f"'{declared[pin.name]}'", action.id)
+            inputs[pin.name] = self.load(action, pin)
+        if set(inputs) != set(declared):
+            missing = sorted(set(declared) - set(inputs))
+            raise TransformationError(f"no pins feed input aliases: {', '.join(missing)}", action.id)
+        if len(action.output_pins) != 1:
+            raise TransformationError("an M2M action needs exactly one output pin", action.id)
+        out_pin = action.output_pins[0]
+        if transformation.output[1] != out_pin.metamodel:
             raise TransformationError(
-                f"pin '{pin.name}' matches no input alias of '{tr_res.uri}'", action.id)
-        if declared[pin.name] != pin.metamodel:
+                f"output pin carries '{out_pin.metamodel}' but the transformation produces "
+                f"'{transformation.output[1]}'", action.id)
+
+        out_uri = _output_uri(action.id, out_pin.name)
+        if self.augment:
+            out_model, trace = m2m.execute_augmented_m2m(
+                transformation, inputs, self.metamodels, out_uri,
+                trace_id=f"trace:{action.id}", transformation_id=tr_res.id, execution_stamp=stamp)
+        else:
+            out_model, trace = m2m.execute_m2m(transformation, inputs, self.metamodels, out_uri), None
+        write_text(self.root, out_uri, serialize_model(out_model))
+        self.models[out_uri] = out_model
+        return out_uri, trace
+
+    def m2c(self, action: ProcNode, tr_res: ResourceEntry, stamp: int):
+        """Run one M2C action and write its file (and sidecar, if augmented); return its uri and the trace."""
+        template = m2c.parse_template(read_text(self.root, tr_res.uri), self.metamodels)
+        if len(action.input_pins) != 1:
+            raise TransformationError("an M2C action needs exactly one input pin", action.id)
+        pin = action.input_pins[0]
+        if template.metamodel.name != pin.metamodel:
             raise TransformationError(
-                f"pin '{pin.name}' carries '{pin.metamodel}' but the transformation expects "
-                f"'{declared[pin.name]}'", action.id)
-        inputs[pin.name] = load_model(pin_inputs[(action.id, pin.name)], pin.metamodel, action.id)
-    if set(inputs) != set(declared):
-        missing = sorted(set(declared) - set(inputs))
-        raise TransformationError(f"no pins feed input aliases: {', '.join(missing)}", action.id)
-    if len(action.output_pins) != 1:
-        raise TransformationError("an M2M action needs exactly one output pin", action.id)
-    out_pin = action.output_pins[0]
-    if transformation.output[1] != out_pin.metamodel:
-        raise TransformationError(
-            f"output pin carries '{out_pin.metamodel}' but the transformation produces "
-            f"'{transformation.output[1]}'", action.id)
+                f"pin '{pin.name}' carries '{pin.metamodel}' but the template expects "
+                f"'{template.metamodel.name}'", action.id)
+        if action.output_pins:
+            raise TransformationError("an M2C action writes files, not model pins", action.id)
+        model = self.load(action, pin)
 
-    out_uri = _output_uri(action.id, out_pin.name)
-    if augment:
-        out_model, trace = m2m.execute_augmented_m2m(
-            transformation, inputs, metamodels, out_uri,
-            trace_id=f"trace:{action.id}", transformation_id=tr_res.id, execution_stamp=stamp)
-    else:
-        out_model = m2m.execute_m2m(transformation, inputs, metamodels, out_uri)
-        trace = None
-    write_text(root, out_uri, serialize_model(out_model))
-    model_cache[out_uri] = out_model  # later stages read it from memory
-    return out_uri, trace
-
-
-def _run_m2c_action(action, tr_res, root, metamodels, pin_inputs, load_model, stamp, augment):
-    """Run one M2C action and write its file (and, if augmented, the
-    annotated sidecar); return the file's uri and the trace."""
-    template = m2c.parse_template(read_text(root, tr_res.uri), metamodels)
-    if len(action.input_pins) != 1:
-        raise TransformationError("an M2C action needs exactly one input pin", action.id)
-    pin = action.input_pins[0]
-    if template.metamodel.name != pin.metamodel:
-        raise TransformationError(
-            f"pin '{pin.name}' carries '{pin.metamodel}' but the template expects "
-            f"'{template.metamodel.name}'", action.id)
-    if action.output_pins:
-        raise TransformationError("an M2C action writes files, not model pins", action.id)
-    in_uri = pin_inputs[(action.id, pin.name)]
-    model = load_model(in_uri, pin.metamodel, action.id)
-
-    clean_uri = f"{OUTPUT_DIR}/{action.id}/{template.name}"
-    trace = None
-    if augment:
+        clean_uri = f"{OUTPUT_DIR}/{action.id}/{template.name}"
+        if not self.augment:
+            write_text(self.root, clean_uri, m2c.render(template, model))
+            return clean_uri, None
         clean, annotated, trace = m2c.render_traced(
-            m2c.augment_template(template), model, in_uri, clean_uri,
+            m2c.augment_template(template), model, model.uri, clean_uri,
             trace_id=f"trace:{action.id}", transformation_id=tr_res.id, execution_stamp=stamp)
-        write_text(root, clean_uri + ".annotated", annotated)
-    else:
-        clean = m2c.render(template, model)
-    write_text(root, clean_uri, clean)
-    return clean_uri, trace
+        write_text(self.root, clean_uri + ".annotated", annotated)
+        write_text(self.root, clean_uri, clean)
+        return clean_uri, trace

@@ -229,23 +229,27 @@ class TraceIdentifierTree:
         walks a model in, which M2M trace links take: pre-order, siblings in
         ``_sibling_order``, and the root's own path sorted as the bare name
         ``root`` among the root's children."""
-        out: list[ElementPath] = []
-
-        def walk(node: TraceTreeNode, keys: list, prefix: str):
-            for name, index in keys:
-                child = node.children[name, index]
-                text = prefix + (name if index is None else f"{name}[{index}]")
-                if child.terminal:
-                    out.append(_canonical(text))
-                walk(child, sorted(child.children, key=_sibling_order), text + ".")
-
         keys = sorted(self.root.children, key=_sibling_order)
         before = sum(_sibling_order(key) < (ROOT_NAME, -1) for key in keys)
-        walk(self.root, keys[:before], "")
+        # (node, path text) entries, popped in pre-order; the root's own path has no node.
+        stack = _child_entries(self.root, keys[before:], "")
         if self.root.terminal:
-            out.append(ROOT_PATH)
-        walk(self.root, keys[before:], "")
+            stack.append((None, ROOT_PATH))
+        stack += _child_entries(self.root, keys[:before], "")
+        out: list[ElementPath] = []
+        while stack:
+            node, text = stack.pop()
+            if node is None or node.terminal:
+                out.append(_canonical(text))
+            if node is not None:
+                stack += _child_entries(node, sorted(node.children, key=_sibling_order), text + ".")
         return out
+
+
+def _child_entries(node: TraceTreeNode, keys: list, prefix: str) -> list[tuple[TraceTreeNode, str]]:
+    """Each child of ``node`` under ``keys`` with its path text, last key first."""
+    return [(node.children[name, index], prefix + (name if index is None else f"{name}[{index}]"))
+            for name, index in reversed(keys)]
 
 
 def build_identifier_tree(paths: list[ElementPath]) -> TraceIdentifierTree:

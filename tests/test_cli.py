@@ -505,6 +505,32 @@ def test_trace_show(enacted_ws, runner):
     assert json.loads(as_json.output)["id"] == "trace:MapContiki"
 
 
+def test_relative_path_arguments_resolve_against_the_workspace(enacted_ws, runner, tmp_path, monkeypatch):
+    # From a directory that is not the workspace, each command reads and
+    # writes in the workspace and prints its output path as given.
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    trace_file = "traces/MapContiki.trace.json"
+    shown = invoke(runner, enacted_ws, "trace", "show", trace_file)
+    assert shown.exit_code == 0, shown.output
+    assert shown.output == invoke(runner, enacted_ws, "trace", "show", str(enacted_ws / trace_file)).output
+    for args, printed in [
+        (["augment-m2m", "MapContiki.m2m"], "MapContiki.m2m.aug.m2m"),
+        (["augment-m2c", "GenContiki.m2c"], "GenContiki.m2c.aug.m2c"),
+        (["run-m2m", "MapContiki.m2m", "--in", "pim=Input.pim.model.json", "--out", "psm.model.json"],
+         "psm.model.json"),
+        (["run-m2c", "GenContiki.m2c", "--in", "psm.model.json", "--out", "gen"], "gen/Sink.c"),
+    ]:
+        result = invoke(runner, enacted_ws, *args)
+        assert (result.exit_code, result.output) == (0, printed + "\n")
+        assert (enacted_ws / printed).is_file()
+    discovered = invoke(runner, enacted_ws, "discover", ".")
+    assert discovered.exit_code == 0, discovered.output
+    assert discovered.output == invoke(runner, enacted_ws, "discover", str(enacted_ws)).output
+    assert list(elsewhere.iterdir()) == []
+
+
 
 def _rewrite_json(path, change):
     doc = json.loads(path.read_text(encoding="utf-8"))

@@ -216,14 +216,16 @@ def nothing_left_to_collect():
 
 
 def test_writers_leave_no_reference_cycles(enacted):
-    """Nor do the reader, a whole query, and parsing the fixture PIM and
-    running an augmented fixture M2M on it, so what they build is freed
-    when dropped, without the cyclic collector."""
+    """Nor do the reader, the identifier tree of a trace's sources, a whole
+    query, and parsing the fixture PIM and running an augmented fixture M2M
+    on it, so what they build is freed when dropped, without the cyclic
+    collector."""
     ws, _mgm, result = enacted
     mgm = result.megamodel
     document = {"a": [1, {"b": [2.5, None, True, []]}, "x"], "c": {"d": {"e": "f"}}}
     trace = _sample_trace()
     text = (ws / "traces/MapContiki.trace.json").read_text(encoding="utf-8")
+    sources = [source.path for link in load_trace(text).links for source in link.sources]
     metamodels = {name: parse_metamodel((ws / f"{name}.mm.json").read_text(encoding="utf-8"))
                   for name in ("PIMM", "PSMM")}
     pim_text = (ws / "Input.pim.model.json").read_text(encoding="utf-8")
@@ -232,6 +234,7 @@ def test_writers_leave_no_reference_cycles(enacted):
         canonical_json(document)
         save_trace(trace)
         load_trace(text)
+        assert len(build_identifier_tree(sources).paths()) == len(set(sources)) > 1
         pim = parse_model(pim_text, metamodels["PIMM"], uri="Input.pim.model.json")
         execute_augmented_m2m(rules, {"pim": pim}, metamodels, "psm.model.json")
         del pim
