@@ -20,8 +20,7 @@ _EXPORTS = {
                   " serialize_model check_conformance resolve_path"),
         ("megamodel", "Megamodel ResourceEntry Relation ResourceKind ResourceOrigin discover"
                       " save_megamodel load_megamodel"),
-        ("m2m", "TransformationM2M parse_m2m print_m2m execute_m2m augment_m2m strip_m2m"
-                " execute_augmented_m2m"),
+        ("m2m", "TransformationM2M parse_m2m print_m2m execute_m2m augment_m2m strip_m2m"),
         ("m2c", "Template parse_template print_template render augment_template strip_template"
                 " render_traced"),
         ("trace", "TraceLink LocalTraceModel ElementRef CodeSpan TraceIdentifierTree"

@@ -19,7 +19,7 @@ from .errors import AnchorNotFound, TracelinkError
 from .megamodel import Megamodel, ResourceKind, ResourceOrigin
 from .model import canonical_json
 from .paths import parse_path
-from .workspace import MEGAMODEL_FILE, OUTPUT_DIR, TRACE_DIR, read_text, workspace_lock, write_text
+from .workspace import MEGAMODEL_FILE, OUTPUT_DIR, read_text, workspace_lock, write_text
 
 # ASCII digits only, as in path indexes; int() alone also reads "1_0", " 3", "+3" and "١٠".
 _AT_BYTE = "@([0-9]+)"
@@ -124,13 +124,10 @@ def run_m2m(file: Path, inputs: list[str], out_path: Path):
             _fail(f"transformation has no input alias '{alias}'")
         models[alias] = parse_model(read_text(root, uri), metamodels[declared], uri=uri)
     out_uri = out_path.as_posix()
-    if m2m.is_augmented(t):
-        result, tr = m2m.execute_augmented_m2m(
-            t, models, metamodels, out_uri,
-            trace_id=f"trace:{file.stem}", transformation_id=f"TransformationM2M:{file.name}")
+    result, tr = m2m.execute_m2m(t, models, metamodels, out_uri, trace_id=f"trace:{file.stem}",
+                                 transformation_id=f"TransformationM2M:{file.name}")
+    if tr is not None:
         write_text(root, out_uri + ".trace.json", trace.save_trace(tr))
-    else:
-        result = m2m.execute_m2m(t, models, metamodels, out_uri)
     write_text(root, out_uri, serialize_model(result))
     print(out_uri)
 
@@ -147,11 +144,11 @@ def run_m2c(file: Path, model_uri: str, out_dir: Path):
     model = parse_model(read_text(root, model_uri), t.metamodel, uri=model_uri)
     clean_uri = (out_dir / t.name).as_posix()
     clean, annotated, tr = m2c.render_traced(
-        m2c.augment_template(t), model, model_uri, clean_uri,
+        t, model, model_uri, clean_uri,
         trace_id=f"trace:{file.stem}", transformation_id=f"TransformationM2C:{file.name}")
     write_text(root, clean_uri, clean)
     write_text(root, clean_uri + ".annotated", annotated)
-    write_text(root, f"{TRACE_DIR}/{t.name}.trace.json", trace.save_trace(tr))
+    write_text(root, clean_uri + ".trace.json", trace.save_trace(tr))
     print(clean_uri)
 
 

@@ -6,10 +6,12 @@ conditional branch in a ``RegionNode`` for its element. A region is one
 node from parse to render: the printer writes it as its element's
 identifier path between marker delimiters (``{{path}} ... {{/}}`` by
 default), and the parser reads that form back into a region where it
-wraps a whole loop body or branch. A traced render records each region's
-element and byte span in the clean text as it writes, and puts the markers
-into the annotated text only, so the clean text is the plain render
-byte-for-byte whatever the model's values hold.
+wraps a whole loop body or branch. ``render`` writes the generated text of
+any template, augmented or not; no marker reaches it. ``render_traced``
+augments the template it is given, records each region's element and byte
+span in that text as it writes, and puts the markers into the annotated
+text only, so the clean text is the plain render byte-for-byte whatever the
+model's values hold.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
     EvalError,
     ParseError,
     TemplateTypeError,
-    TransformationError,
 )
 from .m2m import _escape, _Parser
 from .model import (
@@ -119,8 +120,8 @@ class IfNode:
 
 @dataclass(frozen=True)
 class RegionNode:
-    """The trace region of ``target``'s element around ``body``: a render
-    writes its markers, a traced render records its span."""
+    """The trace region of ``target``'s element around ``body``: a traced
+    render records its span and writes its markers into the annotated text."""
 
     target: TNav
     body: tuple["TemplateNode", ...]
@@ -599,23 +600,22 @@ def _render(t: Template, m: Model) -> tuple[list[str], list[list]]:
 
 
 def render(t: Template, m: Model) -> str:
-    """Render the template over a conforming model."""
-    return "".join(_render(t, m)[0])
+    """The generated text of the template over a conforming model, with no
+    region's markers, whether or not the template is augmented."""
+    return "".join(_render(t, m)[0][::2])
 
 
 def render_traced(t: Template, m: Model, model_uri: str, clean_file_uri: str, *, trace_id: str = "",
                   transformation_id: str = "", execution_stamp: int = 0) -> tuple[str, str, LocalTraceModel]:
-    """Render an augmented template; return (cleanText, annotatedText, trace).
+    """Render the augmented template; return (cleanText, annotatedText, trace).
 
-    The clean text is ``render`` of the stripped template; the annotated
-    text is ``render`` of ``t``, markers and all. Each region that runs
-    becomes one link, in the order the regions open, from its element to
-    its byte span in the clean text. Outer regions span their whole extent,
-    nested regions included.
+    ``t`` is augmented here, so it may be augmented already or not. The
+    clean text is ``render`` of ``t``; the annotated text is that text with
+    each region's markers. Each region that runs becomes one link, in the
+    order the regions open, from its element to its byte span in the clean
+    text. Outer regions span their whole extent, nested regions included.
     """
-    if not is_template_augmented(t):
-        raise TransformationError(f"template '{t.name}' is not augmented")
-    runs, regions = _render(t, m)
+    runs, regions = _render(augment_template(t), m)
     text = "".join(runs[::2])
     newlines = [nl.start() for nl in re.finditer(b"\n", text.encode("utf-8"))]
     links = tuple(
@@ -703,10 +703,6 @@ def _strip(nodes) -> tuple[TemplateNode, ...]:
 def strip_template(t: Template) -> Template:
     """Undo augmentation: replace each region with its body."""
     return replace(t, body=_strip(t.body))
-
-
-def is_template_augmented(t: Template) -> bool:
-    return augment_template(t) == t
 
 
 # ---------------------------------------------------------------------------

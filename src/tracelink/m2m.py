@@ -518,9 +518,9 @@ def _eval_expr(expr: Expr, element: Element, model: Model, pattern_images: dict[
 
 
 def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, Metamodel],
-         output_uri: str) -> tuple[Model, list[tuple[_Instance, int, Element]]]:
-    """Output model, checked and indexed, and the traced (instance, pattern
-    index, image) triples. Each output fact is checked in the phase that makes
+         output_uri: str) -> tuple[Model, list[_Instance]]:
+    """Output model, checked and indexed, and the matched instances by input
+    alias, then source path. Each output fact is checked in the phase that makes
     it; a fault is a ``ConformanceError`` at the matched source path naming the
     rule and the feature. Phase 2 raises its first fault when it ends, after
     any binding that cannot be evaluated."""
@@ -642,28 +642,18 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
             raise ConformanceError("root", "a reference points at an element outside the output tree")
         image.refs[feature] = entry[0]
 
-    # Deterministic trace order: input alias, source path, then target pattern index.
-    traced: list[tuple[_Instance, int, Element]] = []
     for inst in instances:
-        for idx, (pattern, image) in enumerate(zip(inst.rule.targets, inst.images)):
+        for pattern, image in zip(inst.rule.targets, inst.images):
             for ref in out_mm.class_named(pattern.class_name).references:
                 if not ref.optional and ref.name not in image.refs:
                     raise ConformanceError(
                         inst.path, f"rule '{inst.rule.name}': required reference '{ref.name}' is unset")
-            if pattern.traced:
-                traced.append((inst, idx, image))
     out_model.checked_against = out_mm
     out_model.index = index
-    return out_model, traced
+    return out_model, instances
 
 
-def execute_m2m(t: TransformationM2M, inputs: dict[str, Model],
-                metamodels: dict[str, Metamodel], output_uri: str = "") -> Model:
-    model, _ = _run(t, inputs, metamodels, output_uri)
-    return model
-
-
-def execute_augmented_m2m(
+def execute_m2m(
     t: TransformationM2M,
     inputs: dict[str, Model],
     metamodels: dict[str, Metamodel],
@@ -672,10 +662,14 @@ def execute_augmented_m2m(
     trace_id: str = "",
     transformation_id: str = "",
     execution_stamp: int = 0,
-) -> tuple[Model, LocalTraceModel]:
+) -> tuple[Model, LocalTraceModel | None]:
+    """Run the transformation; return its output model and, if it is
+    augmented, its trace, else None. The trace has one link per instantiated
+    target pattern, in input alias, source path and pattern order, tagged
+    with the rule's name."""
+    model, instances = _run(t, inputs, metamodels, output_uri)
     if not is_augmented(t):
-        raise TransformationError("transformation is not augmented")
-    model, traced = _run(t, inputs, metamodels, output_uri)
+        return model, None
     index = model.index
     links = tuple(
         TraceLink(
@@ -683,7 +677,6 @@ def execute_augmented_m2m(
             targets=(ElementRef(model.uri, index[id(image)][0]),),
             tags={"rule": inst.rule.name},
         )
-        for inst, _idx, image in traced
+        for inst in instances for image in inst.images
     )
-    trace = LocalTraceModel(trace_id, transformation_id, execution_stamp, links)
-    return model, trace
+    return model, LocalTraceModel(trace_id, transformation_id, execution_stamp, links)

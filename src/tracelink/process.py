@@ -6,9 +6,10 @@ stages actions: each stage is the sorted tuple of the actions whose
 predecessors all ran in earlier stages. When no action is ready, the
 ``CycleError`` names the walk from the smallest action left along each one's
 smallest predecessor left, from the first action it reaches twice. Precedence
-depth has no limit. Enactment runs each action's transformation (augmented,
-so traces come out as a byproduct), then registers every produced artifact
-in the megamodel in (stage, action id) order.
+depth has no limit. Enactment runs each action's transformation once,
+augmented so that its trace comes out as a byproduct unless ``augment`` is
+off (then no trace is kept), and registers every produced artifact in the
+megamodel in (stage, action id) order.
 """
 
 from __future__ import annotations
@@ -438,15 +439,12 @@ class _Runner:
                 f"'{transformation.output[1]}'", action.id)
 
         out_uri = _output_uri(action.id, out_pin.name)
-        if self.augment:
-            out_model, trace = m2m.execute_augmented_m2m(
-                transformation, inputs, self.metamodels, out_uri,
-                trace_id=f"trace:{action.id}", transformation_id=tr_res.id, execution_stamp=stamp)
-        else:
-            out_model, trace = m2m.execute_m2m(transformation, inputs, self.metamodels, out_uri), None
+        out_model, trace = m2m.execute_m2m(
+            transformation, inputs, self.metamodels, out_uri,
+            trace_id=f"trace:{action.id}", transformation_id=tr_res.id, execution_stamp=stamp)
         write_text(self.root, out_uri, serialize_model(out_model))
         self.models[out_uri] = out_model
-        return out_uri, trace
+        return out_uri, trace if self.augment else None
 
     def m2c(self, action: ProcNode, tr_res: ResourceEntry, stamp: int):
         """Run one M2C action and write its file (and sidecar, if augmented); return its uri and the trace."""
@@ -467,7 +465,7 @@ class _Runner:
             write_text(self.root, clean_uri, m2c.render(template, model))
             return clean_uri, None
         clean, annotated, trace = m2c.render_traced(
-            m2c.augment_template(template), model, model.uri, clean_uri,
+            template, model, model.uri, clean_uri,
             trace_id=f"trace:{action.id}", transformation_id=tr_res.id, execution_stamp=stamp)
         write_text(self.root, clean_uri + ".annotated", annotated)
         write_text(self.root, clean_uri, clean)

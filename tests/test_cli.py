@@ -635,7 +635,8 @@ def test_run_m2c_produces_clean_annotated_and_trace(tmp_path, runner):
     assert result.exit_code == 0, result.output
     assert (ws / "gen/Sink.c").exists()
     assert (ws / "gen/Sink.c.annotated").exists()
-    assert (ws / "traces/Sink.c.trace.json").exists()
+    assert (ws / "gen/Sink.c.trace.json").exists()
+    assert not (ws / "traces").exists()
     clean = (ws / "gen/Sink.c").read_text()
     annotated = (ws / "gen/Sink.c.annotated").read_text()
     assert "{{" not in clean and "{{" in annotated
@@ -651,9 +652,25 @@ def test_run_m2c_of_the_augmented_template_writes_what_the_template_does(tmp_pat
         result = invoke(runner, ws, "run-m2c", str(ws / template), "--in", "contiki.model.json", "--out", "gen")
         assert result.exit_code == 0, result.output
         written.append(((ws / "gen/Sink.c").read_bytes(), (ws / "gen/Sink.c.annotated").read_bytes(),
-                        load_trace((ws / "traces/Sink.c.trace.json").read_text(encoding="utf-8")).links))
+                        load_trace((ws / "gen/Sink.c.trace.json").read_text(encoding="utf-8")).links))
     assert written[0] == written[1]
     assert written[0][2]
+
+
+def test_run_m2c_leaves_the_enacted_traces_as_they_are(enacted_ws, runner):
+    # A template named after an enacted action writes its trace beside its
+    # output, so the action's registered trace and the queries over it stay.
+    ws = enacted_ws
+    source = (ws / "GenContiki.m2c").read_text(encoding="utf-8")
+    (ws / "Renamed.m2c").write_text(source.replace("[template Sink.c ", "[template GenContiki ", 1), encoding="utf-8")
+    traces = {path.name: path.read_bytes() for path in (ws / "traces").iterdir()}
+    origin = invoke(runner, ws, "origin", "out/GenContiki/Sink.c", "9:1")
+    assert origin.exit_code == 0, origin.output
+    result = invoke(runner, ws, "run-m2c", "Renamed.m2c", "--in", "out/MapContiki/contiki.model.json", "--out", "gen")
+    assert (result.exit_code, result.output) == (0, "gen/GenContiki\n")
+    assert {path.name: path.read_bytes() for path in (ws / "traces").iterdir()} == traces
+    assert invoke(runner, ws, "origin", "out/GenContiki/Sink.c", "9:1").output == origin.output
+    assert (ws / "gen/GenContiki.trace.json").is_file()
 
 
 @pytest.mark.parametrize("name", ["a{{filters[0]}}b{{/}}c", "source{{/}}a"])

@@ -16,7 +16,6 @@ from tracelink.m2c import (
     IfNode,
     TextNode,
     augment_template,
-    is_template_augmented,
     parse_template,
     print_template,
     render,
@@ -199,7 +198,6 @@ def test_conditional_else_branch_stays_unwrapped():
 def test_pure_text_template_unchanged():
     t = parse_template(PURE_TEXT_TEMPLATE, ALL_METAMODELS)
     assert augment_template(t) == t
-    assert is_template_augmented(t)
 
 
 def test_augmentation_idempotent():
@@ -302,11 +300,12 @@ def test_template_tag_includes_template_name():
     assert trace.links[0].tags == {"template": "listing.java"}
 
 
-def test_render_augmented_requires_augmented_template():
-    from tracelink.errors import TransformationError
-
-    with pytest.raises(TransformationError):
-        render_traced(loop_template(), list_model(["a"]), "m", "f")
+def test_render_traced_augments_the_template_it_is_given():
+    t, model = loop_template(), list_model(["a"])
+    traced = render_traced(t, model, "m", "f")
+    assert traced == render_traced(augment_template(t), model, "m", "f")
+    assert traced[:2] == ("public String a;\n", "{{sourceModel.elements[0]}}public String a;\n{{/}}")
+    assert render(augment_template(t), model) == render(t, model) == traced[0]
 
 
 def test_literal_emit_escapes_brackets():
@@ -371,8 +370,9 @@ def test_printed_template_reparses_to_equivalent_behavior():
         t = parse_template(source, ALL_METAMODELS)
         aug = augment_template(t)
         reparsed = parse_template(print_template(aug), ALL_METAMODELS)
-        assert is_template_augmented(reparsed)
-        assert render(reparsed, model) == render(aug, model)
+        assert augment_template(reparsed) == reparsed
+        assert render(reparsed, model) == render(t, model)
+        assert render_traced(reparsed, model, "m", "f") == render_traced(aug, model, "m", "f")
 
 
 QUOTING_MARKERS_TEMPLATE = ('[template q.txt (m : ListMM!Root) markers("<\\"", "\\\\>")]'
@@ -392,7 +392,7 @@ def test_printed_plain_template_round_trips_bytes():
         printed = print_template(t)
         reparsed = parse_template(printed, metamodels)
         assert print_template(reparsed) == printed
-        assert reparsed == t and is_template_augmented(reparsed) == is_augmented
+        assert reparsed == t and (augment_template(reparsed) == reparsed) == is_augmented
 
 
 def test_quoting_marker_delimiters_are_printed_escaped():
@@ -478,7 +478,7 @@ def assert_paths_resolve_to_bound_elements(mm, model):
 def test_marker_paths_resolve_to_bound_elements_in_random_worlds(seed):
     metamodels, text, model = random_world(seed)
     assert_paths_resolve_to_bound_elements(metamodels["SrcMM"], model)
-    produced = execute_m2m(parse_m2m(text, metamodels), {"src": model}, metamodels, "dst.model.json")
+    produced, _ = execute_m2m(parse_m2m(text, metamodels), {"src": model}, metamodels, "dst.model.json")
     assert_paths_resolve_to_bound_elements(metamodels["DstMM"], produced)
 
 

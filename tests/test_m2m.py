@@ -12,7 +12,6 @@ from tracelink.errors import (
 )
 from tracelink.m2m import (
     augment_m2m,
-    execute_augmented_m2m,
     execute_m2m,
     is_augmented,
     parse_m2m,
@@ -155,7 +154,7 @@ def test_print_parse_round_trip_on_fixtures(workspace_metamodels):
 
 def test_identity_style_rule_copies_attribute():
     t = parse_m2m(IDENTITY_RULE, AB_METAMODELS)
-    out = execute_m2m(t, {"src": node_model()}, AB_METAMODELS)
+    out, _ = execute_m2m(t, {"src": node_model()}, AB_METAMODELS)
     assert out.metamodel_name == "MMB"
     assert out.root.class_name == "Feature"
     assert out.root.attrs == {"node_id": "n1"}
@@ -180,8 +179,8 @@ rule A { from s : MMA!Node (s.kind = "x") to t : MMB!Feature (node_id <- s.id) }
 rule B { from s : MMA!Node (s.kind != "x") to t : MMB!Feature (node_id <- concat("b-", s.id)) }
 """
     t = parse_m2m(text, AB_METAMODELS)
-    assert execute_m2m(t, {"src": node_model(kind="x")}, AB_METAMODELS).root.attrs["node_id"] == "n1"
-    assert execute_m2m(t, {"src": node_model(kind="y")}, AB_METAMODELS).root.attrs["node_id"] == "b-n1"
+    assert execute_m2m(t, {"src": node_model(kind="x")}, AB_METAMODELS)[0].root.attrs["node_id"] == "n1"
+    assert execute_m2m(t, {"src": node_model(kind="y")}, AB_METAMODELS)[0].root.attrs["node_id"] == "b-n1"
 
 
 def test_unresolved_binding_names_the_element(workspace_metamodels):
@@ -226,14 +225,14 @@ def brute_force_match_count(t, model):
 
 def test_map_contiki_output_size_matches_brute_force(workspace_metamodels, input_pim):
     t = load_fixture_m2m("MapContiki.m2m", workspace_metamodels)
-    out = execute_m2m(t, {"pim": input_pim}, workspace_metamodels)
+    out, _ = execute_m2m(t, {"pim": input_pim}, workspace_metamodels)
     expected = brute_force_match_count(t, input_pim)
     assert len(list(iter_elements(out))) == expected == 6
 
 
 def test_cross_reference_resolution_through_images(workspace_metamodels, input_pim):
     t = load_fixture_m2m("MapContiki.m2m", workspace_metamodels)
-    out = execute_m2m(t, {"pim": input_pim}, workspace_metamodels)
+    out, _ = execute_m2m(t, {"pim": input_pim}, workspace_metamodels)
     source_a = resolve_path(out, parse_path("networks[0].platforms[0]"))
     sink = resolve_path(out, parse_path("networks[1].platforms[0]"))
     assert str(source_a.refs["uplink"]) == "networks[1].platforms[0]"
@@ -256,16 +255,16 @@ def test_augment_idempotent_on_fixtures(workspace_metamodels):
         assert augment_m2m(augment_m2m(t)) == augment_m2m(t)
 
 
-def test_two_pattern_rule_gets_two_trace_clauses():
-    mms = {
-        "MMA": AB_METAMODELS["MMA"],
-        "MMB": parse_metamodel(
-            '{"name": "MMB", "classes": ['
-            '{"name": "Feature", "attributes": [{"name": "node_id", "type": "string"}],'
-            ' "collections": [{"class": "Extra", "name": "extras"}]},'
-            '{"name": "Extra", "attributes": [{"name": "tag", "type": "string"}]}]}'),
-    }
-    text = """
+TWO_PATTERN_METAMODELS = {
+    "MMA": AB_METAMODELS["MMA"],
+    "MMB": parse_metamodel(
+        '{"name": "MMB", "classes": ['
+        '{"name": "Feature", "attributes": [{"name": "node_id", "type": "string"}],'
+        ' "collections": [{"class": "Extra", "name": "extras"}]},'
+        '{"name": "Extra", "attributes": [{"name": "tag", "type": "string"}]}]}'),
+}
+
+TWO_PATTERN_RULE = """
 transformation T;
 input src : MMA;
 output dst : MMB;
@@ -275,27 +274,45 @@ rule R {
      u : MMB!Extra (tag <- s.kind)
 }
 """
-    t = parse_m2m(text, mms)
+
+
+def test_two_pattern_rule_gets_two_trace_clauses():
+    mms = TWO_PATTERN_METAMODELS
+    t = parse_m2m(TWO_PATTERN_RULE, mms)
     aug = augment_m2m(t)
     assert [p.traced for p in aug.rules[0].targets] == [True, True]
 
-    out, trace = execute_augmented_m2m(aug, {"src": node_model()}, mms, "out.model.json")
+    out, trace = execute_m2m(aug, {"src": node_model()}, mms, "out.model.json")
     assert len(trace.links) == 2
     assert {str(link.targets[0].path) for link in trace.links} == {"root", "extras[0]"}
+
+
+def test_only_a_wholly_traced_transformation_yields_a_trace():
+    mms = TWO_PATTERN_METAMODELS
+    partly = parse_m2m(TWO_PATTERN_RULE.replace("u : MMB!Extra", "u : MMB!Extra traced"), mms)
+    assert [p.traced for p in partly.rules[0].targets] == [False, True]
+    out, trace = execute_m2m(partly, {"src": node_model()}, mms, "out.model.json")
+    assert trace is None
+    aug_out, aug_trace = execute_m2m(augment_m2m(partly), {"src": node_model()}, mms, "out.model.json",
+                                     trace_id="trace:T", transformation_id="TransformationM2M:T.m2m")
+    assert serialize_model(aug_out) == serialize_model(out)
+    assert (aug_trace.id, aug_trace.transformation_id) == ("trace:T", "TransformationM2M:T.m2m")
+    assert [(str(link.sources[0]), str(link.targets[0]), link.tags) for link in aug_trace.links] == [
+        ("in.model.json:root", "out.model.json:root", {"rule": "R"}),
+        ("in.model.json:root", "out.model.json:extras[0]", {"rule": "R"})]
 
 
 def test_semantics_preservation_on_fixtures(workspace_metamodels, input_pim):
     for name in ("MapContiki.m2m", "MapArduino.m2m", "MapRIOT.m2m", "MapDataCollector.m2m"):
         t = load_fixture_m2m(name, workspace_metamodels)
-        plain = execute_m2m(t, {"pim": input_pim}, workspace_metamodels, "out.model.json")
-        augmented, _ = execute_augmented_m2m(
-            augment_m2m(t), {"pim": input_pim}, workspace_metamodels, "out.model.json")
+        plain, _ = execute_m2m(t, {"pim": input_pim}, workspace_metamodels, "out.model.json")
+        augmented, _ = execute_m2m(augment_m2m(t), {"pim": input_pim}, workspace_metamodels, "out.model.json")
         assert serialize_model(plain) == serialize_model(augmented)
 
 
 def test_identity_rule_trace_link():
     t = augment_m2m(parse_m2m(IDENTITY_RULE, AB_METAMODELS))
-    out, trace = execute_augmented_m2m(
+    out, trace = execute_m2m(
         t, {"src": node_model()}, AB_METAMODELS, "out.model.json",
         trace_id="trace:t", transformation_id="TransformationM2M:t.m2m", execution_stamp=1)
     assert len(trace.links) == 1
@@ -307,7 +324,7 @@ def test_identity_rule_trace_link():
 
 def test_map_contiki_trace_totality(workspace_metamodels, input_pim):
     t = augment_m2m(load_fixture_m2m("MapContiki.m2m", workspace_metamodels))
-    out, trace = execute_augmented_m2m(t, {"pim": input_pim}, workspace_metamodels, "psm.model.json")
+    out, trace = execute_m2m(t, {"pim": input_pim}, workspace_metamodels, "psm.model.json")
     out_elements = list(iter_elements(out))
     assert len(trace.links) == len(out_elements)
     targeted = {str(link.targets[0].path) for link in trace.links}
@@ -319,7 +336,7 @@ def test_map_contiki_trace_totality(workspace_metamodels, input_pim):
 
 def test_trace_supports_bidirectional_queries(workspace_metamodels, input_pim):
     t = augment_m2m(load_fixture_m2m("MapContiki.m2m", workspace_metamodels))
-    _, trace = execute_augmented_m2m(t, {"pim": input_pim}, workspace_metamodels, "psm.model.json")
+    _, trace = execute_m2m(t, {"pim": input_pim}, workspace_metamodels, "psm.model.json")
     forward = {}
     backward = {}
     for link in trace.links:
@@ -331,7 +348,7 @@ def test_trace_supports_bidirectional_queries(workspace_metamodels, input_pim):
 
 def test_trace_link_order_is_by_source_path(workspace_metamodels, input_pim):
     t = augment_m2m(load_fixture_m2m("MapContiki.m2m", workspace_metamodels))
-    _, trace = execute_augmented_m2m(t, {"pim": input_pim}, workspace_metamodels, "psm.model.json")
+    _, trace = execute_m2m(t, {"pim": input_pim}, workspace_metamodels, "psm.model.json")
     paths = [link.sources[0].path for link in trace.links]
     assert paths == sorted(paths, key=source_path_key)
 
@@ -343,7 +360,7 @@ def test_trace_link_order_is_by_source_path(workspace_metamodels, input_pim):
     t = augment_m2m(parse_m2m(TREE_RULE, TREE_METAMODELS))
     model = Model("in.model.json", "MMA", node(0, x=[node(i, a=[node(100 + i)]) for i in range(1, 13)],
                                                  a=[node(13)], z=[node(14)]))
-    _, trace = execute_augmented_m2m(t, {"src": model}, TREE_METAMODELS, "out.model.json")
+    _, trace = execute_m2m(t, {"src": model}, TREE_METAMODELS, "out.model.json")
     paths = [str(link.sources[0].path) for link in trace.links]
     assert len(paths) == 27 and paths == sorted(paths, key=source_path_key)
     assert paths[:3] == ["a[0]", "root", "x[0]"] and paths[-1] == "z[0]"
@@ -353,7 +370,7 @@ def test_trace_link_order_is_by_source_path(workspace_metamodels, input_pim):
 def test_execution_is_deterministic(workspace_metamodels, input_pim):
     t = augment_m2m(load_fixture_m2m("MapArduino.m2m", workspace_metamodels))
     runs = [
-        execute_augmented_m2m(t, {"pim": input_pim}, workspace_metamodels, "x.model.json")
+        execute_m2m(t, {"pim": input_pim}, workspace_metamodels, "x.model.json")
         for _ in range(3)
     ]
     blobs = {serialize_model(model) for model, _ in runs}
@@ -400,7 +417,7 @@ def test_non_ascii_literals_survive_parse_and_print():
     text = IDENTITY_RULE.replace('s.id', 'concat("café-", s.id)')
     t = parse_m2m(text, AB_METAMODELS)
     assert parse_m2m(print_m2m(t), AB_METAMODELS) == t
-    out = execute_m2m(t, {"src": node_model()}, AB_METAMODELS)
+    out, _ = execute_m2m(t, {"src": node_model()}, AB_METAMODELS)
     assert out.root.attrs["node_id"] == "café-n1"
 
 
@@ -419,6 +436,6 @@ output o : MMA;
 rule Root { from s : MMA!Node (s.id = "r") to t : MMA!Node (id <- s.id) }
 rule Kid { from s : MMA!Node (s.id = "k") to t : MMA!Node (id <- s.id, a <- t) }
 """, mms)
-    for execute, rules in ((execute_m2m, t), (execute_augmented_m2m, augment_m2m(t))):
+    for rules in (t, augment_m2m(t)):
         with pytest.raises(ConformanceError, match="^root: an output element is placed inside its own contents"):
-            execute(rules, {"s": model}, mms)
+            execute_m2m(rules, {"s": model}, mms)

@@ -157,7 +157,7 @@ def run(text: str, doc: dict):
     except TracelinkError as exc:
         return "parse " + type(exc).__name__, None, mms
     try:
-        out = execute_m2m(t, {t.inputs[0][0]: PIM}, mms)
+        out, _ = execute_m2m(t, {t.inputs[0][0]: PIM}, mms)
     except TracelinkError as exc:
         return "run " + type(exc).__name__, None, mms
     return "ok " + hashlib.sha256(serialize_model(out).encode()).hexdigest(), out, mms

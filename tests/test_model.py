@@ -364,7 +364,7 @@ def test_iter_elements_walks_in_source_path_order(input_pim):
     models = [input_pim]
     for seed in range(6):
         metamodels, text, model = random_world(seed)
-        models += [model, execute_m2m(parse_m2m(text, metamodels), {"src": model}, metamodels)]
+        models += [model, execute_m2m(parse_m2m(text, metamodels), {"src": model}, metamodels)[0]]
     for m in models:
         paths = _walked(m)
         assert paths == sorted(paths, key=source_path_key)

@@ -486,6 +486,35 @@ def test_no_augment_skips_traces(workspace):
     assert not (workspace / "traces").exists()
 
 
+def test_bare_enactment_of_augmented_transformations_writes_clean_outputs_only(tmp_path):
+    from conftest import copy_workspace
+    from tracelink import m2c, m2m
+
+    written = []
+    for augment in (False, True):
+        ws = copy_workspace(tmp_path / str(augment))
+        metamodels = {name: model_module.parse_metamodel((ws / f"{name}.mm.json").read_text(encoding="utf-8"))
+                      for name in ("PIMM", "PSMM")}
+        template = m2c.parse_template((ws / "GenContiki.m2c").read_text(encoding="utf-8"), metamodels)
+        (ws / "GenContiki.m2c.aug.m2c").write_text(m2c.print_template(m2c.augment_template(template)))
+        rules = m2m.parse_m2m((ws / "MapContiki.m2m").read_text(encoding="utf-8"), metamodels)
+        (ws / "MapContiki.m2m.aug.m2m").write_text(m2m.print_m2m(m2m.augment_m2m(rules)))
+        process = (ws / PROCESS_URI).read_text(encoding="utf-8")
+        for name in ("GenContiki.m2c", "MapContiki.m2m"):
+            assert process.count(f"{name}\"") == 1
+            process = process.replace(f"{name}\"", f"{name}.aug.{name[-3:]}\"")
+        (ws / PROCESS_URI).write_text(process, encoding="utf-8")
+        _, result = run_enactment(ws, augment=augment)
+        written.append((_tree_bytes(ws / "out"), result, ws))
+
+    (bare, result, ws), (augmented, _, _) = written
+    assert bare == {uri: data for uri, data in augmented.items() if not uri.endswith(".annotated")}
+    assert not any(b"{{" in data for data in bare.values())
+    assert b"{{" in augmented["GenContiki/Sink.c.annotated"]
+    assert result.traces == () and result.megamodel.of_kind(ResourceKind.TRACE_MODEL) == []
+    assert not (ws / "traces").exists()
+
+
 def test_m2c_outputs_and_annotated_sidecars(workspace):
     run_enactment(workspace)
     for action_id, name in (("GenContiki", "Sink.c"), ("GenArduino", "Esp.ino"),

@@ -339,7 +339,7 @@ PUBLIC = [
     "serialize_model", "check_conformance", "resolve_path", "Megamodel",
     "ResourceEntry", "Relation", "ResourceKind", "ResourceOrigin", "discover",
     "save_megamodel", "load_megamodel", "TransformationM2M", "parse_m2m", "print_m2m",
-    "execute_m2m", "augment_m2m", "strip_m2m", "execute_augmented_m2m", "Template",
+    "execute_m2m", "augment_m2m", "strip_m2m", "Template",
     "parse_template", "print_template", "render", "augment_template", "strip_template",
     "render_traced", "TraceLink", "LocalTraceModel",
     "ElementRef", "CodeSpan", "TraceIdentifierTree", "build_identifier_tree", "save_trace",

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tracelink.errors import IntegrityError, ParseError, PathSyntaxError
 from tracelink.gtm import ElemNode, change_impact, origin_track, query_gtm
 from tracelink.m2c import augment_template, parse_template, print_template
-from tracelink.m2m import augment_m2m, execute_augmented_m2m, parse_m2m
+from tracelink.m2m import augment_m2m, execute_m2m, parse_m2m
 from tracelink.model import canonical_json, parse_metamodel, parse_model
 from tracelink.paths import ROOT_PATH, ElementPath, parse_path
 from tracelink.trace import (
@@ -236,7 +236,7 @@ def test_writers_leave_no_reference_cycles(enacted):
         load_trace(text)
         assert len(build_identifier_tree(sources).paths()) == len(set(sources)) > 1
         pim = parse_model(pim_text, metamodels["PIMM"], uri="Input.pim.model.json")
-        execute_augmented_m2m(rules, {"pim": pim}, metamodels, "psm.model.json")
+        execute_m2m(rules, {"pim": pim}, metamodels, "psm.model.json")
         del pim
         g = query_gtm(mgm, ws, "Input.pim.model.json", forward=True)
         change_impact(g, ElemNode("Input.pim.model.json", parse_path("indirect[0].indirectdevice[0]")))
