@@ -23,9 +23,10 @@ from .errors import (
     ConformanceError,
     EvalError,
     ParseError,
+    SchemaError,
     TemplateTypeError,
 )
-from .m2m import _escape, _Parser
+from .m2m import _escape, _holds, _Parser
 from .model import (
     AttributeDef,
     CollectionDef,
@@ -36,7 +37,8 @@ from .model import (
     _type_ok,
     element_index,
     ensure_conforms,
-    resolve_path,
+    nav_type,
+    navigate,
 )
 from .trace import ElementRef, LocalTraceModel, TraceLink, span_at
 
@@ -409,29 +411,22 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
 # ---------------------------------------------------------------------------
 
 
-def _nav_feature(t: Template, nav: TNav, env: dict[str, str],
-                 line: int) -> AttributeDef | CollectionDef | ReferenceDef | None:
-    """The feature a navigation ends on, or None for a bare variable."""
+_ELEMENT = (ReferenceDef, type(None))  # the features of an element-valued navigation
+
+
+def _typed(t: Template, nav: TNav, env: dict[str, str], line: int, kinds: type | tuple[type, ...] = object,
+           message: str = "") -> AttributeDef | CollectionDef | ReferenceDef | None:
+    """The feature a navigation ends on (``nav_type``), or None for a bare
+    variable; unless it is one of ``kinds``, a ``TemplateTypeError`` with ``message``."""
     if nav.steps[0] not in env:
         raise TemplateTypeError(f"unknown variable '{nav.steps[0]}'", line)
-    cls = t.metamodel.class_named(env[nav.steps[0]])
-    feature = None
-    for step in nav.steps[1:]:
-        if isinstance(feature, AttributeDef):
-            raise TemplateTypeError(f"cannot navigate into attribute before '{step}'", line)
-        if isinstance(feature, CollectionDef):
-            raise TemplateTypeError(f"cannot navigate through collection before '{step}'", line)
-        if feature is not None:
-            cls = t.metamodel.class_named(feature.target_class)
-        feature = cls.features.get(step)
-        if feature is None:
-            raise TemplateTypeError(f"class '{cls.name}' has no feature '{step}'", line)
+    try:
+        feature = nav_type(t.metamodel, env[nav.steps[0]], nav.steps[1:])
+    except SchemaError as exc:
+        raise TemplateTypeError(str(exc), line) from None
+    if not isinstance(feature, kinds):
+        raise TemplateTypeError(message, line)
     return feature
-
-
-def _check_element(t: Template, nav: TNav, env: dict[str, str], line: int):
-    if isinstance(_nav_feature(t, nav, env, line), (AttributeDef, CollectionDef)):
-        raise TemplateTypeError("path() needs an element-valued expression", line)
 
 
 def _check_template(t: Template, nodes, env: dict[str, str], in_loop: bool):
@@ -440,40 +435,33 @@ def _check_template(t: Template, nodes, env: dict[str, str], in_loop: bool):
             continue
         if isinstance(node, EmitNode):
             expr = node.expr
-            if isinstance(expr, TLiteral):
-                continue
             if isinstance(expr, TIndex):
                 if not in_loop:
                     raise TemplateTypeError("'i' is only available inside a loop", node.line)
-                continue
-            if isinstance(expr, TPathOf):
-                _check_element(t, expr.target, env, node.line)
-                continue
-            if not isinstance(_nav_feature(t, expr, env, node.line), AttributeDef):
-                raise TemplateTypeError(f"cannot emit non-attribute '{expr}'", node.line)
+            elif isinstance(expr, TPathOf):
+                _typed(t, expr.target, env, node.line, _ELEMENT, "path() needs an element-valued expression")
+            elif isinstance(expr, TNav):
+                _typed(t, expr, env, node.line, AttributeDef, f"cannot emit non-attribute '{expr}'")
         elif isinstance(node, ForNode):
-            source = _nav_feature(t, node.source, env, node.line)
-            if not isinstance(source, CollectionDef):
-                raise TemplateTypeError(f"loop source '{node.source}' is not a collection", node.line)
+            source = _typed(t, node.source, env, node.line, CollectionDef,
+                            f"loop source '{node.source}' is not a collection")
             if node.var in env:
                 raise TemplateTypeError(f"variable '{node.var}' shadows an enclosing binder", node.line)
             _check_template(t, node.body, {**env, node.var: source.element_class}, True)
         elif isinstance(node, IfNode):
             cond = node.cond
             if isinstance(cond, SizeCond):
-                if not isinstance(_nav_feature(t, cond.target, env, node.line), (CollectionDef, ReferenceDef)):
-                    raise TemplateTypeError("size() needs a collection or reference", node.line)
+                _typed(t, cond.target, env, node.line, (CollectionDef, ReferenceDef),
+                       "size() needs a collection or reference")
             else:
-                attr = _nav_feature(t, cond.left, env, node.line)
-                if not isinstance(attr, AttributeDef):
-                    raise TemplateTypeError("condition must compare an attribute", node.line)
+                attr = _typed(t, cond.left, env, node.line, AttributeDef, "condition must compare an attribute")
                 if not _type_ok(attr.type, cond.right.value):
                     raise TemplateTypeError(
                         f"condition compares {attr.type} attribute against {cond.right.value!r}", node.line)
             _check_template(t, node.then_body, env, in_loop)
             _check_template(t, node.else_body, env, in_loop)
         else:  # RegionNode
-            _check_element(t, node.target, env, node.line)
+            _typed(t, node.target, env, node.line, _ELEMENT, "path() needs an element-valued expression")
             _check_template(t, node.body, env, in_loop)
 
 
@@ -485,11 +473,7 @@ def _check_template(t: Template, nodes, env: dict[str, str], in_loop: bool):
 def _to_text(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return repr(value)
+    return value if isinstance(value, str) else repr(value)
 
 
 class _Render:
@@ -498,10 +482,10 @@ class _Render:
     each region's [path, start byte, end byte] in the clean text, in open
     order."""
 
-    __slots__ = ("t", "m", "class_named", "closer", "out", "runs", "regions", "offset")
+    __slots__ = ("t", "m", "mm", "closer", "out", "runs", "regions", "offset")
 
     def __init__(self, t: Template, m: Model):
-        self.t, self.m, self.class_named = t, m, t.metamodel.class_named
+        self.t, self.m, self.mm = t, m, t.metamodel
         self.closer = t.marker_open + "/" + t.marker_close
         self.out: list[str] = []  # pieces written since the last marker
         self.runs: list[str] = []
@@ -522,38 +506,23 @@ class _Render:
         self.offset += len(text.encode("utf-8"))
         return self.offset
 
-    def eval_nav(self, nav: TNav, env: dict[str, object], line: int) -> object:
-        current = env[nav.steps[0]]
-        for step in nav.steps[1:]:
-            feature = self.class_named(current.class_name).features.get(step)
-            if isinstance(feature, AttributeDef):
-                if step not in current.attrs:
-                    raise EvalError(f"attribute '{step}' is unset", line, self.model_path(current))
-                return current.attrs[step]
-            if isinstance(feature, CollectionDef):
-                return list(current.collections.get(step, []))
-            ref_path = current.refs.get(step)
-            if ref_path is None:
-                raise EvalError(f"reference '{step}' is unset", line, self.model_path(current))
-            current = resolve_path(self.m, ref_path)
-        return current
+    def read(self, steps: tuple[str, ...], env: dict[str, object], line: int) -> object:
+        """A navigation's value; an unset one is an ``EvalError`` at the element that holds it."""
+        holder, feature, value = navigate(self.m, self.mm, env[steps[0]], steps[1:])
+        if value is None:
+            kind = "attribute" if isinstance(feature, AttributeDef) else "reference"
+            raise EvalError(f"{kind} '{feature.name}' is unset", line, self.model_path(holder))
+        return value
 
     def eval_cond(self, cond: Cond, env: dict[str, object], line: int) -> bool:
         if isinstance(cond, SizeCond):
-            # Static typing allows only references before the last step.
-            holder = self.eval_nav(TNav(cond.target.steps[:-1]), env, line)
-            last = cond.target.steps[-1]
-            if isinstance(self.class_named(holder.class_name).features.get(last), CollectionDef):
-                size = len(holder.collections.get(last, []))
-            else:
-                size = 1 if last in holder.refs else 0
-            if cond.op == ">":
-                return size > cond.bound
-            if cond.op == "=":
-                return size == cond.bound
-            return size != cond.bound
-        value = self.eval_nav(cond.left, env, line)
-        return (value == cond.right.value) if cond.op == "=" else (value != cond.right.value)
+            # Only the last step may be unset (size 0), so the owner is read first:
+            # a walk that stops at an unset reference does not say at which step.
+            steps = cond.target.steps
+            value = navigate(self.m, self.mm, self.read(steps[:-1], env, line), steps[-1:])[2]
+            size = 0 if value is None else len(value) if isinstance(value, list) else 1
+            return _holds(cond.op, size, cond.bound)
+        return _holds(cond.op, self.read(cond.left.steps, env, line), cond.right.value)
 
     def emit(self, expr: TemplateExpr, env: dict[str, object], line: int):
         if isinstance(expr, TLiteral):
@@ -561,9 +530,9 @@ class _Render:
         elif isinstance(expr, TIndex):
             self.out.append(str(env["i"]))
         elif isinstance(expr, TPathOf):
-            self.out.append(self.path_text(self.eval_nav(expr.target, env, line)))
+            self.out.append(self.path_text(self.read(expr.target.steps, env, line)))
         else:
-            self.out.append(_to_text(self.eval_nav(expr, env, line)))
+            self.out.append(_to_text(self.read(expr.steps, env, line)))
 
     def run(self, nodes, env: dict[str, object]):
         for node in nodes:
@@ -572,13 +541,13 @@ class _Render:
             elif isinstance(node, EmitNode):
                 self.emit(node.expr, env, node.line)
             elif isinstance(node, ForNode):
-                items = self.eval_nav(node.source, env, node.line)
+                items = self.read(node.source.steps, env, node.line)
                 for i, item in enumerate(items):
                     self.run(node.body, {**env, node.var: item, "i": i})
             elif isinstance(node, IfNode):
                 self.run(node.then_body if self.eval_cond(node.cond, env, node.line) else node.else_body, env)
             else:  # RegionNode
-                element = self.eval_nav(node.target, env, node.line)
+                element = self.read(node.target.steps, env, node.line)
                 opener = f"{self.t.marker_open}{self.path_text(element)}{self.t.marker_close}"
                 region = [self.model_path(element), self.mark(opener), 0]
                 self.regions.append(region)
@@ -635,20 +604,18 @@ def render_traced(t: Template, m: Model, model_uri: str, clean_file_uri: str, *,
 
 
 def _emits_model_text(nodes) -> bool:
-    for node in nodes:
-        if isinstance(node, (EmitNode, RegionNode)):
-            return True
-        if isinstance(node, ForNode) and _emits_model_text(node.body):
-            return True
-        if isinstance(node, IfNode) and (_emits_model_text(node.then_body) or _emits_model_text(node.else_body)):
-            return True
-    return False
+    return any(isinstance(node, (EmitNode, RegionNode))
+               or isinstance(node, ForNode) and _emits_model_text(node.body)
+               or isinstance(node, IfNode) and _emits_model_text(node.then_body + node.else_body)
+               for node in nodes)
 
 
 def _governing_nav(cond: Cond, t: Template, env: dict[str, str], line: int) -> TNav:
-    """Element whose presence/state the condition tests, as a navigation."""
+    """The element a then-branch's region names: the reference target of a
+    ``size()`` test that an unset reference fails, else the owner of the
+    tested feature, which exists whenever the branch runs."""
     if isinstance(cond, SizeCond):
-        if isinstance(_nav_feature(t, cond.target, env, line), ReferenceDef):
+        if isinstance(_typed(t, cond.target, env, line), ReferenceDef) and not _holds(cond.op, 0, cond.bound):
             return cond.target
         return TNav(cond.target.steps[:-1])
     return TNav(cond.left.steps[:-1])
@@ -666,7 +633,7 @@ def _augment(t: Template, nodes, env: dict[str, str], binder: str) -> tuple[Temp
     out = []
     for node in nodes:
         if isinstance(node, ForNode):
-            inner_env = {**env, node.var: _nav_feature(t, node.source, env, node.line).element_class}
+            inner_env = {**env, node.var: _typed(t, node.source, env, node.line).element_class}
             inner = _augment(t, node.body, inner_env, node.var)
             out.append(replace(node, body=_region(inner, TNav((node.var,)), node.line)))
         elif isinstance(node, IfNode):

@@ -13,6 +13,7 @@ instantiated target pattern, tagged with the generating rule's name.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -35,7 +36,8 @@ from .model import (
     _type_ok,
     element_index,
     ensure_conforms,
-    resolve_path,
+    nav_type,
+    navigate,
 )
 from .trace import ElementRef, LocalTraceModel, TraceLink
 
@@ -331,7 +333,7 @@ def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]
         if src_mm.class_named(rule.from_class) is None:
             raise UnknownClass(rule.from_class)
         if rule.guard is not None:
-            attr = _check_nav(rule, rule.guard.left, src_mm)
+            attr = _check_expr(rule, rule.guard.left, src_mm)
             if not isinstance(attr, AttributeDef):
                 raise SchemaError(f"rule '{rule.name}': '{rule.guard.left.feature}' is not an attr")
             if not _type_ok(attr.type, rule.guard.right.value):
@@ -351,13 +353,9 @@ def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]
                 raise SchemaError(f"rule '{rule.name}': duplicate pattern variable '{pattern.var}'")
             target_vars.add(pattern.var)
         for pattern in rule.targets:
-            features = metamodels[pattern.metamodel].class_named(pattern.class_name).features
             scalar_bound: set[str] = set()
             for binding in pattern.bindings:
-                feature = features.get(binding.feature)
-                if feature is None:
-                    raise SchemaError(
-                        f"rule '{rule.name}': class '{pattern.class_name}' has no feature '{binding.feature}'")
+                feature = _feature_of(rule, metamodels[pattern.metamodel], pattern.class_name, binding.feature)
                 if not isinstance(feature, CollectionDef):
                     if binding.feature in scalar_bound:
                         raise SchemaError(
@@ -366,16 +364,17 @@ def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]
                 _check_expr(rule, binding.expr, src_mm, target_vars)
 
 
-def _check_nav(rule: Rule, nav: Nav, src_mm: Metamodel) -> AttributeDef | CollectionDef | ReferenceDef:
-    if nav.var != rule.from_var:
-        raise SchemaError(f"rule '{rule.name}': unknown variable '{nav.var}'")
-    feature = src_mm.class_named(rule.from_class).features.get(nav.feature)
-    if feature is None:
-        raise SchemaError(f"rule '{rule.name}': class '{rule.from_class}' has no feature '{nav.feature}'")
-    return feature
+def _feature_of(rule: Rule, mm: Metamodel, class_name: str,
+                name: str) -> AttributeDef | CollectionDef | ReferenceDef:
+    """The feature ``name`` of ``class_name``, typed by ``nav_type``; its error names the rule."""
+    try:
+        return nav_type(mm, class_name, (name,))
+    except SchemaError as exc:
+        raise SchemaError(f"rule '{rule.name}': {exc}") from None
 
 
 def _check_expr(rule: Rule, expr: Expr, src_mm: Metamodel, target_vars: set[str] = frozenset()):
+    """Check ``expr`` in ``rule``; a navigation's feature is returned."""
     if isinstance(expr, Literal):
         return
     if isinstance(expr, VarRef):
@@ -385,8 +384,9 @@ def _check_expr(rule: Rule, expr: Expr, src_mm: Metamodel, target_vars: set[str]
             raise SchemaError(f"rule '{rule.name}': unknown variable '{expr.var}'")
         return
     if isinstance(expr, Nav):
-        _check_nav(rule, expr, src_mm)
-        return
+        if expr.var != rule.from_var:
+            raise SchemaError(f"rule '{rule.name}': unknown variable '{expr.var}'")
+        return _feature_of(rule, src_mm, rule.from_class, expr.feature)
     if isinstance(expr, Concat):
         _check_expr(rule, expr.left, src_mm, target_vars)
         _check_expr(rule, expr.right, src_mm, target_vars)
@@ -450,21 +450,18 @@ def print_m2m(t: TransformationM2M) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _marked(t: TransformationM2M, traced: bool) -> TransformationM2M:
+    return replace(t, rules=tuple(replace(rule, targets=tuple(replace(p, traced=traced) for p in rule.targets))
+                                  for rule in t.rules))
+
+
 def augment_m2m(t: TransformationM2M) -> TransformationM2M:
     """Mark every target pattern traced. Idempotent; rule logic untouched."""
-    rules = tuple(
-        replace(rule, targets=tuple(replace(p, traced=True) for p in rule.targets))
-        for rule in t.rules
-    )
-    return replace(t, rules=rules)
+    return _marked(t, True)
 
 
 def strip_m2m(t: TransformationM2M) -> TransformationM2M:
-    rules = tuple(
-        replace(rule, targets=tuple(replace(p, traced=False) for p in rule.targets))
-        for rule in t.rules
-    )
-    return replace(t, rules=rules)
+    return _marked(t, False)
 
 
 # ---------------------------------------------------------------------------
@@ -472,45 +469,35 @@ def strip_m2m(t: TransformationM2M) -> TransformationM2M:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Instance:
-    alias: str
-    path: object  # ElementPath
-    element: Element
-    rule: Rule
-    images: list[Element]
+# A matched source element: its input alias and path, the rule, and one image per target pattern.
+_Instance = namedtuple("_Instance", "alias path element rule images")
 
 
-def _eval_guard(guard: Guard, element: Element) -> bool:
-    value = element.attrs.get(guard.left.feature)
-    lit = guard.right.value
-    return (value == lit) if guard.op == "=" else (value != lit)
+def _holds(op: str, left: object, right: object) -> bool:
+    """``left op right`` for the operator of a guard or a template condition."""
+    return left > right if op == ">" else left == right if op == "=" else left != right
 
 
-def _eval_expr(expr: Expr, element: Element, model: Model, pattern_images: dict[str, Element],
-               metamodels: dict[str, Metamodel]) -> object:
+def _eval_guard(guard: Guard, model: Model, mm: Metamodel, element: Element) -> bool:
+    """Whether ``element`` of ``model`` satisfies ``guard``: an unset
+    attribute is None, which no literal equals."""
+    return _holds(guard.op, navigate(model, mm, element, (guard.left.feature,))[2], guard.right.value)
+
+
+def _eval_expr(expr: Expr, element: Element, model: Model, mm: Metamodel,
+               pattern_images: dict[str, Element]) -> object:
     """The value of a binding's expression for the matched ``element`` of
-    ``model``; recursion is bounded by the expression's depth."""
+    ``model``, which conforms to ``mm``; None for an unset attribute or
+    reference. Recursion is bounded by the expression's depth."""
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, VarRef):
-        if expr.var in pattern_images:
-            return pattern_images[expr.var]
-        return element
+        return pattern_images.get(expr.var, element)
     if isinstance(expr, Nav):
-        if expr.feature in element.attrs:
-            return element.attrs[expr.feature]
-        if expr.feature in element.collections:
-            return list(element.collections[expr.feature])
-        if expr.feature in element.refs:
-            return resolve_path(model, element.refs[expr.feature])
-        # Declared feature absent on this element: attrs and refs may be
-        # unset, collections default to empty.
-        feature = metamodels[model.metamodel_name].class_named(element.class_name).features.get(expr.feature)
-        return [] if isinstance(feature, CollectionDef) else None
+        return navigate(model, mm, element, (expr.feature,))[2]
     if isinstance(expr, Concat):
-        left = _eval_expr(expr.left, element, model, pattern_images, metamodels)
-        right = _eval_expr(expr.right, element, model, pattern_images, metamodels)
+        left = _eval_expr(expr.left, element, model, mm, pattern_images)
+        right = _eval_expr(expr.right, element, model, mm, pattern_images)
         if not isinstance(left, str) or not isinstance(right, str):
             raise TransformationError("concat expects two string values")
         return left + right
@@ -544,10 +531,11 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
     image_of: dict[int, list[Element]] = {}
     for alias in sorted(inputs):
         model = inputs[alias]
+        mm = metamodels[model.metamodel_name]
         for path, element in element_index(model).values():
             matched = [
                 rule for rule in rules_for.get((model.metamodel_name, element.class_name), ())
-                if rule.guard is None or _eval_guard(rule.guard, element)
+                if rule.guard is None or _eval_guard(rule.guard, model, mm, element)
             ]
             if len(matched) > 1:
                 raise MatchAmbiguity(str(path), [r.name for r in matched])
@@ -575,12 +563,13 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
     fault: ConformanceError | None = None
     for inst in instances:
         model = inputs[inst.alias]
+        mm = metamodels[model.metamodel_name]
         rule = inst.rule
         pattern_images = {p.var: img for p, img in zip(rule.targets, inst.images)}
         for pattern, image in zip(rule.targets, inst.images):
             features = out_mm.class_named(pattern.class_name).features
             for binding in pattern.bindings:
-                value = _eval_expr(binding.expr, inst.element, model, pattern_images, metamodels)
+                value = _eval_expr(binding.expr, inst.element, model, mm, pattern_images)
                 if value is None:
                     continue
                 feature = features[binding.feature]

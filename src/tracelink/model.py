@@ -1,4 +1,4 @@
-"""Typed models and metamodels: parsing, conformance checking, path resolution.
+"""Typed models and metamodels: parsing, conformance checking, paths, navigation.
 
 Concrete syntax is JSON (``*.mm.json`` / ``*.model.json``, see docs/formats.md).
 ``canonical_json`` writes every JSON file tracelink saves except trace files
@@ -452,7 +452,7 @@ def ensure_conforms(m: Model, mm: Metamodel):
 
 
 # ---------------------------------------------------------------------------
-# Path resolution
+# Path resolution and navigation
 # ---------------------------------------------------------------------------
 
 def resolve_path(m: Model, p: ElementPath) -> Element:
@@ -470,6 +470,46 @@ def resolve_path(m: Model, p: ElementPath) -> Element:
             raise PathNotFound(step)
         current = children[i]
     return current
+
+
+def nav_type(mm: Metamodel, class_name: str,
+             steps: tuple[str, ...]) -> AttributeDef | CollectionDef | ReferenceDef | None:
+    """The feature that ``steps`` from an element of ``class_name`` end on,
+    None for no steps. A step past an attribute or a collection, or to no
+    feature, is a ``SchemaError``: only references are navigated through."""
+    cls, feature = mm.class_named(class_name), None
+    for step in steps:
+        if feature is not None:
+            if not isinstance(feature, ReferenceDef):
+                kind = "into attribute" if isinstance(feature, AttributeDef) else "through collection"
+                raise SchemaError(f"cannot navigate {kind} before '{step}'")
+            cls = mm.class_named(feature.target_class)
+        feature = cls.features.get(step)
+        if feature is None:
+            raise SchemaError(f"class '{cls.name}' has no feature '{step}'")
+    return feature
+
+
+def navigate(m: Model, mm: Metamodel, element: Element, steps: tuple[str, ...]) -> tuple[Element, object, object]:
+    """(holder, feature, value) of ``steps``, typed by ``nav_type``, from
+    ``element`` of ``m``: the holder is the element whose feature the last
+    step read. An unset attribute or reference is None; the walk stops at
+    the first unset reference, its holder and its definition. A collection
+    is the element's own list, [] when absent. No steps: (element, None, element)."""
+    holder, feature, value = element, None, element
+    for step in steps:
+        holder = value
+        feature = mm.class_named(holder.class_name).features[step]
+        if isinstance(feature, AttributeDef):
+            value = holder.attrs.get(step)
+        elif isinstance(feature, CollectionDef):
+            value = holder.collections.get(step, [])
+        else:
+            ref_path = holder.refs.get(step)
+            if ref_path is None:
+                return holder, feature, None
+            value = resolve_path(m, ref_path)
+    return holder, feature, value
 
 
 def _walk(e: Element, names: list[str], prefix: str):

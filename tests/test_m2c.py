@@ -154,13 +154,54 @@ def test_render_checks_a_hand_built_model_of_the_right_metamodel():
         render(loop_template(), model)
 
 
-def test_eval_error_on_unset_reference_carries_location():
-    t = parse_template("[template x (m : PlatMM!Root)][m.targetPlatform.name/][/template]",
-                       ALL_METAMODELS)
+def nameless_target_model():
+    model = plat_model(with_target=True)
+    del model.root.collections["platforms"][0].attrs["name"]
+    return model
+
+
+# A node class with a reference to its own class, so a path may name one reference twice.
+CHAIN_MM = parse_metamodel(
+    '{"name": "ChainMM", "classes": [{"name": "Node", "attributes": [{"name": "name", "type": "string"}],'
+    ' "collections": [{"class": "Node", "name": "kids"}],'
+    ' "references": [{"class": "Node", "name": "next", "optional": true}]}]}')
+
+
+def chain_model(linked: bool) -> Model:
+    root = Element("Node", {"name": "head"}, {"kids": [Element("Node", {"name": "tail"})]})
+    if linked:
+        root.refs["next"] = parse_path("kids[0]")
+    return Model("chain.model.json", "ChainMM", root)
+
+
+@pytest.mark.parametrize("body, model, message", [
+    # An unset attribute, read through a reference: located at the element that holds it.
+    ("[m.targetPlatform.name/]", nameless_target_model(),
+     "attribute 'name' is unset; template line 1; model path platforms[0]"),
+    # An unset reference in the middle of a path.
+    ("[m.targetPlatform.name/]", plat_model(with_target=False),
+     "reference 'targetPlatform' is unset; template line 1; model path root"),
+    # An unset reference as the last step of an element-valued navigation.
+    ("\n[path(m.targetPlatform)/]", plat_model(with_target=False),
+     "reference 'targetPlatform' is unset; template line 2; model path root"),
+], ids=["unset-attribute", "unset-middle-reference", "unset-last-reference"])
+def test_eval_error_on_an_unset_value_names_it_and_its_location(body, model, message):
+    t = parse_template(f"[template x (m : PlatMM!Root)]{body}[/template]", ALL_METAMODELS)
     with pytest.raises(EvalError) as exc:
-        render(t, plat_model(with_target=False))
-    assert exc.value.model_path == "root"
-    assert exc.value.line == 1
+        render(t, model)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_only_the_last_step_of_a_size_target_may_be_unset(augmented):
+    # Only the last step of a size() target may be unset, even where an earlier
+    # step names the same reference.
+    t = parse_template("[template x (m : ChainMM!Node)][if (m.next.next->size() = 0)]end [m.name/][/if][/template]",
+                       {"ChainMM": CHAIN_MM})
+    t = augment_template(t) if augmented else t
+    with pytest.raises(EvalError, match="^reference 'next' is unset; template line 1; model path root$"):
+        render(t, chain_model(linked=False))
+    assert render(t, chain_model(linked=True)) == "end head"
 
 
 def test_render_rejects_a_root_of_another_class_than_the_template_parameter():
@@ -223,6 +264,22 @@ def test_else_branch_with_model_text_wrapped_with_enclosing_binder():
     assert annotated == "{{m}}fallback gw{{/}}"
     assert clean == "fallback gw"
     assert str(trace.links[0].sources[0].path) == "root"
+
+
+@pytest.mark.parametrize("test", ["= 0", "!= 1"])
+def test_a_branch_that_an_unset_reference_satisfies_is_governed_by_its_owner(test):
+    # The reference target does not exist where such a branch runs, so the
+    # branch's region names the element that holds the reference.
+    t = parse_template("[template x (m : PlatMM!Root)]"
+                       f"[if (m.targetPlatform->size() {test})]no target among"
+                       "[for (p : m.platforms)] [p.name/][/for][/if][/template]", ALL_METAMODELS)
+    model = plat_model(with_target=False)
+    aug = augment_template(t)
+    clean, annotated, trace = render_traced(t, model, "plat.model.json", "x")
+    assert clean == render(t, model) == render(aug, model) == render(strip_template(aug), model)
+    assert clean == "no target among contiki"
+    assert annotated == "{{m}}no target among{{m.platforms[0]}} contiki{{/}}{{/}}"
+    assert trace.links[0].sources[0].path == ROOT_PATH
 
 
 def test_strip_template_inverts_augmentation():

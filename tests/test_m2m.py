@@ -183,6 +183,20 @@ rule B { from s : MMA!Node (s.kind != "x") to t : MMB!Feature (node_id <- concat
     assert execute_m2m(t, {"src": node_model(kind="y")}, AB_METAMODELS)[0].root.attrs["node_id"] == "b-n1"
 
 
+def test_a_guard_on_an_unset_attribute_holds_only_for_not_equal():
+    # An unset attribute equals no literal: `=` never holds and `!=` always does.
+    text = """
+transformation T;
+input src : MMA;
+output dst : MMB;
+rule A { from s : MMA!Node (s.kind = "x") to t : MMB!Feature (node_id <- s.id) }
+rule B { from s : MMA!Node (s.kind != "x") to t : MMB!Feature (node_id <- concat("b-", s.id)) }
+"""
+    kindless = Model("in.model.json", "MMA", Element("Node", {"id": "n1"}))
+    out, _ = execute_m2m(parse_m2m(text, AB_METAMODELS), {"src": kindless}, AB_METAMODELS)
+    assert out.root.attrs == {"node_id": "b-n1"}
+
+
 def test_unresolved_binding_names_the_element(workspace_metamodels):
     # A placement that references elements no rule maps.
     mms = {

@@ -18,6 +18,8 @@ from tracelink.model import (
     canonical_json,
     check_conformance,
     iter_elements,
+    nav_type,
+    navigate,
     parse_metamodel,
     parse_model,
     resolve_path,
@@ -29,7 +31,7 @@ from tracelink.paths import ROOT_PATH, parse_path
 from tracelink.trace import build_identifier_tree
 
 from conftest import WORKSPACE_FIXTURE, copy_workspace, run_enactment, source_path_key
-from templates import ALL_METAMODELS
+from templates import ALL_METAMODELS, PLAT_MM, plat_model
 from worlds import random_world
 
 NODE_MM_TEXT = '{"name": "NodeMM", "classes": [{"name": "Node", "attributes": [{"name": "id", "type": "string"}]}]}'
@@ -352,6 +354,29 @@ def test_every_element_path_resolves_to_its_element(input_pim):
 
 def _walked(m):
     return [p for p, _ in iter_elements(m)]
+
+
+@pytest.mark.parametrize("with_target, steps, read, holder, value", [
+    (True, ("targetPlatform", "name"), 2, "platforms[0]", "contiki"),  # an attribute, through a reference
+    (True, ("platforms",), 1, "root", ["platforms[0]"]),  # a collection
+    (True, ("targetPlatform",), 1, "root", "platforms[0]"),  # a reference
+    (True, (), 0, "root", "root"),  # a bare variable: the element itself
+    (False, ("targetPlatform",), 1, "root", None),  # an unset reference
+    (False, ("targetPlatform", "name"), 1, "root", None),  # the walk stops at the unset reference
+])
+def test_navigate_reports_the_holder_and_the_feature_nav_type_gives(with_target, steps, read, holder, value):
+    # The walk reads the first ``read`` steps; an element is given by its path.
+    model = plat_model(with_target)
+    path_of = {id(e): str(path) for path, e in iter_elements(model)}
+
+    def described(v):
+        if isinstance(v, list):
+            return [described(e) for e in v]
+        return path_of[id(v)] if isinstance(v, Element) else v
+
+    got_holder, feature, got_value = navigate(model, PLAT_MM, model.root, steps)
+    assert (path_of[id(got_holder)], described(got_value)) == (holder, value)
+    assert feature is nav_type(PLAT_MM, "Root", steps[:read])
 
 
 def test_iter_elements_walks_in_source_path_order(input_pim):
