@@ -537,3 +537,68 @@ def test_dangling_endpoint_reasons(enacted, tmp_path, change, reason, path):
     dangling = dangling_endpoints(g, mgm, clone)
     assert dangling == dict.fromkeys(expected, reason)
     assert list(dangling) == expected != []
+
+
+# ---------------------------------------------------------------------------
+# Query outputs, pinned
+# ---------------------------------------------------------------------------
+
+def cyclic_chain(root: Path):
+    """A three-hop chain into code whose last model links back to its first:
+    one trace edited by hand so that a[1] -> b[1] -> c[1] -> a[1], plus a
+    self-loop on b[0]."""
+    mgm, _ = write_chain(root, [
+        [(("a.model.json", f"items[{i}]"), ("b.model.json", f"items[{i % 2}]")) for i in range(3)],
+        [(("b.model.json", "items[0]"), ("c.model.json", "items[0]")),
+         (("b.model.json", "items[1]"), ("c.model.json", "items[1]"))],
+        [(("c.model.json", "items[0]"), CodeSpan("gen.c", 0, 8, 1, 1)),
+         (("c.model.json", "items[1]"), CodeSpan("gen.c", 2, 5, 1, 3))],
+    ])
+    trace_file = root / "traces/Step1.trace.json"
+    data = json.loads(trace_file.read_text(encoding="utf-8"))
+    data["links"] += [
+        {"sources": [{"model": "c.model.json", "path": "items[1]"}], "tags": {"rule": "back"},
+         "targets": [{"model": "a.model.json", "path": "items[1]"}]},
+        {"sources": [{"model": "b.model.json", "path": "items[0]"}], "tags": {"rule": "self"},
+         "targets": [{"model": "b.model.json", "path": "items[0]"}]},
+    ]
+    trace_file.write_text(json.dumps(data), encoding="utf-8")
+    return mgm
+
+
+def query_digest(mgm, root: Path) -> str:
+    """sha256 over the impact report, text then JSON, of every element node,
+    and the origin report of every code span's start byte, in node order;
+    each from the map ``query_gtm`` reads for the anchor's artifact."""
+    from tracelink.gtm import query_gtm
+    from tracelink.model import canonical_json
+
+    digest = hashlib.sha256()
+    for node in sorted(build_gtm(mgm, root).nodes, key=node_key):
+        if isinstance(node, ElemNode):
+            report = change_impact(query_gtm(mgm, root, node.model_uri, forward=True), node)
+        else:
+            g = query_gtm(mgm, root, node.file_uri, forward=False)
+            report = origin_track(g, location=(node.file_uri, node.start_byte))
+        digest.update(report.rendered.encode())
+        digest.update(canonical_json(report_json(report)).encode())
+    return digest.hexdigest()
+
+
+# Written before the query index was built in the join.
+QUERY_DIGESTS = {
+    "enacted": "f672e8c3f19aeea462d37ba9b604882a0804d9befe1275ec906800002774a685",
+    "random": "78a613a46b1567162c9cbf2587a0b16820b7a622a9f3585e5965701e202ab2ea",
+    "cyclic": "5559fb8891d3517b58d2674cd49fa459bc6b08c6d83472cfcc4c7051e670a2aa",
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUERY_DIGESTS))
+def test_query_outputs_are_unchanged(enacted, tmp_path, case):
+    if case == "enacted":
+        root, mgm = enacted[0], enacted[2].megamodel
+    elif case == "random":
+        root, (mgm, _) = tmp_path, write_chain(tmp_path, random_chain(random.Random(7)))
+    else:
+        root, mgm = tmp_path, cyclic_chain(tmp_path)
+    assert query_digest(mgm, root) == QUERY_DIGESTS[case]
