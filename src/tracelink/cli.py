@@ -224,10 +224,11 @@ def origin(file_uri: str, location: str, fmt: str):
 
 def _location_to_byte(root: Path, file_uri: str, byte: str | None, line_s: str | None, col_s: str | None) -> int:
     """The byte offset of ``@BYTE`` or of ``LINE:COL`` in the file, from the location's matched parts."""
+    data = (root / file_uri).read_bytes()
     if byte is not None:
-        return int(byte)
+        return int(byte) if int(byte) < len(data) else _fail(f"{file_uri} has no byte {int(byte)}")
     line, col = int(line_s), int(col_s)
-    lines = (root / file_uri).read_bytes().split(b"\n")
+    lines = data.split(b"\n")
     if line < 1 or line > len(lines):
         _fail(f"{file_uri} has no line {line}")
     # A line's bytes are its text plus the newline that ends it, if any.

@@ -6,12 +6,10 @@ transformation's output element is another's input element. Impact
 analysis is forward BFS closure from an anchor, origin tracking the
 backward closure; each node is reported once, at its minimum depth.
 
-A map builds its query index once, on first use, one part at a time:
-successors, predecessors, and each file's code spans sorted by start
-byte. Building a part reads the whole map once; after that an impact or
-origin query costs time in proportion to the nodes and edges it reports,
-plus, for a byte location, a binary search and a short walk back over
-the spans that start near it.
+Joining the traces indexes each node's successors and predecessors in
+the pass that reads their links; the node and edge sets, the map's value,
+are built only when read. A query walks each edge it meets once, and a
+byte location is found by binary search over its file's sorted spans.
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable
 from functools import cache, cached_property
-from itertools import accumulate, islice
-from operator import attrgetter
+from itertools import accumulate, groupby
 from pathlib import Path
 
 from .errors import AnchorNotFound, LocationOutsideSpans, ParseError, TracelinkError
@@ -42,32 +39,45 @@ TraceNode = ElemNode | CodeNode
 GtmEdge = namedtuple("GtmEdge", "src dst via rule_tag")
 
 
-class GlobalTraceMap(namedtuple("GlobalTraceMap", "nodes edges")):
-    """The joined trace graph. Not slotted: its query index is cached
-    properties in the instance's ``__dict__``, outside the fields, so
-    equality, hashing and ``repr`` ignore it."""
+class GlobalTraceMap:
+    """The joined trace graph, whose value (equality, hash, ``repr``) is
+    ``(nodes, edges)``. A map built by hand indexes them at once; a map that
+    ``_join`` builds holds its index and links, and builds them when read."""
+
+    def __init__(self, nodes: frozenset[TraceNode], edges: frozenset[GtmEdge]):
+        self.nodes, self.edges = nodes, edges
+        self.successors, self.predecessors = {n: [] for n in nodes}, {n: [] for n in nodes}
+        for src, dst, _, _ in edges:
+            self.successors[src].append(dst)
+            self.predecessors[dst].append(src)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GlobalTraceMap) and (self.nodes, self.edges) == (other.nodes, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
+
+    def __repr__(self) -> str:
+        return f"GlobalTraceMap(nodes={self.nodes!r}, edges={self.edges!r})"
 
     @cached_property
-    def successors(self) -> dict[TraceNode, tuple[TraceNode, ...]]:
-        return _adjacency(self.edges, forward=True)
+    def nodes(self) -> frozenset[TraceNode]:
+        return frozenset(self.successors.keys() | self.predecessors.keys())
 
     @cached_property
-    def predecessors(self) -> dict[TraceNode, tuple[TraceNode, ...]]:
-        return _adjacency(self.edges, forward=False)
+    def edges(self) -> frozenset[GtmEdge]:
+        return frozenset(GtmEdge(s, t, via, tag) for via, tag, srcs, dsts in self._links for s in srcs for t in dsts)
 
     @cached_property
     def code_spans(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[CodeNode, ...]]]:
         """Per file: span starts, the running maximum of span ends, and the
         spans themselves, all in (start, end) order."""
-        by_file: dict[str, list[CodeNode]] = {}
-        for node in self.nodes:
-            if isinstance(node, CodeNode):
-                by_file.setdefault(node.file_uri, []).append(node)
         index = {}
-        for file_uri, spans in by_file.items():
-            spans.sort(key=attrgetter("start_byte", "end_byte"))
+        code = sorted(n for n in self.predecessors if isinstance(n, CodeNode))  # a span is a link target
+        for file_uri, spans in groupby(code, lambda n: n.file_uri):
+            spans = tuple(spans)
             index[file_uri] = (tuple(n.start_byte for n in spans),
-                               tuple(accumulate((n.end_byte for n in spans), max)), tuple(spans))
+                               tuple(accumulate((n.end_byte for n in spans), max)), spans)
         return index
 
 
@@ -89,16 +99,6 @@ def _node_key(node: TraceNode) -> tuple:
     return (1, node.file_uri, node.start_byte, node.end_byte)
 
 
-def _adjacency(edges, forward: bool) -> dict[TraceNode, tuple[TraceNode, ...]]:
-    # A node may repeat in a tuple (edges differing only in via or tag);
-    # the walks collect nodes in sets.
-    neighbours: dict[TraceNode, list[TraceNode]] = {}
-    for edge in edges:
-        a, b = (edge.src, edge.dst) if forward else (edge.dst, edge.src)
-        neighbours.setdefault(a, []).append(b)
-    return {a: tuple(bs) for a, bs in neighbours.items()}
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
     """Join every trace model the megamodel registers. Parses no model;
     ``dangling_endpoints`` finds the endpoints that no longer resolve."""
     load_metamodels(mgm, root)  # a malformed metamodel fails every map alike
-    return _join(load_trace(read_text(root, res.uri)) for res in mgm.of_kind(ResourceKind.TRACE_MODEL))
+    return _join(load_trace(read_text(root, res.uri)) for res in mgm.of_kind(ResourceKind.TRACE_MODEL))[0]
 
 
 def query_gtm(mgm: Megamodel, root: Path, uri: str, forward: bool) -> GlobalTraceMap:
@@ -121,32 +121,30 @@ def query_gtm(mgm: Megamodel, root: Path, uri: str, forward: bool) -> GlobalTrac
     scope = trace_scope(mgm, uri, forward)
     if scope is not None:
         load_metamodels(mgm, root)  # a malformed metamodel fails every query alike
-        traces = [load_trace(read_text(root, trace_uri)) for trace_uri, _, _ in scope]
-        if all(_within(t, inputs, outputs) for t, (_, inputs, outputs) in zip(traces, scope)):
-            return _join(traces)
+        g, ends = _join(load_trace(read_text(root, trace_uri)) for trace_uri, _, _ in scope)
+        if all(reads <= inputs and writes <= outputs for (reads, writes), (_, inputs, outputs) in zip(ends, scope)):
+            return g
     return build_gtm(mgm, root)
 
 
-def _within(trace: LocalTraceModel, inputs: set[str], outputs: set[str]) -> bool:
-    """Whether every link reads from ``inputs`` and writes to ``outputs``."""
-    return all(all(s.model_uri in inputs for s in link.sources)
-               and all((t.model_uri if isinstance(t, ElementRef) else t.file_uri) in outputs
-                       for t in link.targets)
-               for link in trace.links)
-
-
-def _join(traces: Iterable[LocalTraceModel]) -> GlobalTraceMap:
-    """One node per endpoint and one edge per (source, target) pair of every link."""
-    nodes: set[TraceNode] = set()
-    edges: set[GtmEdge] = set()
+def _join(traces: Iterable[LocalTraceModel]) -> tuple[GlobalTraceMap, list[tuple[set[str], set[str]]]]:
+    """The map of the traces' links, indexed in one pass over them, and for
+    each trace the uris its link sources and its link targets name."""
+    successors, predecessors, links, ends = {}, {}, [], []
     for trace in traces:
+        ends.append((reads := set(), writes := set()))
         for link in trace.links:
             tag = link.tags.get("rule") or link.tags.get("template") or ""
-            nodes.update(link.sources)
-            nodes.update(link.targets)
-            edges.update(GtmEdge(source, target, trace.transformation_id, tag)
-                         for source in link.sources for target in link.targets)
-    return GlobalTraceMap(frozenset(nodes), frozenset(edges))
+            links.append((trace.transformation_id, tag, link.sources, link.targets))
+            for source in link.sources:
+                reads.add(source[0])  # an endpoint's uri is its first field
+                successors.setdefault(source, []).extend(link.targets)
+            for target in link.targets:
+                writes.add(target[0])
+                predecessors.setdefault(target, []).extend(link.sources)
+    g = GlobalTraceMap.__new__(GlobalTraceMap)  # nodes and edges are built when read
+    g.successors, g.predecessors, g._links = successors, predecessors, links
+    return g, ends
 
 
 def dangling_endpoints(g: GlobalTraceMap, mgm: Megamodel, root: Path) -> dict[ElemNode, str]:
@@ -186,17 +184,23 @@ def dangling_endpoints(g: GlobalTraceMap, mgm: Megamodel, root: Path) -> dict[El
 # Analyses
 # ---------------------------------------------------------------------------
 
-def _bfs_layers(anchor: TraceNode, *adjacency: dict) -> Iterator[frozenset[TraceNode]]:
-    """The nodes first reached at depth 1, 2, ... over the union of the
-    given adjacency maps."""
-    seen = {anchor}
-    frontier = {anchor}
-    while True:
-        frontier = {m for n in frontier for step in adjacency for m in step.get(n, ())} - seen
-        if not frontier:
-            return
-        seen |= frontier
-        yield frozenset(frontier)
+def _layers(g: GlobalTraceMap, anchor: TraceNode, adjacency: dict, depth: float = math.inf) -> tuple[frozenset, ...]:
+    """The nodes of ``g`` first reached from ``anchor`` at depth 1, 2, ... up to
+    ``depth``; each is kept where first met, though adjacency lists may repeat it."""
+    if anchor not in g.successors and anchor not in g.predecessors:
+        raise AnchorNotFound(str(anchor))
+    layers, seen, frontier = [], {anchor}, [anchor]
+    while frontier and len(layers) < depth:
+        reached = []
+        for node in frontier:
+            for next_node in adjacency.get(node, ()):
+                if next_node not in seen:
+                    seen.add(next_node)
+                    reached.append(next_node)
+        if reached:
+            layers.append(frozenset(reached))
+        frontier = reached
+    return tuple(layers)
 
 
 def _render(anchor: TraceNode, layers) -> str:
@@ -209,9 +213,7 @@ def _render(anchor: TraceNode, layers) -> str:
 
 def change_impact(g: GlobalTraceMap, anchor: ElemNode) -> AnalysisReport:
     """Forward closure: everything derived from the anchor element."""
-    if anchor not in g.nodes:
-        raise AnchorNotFound(str(anchor))
-    return AnalysisReport("impact", anchor, tuple(_bfs_layers(anchor, g.successors)))
+    return AnalysisReport("impact", anchor, _layers(g, anchor, g.successors))
 
 
 def origin_track(g: GlobalTraceMap, anchor: TraceNode | None = None,
@@ -225,9 +227,7 @@ def origin_track(g: GlobalTraceMap, anchor: TraceNode | None = None,
         if location is None:
             raise AnchorNotFound("<none>")
         anchor = _enclosing_span(g, *location)
-    if anchor not in g.nodes:
-        raise AnchorNotFound(str(anchor))
-    return AnalysisReport("origin", anchor, tuple(_bfs_layers(anchor, g.predecessors)))
+    return AnalysisReport("origin", anchor, _layers(g, anchor, g.predecessors))
 
 
 def _enclosing_span(g: GlobalTraceMap, file_uri: str, offset: int) -> CodeNode:
@@ -274,9 +274,8 @@ def report_json(report: AnalysisReport) -> dict:
 def slice_around(g: GlobalTraceMap, around: TraceNode, radius: int) -> GlobalTraceMap:
     """The subgraph induced by the nodes within ``radius`` undirected steps
     of ``around``."""
-    if around not in g.nodes:
-        raise AnchorNotFound(str(around))
-    nodes = frozenset({around}.union(*islice(_bfs_layers(around, g.successors, g.predecessors), max(radius, 0))))
+    both = {n: [*g.successors.get(n, ()), *g.predecessors.get(n, ())] for n in g.nodes}
+    nodes = frozenset({around}.union(*_layers(g, around, both, radius)))
     return GlobalTraceMap(nodes, frozenset(e for e in g.edges if e.src in nodes and e.dst in nodes))
 
 

@@ -315,6 +315,23 @@ def assert_one_line_error(result):
     assert len(result.output.splitlines()) == 1 and result.output.startswith("error: ")
 
 
+def test_origin_checks_a_byte_location_as_it_checks_a_line_and_column(enacted_ws, runner):
+    # Either form names a byte of an existing file: the file must exist, and
+    # @BYTE must lie before its end.
+    missing = [invoke(runner, enacted_ws, "origin", "nonexist.c", location) for location in ("1:1", "@3")]
+    for result in missing:
+        assert_one_line_error(result)
+        assert result.output.startswith("error: [Errno 2] No such file or directory: ")
+    assert missing[0].output == missing[1].output
+    size = len((enacted_ws / "out/GenContiki/Sink.c").read_bytes())
+    for offset in (size, 999999):
+        result = invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", f"@{offset}")
+        assert_one_line_error(result)
+        assert result.output == f"error: out/GenContiki/Sink.c has no byte {offset}\n"
+    last = invoke(runner, enacted_ws, "origin", "out/GenContiki/Sink.c", f"@{size - 1}")
+    assert last.output == f"error: out/GenContiki/Sink.c@{size - 1} is inside no traced span\n"
+
+
 @pytest.mark.parametrize("location", ["5:30", "5:19", "5:0", "0:1", "a:b", "5:x", "@x", "nocolon"])
 def test_origin_rejects_bad_locations(enacted_ws, runner, location):
     # Line 5 of Sink.c holds 17 bytes and its newline: columns 1 to 18.

@@ -19,6 +19,7 @@ from tracelink.gtm import (
     ElemNode,
     GlobalTraceMap,
     GtmEdge,
+    _join,
     build_gtm,
     change_impact,
     dangling_endpoints,
@@ -28,7 +29,7 @@ from tracelink.gtm import (
     slice_around,
 )
 from tracelink.megamodel import Megamodel, ResourceKind, save_megamodel
-from tracelink.trace import CodeSpan, ElementRef, load_trace
+from tracelink.trace import CodeSpan, ElementRef, LocalTraceModel, TraceLink, load_trace
 from tracelink.workspace import read_text
 
 from chains import closure_oracle, node_key, random_chain, write_chain
@@ -602,3 +603,63 @@ def test_query_outputs_are_unchanged(enacted, tmp_path, case):
     else:
         root, mgm = tmp_path, cyclic_chain(tmp_path)
     assert query_digest(mgm, root) == QUERY_DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# The walk against brute force, on hand-drawn traces
+# ---------------------------------------------------------------------------
+
+ELEMENTS = [ElemNode(f"m{i}.model.json", f"items[{j}]") for i in range(2) for j in range(3)]
+SPANS = [CodeNode("gen.c", start, start + size, 1, start + 1) for start, size in ((0, 4), (2, 2), (5, 3))]
+TAGS = [{"rule": "r"}, {"rule": "s"}, {"template": "t"}, {"rule": "r", "template": "t"}, {}]
+
+
+@st.composite
+def drawn_traces(draw):
+    """Two or three traces over six elements and three spans. Links may
+    have several sources and targets, loop back or onto themselves; the
+    first link is repeated in the last trace, under another transformation."""
+    link = st.builds(
+        lambda sources, targets, tags: TraceLink(tuple(sources), tuple(targets), tags),
+        st.lists(st.sampled_from(ELEMENTS), min_size=1, max_size=3),
+        st.one_of(st.lists(st.sampled_from(ELEMENTS), min_size=1, max_size=3),
+                  st.lists(st.sampled_from(SPANS), min_size=1, max_size=3)),
+        st.sampled_from(TAGS))
+    stages = draw(st.lists(st.lists(link, max_size=5), min_size=2, max_size=3))
+    stages[-1].append(draw(link) if not stages[0] else stages[0][0])
+    return [LocalTraceModel(f"trace:T{i}", f"T{i}", i + 1, tuple(links)) for i, links in enumerate(stages)]
+
+
+def reference_slice(g, around, radius):
+    """The nodes within ``radius`` undirected steps of ``around``, and the
+    edges between them, by scans of every edge."""
+    nodes, frontier = {around}, {around}
+    for _ in range(radius):
+        frontier = {b for e in g.edges for a, b in ((e.src, e.dst), (e.dst, e.src)) if a in frontier} - nodes
+        nodes |= frontier
+    return GlobalTraceMap(frozenset(nodes), frozenset(e for e in g.edges if e.src in nodes and e.dst in nodes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_traces())
+def test_walks_match_brute_force_on_drawn_traces(traces):
+    g = _join(traces)[0]
+    assert g.edges == {GtmEdge(s, t, trace.transformation_id, link.tags.get("rule") or link.tags.get("template") or "")
+                       for trace in traces for link in trace.links for s in link.sources for t in link.targets}
+    assert g.nodes == {n for e in g.edges for n in (e.src, e.dst)}
+    hand = GlobalTraceMap(g.nodes, g.edges)
+    assert g == hand and hash(g) == hash(hand) and repr(g) == repr(hand)
+    assert g == _join(traces)[0] != GlobalTraceMap(frozenset(), frozenset())
+    for m in (g, hand):
+        for node in sorted(m.nodes, key=node_key):
+            assert change_impact(m, node).layers == reference_layers(g, node, forward=True)
+            assert origin_track(m, anchor=node).layers == reference_layers(g, node, forward=False)
+            for radius in range(4):
+                assert slice_around(m, node, radius) == reference_slice(g, node, radius)
+        for offset in range(10):
+            expected = reference_enclosing(g, "gen.c", offset)
+            if expected is None:
+                with pytest.raises(LocationOutsideSpans):
+                    origin_track(m, location=("gen.c", offset))
+            else:
+                assert origin_track(m, location=("gen.c", offset)).anchor == expected

@@ -201,6 +201,21 @@ def test_impact_parses_no_model(enacted_ws, monkeypatch):
     assert counts == {"load_trace": 8, "parse_model": 0}
 
 
+def test_a_query_builds_no_edge_set(enacted_ws, monkeypatch):
+    built = []
+    real = gtm.GtmEdge
+    monkeypatch.setattr(gtm, "GtmEdge", lambda *fields: built.append(fields) or real(*fields))
+    for args in (("impact", PIM, "indirect[0].indirectdevice[0]"), ("origin", SINK, "9:1"), ("origin", SINK, "@200")):
+        for fmt in ("text", "json"):
+            assert run(enacted_ws, *args, "--format", fmt)[0] == 0
+    status, output = run(enacted_ws, "impact", PIM, "indirect[0].indirectdevce[0]")
+    assert status == 1 and "did you mean 'indirect[0].indirectdevice[0]'" in output
+    assert built == []
+    # The count sees the edges a map builds when they are read.
+    edges = build_gtm(megamodel.load_megamodel(read_text(enacted_ws, "megamodel.json")), enacted_ws).edges
+    assert len(built) >= len(edges) > 0
+
+
 def clone_of(ws, tmp_path):
     clone = tmp_path / "clone"
     shutil.copytree(ws, clone)
