@@ -89,7 +89,7 @@ def augment_m2m_cmd(file: Path):
     metamodels = _workspace_metamodels(root)
     t = m2m.parse_m2m((root / file).read_text(encoding="utf-8"), metamodels)
     out = file.with_name(file.name + ".aug.m2m")
-    (root / out).write_text(m2m.print_m2m(m2m.augment_m2m(t)), encoding="utf-8", newline="")
+    write_text(root, out.as_posix(), m2m.print_m2m(m2m.augment_m2m(t)))
     print(out)
 
 
@@ -101,7 +101,7 @@ def augment_m2c_cmd(file: Path):
     metamodels = _workspace_metamodels(root)
     t = m2c.parse_template((root / file).read_text(encoding="utf-8"), metamodels)
     out = file.with_name(file.name + ".aug.m2c")
-    (root / out).write_text(m2c.print_template(m2c.augment_template(t)), encoding="utf-8", newline="")
+    write_text(root, out.as_posix(), m2c.print_template(m2c.augment_template(t)))
     print(out)
 
 
@@ -226,8 +226,9 @@ def _location_to_byte(root: Path, file_uri: str, byte: str | None, line_s: str |
     """The byte offset of ``@BYTE`` or of ``LINE:COL`` in the file, from the location's matched parts."""
     data = (root / file_uri).read_bytes()
     if byte is not None:
-        return int(byte) if int(byte) < len(data) else _fail(f"{file_uri} has no byte {int(byte)}")
-    line, col = int(line_s), int(col_s)
+        offset = _number(byte)
+        return offset if offset < len(data) else _fail(f"{file_uri} has no byte {offset}")
+    line, col = _number(line_s), _number(col_s)
     lines = data.split(b"\n")
     if line < 1 or line > len(lines):
         _fail(f"{file_uri} has no line {line}")
@@ -235,6 +236,14 @@ def _location_to_byte(root: Path, file_uri: str, byte: str | None, line_s: str |
     if col < 1 or col > len(lines[line - 1]) + (line < len(lines)):
         _fail(f"{file_uri}:{line} has no column {col}")
     return sum(len(x) + 1 for x in lines[:line - 1]) + (col - 1)
+
+
+def _number(digits: str) -> int:
+    """The value of a location's matched ASCII digits; more digits than int() reads is an error."""
+    try:
+        return int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        _fail(f"a number of {len(digits)} digits is too large")
 
 
 def _emit_report(root: Path, report: gtm.AnalysisReport, fmt: str, name: str):
@@ -257,7 +266,7 @@ def gtm_dot(around: str | None, radius: int):
         if match is None:
             _fail(f"--around must be MODEL:PATH or FILE@BYTE, got {around!r}")
         file_uri, byte, uri, path_text = match.groups()
-        anchor = (gtm.origin_track(g, location=(file_uri, int(byte))).anchor if byte is not None
+        anchor = (gtm.origin_track(g, location=(file_uri, _number(byte))).anchor if byte is not None
                   else gtm.ElemNode(uri, parse_path(path_text)))
         g = gtm.slice_around(g, anchor, radius)  # only the drawn models are parsed
     sys.stdout.write(gtm.export_dot(g, dangling=gtm.dangling_endpoints(g, mgm, root)))

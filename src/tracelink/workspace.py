@@ -23,8 +23,11 @@ def read_text(root: Path, uri: str) -> str:
 def write_text(root: Path, uri: str, text: str):
     path = root / uri
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    # Overwrite in place, then cut to length: truncating to zero first frees
+    # the file's blocks, and on ext4 also starts writeback at close.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
 
 
 @contextmanager

@@ -332,6 +332,17 @@ def test_origin_checks_a_byte_location_as_it_checks_a_line_and_column(enacted_ws
     assert last.output == f"error: out/GenContiki/Sink.c@{size - 1} is inside no traced span\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["origin", "out/GenContiki/Sink.c", "@" + "9" * 5000],
+    ["origin", "out/GenContiki/Sink.c", "9" * 5000 + ":1"],
+    ["origin", "out/GenContiki/Sink.c", "1:" + "9" * 5000],
+    ["gtm", "dot", "--around", "out/GenContiki/Sink.c@" + "9" * 5000],
+], ids=["byte", "line", "column", "around-byte"])
+def test_a_number_longer_than_int_reads_is_a_one_line_error(enacted_ws, runner, args):
+    # 5,000 digits is past CPython's default int() limit of 4,300.
+    assert_one_line_error(invoke(runner, enacted_ws, *args))
+
+
 @pytest.mark.parametrize("location", ["5:30", "5:19", "5:0", "0:1", "a:b", "5:x", "@x", "nocolon"])
 def test_origin_rejects_bad_locations(enacted_ws, runner, location):
     # Line 5 of Sink.c holds 17 bytes and its newline: columns 1 to 18.
