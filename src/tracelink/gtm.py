@@ -26,7 +26,7 @@ from .errors import AnchorNotFound, LocationOutsideSpans, ParseError, TracelinkE
 from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels, trace_scope
 from .model import _load_json, parse_model, resolve_path
 from .trace import CodeSpan, ElementRef, LocalTraceModel, load_trace
-from .workspace import read_text
+from .workspace import load, read_text
 
 
 # Endpoints join the map as the traces' own element references and code spans.
@@ -107,7 +107,7 @@ def build_gtm(mgm: Megamodel, root: Path) -> GlobalTraceMap:
     """Join every trace model the megamodel registers. Parses no model;
     ``dangling_endpoints`` finds the endpoints that no longer resolve."""
     load_metamodels(mgm, root)  # a malformed metamodel fails every map alike
-    return _join(load_trace(read_text(root, res.uri)) for res in mgm.of_kind(ResourceKind.TRACE_MODEL))[0]
+    return _join(load(root, res.uri, load_trace) for res in mgm.of_kind(ResourceKind.TRACE_MODEL))[0]
 
 
 def query_gtm(mgm: Megamodel, root: Path, uri: str, forward: bool) -> GlobalTraceMap:
@@ -121,7 +121,7 @@ def query_gtm(mgm: Megamodel, root: Path, uri: str, forward: bool) -> GlobalTrac
     scope = trace_scope(mgm, uri, forward)
     if scope is not None:
         load_metamodels(mgm, root)  # a malformed metamodel fails every query alike
-        g, ends = _join(load_trace(read_text(root, trace_uri)) for trace_uri, _, _ in scope)
+        g, ends = _join(load(root, trace_uri, load_trace) for trace_uri, _, _ in scope)
         if all(reads <= inputs and writes <= outputs for (reads, writes), (_, inputs, outputs) in zip(ends, scope)):
             return g
     return build_gtm(mgm, root)
@@ -154,7 +154,7 @@ def dangling_endpoints(g: GlobalTraceMap, mgm: Megamodel, root: Path) -> dict[El
     metamodels, _ = load_metamodels(mgm, root)
 
     @cache
-    def load(uri: str):  # the parsed model, or why it cannot be had
+    def model_at(uri: str):  # the parsed model, or why it cannot be had
         try:
             text = read_text(root, uri)
             data = _load_json(text)
@@ -169,7 +169,7 @@ def dangling_endpoints(g: GlobalTraceMap, mgm: Megamodel, root: Path) -> dict[El
 
     dangling: dict[ElemNode, str] = {}
     for node in sorted((n for n in g.nodes if isinstance(n, ElemNode)), key=_node_key):
-        model = load(node.model_uri)
+        model = model_at(node.model_uri)
         if isinstance(model, str):
             dangling[node] = model
             continue

@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     TemplateTypeError,
 )
-from .m2m import _escape, _holds, _Parser
+from .m2m import _escape, _holds, _literal_text, _Parser, _to_text, _token_re
 from .model import (
     AttributeDef,
     CollectionDef,
@@ -148,19 +148,7 @@ class Template:
 # Tag scanner and parser
 # ---------------------------------------------------------------------------
 
-# The groups of `m2m._TOKEN_RE`, over the tag symbols; a tag has no comments.
-_TAG_TOKEN_RE = re.compile(
-    r"""\s*
-      (?: ([A-Za-z_][A-Za-z0-9_]*)
-        | (->|!=|[():!.,/=>])
-        | (\d+\.\d+)
-        | (\d+)
-        | ("(?:[^"\\\n]|\\.)*")
-        | \Z
-        | (.) )
-    """,
-    re.VERBOSE,
-)
+_TAG_TOKEN_RE = _token_re(r"\s", r"->|!=|[():!.,/=>]")  # a tag has no comments
 
 
 class _TagExprParser(_Parser):
@@ -470,12 +458,6 @@ def _check_template(t: Template, nodes, env: dict[str, str], in_loop: bool):
 # ---------------------------------------------------------------------------
 
 
-def _to_text(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value if isinstance(value, str) else repr(value)
-
-
 class _Render:
     """One rendering walk's state: the runs of clean text with each region's
     markers between them (runs at even indexes, markers at odd ones), and
@@ -679,11 +661,7 @@ def strip_template(t: Template) -> Template:
 
 def _expr_text(expr: TemplateExpr) -> str:
     if isinstance(expr, TLiteral):
-        if isinstance(expr.value, bool):
-            return "true" if expr.value else "false"
-        if isinstance(expr.value, str):
-            return f'"{_escape(expr.value)}"'
-        return repr(expr.value)
+        return _literal_text(expr.value)
     if isinstance(expr, TIndex):
         return "i"
     if isinstance(expr, TPathOf):

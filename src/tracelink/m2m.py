@@ -119,22 +119,15 @@ def is_augmented(t: TransformationM2M) -> bool:
 # Lexer
 # ---------------------------------------------------------------------------
 
-# One match per token, skipping the whitespace and comments before it. The
-# groups are (word, symbol, float, int, string, bad character); at the end of
-# the text every group is empty. Not DOTALL: a string's `\\.` must not take a
-# newline.
-_TOKEN_RE = re.compile(
-    r"""(?:\s+|--[^\n]*)*
-      (?: ([A-Za-z_][A-Za-z0-9_]*)
-        | (<-|!=|[{}();,:!.=])
-        | (\d+\.\d+)
-        | (\d+)
-        | ("(?:[^"\\\n]|\\.)*")
-        | \Z
-        | (.) )
-    """,
-    re.VERBOSE,
-)
+def _token_re(skip: str, symbols: str) -> re.Pattern:
+    """One match per token, after any run of ``skip``: the groups are (word, symbol, float, int,
+    string, bad character), all empty at the end of the text. Not DOTALL: a string's `\\.` must
+    not take a newline."""
+    return re.compile(rf"""(?:{skip})* (?: ([A-Za-z_][A-Za-z0-9_]*) | ({symbols}) | (\d+\.\d+) | (\d+)
+                           | ("(?:[^"\\\n]|\\.)*") | \Z | (.) )""", re.VERBOSE)
+
+
+_TOKEN_RE = _token_re(r"\s+|--[^\n]*", r"<-|!=|[{}();,:!.=]")  # whitespace and comments
 
 _KEYWORDS = {"transformation", "input", "output", "rule", "from", "to", "traced", "concat", "true", "false"}
 _BAD = ("bad", None)  # the token of a character no token starts with
@@ -408,13 +401,19 @@ def _escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+def _to_text(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+def _literal_text(value: object) -> str:  # as both languages spell a literal
+    return f'"{_escape(value)}"' if isinstance(value, str) else _to_text(value)
+
+
 def _expr_text(expr: Expr) -> str:
     if isinstance(expr, Literal):
-        if isinstance(expr.value, bool):
-            return "true" if expr.value else "false"
-        if isinstance(expr.value, str):
-            return f'"{_escape(expr.value)}"'
-        return repr(expr.value)
+        return _literal_text(expr.value)
     if isinstance(expr, VarRef):
         return expr.var
     if isinstance(expr, Nav):

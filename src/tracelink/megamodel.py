@@ -14,9 +14,9 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
-from .errors import AmbiguousMetamodel, DuplicateId, IntegrityError, ParseError, SchemaError
+from .errors import AmbiguousMetamodel, DuplicateId, IntegrityError, ParseError
 from .model import Metamodel, _load_json, canonical_json, parse_metamodel
-from .workspace import OUTPUT_DIR, TRACE_DIR, read_text
+from .workspace import OUTPUT_DIR, TRACE_DIR, load
 
 
 class ResourceKind(str, Enum):
@@ -127,11 +127,7 @@ def load_metamodels(mgm: Megamodel, root: Path) -> tuple[dict[str, Metamodel], d
     metamodels: dict[str, Metamodel] = {}
     resource_ids: dict[str, str] = {}
     for res in mgm.of_kind(ResourceKind.METAMODEL):
-        try:
-            mm = parse_metamodel(read_text(root, res.uri))
-        except (ParseError, SchemaError) as exc:
-            exc.args = (f"{res.uri}: {exc}",)
-            raise
+        mm = load(root, res.uri, parse_metamodel)
         if mm.name in metamodels:
             raise AmbiguousMetamodel(mm.name)
         metamodels[mm.name] = mm
@@ -304,10 +300,10 @@ def discover(workspace_root: str | Path) -> Megamodel:
     for uri, kind in found:
         if kind != ResourceKind.MODEL:
             continue
-        mm_name = _peek_json_field(root / uri, "metamodel")
-        target = metamodel_names.get(mm_name) if mm_name else None
-        if target is not None:
-            relations.append(Relation(resource_id(kind, uri), target, RelationKind.CONFORMS_TO))
+        data = load(root, uri, _load_json)
+        mm_name = data.get("metamodel") if isinstance(data, dict) else None
+        if isinstance(mm_name, str) and mm_name in metamodel_names:
+            relations.append(Relation(resource_id(kind, uri), metamodel_names[mm_name], RelationKind.CONFORMS_TO))
 
     # Weave bindings: process actions point at the transformations they run.
     known_ids = {r.id for r in resources}
@@ -316,19 +312,13 @@ def discover(workspace_root: str | Path) -> Megamodel:
             continue
         from .process import parse_process  # local import to avoid a cycle
 
-        process = parse_process((root / uri).read_text(encoding="utf-8"))
+        process = load(root, uri, parse_process)
         pm_id = resource_id(kind, uri)
         for node in process.nodes:
             if node.transformation and node.transformation in known_ids:
                 relations.append(Relation(pm_id, node.transformation, RelationKind.WEAVE_BINDING))
 
     return Megamodel(frozenset(resources), frozenset(relations))
-
-
-def _peek_json_field(path: Path, key: str) -> str | None:
-    data = _load_json(path.read_text(encoding="utf-8"), path.name)
-    value = data.get(key) if isinstance(data, dict) else None
-    return value if isinstance(value, str) else None
 
 
 # ---------------------------------------------------------------------------

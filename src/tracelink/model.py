@@ -123,16 +123,15 @@ Violation = namedtuple("Violation", "path message")
 # JSON helpers
 # ---------------------------------------------------------------------------
 
-def _load_json(text: str, source: str | None = None) -> object:
-    """``json.loads``; a syntax error is a ``ParseError`` naming ``source``, line and
+def _load_json(text: str) -> object:
+    """``json.loads``; a syntax error is a ``ParseError`` naming line and
     column, and so is nesting deeper than the decoder's recursion limit."""
-    prefix = "" if source is None else f"{source}: "
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(prefix + exc.msg, line=exc.lineno, column=exc.colno) from exc
+        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
-        raise ParseError(prefix + "JSON nested too deeply") from exc
+        raise ParseError("JSON nested too deeply") from exc
 
 
 def _require(cond: bool, message: str):
@@ -465,7 +464,10 @@ def resolve_path(m: Model, p: ElementPath) -> Element:
         if not indexed:
             raise PathNotFound(step)
         children = current.collections.get(name)
-        i = int(index[:-1])
+        try:
+            i = int(index[:-1])
+        except ValueError:  # more digits than int() converts: no collection is that long
+            raise PathNotFound(step) from None
         if children is None or i >= len(children):
             raise PathNotFound(step)
         current = children[i]
@@ -530,8 +532,8 @@ def iter_elements(m: Model):
     """Yield (path, element) pairs in source-path order (docs/formats.md,
     "Element paths"): collections by name, elements by index, each element
     before its contents, and the root's path, the bare name ``root``, among
-    the root's collection names. M2M trace links come in this order, and
-    ``TraceIdentifierTree.paths`` lists paths in it too."""
+    the root's collection names: ascending ``paths.source_path_key``. M2M
+    trace links come in this order."""
     names = sorted(m.root.collections)
     before = bisect_left(names, ROOT_NAME)
     yield from _walk(m.root, names[:before], "")  # children of the root are addressed without a "root." prefix

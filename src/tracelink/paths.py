@@ -59,6 +59,14 @@ def parse_path(s: str) -> ElementPath:
     return _canonical(s)
 
 
+def source_path_key(path: ElementPath) -> tuple[tuple[str, int, str], ...]:
+    """Source-path order (docs/formats.md, "Element paths"): each step as (name, number of index
+    digits, index digits), so a bare name sorts before ``[0]`` and, indexes being canonical,
+    length then text is numeric order."""
+    steps = (step.partition("[") for step in path.replace("]", "").split("."))
+    return tuple((name, len(digits), digits) for name, _, digits in steps)
+
+
 def _syntax_error(s: str) -> PathSyntaxError:
     """The error for a string that is not a path, at the first offset where
     no path can continue."""

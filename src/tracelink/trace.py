@@ -18,7 +18,7 @@ from json.encoder import encode_basestring
 
 from .errors import IntegrityError, ParseError
 from .model import _load_json
-from .paths import ROOT_NAME, ROOT_PATH, ElementPath, _canonical, parse_path
+from .paths import ROOT_PATH, ElementPath, _canonical, parse_path, source_path_key
 
 
 class ElementRef(namedtuple("ElementRef", "model_uri path")):
@@ -203,12 +203,6 @@ class TraceTreeNode:
         self.terminal = False
 
 
-def _sibling_order(key: tuple[str, int | None]) -> tuple[str, int]:
-    """Siblings by name, then by index; a bare name sorts before index 0."""
-    name, index = key
-    return name, -1 if index is None else index
-
-
 class TraceIdentifierTree:
     """Prefix tree over element paths, such as the sources of a trace's links."""
 
@@ -225,31 +219,19 @@ class TraceIdentifierTree:
         node.terminal = True
 
     def paths(self) -> list[ElementPath]:
-        """Every inserted path, in the source-path order ``iter_elements``
-        walks a model in, which M2M trace links take: pre-order, siblings in
-        ``_sibling_order``, and the root's own path sorted as the bare name
-        ``root`` among the root's children."""
-        keys = sorted(self.root.children, key=_sibling_order)
-        before = sum(_sibling_order(key) < (ROOT_NAME, -1) for key in keys)
-        # (node, path text) entries, popped in pre-order; the root's own path has no node.
-        stack = _child_entries(self.root, keys[before:], "")
-        if self.root.terminal:
-            stack.append((None, ROOT_PATH))
-        stack += _child_entries(self.root, keys[:before], "")
-        out: list[ElementPath] = []
+        """Every inserted path, in source-path order (``source_path_key``),
+        the order ``iter_elements`` walks a model in and M2M trace links take."""
+        out = [ROOT_PATH] if self.root.terminal else []
+        stack = [(self.root, "")]
         while stack:
-            node, text = stack.pop()
-            if node is None or node.terminal:
-                out.append(_canonical(text))
-            if node is not None:
-                stack += _child_entries(node, sorted(node.children, key=_sibling_order), text + ".")
+            node, prefix = stack.pop()
+            for (name, index), child in node.children.items():
+                text = prefix + (name if index is None else f"{name}[{index}]")
+                if child.terminal:
+                    out.append(_canonical(text))
+                stack.append((child, text + "."))
+        out.sort(key=source_path_key)
         return out
-
-
-def _child_entries(node: TraceTreeNode, keys: list, prefix: str) -> list[tuple[TraceTreeNode, str]]:
-    """Each child of ``node`` under ``keys`` with its path text, last key first."""
-    return [(node.children[name, index], prefix + (name if index is None else f"{name}[{index}]"))
-            for name, index in reversed(keys)]
 
 
 def build_identifier_tree(paths: list[ElementPath]) -> TraceIdentifierTree:

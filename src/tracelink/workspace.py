@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -18,6 +19,15 @@ LOCK_FILE = ".tracelink.lock"
 
 def read_text(root: Path, uri: str) -> str:
     return (root / uri).read_text(encoding="utf-8")
+
+
+def load(root: Path, uri: str, parse: Callable[[str], object]):
+    """``parse`` of the document at ``uri``, whose error names it: ``uri: message``."""
+    try:
+        return parse(read_text(root, uri))
+    except TracelinkError as exc:
+        exc.args = (f"{uri}: {exc}",)
+        raise
 
 
 def write_text(root: Path, uri: str, text: str):

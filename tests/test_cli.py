@@ -589,6 +589,51 @@ def test_span_field_that_is_no_integer_is_a_one_line_error(enacted_ws, runner, f
     assert_one_line_error(invoke(runner, enacted_ws, "origin", "out/GenRIOT/Riot.c", "@3"))
 
 
+@pytest.mark.parametrize("uri, text, message", [
+    ("sub/extra.proc.json", '{"nodes": []}', "process document needs a string 'name'"),
+    ("sub/x.model.json", '{"metamodel": ', "Expecting value (line 1, col 15)"),
+], ids=["process", "model"])
+def test_discover_names_the_uri_of_a_malformed_document(tmp_path, runner, uri, text, message):
+    ws = copy_workspace(tmp_path)
+    (ws / "sub").mkdir()
+    (ws / uri).write_text(text, encoding="utf-8")
+    result = invoke(runner, ws, "discover", ".")
+    assert_one_line_error(result)
+    assert result.output == f"error: {uri}: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["impact", "Input.pim.model.json", "wsn[0]"],
+    ["origin", "out/GenContiki/Sink.c", "9:1"],
+    ["gtm", "dot"],
+], ids=["impact", "origin", "gtm-dot"])
+def test_a_query_names_the_registered_trace_it_cannot_read(enacted_ws, runner, args):
+    _rewrite_json(enacted_ws / "traces/GenContiki.trace.json", lambda t: t["links"][0].update(sources=[]))
+    result = invoke(runner, enacted_ws, *args)
+    assert_one_line_error(result)
+    assert result.output == "error: traces/GenContiki.trace.json: trace link has no sources\n"
+
+
+def test_a_reference_index_longer_than_int_reads_dangles(tmp_path, runner):
+    # 5,000 digits is past CPython's default int() limit of 4,300.
+    ws = copy_workspace(tmp_path)
+    pim = ws / "Input.pim.model.json"
+    pim.write_text(pim.read_text(encoding="utf-8").replace(
+        '"peer": "iot[0].device[1]"', '"peer": "wsn[' + "9" * 5000 + ']"', 1), encoding="utf-8")
+    assert invoke(runner, ws, "discover", ".").exit_code == 0
+    result = invoke(runner, ws, "enact", "wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json")
+    assert_one_line_error(result)
+    assert result.output.startswith("error: iot[0].device[0]: reference 'peer' dangles: 'wsn[999")
+
+
+def test_gtm_dot_draws_a_trace_path_longer_than_int_reads_as_dangling(enacted_ws, runner):
+    _rewrite_json(enacted_ws / "traces/GenContiki.trace.json",
+                  lambda t: t["links"][0]["sources"][0].update(path="wsn[" + "9" * 5000 + "]"))
+    dot = invoke(runner, enacted_ws, "gtm", "dot")
+    assert dot.exit_code == 0
+    assert "style=dashed" in dot.output
+
+
 @pytest.mark.parametrize("key", ["nodes", "controlEdges", "objectEdges"])
 def test_discover_rejects_a_process_field_that_is_no_list(tmp_path, runner, key):
     ws = copy_workspace(tmp_path)

@@ -27,6 +27,7 @@ from tracelink.model import (
     serialize_model,
 )
 from tracelink.m2m import execute_m2m, parse_m2m
+from tracelink import paths
 from tracelink.paths import ROOT_PATH, parse_path
 from tracelink.trace import build_identifier_tree
 
@@ -329,6 +330,12 @@ def test_resolve_out_of_range_names_the_segment(input_pim):
         resolve_path(input_pim, parse_path("filters[9]"))
 
 
+def test_resolve_an_index_longer_than_int_converts_is_not_found(input_pim):
+    # The path grammar takes any number of digits; int() converts 4,300.
+    with pytest.raises(PathNotFound, match=r"filters\[9{5000}\]"):
+        resolve_path(input_pim, parse_path("filters[" + "9" * 5000 + "]"))
+
+
 def test_resolve_into_empty_collection():
     mm = parse_metamodel(
         '{"name": "M", "classes": [{"name": "A", "collections": [{"class": "A", "name": "items"}]}]}')
@@ -430,3 +437,5 @@ def test_iter_elements_order_equals_a_recursive_walk(top, chain, bottom):
     split = bisect_left(names, "root")  # the root's own path sorts among its collection names
     expected = [*_recursive_walk(root, names[:split], ""), ("root", root), *_recursive_walk(root, names[split:], "")]
     assert [(p, id(e)) for p, e in iter_elements(Model("", "M", root))] == [(p, id(e)) for p, e in expected]
+    walked = [p for p, _ in expected]
+    assert sorted(walked, key=paths.source_path_key) == walked

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelink.errors import PathSyntaxError
-from tracelink.paths import ROOT_PATH, ElementPath, parse_path
+from tracelink.paths import ROOT_PATH, ElementPath, parse_path, source_path_key
 
 
 def test_two_segment_indexed_path():
@@ -84,6 +84,13 @@ def test_leading_zeros_are_read_and_printed_without():
     p = parse_path("a[007].b[00].c[10]")
     assert p == parse_path("a[7].b[0].c[10]")
     assert str(p) == "a[7].b[0].c[10]"
+
+
+def test_source_path_key_orders_indexes_by_number_without_converting_them():
+    huge = "x[" + "9" * 5000 + "]"  # more digits than int() converts
+    texts = ["x[10]", huge, "x", "x[9]", "x[0]", "x[9].a[0]", "root", "a[1]"]
+    assert sorted(map(parse_path, texts), key=source_path_key) == [
+        "a[1]", "root", "x", "x[0]", "x[9]", "x[9].a[0]", "x[10]", huge]
 
 
 _ident = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
