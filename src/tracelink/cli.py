@@ -19,7 +19,7 @@ from .errors import AnchorNotFound, TracelinkError
 from .megamodel import Megamodel, ResourceKind, ResourceOrigin
 from .model import canonical_json
 from .paths import parse_path
-from .workspace import MEGAMODEL_FILE, OUTPUT_DIR, read_text, workspace_lock, write_text
+from .workspace import MEGAMODEL_FILE, OUTPUT_DIR, load, read_text, workspace_lock, write_text
 
 # ASCII digits only, as in path indexes; int() alone also reads "1_0", " 3", "+3" and "١٠".
 _AT_BYTE = "@([0-9]+)"
@@ -87,7 +87,7 @@ def augment_m2m_cmd(file: Path):
 
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
-    t = m2m.parse_m2m((root / file).read_text(encoding="utf-8"), metamodels)
+    t = load(root, file.as_posix(), lambda text: m2m.parse_m2m(text, metamodels))
     out = file.with_name(file.name + ".aug.m2m")
     write_text(root, out.as_posix(), m2m.print_m2m(m2m.augment_m2m(t)))
     print(out)
@@ -99,7 +99,7 @@ def augment_m2c_cmd(file: Path):
 
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
-    t = m2c.parse_template((root / file).read_text(encoding="utf-8"), metamodels)
+    t = load(root, file.as_posix(), lambda text: m2c.parse_template(text, metamodels))
     out = file.with_name(file.name + ".aug.m2c")
     write_text(root, out.as_posix(), m2c.print_template(m2c.augment_template(t)))
     print(out)
@@ -112,7 +112,7 @@ def run_m2m(file: Path, inputs: list[str], out_path: Path):
 
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
-    t = m2m.parse_m2m((root / file).read_text(encoding="utf-8"), metamodels)
+    t = load(root, file.as_posix(), lambda text: m2m.parse_m2m(text, metamodels))
     models = {}
 
     for item in inputs:
@@ -122,7 +122,7 @@ def run_m2m(file: Path, inputs: list[str], out_path: Path):
         declared = dict(t.inputs).get(alias)
         if declared is None:
             _fail(f"transformation has no input alias '{alias}'")
-        models[alias] = parse_model(read_text(root, uri), metamodels[declared], uri=uri)
+        models[alias] = load(root, uri, lambda text: parse_model(text, metamodels[declared], uri=uri))
     out_uri = out_path.as_posix()
     result, tr = m2m.execute_m2m(t, models, metamodels, out_uri, trace_id=f"trace:{file.stem}",
                                  transformation_id=f"TransformationM2M:{file.name}")
@@ -140,8 +140,8 @@ def run_m2c(file: Path, model_uri: str, out_dir: Path):
 
     root = _workspace_root()
     metamodels = _workspace_metamodels(root)
-    t = m2c.parse_template((root / file).read_text(encoding="utf-8"), metamodels)
-    model = parse_model(read_text(root, model_uri), t.metamodel, uri=model_uri)
+    t = load(root, file.as_posix(), lambda text: m2c.parse_template(text, metamodels))
+    model = load(root, model_uri, lambda text: parse_model(text, t.metamodel, uri=model_uri))
     clean_uri = (out_dir / t.name).as_posix()
     clean, annotated, tr = m2c.render_traced(
         t, model, model_uri, clean_uri,
@@ -274,7 +274,7 @@ def gtm_dot(around: str | None, radius: int):
 
 def trace_show(file: Path, fmt: str):
     """List a trace model's links."""
-    t = trace.load_trace((_workspace_root() / file).read_text(encoding="utf-8"))
+    t = load(_workspace_root(), file.as_posix(), trace.load_trace)
     if fmt == "json":
         sys.stdout.write(trace.save_trace(t))
         return

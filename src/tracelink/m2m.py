@@ -37,7 +37,6 @@ from .model import (
     element_index,
     ensure_conforms,
     nav_type,
-    navigate,
 )
 from .trace import ElementRef, LocalTraceModel, TraceLink
 
@@ -468,8 +467,17 @@ def strip_m2m(t: TransformationM2M) -> TransformationM2M:
 # ---------------------------------------------------------------------------
 
 
-# A matched source element: its input alias and path, the rule, and one image per target pattern.
-_Instance = namedtuple("_Instance", "alias path element rule images")
+# A matched source element: its input alias and path, its rule's plan, and one image per target pattern.
+_Instance = namedtuple("_Instance", "alias path element plan images")
+
+# A rule typed against the metamodels once per run. ``guard(model, element)`` tells
+# whether a source element of the rule's class satisfies the guard, None for no guard.
+_RulePlan = namedtuple("_RulePlan", "rule guard targets")
+# A target pattern: its class, its bindings in order and its class's references. A
+# binding is (target feature, its kind: the definition's class, the expression's value
+# as ``value(model, element)``, whether the source attribute's declared type proves
+# every value's type, so that no value needs a check).
+_TargetPlan = namedtuple("_TargetPlan", "class_name bindings references")
 
 
 def _holds(op: str, left: object, right: object) -> bool:
@@ -477,36 +485,72 @@ def _holds(op: str, left: object, right: object) -> bool:
     return left > right if op == ">" else left == right if op == "=" else left != right
 
 
-def _eval_guard(guard: Guard, model: Model, mm: Metamodel, element: Element) -> bool:
-    """Whether ``element`` of ``model`` satisfies ``guard``: an unset
-    attribute is None, which no literal equals."""
-    return _holds(guard.op, navigate(model, mm, element, (guard.left.feature,))[2], guard.right.value)
-
-
-def _eval_expr(expr: Expr, element: Element, model: Model, mm: Metamodel,
-               pattern_images: dict[str, Element]) -> object:
-    """The value of a binding's expression for the matched ``element`` of
-    ``model``, which conforms to ``mm``; None for an unset attribute or
-    reference. Recursion is bounded by the expression's depth."""
+def _compiled(expr: Expr, rule: Rule, src_features: dict, image_of: dict[int, list[Element]]):
+    """``expr`` of ``rule`` as a function of (model, element), for the matched
+    ``element`` of ``model``, and the source feature it reads if it is a
+    navigation, else None. A navigation is its feature's ``_read``: None for an
+    unset attribute or reference. A sibling pattern's variable is that
+    pattern's image of ``element`` in ``image_of``."""
     if isinstance(expr, Literal):
-        return expr.value
+        literal = expr.value
+        return (lambda model, element: literal), None
     if isinstance(expr, VarRef):
-        return pattern_images.get(expr.var, element)
+        image_at = {p.var: i for i, p in enumerate(rule.targets)}
+        if expr.var in image_at:  # a sibling pattern's image, placed as-is
+            i = image_at[expr.var]
+            return (lambda model, element: image_of[id(element)][i]), None
+        return (lambda model, element: element), None
     if isinstance(expr, Nav):
-        return navigate(model, mm, element, (expr.feature,))[2]
-    if isinstance(expr, Concat):
-        left = _eval_expr(expr.left, element, model, mm, pattern_images)
-        right = _eval_expr(expr.right, element, model, mm, pattern_images)
-        if not isinstance(left, str) or not isinstance(right, str):
+        source = src_features[expr.feature]
+        return source._read, source
+    left = _compiled(expr.left, rule, src_features, image_of)[0]
+    right = _compiled(expr.right, rule, src_features, image_of)[0]
+
+    def concat(model, element):
+        left_value, right_value = left(model, element), right(model, element)
+        if not isinstance(left_value, str) or not isinstance(right_value, str):
             raise TransformationError("concat expects two string values")
-        return left + right
-    raise AssertionError(f"unhandled expr {expr!r}")
+        return left_value + right_value
+
+    return concat, None
+
+
+def _plan(rule: Rule, src_features: dict, out_mm: Metamodel, image_of: dict[int, list[Element]]) -> _RulePlan:
+    """``rule`` typed against the features of its source class and the output
+    metamodel: each navigation's source feature and each binding's target
+    feature, looked up once. A value is checked against an attribute unless it
+    is read from a source attribute whose declared type proves it: the same
+    type, or an int into a float. The inputs conform, so their values have
+    their declared types."""
+    guard = None
+    if rule.guard is not None:
+        read = src_features[rule.guard.left.feature]._read
+        op, literal = rule.guard.op, rule.guard.right.value
+
+        def guard(model, element):  # an unset attribute is None, which no literal equals
+            return _holds(op, read(model, element), literal)
+
+    targets = []
+    for pattern in rule.targets:
+        cls = out_mm.class_named(pattern.class_name)
+        if cls is None:
+            raise UnknownClass(pattern.class_name)
+        bindings = []
+        for binding in pattern.bindings:
+            feature = cls.features[binding.feature]
+            value, source = _compiled(binding.expr, rule, src_features, image_of)
+            proven = (isinstance(feature, AttributeDef) and isinstance(source, AttributeDef)
+                      and (source.type == feature.type or (source.type, feature.type) == ("int", "float")))
+            bindings.append((feature, type(feature), value, proven))
+        targets.append(_TargetPlan(pattern.class_name, bindings, cls.references))
+    return _RulePlan(rule, guard, targets)
 
 
 def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, Metamodel],
          output_uri: str) -> tuple[Model, list[_Instance]]:
     """Output model, checked and indexed, and the matched instances by input
-    alias, then source path. Each output fact is checked in the phase that makes
+    alias, then source path. Each rule is typed once, before any element is
+    matched (``_plan``). Each output fact is checked in the phase that makes
     it; a fault is a ``ConformanceError`` at the matched source path naming the
     rule and the feature. Phase 2 raises its first fault when it ends, after
     any binding that cannot be evaluated."""
@@ -522,27 +566,36 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
 
     out_mm = metamodels[t.output[1]]
 
-    # Phase 1: match every source element, instantiate target patterns.
-    rules_for: dict[tuple[str, str], list[Rule]] = {}
+    # The rules by source metamodel, then source class, in rule order. A rule
+    # whose class no input's metamodel has matches nothing, and is not typed.
+    image_of: dict[int, list[Element]] = {}  # a matched element's images, filled in phase 1
+    plans_for: dict[str, dict[str, list[_RulePlan]]] = {name: {} for name in declared.values()}
     for rule in t.rules:
-        rules_for.setdefault((rule.from_metamodel, rule.from_class), []).append(rule)
+        by_class = plans_for.get(rule.from_metamodel)
+        src_cls = metamodels[rule.from_metamodel].class_named(rule.from_class) if by_class is not None else None
+        if src_cls is not None:
+            by_class.setdefault(rule.from_class, []).append(_plan(rule, src_cls.features, out_mm, image_of))
+
+    # Phase 1: match every source element, instantiate target patterns.
     instances: list[_Instance] = []  # by input alias, then source path: the trace order
-    image_of: dict[int, list[Element]] = {}
     for alias in sorted(inputs):
         model = inputs[alias]
-        mm = metamodels[model.metamodel_name]
+        by_class = plans_for[model.metamodel_name]
         for path, element in element_index(model).values():
-            matched = [
-                rule for rule in rules_for.get((model.metamodel_name, element.class_name), ())
-                if rule.guard is None or _eval_guard(rule.guard, model, mm, element)
-            ]
-            if len(matched) > 1:
-                raise MatchAmbiguity(str(path), [r.name for r in matched])
-            if not matched:
+            candidates = by_class.get(element.class_name)
+            if candidates is None:
                 continue
-            rule = matched[0]
-            images = [Element(p.class_name) for p in rule.targets]
-            instances.append(_Instance(alias, path, element, rule, images))
+            plan = None
+            for candidate in candidates:
+                if candidate.guard is None or candidate.guard(model, element):
+                    if plan is not None:
+                        raise MatchAmbiguity(str(path), [c.rule.name for c in candidates
+                                                         if c.guard is None or c.guard(model, element)])
+                    plan = candidate
+            if plan is None:
+                continue
+            images = [Element(p.class_name) for p in plan.targets]
+            instances.append(_Instance(alias, path, element, plan, images))
             image_of[id(element)] = images
 
     image_ids = {id(img) for inst in instances for img in inst.images}
@@ -560,49 +613,44 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
     placed: dict[int, int] = {}
     pending_refs: list[tuple[Element, str, Element]] = []
     fault: ConformanceError | None = None
-    for inst in instances:
-        model = inputs[inst.alias]
-        mm = metamodels[model.metamodel_name]
-        rule = inst.rule
-        pattern_images = {p.var: img for p, img in zip(rule.targets, inst.images)}
-        for pattern, image in zip(rule.targets, inst.images):
-            features = out_mm.class_named(pattern.class_name).features
-            for binding in pattern.bindings:
-                value = _eval_expr(binding.expr, inst.element, model, mm, pattern_images)
+    for alias, path, element, plan, images in instances:
+        model, rule = inputs[alias], plan.rule
+        for pattern, image in zip(plan.targets, images):
+            for feature, kind, value_of, proven in pattern.bindings:
+                value = value_of(model, element)
                 if value is None:
                     continue
-                feature = features[binding.feature]
-                if isinstance(feature, AttributeDef):
-                    if not _type_ok(feature.type, value):
+                if kind is AttributeDef:
+                    if not proven and not _type_ok(feature.type, value):
                         fault = fault or ConformanceError(
-                            inst.path, f"rule '{rule.name}': attribute '{feature.name}' "
-                                       f"expects {feature.type}, got {type(value).__name__}")
-                    image.attrs[binding.feature] = value
-                elif isinstance(feature, ReferenceDef):
+                            path, f"rule '{rule.name}': attribute '{feature.name}' "
+                                  f"expects {feature.type}, got {type(value).__name__}")
+                    image.attrs[feature.name] = value
+                elif kind is ReferenceDef:
                     if isinstance(value, list):
                         raise TransformationError(
-                            f"rule '{rule.name}': reference '{binding.feature}' bound to a collection")
+                            f"rule '{rule.name}': reference '{feature.name}' bound to a collection")
                     target = resolve_image(value) if isinstance(value, Element) else None
                     if target is None:
                         raise TransformationError(
-                            f"rule '{rule.name}': reference '{binding.feature}' needs an element value")
+                            f"rule '{rule.name}': reference '{feature.name}' needs an element value")
                     if target.class_name != feature.target_class:
                         fault = fault or ConformanceError(
-                            inst.path, f"rule '{rule.name}': reference '{feature.name}' expects "
-                                       f"class '{feature.target_class}', got '{target.class_name}'")
-                    pending_refs.append((image, binding.feature, target))
+                            path, f"rule '{rule.name}': reference '{feature.name}' expects "
+                                  f"class '{feature.target_class}', got '{target.class_name}'")
+                    pending_refs.append((image, feature.name, target))
                 else:  # collection placement
                     children = value if isinstance(value, list) else [value]
-                    bucket = image.collections.setdefault(binding.feature, [])
+                    bucket = image.collections.setdefault(feature.name, [])
                     for child in children:
                         if not isinstance(child, Element):
                             raise TransformationError(
-                                f"rule '{rule.name}': collection '{binding.feature}' needs element values")
+                                f"rule '{rule.name}': collection '{feature.name}' needs element values")
                         child_image = resolve_image(child)
                         if child_image.class_name != feature.element_class:
                             fault = fault or ConformanceError(
-                                inst.path, f"rule '{rule.name}': collection '{feature.name}' holds "
-                                           f"class '{feature.element_class}', got '{child_image.class_name}'")
+                                path, f"rule '{rule.name}': collection '{feature.name}' holds "
+                                      f"class '{feature.element_class}', got '{child_image.class_name}'")
                         placed[id(child_image)] = placed.get(id(child_image), 0) + 1
                         bucket.append(child_image)
 
@@ -631,11 +679,11 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
         image.refs[feature] = entry[0]
 
     for inst in instances:
-        for pattern, image in zip(inst.rule.targets, inst.images):
-            for ref in out_mm.class_named(pattern.class_name).references:
+        for pattern, image in zip(inst.plan.targets, inst.images):
+            for ref in pattern.references:
                 if not ref.optional and ref.name not in image.refs:
                     raise ConformanceError(
-                        inst.path, f"rule '{inst.rule.name}': required reference '{ref.name}' is unset")
+                        inst.path, f"rule '{inst.plan.rule.name}': required reference '{ref.name}' is unset")
     out_model.checked_against = out_mm
     out_model.index = index
     return out_model, instances
@@ -663,7 +711,7 @@ def execute_m2m(
         TraceLink(
             sources=(ElementRef(inputs[inst.alias].uri, inst.path),),
             targets=(ElementRef(model.uri, index[id(image)][0]),),
-            tags={"rule": inst.rule.name},
+            tags={"rule": inst.plan.rule.name},
         )
         for inst in instances for image in inst.images
     )

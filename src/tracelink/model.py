@@ -34,9 +34,31 @@ PRIMITIVE_TYPES = ("string", "int", "float", "bool")
 # Metamodel
 # ---------------------------------------------------------------------------
 
-AttributeDef = namedtuple("AttributeDef", "name type")  # type: one of PRIMITIVE_TYPES
-CollectionDef = namedtuple("CollectionDef", "name element_class")
-ReferenceDef = namedtuple("ReferenceDef", "name target_class optional", defaults=(False,))
+# What a navigation step over a feature reads from the element holding it is
+# defined once, by the feature's ``_read(model, holder)``: ``navigate`` calls it
+# step by step, and the M2M engine calls it through the features it typed once.
+
+
+class AttributeDef(namedtuple("AttributeDef", "name type")):  # type: one of PRIMITIVE_TYPES
+    __slots__ = ()
+
+    def _read(self, m: Model, holder: Element) -> object:
+        return holder.attrs.get(self.name)  # None when unset
+
+
+class CollectionDef(namedtuple("CollectionDef", "name element_class")):
+    __slots__ = ()
+
+    def _read(self, m: Model, holder: Element) -> list[Element]:
+        return holder.collections.get(self.name, [])  # the holder's own list, [] when absent
+
+
+class ReferenceDef(namedtuple("ReferenceDef", "name target_class optional", defaults=(False,))):
+    __slots__ = ()
+
+    def _read(self, m: Model, holder: Element) -> Element | None:
+        ref_path = holder.refs.get(self.name)  # None when unset
+        return None if ref_path is None else resolve_path(m, ref_path)
 
 
 class ClassDef(namedtuple("ClassDef", "name attributes collections references", defaults=((), (), ()))):
@@ -497,20 +519,15 @@ def navigate(m: Model, mm: Metamodel, element: Element, steps: tuple[str, ...]) 
     ``element`` of ``m``: the holder is the element whose feature the last
     step read. An unset attribute or reference is None; the walk stops at
     the first unset reference, its holder and its definition. A collection
-    is the element's own list, [] when absent. No steps: (element, None, element)."""
+    is the element's own list, [] when absent. No steps: (element, None, element).
+    Each step reads through its feature's ``_read``."""
     holder, feature, value = element, None, element
     for step in steps:
         holder = value
         feature = mm.class_named(holder.class_name).features[step]
-        if isinstance(feature, AttributeDef):
-            value = holder.attrs.get(step)
-        elif isinstance(feature, CollectionDef):
-            value = holder.collections.get(step, [])
-        else:
-            ref_path = holder.refs.get(step)
-            if ref_path is None:
-                return holder, feature, None
-            value = resolve_path(m, ref_path)
+        value = feature._read(m, holder)
+        if value is None:
+            return holder, feature, None
     return holder, feature, value
 
 

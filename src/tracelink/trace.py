@@ -16,7 +16,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from json.encoder import encode_basestring
 
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError, ParseError, TracelinkError
 from .model import _load_json
 from .paths import ROOT_PATH, ElementPath, _canonical, parse_path, source_path_key
 
@@ -210,11 +210,15 @@ class TraceIdentifierTree:
         self.root = TraceTreeNode()
 
     def insert(self, path: ElementPath):
+        """Add ``path``; a child's key is (collection name, integer index)."""
         node = self.root
         if path != ROOT_PATH:
             for step in path.split("."):
                 name, _, index = step.partition("[")
-                key = (name, int(index[:-1]) if index else None)
+                try:
+                    key = (name, int(index[:-1]) if index else None)
+                except ValueError:  # more digits than int() converts
+                    raise TracelinkError(f"path index of {len(index) - 1} digits in '{name}' is too large") from None
                 node = node.children.setdefault(key, TraceTreeNode())
         node.terminal = True
 

@@ -671,6 +671,39 @@ def test_file_local_commands_read_only_the_metamodels_discovery_registers(tmp_pa
     assert result.exit_code == 0, result.output
 
 
+def _break_text(old: str, new: str):
+    def edit(path):
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+    return edit
+
+
+def _no_object(path):
+    path.write_text("[]", encoding="utf-8")
+
+
+@pytest.mark.parametrize("args, file, edit, message", [
+    (["augment-m2m", "MapContiki.m2m"], "MapContiki.m2m", _break_text("rule Net {", "rule Net { #"),
+     "unexpected character '#' (line 16, col 12)"),
+    (["augment-m2c", "GenContiki.m2c"], "GenContiki.m2c", _break_text("[/template]", "[/templat]"),
+     "emit tag must end with '/': [/templat] (line 8)"),
+    (["run-m2m", "MapContiki.m2m", "--in", "pim=Input.pim.model.json", "--out", "psm.model.json"],
+     "MapContiki.m2m", _break_text("rule Net {", "rule Net { #"), "unexpected character '#' (line 16, col 12)"),
+    (["run-m2m", "MapContiki.m2m", "--in", "pim=Input.pim.model.json", "--out", "psm.model.json"],
+     "Input.pim.model.json", _no_object, "model document must be an object"),
+    (["run-m2c", "GenContiki.m2c", "--in", "out/MapContiki/contiki.model.json", "--out", "gen"],
+     "GenContiki.m2c", _break_text("[/template]", "[/templat]"), "emit tag must end with '/': [/templat] (line 8)"),
+    (["run-m2c", "GenContiki.m2c", "--in", "out/MapContiki/contiki.model.json", "--out", "gen"],
+     "out/MapContiki/contiki.model.json", _no_object, "model document must be an object"),
+    (["trace", "show", "traces/GenContiki.trace.json"], "traces/GenContiki.trace.json",
+     lambda path: _rewrite_json(path, lambda d: d["links"][0].update(sources=[])), "trace link has no sources"),
+], ids=["augment-m2m", "augment-m2c", "run-m2m", "run-m2m-model", "run-m2c", "run-m2c-model", "trace-show"])
+def test_a_file_local_command_names_the_file_it_cannot_read(enacted_ws, runner, args, file, edit, message):
+    edit(enacted_ws / file)
+    result = invoke(runner, enacted_ws, *args)
+    assert_one_line_error(result)
+    assert result.output.startswith(f"error: {file}: {message}")
+
+
 def test_augment_m2c_writes_augmented_file(tmp_path, runner):
     ws = copy_workspace(tmp_path)
     result = invoke(runner, ws, "augment-m2c", str(ws / "GenContiki.m2c"))

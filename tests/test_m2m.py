@@ -453,3 +453,109 @@ rule Kid { from s : MMA!Node (s.id = "k") to t : MMA!Node (id <- s.id, a <- t) }
     for rules in (t, augment_m2m(t)):
         with pytest.raises(ConformanceError, match="^root: an output element is placed inside its own contents"):
             execute_m2m(rules, {"s": model}, mms)
+
+
+PROOF_METAMODELS = {
+    "MMS": parse_metamodel(json.dumps({"name": "MMS", "classes": [
+        {"name": "Root", "collections": [{"class": "Node", "name": "nodes"}]},
+        {"name": "Node", "attributes": [{"name": n, "type": ty} for n, ty in
+                                        (("n", "int"), ("f", "float"), ("s", "string"), ("b", "bool"))]}]})),
+    "MMT": parse_metamodel(json.dumps({"name": "MMT", "classes": [
+        {"name": "Top", "collections": [{"class": "Item", "name": "items"}]},
+        {"name": "Item", "attributes": [{"name": n, "type": ty} for n, ty in
+                                        (("s", "string"), ("f", "float"), ("i", "int"))]}]})),
+}
+# nodes[0] has no `n`, `f` or `b`: a binding of one is skipped there.
+PROOF_MODEL = Model("in.model.json", "MMS", Element("Root", collections={"nodes": [
+    Element("Node", {"s": "a"}), Element("Node", {"n": 3, "f": 1.5, "s": "b", "b": True})]}))
+
+
+def _item_rule(bindings: str) -> str:
+    return f"""
+transformation T;
+input src : MMS;
+output dst : MMT;
+rule Top {{ from r : MMS!Root to t : MMT!Top (items <- r.nodes) }}
+rule Item {{ from x : MMS!Node to o : MMT!Item ({bindings}) }}
+"""
+
+
+@pytest.mark.parametrize("binding, message", [
+    ("s <- x.n", "nodes[1]: rule 'Item': attribute 's' expects string, got int"),
+    ("i <- x.f", "nodes[1]: rule 'Item': attribute 'i' expects int, got float"),
+    ("i <- x.b", "nodes[1]: rule 'Item': attribute 'i' expects int, got bool"),
+    ('i <- "seven"', "nodes[0]: rule 'Item': attribute 'i' expects int, got str"),
+    ('f <- concat(x.s, "!")', "nodes[0]: rule 'Item': attribute 'f' expects float, got str"),
+], ids=["int-into-string", "float-into-int", "bool-into-int", "literal", "concat"])
+def test_a_value_its_source_type_does_not_prove_is_checked(binding, message):
+    # Only a source attribute of the target's type, or an int into a float,
+    # proves a value's type; every other value is checked where it is bound.
+    t = parse_m2m(_item_rule(binding), PROOF_METAMODELS)
+    with pytest.raises(ConformanceError) as info:
+        execute_m2m(t, {"src": PROOF_MODEL}, PROOF_METAMODELS)
+    assert str(info.value) == message
+
+
+def test_a_value_its_source_type_proves_is_bound_as_read_and_an_unset_one_is_skipped():
+    t = parse_m2m(_item_rule("s <- x.s, f <- x.n, i <- x.n"), PROOF_METAMODELS)
+    out, _ = execute_m2m(t, {"src": PROOF_MODEL}, PROOF_METAMODELS)
+    first, second = out.root.collections["items"]
+    assert first.attrs == {"s": "a"}
+    assert second.attrs == {"s": "b", "f": 3, "i": 3} and type(second.attrs["f"]) is int
+
+
+def _replicated(doc: dict, times: int) -> dict:
+    """``doc`` with its filters and each viewpoint's devices repeated
+    ``times`` times, the originals first, so every reference keeps its target."""
+    doc = json.loads(json.dumps(doc))
+    holders = [doc["root"]] + [v for vs in doc["root"]["collections"].values() for v in vs]
+    for holder in holders:
+        for name, items in holder.get("collections", {}).items():
+            if name in ("filters", "device", "indirectdevice"):
+                holder["collections"][name] = json.loads(json.dumps(items * times))
+    return doc
+
+
+def _count_metamodel_lookups(metamodels: dict) -> list[int]:
+    """Count every class lookup (``class_named``) and feature lookup (in a
+    class's ``features``) on ``metamodels`` from now on, in a one-item list."""
+    count = [0]
+
+    class CountingFeatures(dict):
+        def __getitem__(self, name):
+            count[0] += 1
+            return super().__getitem__(name)
+
+        def get(self, name, default=None):
+            count[0] += 1
+            return super().get(name, default)
+
+    for mm in metamodels.values():
+        lookup = mm.class_named
+
+        def class_named(name, lookup=lookup):
+            count[0] += 1
+            return lookup(name)
+
+        mm.__dict__["class_named"] = class_named
+        for cls in mm.classes:
+            cls.__dict__["features"] = CountingFeatures(cls.features)
+    return count
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in WORKSPACE_FIXTURE.glob("Map*.m2m")))
+def test_each_rule_is_typed_once_per_run_whatever_the_model_size(name):
+    mms = {mm.name: mm for mm in (parse_metamodel((WORKSPACE_FIXTURE / f).read_text(encoding="utf-8"))
+                                  for f in ("PIMM.mm.json", "PSMM.mm.json"))}
+    doc = json.loads((WORKSPACE_FIXTURE / "Input.pim.model.json").read_text(encoding="utf-8"))
+    small = parse_model(json.dumps(doc), mms["PIMM"], "in.model.json")
+    large = parse_model(json.dumps(_replicated(doc, 10)), mms["PIMM"], "in.model.json")
+    t = augment_m2m(parse_m2m((WORKSPACE_FIXTURE / name).read_text(encoding="utf-8"), mms))
+    count = _count_metamodel_lookups(mms)
+    lookups, links = [], []
+    for model in (small, large):
+        count[0] = 0
+        links.append(len(execute_m2m(t, {"pim": model}, mms, "out.model.json")[1].links))
+        lookups.append(count[0])
+    assert lookups[0] == lookups[1] > 0
+    assert links[1] > 5 * links[0]

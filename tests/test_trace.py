@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracelink.errors import IntegrityError, ParseError, PathSyntaxError
+from tracelink.errors import IntegrityError, ParseError, PathSyntaxError, TracelinkError
 from tracelink.gtm import ElemNode, change_impact, origin_track, query_gtm
 from tracelink.m2c import augment_template, parse_template, print_template
 from tracelink.m2m import augment_m2m, execute_m2m, parse_m2m
@@ -85,6 +85,14 @@ def test_hundred_random_paths_round_trip():
 def test_paths_come_in_source_path_order():
     paths = [ROOT_PATH, path("a.b"), path("a[2]"), path("a[10]"), path("a[2].b[0]")]
     assert build_identifier_tree(paths).paths() == ["a.b", "a[2]", "a[2].b[0]", "a[10]", "root"]
+
+
+def test_an_index_longer_than_int_reads_is_a_one_line_error():
+    # parse_path takes any run of ASCII digits; int() converts at most 4,300 of them.
+    with pytest.raises(TracelinkError) as info:
+        build_identifier_tree([path("a[0]"), path("a[" + "9" * 5000 + "].b[1]")])
+    assert str(info.value) == "path index of 5000 digits in 'a' is too large"
+    assert build_identifier_tree([path("a[" + "9" * 4000 + "]")]).root.children.keys() == {("a", int("9" * 4000))}
 
 
 _seg = st.tuples(st.sampled_from(("a", "b", "root", "s")), st.one_of(st.none(), st.integers(0, 11)))
