@@ -12,12 +12,15 @@ augments the template it is given, records each region's element and byte
 span in that text as it writes, and puts the markers into the annotated
 text only, so the clean text is the plain render byte-for-byte whatever the
 model's values hold.
+
+A ``Template`` comes from ``parse_template``, which types each ``TNav`` once,
+with the features a render reads; ``augment_template`` and ``strip_template`` keep them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     ConformanceError,
@@ -38,7 +41,6 @@ from .model import (
     element_index,
     ensure_conforms,
     nav_type,
-    navigate,
 )
 from .trace import ElementRef, LocalTraceModel, TraceLink, span_at
 
@@ -57,6 +59,8 @@ class TLiteral:
 @dataclass(frozen=True)
 class TNav:
     steps: tuple[str, ...]  # steps[0] is a binder variable
+    # The feature each later step reads (``nav_type``), set when the template is parsed.
+    features: tuple[AttributeDef | CollectionDef | ReferenceDef, ...] = field(default=(), compare=False, repr=False)
 
     def __str__(self) -> str:
         return ".".join(self.steps)
@@ -389,9 +393,8 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
         if kind == "tag" or content.strip():
             raise ParseError("content after [/template]", line=line)
 
-    t = Template(name, param_var, param_class, mm, tuple(body), markers[0], markers[1])
-    _check_template(t, t.body, {t.param_var: t.param_class}, False)
-    return t
+    body = _check_template(mm, body, {param_var: param_class}, False)
+    return Template(name, param_var, param_class, mm, body, markers[0], markers[1])
 
 
 # ---------------------------------------------------------------------------
@@ -399,58 +402,62 @@ def parse_template(text: str, metamodels: dict[str, Metamodel]) -> Template:
 # ---------------------------------------------------------------------------
 
 
-_ELEMENT = (ReferenceDef, type(None))  # the features of an element-valued navigation
+_ELEMENT = (ReferenceDef, type(None)), "path() needs an element-valued expression"  # _typed's kinds, message
 
 
-def _typed(t: Template, nav: TNav, env: dict[str, str], line: int, kinds: type | tuple[type, ...] = object,
-           message: str = "") -> AttributeDef | CollectionDef | ReferenceDef | None:
-    """The feature a navigation ends on (``nav_type``), or None for a bare
-    variable; unless it is one of ``kinds``, a ``TemplateTypeError`` with ``message``."""
+def _typed(mm: Metamodel, nav: TNav, env: dict[str, str], line: int, kinds: type | tuple[type, ...],
+           message: str) -> TNav:
+    """``nav`` with the features its steps read (``nav_type``); unless the last (None
+    for a bare variable) is one of ``kinds``, a ``TemplateTypeError`` with ``message``."""
     if nav.steps[0] not in env:
         raise TemplateTypeError(f"unknown variable '{nav.steps[0]}'", line)
     try:
-        feature = nav_type(t.metamodel, env[nav.steps[0]], nav.steps[1:])
+        features = nav_type(mm, env[nav.steps[0]], nav.steps[1:])
     except SchemaError as exc:
         raise TemplateTypeError(str(exc), line) from None
-    if not isinstance(feature, kinds):
+    if not isinstance(features[-1] if features else None, kinds):
         raise TemplateTypeError(message, line)
-    return feature
+    return TNav(nav.steps, features)
 
 
-def _check_template(t: Template, nodes, env: dict[str, str], in_loop: bool):
+def _check_template(mm: Metamodel, nodes, env: dict[str, str], in_loop: bool) -> tuple[TemplateNode, ...]:
+    """``nodes`` type-checked, each navigation with its features; a node without one is kept."""
+    out = []
     for node in nodes:
-        if isinstance(node, TextNode):
-            continue
         if isinstance(node, EmitNode):
             expr = node.expr
-            if isinstance(expr, TIndex):
-                if not in_loop:
-                    raise TemplateTypeError("'i' is only available inside a loop", node.line)
+            if isinstance(expr, TIndex) and not in_loop:
+                raise TemplateTypeError("'i' is only available inside a loop", node.line)
             elif isinstance(expr, TPathOf):
-                _typed(t, expr.target, env, node.line, _ELEMENT, "path() needs an element-valued expression")
+                node = EmitNode(TPathOf(_typed(mm, expr.target, env, node.line, *_ELEMENT)), node.line)
             elif isinstance(expr, TNav):
-                _typed(t, expr, env, node.line, AttributeDef, f"cannot emit non-attribute '{expr}'")
+                node = EmitNode(_typed(mm, expr, env, node.line, AttributeDef, f"cannot emit non-attribute '{expr}'"),
+                                node.line)
         elif isinstance(node, ForNode):
-            source = _typed(t, node.source, env, node.line, CollectionDef,
+            source = _typed(mm, node.source, env, node.line, CollectionDef,
                             f"loop source '{node.source}' is not a collection")
             if node.var in env:
                 raise TemplateTypeError(f"variable '{node.var}' shadows an enclosing binder", node.line)
-            _check_template(t, node.body, {**env, node.var: source.element_class}, True)
+            body = _check_template(mm, node.body, {**env, node.var: source.features[-1].element_class}, True)
+            node = ForNode(node.var, source, body, node.line)
         elif isinstance(node, IfNode):
             cond = node.cond
             if isinstance(cond, SizeCond):
-                _typed(t, cond.target, env, node.line, (CollectionDef, ReferenceDef),
-                       "size() needs a collection or reference")
+                cond = SizeCond(_typed(mm, cond.target, env, node.line, (CollectionDef, ReferenceDef),
+                                       "size() needs a collection or reference"), cond.op, cond.bound)
             else:
-                attr = _typed(t, cond.left, env, node.line, AttributeDef, "condition must compare an attribute")
-                if not _type_ok(attr.type, cond.right.value):
-                    raise TemplateTypeError(
-                        f"condition compares {attr.type} attribute against {cond.right.value!r}", node.line)
-            _check_template(t, node.then_body, env, in_loop)
-            _check_template(t, node.else_body, env, in_loop)
-        else:  # RegionNode
-            _typed(t, node.target, env, node.line, _ELEMENT, "path() needs an element-valued expression")
-            _check_template(t, node.body, env, in_loop)
+                left = _typed(mm, cond.left, env, node.line, AttributeDef, "condition must compare an attribute")
+                if not _type_ok(left.features[-1].type, cond.right.value):
+                    raise TemplateTypeError(f"condition compares {left.features[-1].type} attribute "
+                                            f"against {cond.right.value!r}", node.line)
+                cond = CmpCond(left, cond.op, cond.right)
+            node = IfNode(cond, _check_template(mm, node.then_body, env, in_loop),
+                          _check_template(mm, node.else_body, env, in_loop), node.line)
+        elif isinstance(node, RegionNode):
+            target = _typed(mm, node.target, env, node.line, *_ELEMENT)
+            node = RegionNode(target, _check_template(mm, node.body, env, in_loop), node.line)
+        out.append(node)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +471,10 @@ class _Render:
     each region's [path, start byte, end byte] in the clean text, in open
     order."""
 
-    __slots__ = ("t", "m", "mm", "closer", "out", "runs", "regions", "offset")
+    __slots__ = ("t", "m", "closer", "out", "runs", "regions", "offset")
 
     def __init__(self, t: Template, m: Model):
-        self.t, self.m, self.mm = t, m, t.metamodel
+        self.t, self.m = t, m
         self.closer = t.marker_open + "/" + t.marker_close
         self.out: list[str] = []  # pieces written since the last marker
         self.runs: list[str] = []
@@ -488,23 +495,24 @@ class _Render:
         self.offset += len(text.encode("utf-8"))
         return self.offset
 
-    def read(self, steps: tuple[str, ...], env: dict[str, object], line: int) -> object:
-        """A navigation's value; an unset one is an ``EvalError`` at the element that holds it."""
-        holder, feature, value = navigate(self.m, self.mm, env[steps[0]], steps[1:])
-        if value is None:
-            kind = "attribute" if isinstance(feature, AttributeDef) else "reference"
-            raise EvalError(f"{kind} '{feature.name}' is unset", line, self.model_path(holder))
+    def read(self, value: object, features: tuple, line: int) -> object:
+        """What ``features`` read in turn from ``value``, each through its
+        ``_read``; an unset one is an ``EvalError`` at the element that holds it."""
+        for feature in features:
+            holder, value = value, feature._read(self.m, value)
+            if value is None:
+                kind = "attribute" if isinstance(feature, AttributeDef) else "reference"
+                raise EvalError(f"{kind} '{feature.name}' is unset", line, self.model_path(holder))
         return value
 
     def eval_cond(self, cond: Cond, env: dict[str, object], line: int) -> bool:
         if isinstance(cond, SizeCond):
-            # Only the last step may be unset (size 0), so the owner is read first:
-            # a walk that stops at an unset reference does not say at which step.
-            steps = cond.target.steps
-            value = navigate(self.m, self.mm, self.read(steps[:-1], env, line), steps[-1:])[2]
+            # Only the last step may be unset (size 0), so the owner is read first.
+            owner = self.read(env[cond.target.steps[0]], cond.target.features[:-1], line)
+            value = cond.target.features[-1]._read(self.m, owner)
             size = 0 if value is None else len(value) if isinstance(value, list) else 1
             return _holds(cond.op, size, cond.bound)
-        return _holds(cond.op, self.read(cond.left.steps, env, line), cond.right.value)
+        return _holds(cond.op, self.read(env[cond.left.steps[0]], cond.left.features, line), cond.right.value)
 
     def emit(self, expr: TemplateExpr, env: dict[str, object], line: int):
         if isinstance(expr, TLiteral):
@@ -512,9 +520,9 @@ class _Render:
         elif isinstance(expr, TIndex):
             self.out.append(str(env["i"]))
         elif isinstance(expr, TPathOf):
-            self.out.append(self.path_text(self.read(expr.target.steps, env, line)))
+            self.out.append(self.path_text(self.read(env[expr.target.steps[0]], expr.target.features, line)))
         else:
-            self.out.append(_to_text(self.read(expr.steps, env, line)))
+            self.out.append(_to_text(self.read(env[expr.steps[0]], expr.features, line)))
 
     def run(self, nodes, env: dict[str, object]):
         for node in nodes:
@@ -523,13 +531,13 @@ class _Render:
             elif isinstance(node, EmitNode):
                 self.emit(node.expr, env, node.line)
             elif isinstance(node, ForNode):
-                items = self.read(node.source.steps, env, node.line)
+                items = self.read(env[node.source.steps[0]], node.source.features, node.line)
                 for i, item in enumerate(items):
                     self.run(node.body, {**env, node.var: item, "i": i})
             elif isinstance(node, IfNode):
                 self.run(node.then_body if self.eval_cond(node.cond, env, node.line) else node.else_body, env)
             else:  # RegionNode
-                element = self.read(node.target.steps, env, node.line)
+                element = self.read(env[node.target.steps[0]], node.target.features, node.line)
                 opener = f"{self.t.marker_open}{self.path_text(element)}{self.t.marker_close}"
                 region = [self.model_path(element), self.mark(opener), 0]
                 self.regions.append(region)
@@ -592,15 +600,15 @@ def _emits_model_text(nodes) -> bool:
                for node in nodes)
 
 
-def _governing_nav(cond: Cond, t: Template, env: dict[str, str], line: int) -> TNav:
+def _governing_nav(cond: Cond) -> TNav:
     """The element a then-branch's region names: the reference target of a
     ``size()`` test that an unset reference fails, else the owner of the
     tested feature, which exists whenever the branch runs."""
-    if isinstance(cond, SizeCond):
-        if isinstance(_typed(t, cond.target, env, line), ReferenceDef) and not _holds(cond.op, 0, cond.bound):
-            return cond.target
-        return TNav(cond.target.steps[:-1])
-    return TNav(cond.left.steps[:-1])
+    if isinstance(cond, CmpCond):
+        return TNav(cond.left.steps[:-1], cond.left.features[:-1])
+    if isinstance(cond.target.features[-1], ReferenceDef) and not _holds(cond.op, 0, cond.bound):
+        return cond.target
+    return TNav(cond.target.steps[:-1], cond.target.features[:-1])
 
 
 def _region(body, target: TNav, line: int) -> tuple[TemplateNode, ...]:
@@ -611,20 +619,17 @@ def _region(body, target: TNav, line: int) -> tuple[TemplateNode, ...]:
     return (RegionNode(target, body, line),)
 
 
-def _augment(t: Template, nodes, env: dict[str, str], binder: str) -> tuple[TemplateNode, ...]:
+def _augment(nodes, binder: str) -> tuple[TemplateNode, ...]:
     out = []
     for node in nodes:
         if isinstance(node, ForNode):
-            inner_env = {**env, node.var: _typed(t, node.source, env, node.line).element_class}
-            inner = _augment(t, node.body, inner_env, node.var)
-            out.append(replace(node, body=_region(inner, TNav((node.var,)), node.line)))
+            out.append(replace(node, body=_region(_augment(node.body, node.var), TNav((node.var,)), node.line)))
         elif isinstance(node, IfNode):
-            subject = _governing_nav(node.cond, t, env, node.line)
-            then_body = _region(_augment(t, node.then_body, env, binder), subject, node.line)
-            else_body = _region(_augment(t, node.else_body, env, binder), TNav((binder,)), node.line)
+            then_body = _region(_augment(node.then_body, binder), _governing_nav(node.cond), node.line)
+            else_body = _region(_augment(node.else_body, binder), TNav((binder,)), node.line)
             out.append(replace(node, then_body=then_body, else_body=else_body))
         elif isinstance(node, RegionNode):
-            out.append(replace(node, body=_augment(t, node.body, env, binder)))
+            out.append(replace(node, body=_augment(node.body, binder)))
         else:
             out.append(node)
     return tuple(out)
@@ -632,7 +637,7 @@ def _augment(t: Template, nodes, env: dict[str, str], binder: str) -> tuple[Temp
 
 def augment_template(t: Template) -> Template:
     """Wrap loop bodies and model-deriving branches in regions. Idempotent."""
-    return replace(t, body=_augment(t, t.body, {t.param_var: t.param_class}, t.param_var))
+    return replace(t, body=_augment(t.body, t.param_var))
 
 
 def _strip(nodes) -> tuple[TemplateNode, ...]:

@@ -129,7 +129,7 @@ def _token_re(skip: str, symbols: str) -> re.Pattern:
 _TOKEN_RE = _token_re(r"\s+|--[^\n]*", r"<-|!=|[{}();,:!.=]")  # whitespace and comments
 
 _KEYWORDS = {"transformation", "input", "output", "rule", "from", "to", "traced", "concat", "true", "false"}
-_BAD = ("bad", None)  # the token of a character no token starts with
+_BAD = ("bad", None)  # the token of a character no token starts with, or of a too-long integer
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
@@ -137,6 +137,13 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 def _unescape(s: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[1], m[1]), s)
+
+
+def _int_token(digits: str) -> tuple:
+    try:
+        return ("int", int(digits))
+    except ValueError:  # more digits than int() converts
+        return _BAD
 
 
 class _Parser:
@@ -154,7 +161,7 @@ class _Parser:
             (w if w in keywords else "ident", w) if w
             else (s, s) if s
             else ("string", _unescape(q[1:-1])) if q
-            else ("int", int(n)) if n
+            else _int_token(n) if n
             else ("float", float(f)) if f
             else _BAD if b
             else end
@@ -163,6 +170,8 @@ class _Parser:
         self.i = 0
         if _BAD in self.tokens:  # before any grammar error
             self.i = self.tokens.index(_BAD)
+            if text[self.offset()].isdecimal():  # only an integer starts with a digit (\d)
+                self.error("integer literal too large")
             self.bad_character()
 
     def offset(self) -> int:
@@ -360,7 +369,7 @@ def _feature_of(rule: Rule, mm: Metamodel, class_name: str,
                 name: str) -> AttributeDef | CollectionDef | ReferenceDef:
     """The feature ``name`` of ``class_name``, typed by ``nav_type``; its error names the rule."""
     try:
-        return nav_type(mm, class_name, (name,))
+        return nav_type(mm, class_name, (name,))[0]
     except SchemaError as exc:
         raise SchemaError(f"rule '{rule.name}': {exc}") from None
 

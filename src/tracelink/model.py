@@ -35,8 +35,9 @@ PRIMITIVE_TYPES = ("string", "int", "float", "bool")
 # ---------------------------------------------------------------------------
 
 # What a navigation step over a feature reads from the element holding it is
-# defined once, by the feature's ``_read(model, holder)``: ``navigate`` calls it
-# step by step, and the M2M engine calls it through the features it typed once.
+# defined once, by the feature's ``_read(model, holder)``. Both engines call it
+# through the features ``nav_type`` found for the navigation: M2M once per run,
+# M2C once per template, when it is parsed.
 
 
 class AttributeDef(namedtuple("AttributeDef", "name type")):  # type: one of PRIMITIVE_TYPES
@@ -473,7 +474,7 @@ def ensure_conforms(m: Model, mm: Metamodel):
 
 
 # ---------------------------------------------------------------------------
-# Path resolution and navigation
+# Path resolution and navigation typing
 # ---------------------------------------------------------------------------
 
 def resolve_path(m: Model, p: ElementPath) -> Element:
@@ -497,38 +498,22 @@ def resolve_path(m: Model, p: ElementPath) -> Element:
 
 
 def nav_type(mm: Metamodel, class_name: str,
-             steps: tuple[str, ...]) -> AttributeDef | CollectionDef | ReferenceDef | None:
-    """The feature that ``steps`` from an element of ``class_name`` end on,
-    None for no steps. A step past an attribute or a collection, or to no
-    feature, is a ``SchemaError``: only references are navigated through."""
-    cls, feature = mm.class_named(class_name), None
+             steps: tuple[str, ...]) -> tuple[AttributeDef | CollectionDef | ReferenceDef, ...]:
+    """The features that ``steps`` from an element of ``class_name`` read, one
+    per step. A step past an attribute or a collection, or to no feature, is
+    a ``SchemaError``: only references are navigated through."""
+    cls, features = mm.class_named(class_name), []
     for step in steps:
-        if feature is not None:
-            if not isinstance(feature, ReferenceDef):
-                kind = "into attribute" if isinstance(feature, AttributeDef) else "through collection"
+        if features:
+            if not isinstance(features[-1], ReferenceDef):
+                kind = "into attribute" if isinstance(features[-1], AttributeDef) else "through collection"
                 raise SchemaError(f"cannot navigate {kind} before '{step}'")
-            cls = mm.class_named(feature.target_class)
+            cls = mm.class_named(features[-1].target_class)
         feature = cls.features.get(step)
         if feature is None:
             raise SchemaError(f"class '{cls.name}' has no feature '{step}'")
-    return feature
-
-
-def navigate(m: Model, mm: Metamodel, element: Element, steps: tuple[str, ...]) -> tuple[Element, object, object]:
-    """(holder, feature, value) of ``steps``, typed by ``nav_type``, from
-    ``element`` of ``m``: the holder is the element whose feature the last
-    step read. An unset attribute or reference is None; the walk stops at
-    the first unset reference, its holder and its definition. A collection
-    is the element's own list, [] when absent. No steps: (element, None, element).
-    Each step reads through its feature's ``_read``."""
-    holder, feature, value = element, None, element
-    for step in steps:
-        holder = value
-        feature = mm.class_named(holder.class_name).features[step]
-        value = feature._read(m, holder)
-        if value is None:
-            return holder, feature, None
-    return holder, feature, value
+        features.append(feature)
+    return tuple(features)
 
 
 def _walk(e: Element, names: list[str], prefix: str):

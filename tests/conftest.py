@@ -1,3 +1,4 @@
+import json
 import shutil
 from pathlib import Path
 
@@ -47,3 +48,42 @@ def enacted(tmp_path_factory):
     ws = copy_workspace(tmp_path_factory.mktemp("enacted"))
     mgm, result = run_enactment(ws)
     return ws, mgm, result
+
+
+def replicated(doc: dict, times: int) -> dict:
+    """``doc`` with its filters and each viewpoint's devices repeated
+    ``times`` times, the originals first, so every reference keeps its target."""
+    doc = json.loads(json.dumps(doc))
+    holders = [doc["root"]] + [v for vs in doc["root"]["collections"].values() for v in vs]
+    for holder in holders:
+        for name, items in holder.get("collections", {}).items():
+            if name in ("filters", "device", "indirectdevice"):
+                holder["collections"][name] = json.loads(json.dumps(items * times))
+    return doc
+
+
+def count_metamodel_lookups(metamodels: dict) -> list[int]:
+    """Count every class lookup (``class_named``) and feature lookup (in a
+    class's ``features``) on ``metamodels`` from now on, in a one-item list."""
+    count = [0]
+
+    class CountingFeatures(dict):
+        def __getitem__(self, name):
+            count[0] += 1
+            return super().__getitem__(name)
+
+        def get(self, name, default=None):
+            count[0] += 1
+            return super().get(name, default)
+
+    for mm in metamodels.values():
+        lookup = mm.class_named
+
+        def class_named(name, lookup=lookup):
+            count[0] += 1
+            return lookup(name)
+
+        mm.__dict__["class_named"] = class_named
+        for cls in mm.classes:
+            cls.__dict__["features"] = CountingFeatures(cls.features)
+    return count

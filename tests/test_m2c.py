@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -27,7 +28,7 @@ from tracelink.model import Element, Model, parse_metamodel, parse_model, resolv
 from tracelink.paths import ROOT_PATH, parse_path
 from tracelink.trace import build_identifier_tree
 
-from conftest import WORKSPACE_FIXTURE
+from conftest import WORKSPACE_FIXTURE, count_metamodel_lookups, replicated
 from templates import (
     ALL_METAMODELS,
     COND_TEMPLATE,
@@ -90,6 +91,14 @@ def test_tag_errors_name_the_tag_line_and_no_column(tag, message):
     with pytest.raises(ParseError) as info:
         parse_template("[template x (m : ListMM!Root)]\n\n" + tag + "[/template]", ALL_METAMODELS)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tag", ["[{huge}/]", '[if (m.name = {huge})][/if]', "[if (m.elements->size() > {huge})][/if]"])
+def test_an_integer_longer_than_int_reads_is_a_parse_error_at_its_tag(tag):
+    huge = "9" * 5000  # int() converts at most 4,300 digits
+    with pytest.raises(ParseError) as info:
+        parse_template("[template x (m : ListMM!Root)]\n\n" + tag.format(huge=huge) + "[/template]", ALL_METAMODELS)
+    assert str(info.value) == "integer literal too large (line 3)"
 
 
 def test_conditional_listing_parses_with_both_branches():
@@ -543,3 +552,27 @@ def test_marker_paths_resolve_to_bound_elements_in_the_fixture_pim():
     pimm = parse_metamodel((WORKSPACE_FIXTURE / "PIMM.mm.json").read_text())
     pim = parse_model((WORKSPACE_FIXTURE / "Input.pim.model.json").read_text(), pimm, "Input.pim.model.json")
     assert_paths_resolve_to_bound_elements(pimm, pim)
+
+
+@pytest.mark.parametrize("name, rules", [("GenArduino.m2c", "MapArduino.m2m"), ("GenContiki.m2c", "MapContiki.m2m"),
+                                         ("GenGateway.m2c", "MapDataCollector.m2m"), ("GenRIOT.m2c", "MapRIOT.m2m")])
+def test_each_template_is_typed_once_when_parsed_whatever_the_model_size(name, rules):
+    # The PSMs the fixture process makes from the fixture PIM and from it with
+    # its filters and devices repeated ten times.
+    mms = {mm.name: mm for mm in (parse_metamodel((WORKSPACE_FIXTURE / f).read_text(encoding="utf-8"))
+                                  for f in ("PIMM.mm.json", "PSMM.mm.json"))}
+    doc = json.loads((WORKSPACE_FIXTURE / "Input.pim.model.json").read_text(encoding="utf-8"))
+    mapping = parse_m2m((WORKSPACE_FIXTURE / rules).read_text(encoding="utf-8"), mms)
+    psms = [execute_m2m(mapping, {"pim": parse_model(json.dumps(pim), mms["PIMM"], "in.model.json")}, mms,
+                        "psm.model.json")[0] for pim in (doc, replicated(doc, 10))]
+    t = parse_template((WORKSPACE_FIXTURE / name).read_text(encoding="utf-8"), mms)
+    count = count_metamodel_lookups(mms)
+    lookups, links = [], []
+    for psm in psms:
+        count[0] = 0
+        render(t, psm)
+        lookups.append(count[0])
+        links.append(len(render_traced(t, psm, "psm.model.json", "out.c")[2].links))
+        lookups.append(count[0] - lookups[-1])
+    assert lookups == [0, 0, 0, 0]
+    assert links[1] > 5 * links[0]

@@ -29,7 +29,7 @@ from tracelink.model import (
 )
 from tracelink.paths import parse_path
 
-from conftest import WORKSPACE_FIXTURE, source_path_key
+from conftest import WORKSPACE_FIXTURE, count_metamodel_lookups, replicated, source_path_key
 
 AB_METAMODELS = {
     "MMA": parse_metamodel(
@@ -134,6 +134,13 @@ def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_m2m("transformation X\ninput a : MMA;", AB_METAMODELS)
     assert exc.value.line == 2
+
+
+def test_an_integer_longer_than_int_reads_is_a_parse_error_at_its_position():
+    text = IDENTITY_RULE.replace("node_id <- s.id", "node_id <- " + "9" * 5000)  # int() converts 4,300 digits
+    with pytest.raises(ParseError) as exc:
+        parse_m2m(text, AB_METAMODELS)
+    assert str(exc.value) == "integer literal too large (line 7, col 34)"
 
 
 def test_bundled_map_contiki_parses(workspace_metamodels):
@@ -504,54 +511,15 @@ def test_a_value_its_source_type_proves_is_bound_as_read_and_an_unset_one_is_ski
     assert second.attrs == {"s": "b", "f": 3, "i": 3} and type(second.attrs["f"]) is int
 
 
-def _replicated(doc: dict, times: int) -> dict:
-    """``doc`` with its filters and each viewpoint's devices repeated
-    ``times`` times, the originals first, so every reference keeps its target."""
-    doc = json.loads(json.dumps(doc))
-    holders = [doc["root"]] + [v for vs in doc["root"]["collections"].values() for v in vs]
-    for holder in holders:
-        for name, items in holder.get("collections", {}).items():
-            if name in ("filters", "device", "indirectdevice"):
-                holder["collections"][name] = json.loads(json.dumps(items * times))
-    return doc
-
-
-def _count_metamodel_lookups(metamodels: dict) -> list[int]:
-    """Count every class lookup (``class_named``) and feature lookup (in a
-    class's ``features``) on ``metamodels`` from now on, in a one-item list."""
-    count = [0]
-
-    class CountingFeatures(dict):
-        def __getitem__(self, name):
-            count[0] += 1
-            return super().__getitem__(name)
-
-        def get(self, name, default=None):
-            count[0] += 1
-            return super().get(name, default)
-
-    for mm in metamodels.values():
-        lookup = mm.class_named
-
-        def class_named(name, lookup=lookup):
-            count[0] += 1
-            return lookup(name)
-
-        mm.__dict__["class_named"] = class_named
-        for cls in mm.classes:
-            cls.__dict__["features"] = CountingFeatures(cls.features)
-    return count
-
-
 @pytest.mark.parametrize("name", sorted(p.name for p in WORKSPACE_FIXTURE.glob("Map*.m2m")))
 def test_each_rule_is_typed_once_per_run_whatever_the_model_size(name):
     mms = {mm.name: mm for mm in (parse_metamodel((WORKSPACE_FIXTURE / f).read_text(encoding="utf-8"))
                                   for f in ("PIMM.mm.json", "PSMM.mm.json"))}
     doc = json.loads((WORKSPACE_FIXTURE / "Input.pim.model.json").read_text(encoding="utf-8"))
     small = parse_model(json.dumps(doc), mms["PIMM"], "in.model.json")
-    large = parse_model(json.dumps(_replicated(doc, 10)), mms["PIMM"], "in.model.json")
+    large = parse_model(json.dumps(replicated(doc, 10)), mms["PIMM"], "in.model.json")
     t = augment_m2m(parse_m2m((WORKSPACE_FIXTURE / name).read_text(encoding="utf-8"), mms))
-    count = _count_metamodel_lookups(mms)
+    count = count_metamodel_lookups(mms)
     lookups, links = [], []
     for model in (small, large):
         count[0] = 0

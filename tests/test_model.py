@@ -19,7 +19,6 @@ from tracelink.model import (
     check_conformance,
     iter_elements,
     nav_type,
-    navigate,
     parse_metamodel,
     parse_model,
     resolve_path,
@@ -371,8 +370,9 @@ def _walked(m):
     (False, ("targetPlatform",), 1, "root", None),  # an unset reference
     (False, ("targetPlatform", "name"), 1, "root", None),  # the walk stops at the unset reference
 ])
-def test_navigate_reports_the_holder_and_the_feature_nav_type_gives(with_target, steps, read, holder, value):
-    # The walk reads the first ``read`` steps; an element is given by its path.
+def test_nav_type_features_read_in_turn(with_target, steps, read, holder, value):
+    # The features are read in turn through ``_read``, as an M2C render reads
+    # them, up to the first unset value: ``read`` of them. An element is given by its path.
     model = plat_model(with_target)
     path_of = {id(e): str(path) for path, e in iter_elements(model)}
 
@@ -381,9 +381,16 @@ def test_navigate_reports_the_holder_and_the_feature_nav_type_gives(with_target,
             return [described(e) for e in v]
         return path_of[id(v)] if isinstance(v, Element) else v
 
-    got_holder, feature, got_value = navigate(model, PLAT_MM, model.root, steps)
-    assert (path_of[id(got_holder)], described(got_value)) == (holder, value)
-    assert feature is nav_type(PLAT_MM, "Root", steps[:read])
+    features = nav_type(PLAT_MM, "Root", steps)
+    assert tuple(f.name for f in features) == steps
+    got_holder, got_value, walked = model.root, model.root, 0
+    for feature in features:
+        got_holder, got_value = got_value, feature._read(model, got_value)
+        walked += 1
+        if got_value is None:
+            break
+    assert (path_of[id(got_holder)], described(got_value), walked) == (holder, value, read)
+    assert features[:read] == nav_type(PLAT_MM, "Root", steps[:read])
 
 
 def test_iter_elements_walks_in_source_path_order(input_pim):
