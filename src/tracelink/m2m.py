@@ -129,7 +129,7 @@ def _token_re(skip: str, symbols: str) -> re.Pattern:
 _TOKEN_RE = _token_re(r"\s+|--[^\n]*", r"<-|!=|[{}();,:!.=]")  # whitespace and comments
 
 _KEYWORDS = {"transformation", "input", "output", "rule", "from", "to", "traced", "concat", "true", "false"}
-_BAD = ("bad", None)  # the token of a character no token starts with, or of a too-long integer
+_BAD = ("bad", None)  # the token of a character no token starts with, or of a number too large
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
@@ -139,11 +139,12 @@ def _unescape(s: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[1], m[1]), s)
 
 
-def _int_token(digits: str) -> tuple:
+def _number_token(kind: str, digits: str) -> tuple:
     try:
-        return ("int", int(digits))
+        value = int(digits) if kind == "int" else float(digits)
     except ValueError:  # more digits than int() converts
         return _BAD
+    return _BAD if value == float("inf") else (kind, value)  # a float more digits long than a double
 
 
 class _Parser:
@@ -161,8 +162,8 @@ class _Parser:
             (w if w in keywords else "ident", w) if w
             else (s, s) if s
             else ("string", _unescape(q[1:-1])) if q
-            else _int_token(n) if n
-            else ("float", float(f)) if f
+            else _number_token("int", n) if n
+            else _number_token("float", f) if f
             else _BAD if b
             else end
             for w, s, f, n, q, b in self.pattern.findall(text)
@@ -170,8 +171,9 @@ class _Parser:
         self.i = 0
         if _BAD in self.tokens:  # before any grammar error
             self.i = self.tokens.index(_BAD)
-            if text[self.offset()].isdecimal():  # only an integer starts with a digit (\d)
-                self.error("integer literal too large")
+            literal = {3: "float", 4: "integer"}.get(self.pattern.match(text, self.offset()).lastindex)
+            if literal:  # the token's group: only a number starts with a digit (\d)
+                self.error(f"{literal} literal too large")
             self.bad_character()
 
     def offset(self) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property
 from pathlib import Path, PurePosixPath
 
 from .errors import AmbiguousMetamodel, DuplicateId, IntegrityError, ParseError
-from .model import Metamodel, _load_json, canonical_json, parse_metamodel
+from .model import Metamodel, _load_json, _load_model_json, canonical_json, parse_metamodel
 from .workspace import OUTPUT_DIR, TRACE_DIR, load
 
 
@@ -300,7 +300,7 @@ def discover(workspace_root: str | Path) -> Megamodel:
     for uri, kind in found:
         if kind != ResourceKind.MODEL:
             continue
-        data = load(root, uri, _load_json)
+        data = load(root, uri, _load_model_json)
         mm_name = data.get("metamodel") if isinstance(data, dict) else None
         if isinstance(mm_name, str) and mm_name in metamodel_names:
             relations.append(Relation(resource_id(kind, uri), metamodel_names[mm_name], RelationKind.CONFORMS_TO))

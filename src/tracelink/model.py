@@ -2,14 +2,15 @@
 
 Concrete syntax is JSON (``*.mm.json`` / ``*.model.json``, see docs/formats.md).
 ``canonical_json`` writes every JSON file tracelink saves except trace files
-(``trace.save_trace``): a dedicated writer that reproduces json's
-``indent=2, sort_keys=True`` bytes exactly.
-Values are immutable after parse; engines that build models mutate fresh
-elements during construction only.
+(``trace.save_trace``) and models (``serialize_model``, from the elements): a
+dedicated writer that reproduces json's ``indent=2, sort_keys=True`` bytes
+exactly. Values are immutable after parse; engines that build models mutate
+fresh elements during construction only.
 
-Conformance is checked where a model enters from disk, in ``parse_model``.
-The M2M engine checks each output fact in the phase that makes it, so its
-output conforms by construction and is marked checked without a second walk.
+Conformance is checked where a model enters from disk, in the one walk of
+``parse_model`` that builds it. The M2M engine checks each output fact in the
+phase that makes it, so its output conforms by construction too. Both mark
+the model checked; ``check_conformance`` walks a model built in memory.
 ``ensure_conforms`` records the result on the model, so engines trust a
 checked model and check a hand-built one. A checked model also keeps its
 element index (``element_index``), built once on first use.
@@ -24,7 +25,7 @@ from collections.abc import Callable
 from functools import cached_property
 from json.encoder import encode_basestring  # json's own C escaper for ensure_ascii=False
 
-from .errors import ConformanceError, ParseError, PathNotFound, SchemaError
+from .errors import ConformanceError, ParseError, PathNotFound, SchemaError, TracelinkError
 from .paths import IDENTIFIER, ROOT_NAME, ROOT_PATH, ElementPath, _canonical, parse_path
 
 PRIMITIVE_TYPES = ("string", "int", "float", "bool")
@@ -148,9 +149,18 @@ Violation = namedtuple("Violation", "path message")
 
 def _load_json(text: str) -> object:
     """``json.loads``; a syntax error is a ``ParseError`` naming line and
-    column, and so is nesting deeper than the decoder's recursion limit."""
+    column, and so is nesting deeper than the decoder's recursion limit.
+    json counts its levels against the limit that the caller's frames share,
+    so a document the caller's stack leaves no room for is decoded again on
+    a fresh thread, whose stack is empty."""
     try:
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except RecursionError:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1) as pool:
+                return pool.submit(json.loads, text).result()
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
@@ -328,136 +338,228 @@ def serialize_metamodel(mm: Metamodel) -> str:
 # ---------------------------------------------------------------------------
 
 _SCALARS = (str, int, float, bool)
+_MAX_DEPTH = 960  # levels of lists and objects in a model document: 320 of elements with attributes
+_DOCUMENT_KEYS, _ELEMENT_KEYS = frozenset(("metamodel", "root")), frozenset(("class", "attrs", "collections", "refs"))
 
 
-def _parse_element(raw: object, where: str) -> Element:
-    _require(isinstance(raw, dict), f"{where}: element must be an object")
-    _require(isinstance(raw.get("class"), str) and raw["class"], f"{where}: element needs a string 'class'")
-    attrs = raw.get("attrs", {})
-    _require(isinstance(attrs, dict), f"{where}: 'attrs' must be an object")
-    for key, value in attrs.items():
-        _require(isinstance(value, _SCALARS), f"{where}: attribute '{key}' must be a scalar")
-    collections: dict[str, list[Element]] = {}
-    raw_colls = raw.get("collections", {})
-    _require(isinstance(raw_colls, dict), f"{where}: 'collections' must be an object")
-    for name, items in raw_colls.items():
-        _require(isinstance(items, list), f"{where}: collection '{name}' must be a list")
-        collections[name] = [_parse_element(item, f"{where}.{name}[{i}]") for i, item in enumerate(items)]
-    refs: dict[str, ElementPath] = {}
-    raw_refs = raw.get("refs", {})
-    _require(isinstance(raw_refs, dict), f"{where}: 'refs' must be an object")
-    for name, value in raw_refs.items():
-        _require(isinstance(value, str), f"{where}: reference '{name}' must be a path string")
-        refs[name] = parse_path(value)
-    return Element(raw["class"], dict(attrs), collections, refs)
+def _nesting(value: object) -> int:
+    """How many levels of lists and objects ``value`` nests, level by level."""
+    depth, level = 0, [value]
+    while level := [item for item in level if isinstance(item, (dict, list))]:
+        depth += 1
+        level = [v for item in level for v in (item.values() if isinstance(item, dict) else item)]
+    return depth
+
+
+def _load_model_json(text: str) -> object:
+    """A model document's JSON, for a reader that does not walk it as ``parse_model`` does."""
+    data = _load_json(text)
+    _require(_nesting(data) <= _MAX_DEPTH, "JSON nested too deeply")
+    return data
+
+
+def _path_text(node, prefix: str = "") -> str:
+    """The path of a walk's ``node``, (parent node, collection name, index) or None at the root."""
+    steps = []
+    while node is not None:
+        node, name, index = node
+        steps.append(f"{name}[{index}]")
+    return prefix + ".".join(reversed(steps)) if steps else ROOT_NAME
 
 
 def parse_model(text: str, mm: Metamodel, uri: str = "") -> Model:
-    """Parse a model document and check that it conforms to ``mm``."""
+    """Parse a model document and check it against ``mm`` in the same walk
+    (module docstring). The first structural fault the document reads is a
+    ``ParseError``; else all violations make one ``ConformanceError``. Nesting
+    past ``_MAX_DEPTH`` is a ``ParseError`` before any other fault."""
     data = _load_json(text)
+    try:
+        return _read_model(data, mm, uri)
+    except TracelinkError:
+        _require(_nesting(data) <= _MAX_DEPTH, "JSON nested too deeply")
+        raise
+
+
+def _read_model(data: object, mm: Metamodel, uri: str) -> Model:
     _require(isinstance(data, dict), "model document must be an object")
     declared = data.get("metamodel")
     _require(isinstance(declared, str) and declared, "model needs a string 'metamodel'")
     _require("root" in data, "model needs a 'root' element")
     if declared != mm.name:
         raise ConformanceError("root", f"model declares metamodel '{declared}', expected '{mm.name}'")
-    model = Model(uri, declared, _parse_element(data["root"], "root"))
-    ensure_conforms(model, mm)
+    _require(_DOCUMENT_KEYS.issuperset(data) or _nesting(data) <= _MAX_DEPTH, "JSON nested too deeply")
+    faults, holders, top, class_named = [], [], [], mm.class_named
+    # (raw element, path node, list it goes into, its holder's class, nesting
+    # level); a fault met early waits here as a ParseError for its turn.
+    stack = [(data["root"], None, top, None, 2)]
+    while stack:
+        raw, node, into, holder_cls, level = stack.pop()
+        if not isinstance(raw, dict):
+            raise raw if isinstance(raw, ParseError) else ParseError(f"{_path_text(node, 'root.')}: element must be an object")
+        if level > _MAX_DEPTH - 2 or not _ELEMENT_KEYS.issuperset(raw):
+            _require(level - 1 + _nesting(raw) <= _MAX_DEPTH, "JSON nested too deeply")
+        class_name, attrs, raw_colls = raw.get("class"), raw.get("attrs", {}), raw.get("collections", {})
+        if not isinstance(class_name, str) or not class_name:
+            raise ParseError(f"{_path_text(node, 'root.')}: element needs a string 'class'")
+        if not isinstance(attrs, dict):
+            raise ParseError(f"{_path_text(node, 'root.')}: 'attrs' must be an object")
+        for key, value in attrs.items():
+            if not isinstance(value, _SCALARS):
+                raise ParseError(f"{_path_text(node, 'root.')}: attribute '{key}' must be a scalar")
+        if not isinstance(raw_colls, dict):
+            raise ParseError(f"{_path_text(node, 'root.')}: 'collections' must be an object")
+        e, cls = Element(class_name, attrs), class_named(class_name)
+        into.append(e)
+        try:
+            raw_refs = raw.get("refs", {})
+            if not isinstance(raw_refs, dict):
+                raise ParseError(f"{_path_text(node, 'root.')}: 'refs' must be an object")
+            for name, value in raw_refs.items():
+                if not isinstance(value, str):
+                    raise ParseError(f"{_path_text(node, 'root.')}: reference '{name}' must be a path string")
+                e.refs[name] = parse_path(value)
+        except ParseError as exc:  # read after the element's collections
+            stack.append((exc, None, None, None, 0))
+        frames = []
+        for name, items in raw_colls.items():
+            if not isinstance(items, list):
+                frames.append((ParseError(f"{_path_text(node, 'root.')}: collection '{name}' must be a list"),
+                               None, None, None, 0))
+                break
+            kids = e.collections[name] = []
+            frames.extend([(item, (node, name, i), kids, cls, level + 3) for i, item in enumerate(items)])
+        stack.extend(reversed(frames))
+        _check_element(cls, e, node, holder_cls, faults, holders)
+    model = Model(uri, declared, top[0])
+    _conclude(model, mm, _violations(model, faults, holders))
     return model
 
 
-def _element_to_json(e: Element) -> dict:
-    out: dict[str, object] = {"class": e.class_name}
-    if e.attrs:
-        out["attrs"] = dict(e.attrs)
-    if any(e.collections.values()):
-        out["collections"] = {
-            name: [_element_to_json(child) for child in children]
-            for name, children in e.collections.items() if children
-        }
-    if e.refs:
-        out["refs"] = {name: str(path) for name, path in e.refs.items()}
-    return out
-
-
 def serialize_model(m: Model) -> str:
-    return canonical_json({"metamodel": m.metamodel_name, "root": _element_to_json(m.root)})
+    """``canonical_json`` of the model's document, written straight from its
+    elements from an explicit stack, each indent string made once per level."""
+    out, indents = ['{\n  "metamodel": ', encode_basestring(m.metamodel_name), ',\n  "root": '], ["\n"]
+    todo: list = [(m.root, 1)]  # text, or an element to write at an indent level
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        e, level = item
+        while len(indents) <= level + 3:
+            indents.append(indents[-1] + "  ")
+        close, inner, deeper, kid = indents[level:level + 4]
+        attrs = f'{inner}"attrs": {_members_text(e.attrs, deeper, inner)},' if e.attrs else ""
+        out.append(f'{{{attrs}{inner}"class": {encode_basestring(e.class_name)}')
+        todo.append((f',{inner}"refs": {_members_text(e.refs, deeper, inner)}' if e.refs else "") + close + "}")
+        named = [name for name in sorted(e.collections) if e.collections[name]]
+        if named:
+            body = [f',{inner}"collections": {{']
+            for name in named:
+                body.append(f'{"," if len(body) > 1 else ""}{deeper}{encode_basestring(name)}: [')
+                for i, child in enumerate(e.collections[name]):
+                    body += ("," + kid if i else kid, (child, level + 3))
+                body.append(deeper + "]")
+            body.append(inner + "}")
+            todo.extend(reversed(body))
+    out.append("\n}\n")
+    return "".join(out)
+
+
+def _members_text(members: dict, indent: str, close: str) -> str:
+    """A JSON object of scalar members, attribute values or reference paths, keys sorted."""
+    writer = _JSON_SCALARS.get  # a path, a str subclass, is written as a str
+    return "{" + ",".join([f"{indent}{encode_basestring(key)}: {writer(type(value), encode_basestring)(value)}"
+                           for key, value in sorted(members.items())]) + close + "}"
 
 
 # ---------------------------------------------------------------------------
 # Conformance
 # ---------------------------------------------------------------------------
 
+# The Python types each attribute type takes; a bool is an int to Python only.
+_TYPES = {"string": str, "bool": bool, "int": int, "float": (int, float)}
+
+
 def _type_ok(declared: str, value: object) -> bool:
-    if declared == "string":
-        return isinstance(value, str)
-    if declared == "bool":
-        return isinstance(value, bool)
-    if declared == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if declared == "float":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return False
+    return isinstance(value, _TYPES[declared]) and (declared == "bool" or not isinstance(value, bool))
+
+
+# Each fact of conformance is defined once, below, for both walks: the one
+# ``parse_model`` reads a document in and ``check_conformance``'s over a model
+# built in memory. A fault is (path node, message); its path text is made
+# only when the violations are.
+
+def _check_element(cls: ClassDef | None, e: Element, node, holder_cls: ClassDef | None, faults: list, holders: list):
+    """The facts local to ``e``: its class ``cls`` is known and is the one its
+    holder's collection declares; each attribute it sets is declared and of
+    its type; each collection and reference it sets is declared. An element
+    whose class declares references is kept in ``holders`` for later."""
+    held_as = holder_cls.features.get(node[1]) if holder_cls is not None else None
+    if isinstance(held_as, CollectionDef) and e.class_name != held_as.element_class:
+        faults.append((node, f"collection '{held_as.name}' holds class '{held_as.element_class}', got '{e.class_name}'"))
+    if cls is None:
+        faults.append((node, f"unknown class '{e.class_name}'"))
+        return
+    features = cls.features
+    for name, value in e.attrs.items():
+        attr = features.get(name)
+        if not isinstance(attr, AttributeDef):
+            faults.append((node, f"class '{cls.name}' declares no attribute '{name}'"))
+        elif not _type_ok(attr.type, value):
+            faults.append((node, f"attribute '{name}' expects {attr.type}, got {type(value).__name__}"))
+    for names, kind, what in ((e.collections, CollectionDef, "collection"), (e.refs, ReferenceDef, "reference")):
+        for name in names:
+            if not isinstance(features.get(name), kind):
+                faults.append((node, f"class '{cls.name}' declares no {what} '{name}'"))
+    if cls.references:
+        holders.append((e, cls, node))
+
+
+def _violations(m: Model, faults: list, holders: list) -> list[Violation]:
+    """``faults``, and those of each declared reference of ``holders`` (element,
+    class, node) in the built tree: unset though required, dangling, or to an
+    element of another class; sorted by (path, message)."""
+    for e, cls, node in holders:
+        for ref in cls.references:
+            ref_path = e.refs.get(ref.name)
+            if ref_path is None:
+                if not ref.optional:
+                    faults.append((node, f"required reference '{ref.name}' is unset"))
+                continue
+            try:
+                target = resolve_path(m, ref_path)
+            except PathNotFound:
+                faults.append((node, f"reference '{ref.name}' dangles: '{ref_path}'"))
+                continue
+            if target.class_name != ref.target_class:
+                faults.append((node, f"reference '{ref.name}' expects class '{ref.target_class}', "
+                                     f"got '{target.class_name}'"))
+    return sorted(Violation(_path_text(node), message) for node, message in faults)
 
 
 def check_conformance(m: Model, mm: Metamodel) -> list[Violation]:
-    """All conformance violations, sorted by path. Empty list means conforming.
-    The walk is pre-order from an explicit stack, so it is linear in depth."""
-    violations: list[Violation] = []
-    seen: set[int] = set()
-    stack = [(m.root, ROOT_NAME)]
+    """All conformance violations of a model built in memory, sorted by
+    (path, message); empty means conforming. Pre-order from an explicit
+    stack, so linear in depth; an element held twice is checked where first met."""
+    faults, holders, seen, stack = [], [], set(), [(m.root, None, None)]
     while stack:
-        e, path_str = stack.pop()
+        e, node, holder_cls = stack.pop()
         if id(e) in seen:
-            violations.append(Violation(path_str, "element contained more than once"))
+            faults.append((node, "element contained more than once"))
             continue
         seen.add(id(e))
         cls = mm.class_named(e.class_name)
-        if cls is None:
-            violations.append(Violation(path_str, f"unknown class '{e.class_name}'"))
-        else:
-            features = cls.features
-            for name, value in e.attrs.items():
-                attr = features.get(name)
-                if not isinstance(attr, AttributeDef):
-                    violations.append(Violation(path_str, f"class '{cls.name}' declares no attribute '{name}'"))
-                elif not _type_ok(attr.type, value):
-                    violations.append(Violation(
-                        path_str, f"attribute '{name}' expects {attr.type}, got {type(value).__name__}"))
-            for name in e.collections:
-                if not isinstance(features.get(name), CollectionDef):
-                    violations.append(Violation(path_str, f"class '{cls.name}' declares no collection '{name}'"))
-            for name, ref_path in e.refs.items():
-                ref = features.get(name)
-                if not isinstance(ref, ReferenceDef):
-                    violations.append(Violation(path_str, f"class '{cls.name}' declares no reference '{name}'"))
-                    continue
-                try:
-                    target = resolve_path(m, ref_path)
-                except PathNotFound:
-                    violations.append(Violation(path_str, f"reference '{name}' dangles: '{ref_path}'"))
-                    continue
-                if target.class_name != ref.target_class:
-                    violations.append(Violation(
-                        path_str,
-                        f"reference '{name}' expects class '{ref.target_class}', got '{target.class_name}'"))
-            for ref in cls.references:
-                if not ref.optional and ref.name not in e.refs:
-                    violations.append(Violation(path_str, f"required reference '{ref.name}' is unset"))
-        # Children last first, so the first is visited next; the root's are
-        # addressed without a "root." prefix.
-        prefix = "" if e is m.root else path_str + "."
-        for name, children in reversed(e.collections.items()):
-            decl = cls.features.get(name) if cls else None
-            for i in range(len(children) - 1, -1, -1):
-                child, child_path = children[i], f"{prefix}{name}[{i}]"
-                if isinstance(decl, CollectionDef) and child.class_name != decl.element_class:
-                    violations.append(Violation(
-                        child_path,
-                        f"collection '{name}' holds class '{decl.element_class}', got '{child.class_name}'"))
-                stack.append((child, child_path))
-    violations.sort(key=lambda v: (v.path, v.message))
-    return violations
+        _check_element(cls, e, node, holder_cls, faults, holders)
+        stack.extend([(child, (node, name, i), cls) for name, children in e.collections.items()
+                      for i, child in enumerate(children)][::-1])
+    return _violations(m, faults, holders)
+
+
+def _conclude(m: Model, mm: Metamodel, violations: list[Violation]):
+    if violations:
+        raise ConformanceError(violations[0].path, violations[0].message, tuple(violations))
+    m.checked_against = mm
 
 
 def ensure_conforms(m: Model, mm: Metamodel):
@@ -465,12 +567,8 @@ def ensure_conforms(m: Model, mm: Metamodel):
 
     Relies on models being immutable once checked (module docstring).
     """
-    if m.checked_against == mm:
-        return
-    violations = check_conformance(m, mm)
-    if violations:
-        raise ConformanceError(violations[0].path, violations[0].message, tuple(violations))
-    m.checked_against = mm
+    if m.checked_against != mm:
+        _conclude(m, mm, check_conformance(m, mm))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,22 @@ INPUT_URI = "Input.pim.model.json"
 BINDINGS = {"pim": INPUT_URI}
 
 
+# A one-class metamodel whose models may nest as deep as their documents do.
+NODE_KIDS_MM = {"name": "DeepMM", "classes": [{"name": "Node", "attributes": [{"name": "id", "type": "string"}],
+                                              "collections": [{"class": "Node", "name": "kids"}]}]}
+DEPTH_LIMIT = 960  # levels of lists and objects in a model document (docs/formats.md, "Models")
+
+
+def chain_document(levels: int, last: str = "") -> str:
+    """A ``NODE_KIDS_MM`` model document: a chain of ``levels`` elements, each
+    with an ``id`` and holding the next in ``kids``, so ``3 * levels`` deep;
+    ``last`` is more members of the last element."""
+    text = "".join(f'{{"class": "Node", "attrs": {{"id": "n{level}"}}, "collections": {{"kids": ['
+                   for level in range(1, levels))
+    text += f'{{"class": "Node", "attrs": {{"id": "n{levels}"}}{last}}}' + "]}}" * (levels - 1)
+    return f'{{"metamodel": "DeepMM", "root": {text}}}'
+
+
 def copy_workspace(dest: Path) -> Path:
     ws = dest / "ws"
     shutil.copytree(WORKSPACE_FIXTURE, ws)

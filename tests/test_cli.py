@@ -14,7 +14,7 @@ from tracelink import model
 from tracelink.cli import cli
 from tracelink.trace import load_trace
 
-from conftest import copy_workspace
+from conftest import NODE_KIDS_MM, chain_document, copy_workspace
 
 
 @pytest.fixture
@@ -64,6 +64,17 @@ def test_discover_reports_json_nested_past_the_decoder_limit(tmp_path, runner):
     result = invoke(runner, tmp_path, "discover", str(tmp_path))
     assert_one_line_error(result)
     assert result.output == "error: x.model.json: JSON nested too deeply\n"
+
+
+def test_discover_reports_a_model_one_level_past_the_depth_limit(tmp_path, runner):
+    (tmp_path / "DeepMM.mm.json").write_text(json.dumps(NODE_KIDS_MM), encoding="utf-8")
+    (tmp_path / "at.model.json").write_text(chain_document(320), encoding="utf-8")
+    assert invoke(runner, tmp_path, "discover", str(tmp_path)).exit_code == 0
+    past = chain_document(320, ', "collections": {"kids": []}')
+    (tmp_path / "past.model.json").write_text(past, encoding="utf-8")
+    result = invoke(runner, tmp_path, "discover", str(tmp_path))
+    assert_one_line_error(result)
+    assert result.output == "error: past.model.json: JSON nested too deeply\n"
 
 
 def test_enact_writes_artifacts_and_summary(enacted_ws):

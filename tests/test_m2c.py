@@ -101,6 +101,14 @@ def test_an_integer_longer_than_int_reads_is_a_parse_error_at_its_tag(tag):
     assert str(info.value) == "integer literal too large (line 3)"
 
 
+@pytest.mark.parametrize("tag", ["[{huge}/]", '[if (m.name = {huge})][/if]', "[if (m.elements->size() > {huge})][/if]"])
+def test_a_float_longer_than_a_double_holds_is_a_parse_error_at_its_tag(tag):
+    huge = "9" * 400 + ".5"  # float() reads it as inf, which the printer would write back as a variable
+    with pytest.raises(ParseError) as info:
+        parse_template("[template x (m : ListMM!Root)]\n\n" + tag.format(huge=huge) + "[/template]", ALL_METAMODELS)
+    assert str(info.value) == "float literal too large (line 3)"
+
+
 def test_conditional_listing_parses_with_both_branches():
     t = cond_template()
     node = t.body[0]

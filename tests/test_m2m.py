@@ -143,6 +143,14 @@ def test_an_integer_longer_than_int_reads_is_a_parse_error_at_its_position():
     assert str(exc.value) == "integer literal too large (line 7, col 34)"
 
 
+def test_a_float_longer_than_a_double_holds_is_a_parse_error_at_its_position():
+    # float() reads it as inf, which the printer would write back as a variable.
+    text = IDENTITY_RULE.replace("node_id <- s.id", "node_id <- " + "9" * 400 + ".5")
+    with pytest.raises(ParseError) as exc:
+        parse_m2m(text, AB_METAMODELS)
+    assert str(exc.value) == "float literal too large (line 7, col 34)"
+
+
 def test_bundled_map_contiki_parses(workspace_metamodels):
     t = load_fixture_m2m("MapContiki.m2m", workspace_metamodels)
     assert len(t.rules) >= 3

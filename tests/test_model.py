@@ -30,7 +30,8 @@ from tracelink import paths
 from tracelink.paths import ROOT_PATH, parse_path
 from tracelink.trace import build_identifier_tree
 
-from conftest import WORKSPACE_FIXTURE, copy_workspace, run_enactment, source_path_key
+from conftest import (DEPTH_LIMIT, NODE_KIDS_MM, WORKSPACE_FIXTURE, chain_document, copy_workspace,
+                      run_enactment, source_path_key)
 from templates import ALL_METAMODELS, PLAT_MM, plat_model
 from worlds import random_world
 
@@ -132,6 +133,35 @@ def test_malformed_json_is_a_parse_error():
 def test_json_nested_past_the_decoder_limit_is_a_parse_error(pimm):
     with pytest.raises(ParseError, match="^JSON nested too deeply$"):
         parse_model("[" * 5000 + "]" * 5000, pimm)
+
+
+def _nesting(text: str) -> int:
+    """How deeply a JSON text without strings that hold brackets nests lists and objects."""
+    depth = deepest = 0
+    for char in text:
+        depth += {"[": 1, "{": 1, "]": -1, "}": -1}.get(char, 0)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _called_from(frames: int, fn):
+    return fn() if frames == 0 else _called_from(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 500])
+def test_one_depth_limit_for_model_documents_whatever_the_callers_stack(frames):
+    mm = parse_metamodel(json.dumps(NODE_KIDS_MM))
+    at_limit, past = chain_document(320), chain_document(320, ', "collections": {"kids": []}')
+    assert (_nesting(at_limit), _nesting(past)) == (DEPTH_LIMIT, DEPTH_LIMIT + 1)
+    model = _called_from(frames, lambda: parse_model(at_limit, mm))
+    assert model.checked_against is mm and len(list(iter_elements(model))) == 320
+    with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+        _called_from(frames, lambda: parse_model(past, mm))
+    # Past the limit beside the elements, or with another fault too.
+    for text in (past.replace('"collections": {"kids": []}', '"notes": [[]]'), past.replace('"n320"', "5"),
+                 past.replace('"DeepMM"', '"Other"', 1), '{"metamodel": "DeepMM", "root": 5, "x": %s}' % past):
+        with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+            _called_from(frames, lambda: parse_model(text, mm))
 
 
 def test_bundled_pim_metamodel_has_seven_classes(pimm):
@@ -408,6 +438,76 @@ def test_iter_elements_walks_in_source_path_order(input_pim):
         paths = _walked(m)
         assert paths == sorted(paths, key=source_path_key)
         assert build_identifier_tree(paths).paths() == paths
+
+
+NODE_MM = parse_metamodel(json.dumps({"name": "NodeMM", "classes": [{
+    "name": "Node", "attributes": [{"name": n, "type": t} for n, t in (("s", "string"), ("i", "int"), ("f", "float"),
+                                                                        ("b", "bool"))],
+    "collections": [{"class": "Node", "name": "kids"}], "references": [{"class": "Node", "name": "peer", "optional": True}],
+}]}))
+ATTRS = st.fixed_dictionaries({}, optional={
+    "s": JSON_TEXT, "i": st.integers() | st.integers(-2 ** 100, 2 ** 100), "b": st.booleans(),
+    "f": st.floats() | st.integers(-5, 5) | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324]),
+})
+
+
+def _document(e: Element) -> dict:
+    """The object json writes for ``e``, from a plain walk; one call per level."""
+    out: dict = {"class": e.class_name}
+    if e.attrs:
+        out["attrs"] = dict(e.attrs)
+    kids = {}
+    for name, children in e.collections.items():
+        if children:
+            kids[name] = [_document(child) for child in children]
+    if kids:
+        out["collections"] = kids
+    if e.refs:
+        out["refs"] = {name: str(path) for name, path in e.refs.items()}
+    return out
+
+
+@st.composite
+def node_models(draw) -> Model:
+    """A ``NODE_MM`` model: a drawn tree whose first leaf holds a chain, 320
+    levels deep at most, with drawn attributes and references."""
+    pool = draw(st.lists(ATTRS, min_size=1, max_size=6))
+    made = []
+
+    def node(shape) -> Element:
+        e = Element("Node", dict(pool[len(made) % len(pool)]))
+        made.append(e)
+        kids = [node(kid) for kid in shape]
+        if kids or draw(st.booleans()):
+            e.collections["kids"] = kids
+        return e
+
+    root = node(draw(st.recursive(st.just([]), lambda kids: st.lists(kids, max_size=3), max_leaves=12)))
+    holder, height = root, 1
+    while holder.collections.get("kids"):
+        holder, height = holder.collections["kids"][0], height + 1
+    for _ in range(draw(st.just(320 - height) | st.integers(0, 320 - height))):
+        holder.collections["kids"] = [node([])]
+        holder = holder.collections["kids"][0]
+    m = Model("", "NodeMM", root)
+    paths = {id(e): path for path, e in iter_elements(m)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(made) - 1), st.integers(0, len(made) - 1)), max_size=4)):
+        made[i].refs["peer"] = paths[id(made[j])]
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(node_models() | st.integers(0, 40).map(lambda seed: (random_world(seed)[0]["SrcMM"], random_world(seed)[2])))
+def test_models_are_written_as_json_writes_them_and_read_back_checked(drawn):
+    mm, m = drawn if isinstance(drawn, tuple) else (NODE_MM, drawn)
+    text = serialize_model(m)
+    assert text == json_reference({"metamodel": m.metamodel_name, "root": _document(m.root)})
+    read = parse_model(text, mm, uri=m.uri)
+    assert read.checked_against is mm and serialize_model(read) == text  # the text tells -0.0 from 0.0
+    for _, e in iter_elements(m):  # an empty collection is left out of the text
+        e.collections = {name: kids for name, kids in e.collections.items() if kids}
+    if "nan" not in repr(m):  # nan equals no float
+        assert read == m
 
 
 def _recursive_walk(e: Element, names, prefix: str):

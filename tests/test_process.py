@@ -301,12 +301,22 @@ def test_enactment_checks_each_model_once_and_never_searches_paths(workspace, mo
         for module in modules:  # also where a module imported the name
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    parsed, parse_model = [], model_module.parse_model  # (model, metamodel) of each parse_model call
+
+    def parse(text, mm, uri=""):
+        parsed.append((parse_model(text, mm, uri), mm))
+        return parsed[-1][0]
+
+    for module in modules:
+        if getattr(module, "parse_model", None) is parse_model:
+            monkeypatch.setattr(module, "parse_model", parse)
     _, result = run_enactment(workspace)
-    # The PIM is checked where it is parsed; each M2M output conforms by
-    # construction. Each model is walked once, into its element index: the
+    # The PIM is checked in the walk that parses it; each M2M output conforms
+    # by construction. Each model is walked once, into its element index: the
     # PIM by the first M2M action, each output where it is assembled, and
     # the M2C renders reuse the outputs' indexes from memory.
-    assert calls["check_conformance"] == [INPUT_URI]
+    assert calls["check_conformance"] == []
+    assert [(m.uri, m.checked_against is mm) for m, mm in parsed] == [(INPUT_URI, True)]
     outputs = [r.uri for r in result.megamodel.of_kind(ResourceKind.MODEL) if r.origin == ResourceOrigin.GENERATED]
     assert sorted(calls["iter_elements"]) == sorted([INPUT_URI, *outputs]) and len(outputs) == 4
 
