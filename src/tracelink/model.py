@@ -73,6 +73,11 @@ class ClassDef(namedtuple("ClassDef", "name attributes collections references", 
         ``parse_metamodel`` enforces; callers dispatch on the definition's type."""
         return {f.name: f for f in (*self.attributes, *self.collections, *self.references)}
 
+    @cached_property
+    def _exact_types(self) -> dict[str, tuple[type, ...]]:
+        """Each attribute's name: the Python types it takes as they are, a shortcut past ``_type_ok``."""
+        return {a.name: _TYPES[a.type] for a in self.attributes}
+
 
 class Metamodel(namedtuple("Metamodel", "name classes", defaults=((),))):
     """A metamodel; ``class_named`` caches outside the fields, as ``ClassDef.features`` does."""
@@ -149,10 +154,9 @@ Violation = namedtuple("Violation", "path message")
 
 def _load_json(text: str) -> object:
     """``json.loads``; a syntax error is a ``ParseError`` naming line and
-    column, and so is nesting deeper than the decoder's recursion limit.
-    json counts its levels against the limit that the caller's frames share,
-    so a document the caller's stack leaves no room for is decoded again on
-    a fresh thread, whose stack is empty."""
+    column, and so is nesting deeper than the decoder's recursion limit. The
+    decoder shares that limit with the caller's frames, so a document they
+    leave it no room for is decoded again on a fresh thread."""
     try:
         try:
             return json.loads(text)
@@ -194,39 +198,24 @@ _scalar_writer = _JSON_SCALARS.get
 def _write_json(value: object, newline: str, emit: Callable[[str], None]):
     """Emit ``value`` at the indent ``newline`` ends in; not a closure, which would reach itself."""
     kind = type(value)
-    if kind is dict:
+    if kind is dict or kind is list or kind is tuple:
+        keyed = kind is dict
         if not value:
-            emit("{}")
+            emit("{}" if keyed else "[]")
             return
         inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(key)
-            item = value[key]
+        sep = ("{" if keyed else "[") + inner
+        for entry in sorted(value.items()) if keyed else value:
+            item = entry[1] if keyed else entry
+            head = sep + encode_basestring(entry[0]) + ": " if keyed else sep  # a key that is no str: TypeError
             to_text = _scalar_writer(type(item))
             if to_text is None:
-                emit(sep + encode_basestring(key) + ": ")
+                emit(head)
                 _write_json(item, inner, emit)
             else:
-                emit(sep + encode_basestring(key) + ": " + to_text(item))
+                emit(head + to_text(item))
             sep = "," + inner
-        emit(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            emit("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            to_text = _scalar_writer(type(item))
-            if to_text is None:
-                emit(sep)
-                _write_json(item, inner, emit)
-            else:
-                emit(sep + to_text(item))
-            sep = "," + inner
-        emit(newline + "]")
+        emit(newline + ("}" if keyed else "]"))
     else:
         to_text = _scalar_writer(kind)
         if to_text is None:
@@ -368,10 +357,9 @@ def _path_text(node, prefix: str = "") -> str:
 
 
 def parse_model(text: str, mm: Metamodel, uri: str = "") -> Model:
-    """Parse a model document and check it against ``mm`` in the same walk
-    (module docstring). The first structural fault the document reads is a
-    ``ParseError``; else all violations make one ``ConformanceError``. Nesting
-    past ``_MAX_DEPTH`` is a ``ParseError`` before any other fault."""
+    """Parse a model document and check it against ``mm`` in one walk: the
+    first structural fault in document order is a ``ParseError``, else all
+    violations make one ``ConformanceError``; nesting past ``_MAX_DEPTH`` first."""
     data = _load_json(text)
     try:
         return _read_model(data, mm, uri)
@@ -389,11 +377,11 @@ def _read_model(data: object, mm: Metamodel, uri: str) -> Model:
         raise ConformanceError("root", f"model declares metamodel '{declared}', expected '{mm.name}'")
     _require(_DOCUMENT_KEYS.issuperset(data) or _nesting(data) <= _MAX_DEPTH, "JSON nested too deeply")
     faults, holders, top, class_named = [], [], [], mm.class_named
-    # (raw element, path node, list it goes into, its holder's class, nesting
-    # level); a fault met early waits here as a ParseError for its turn.
+    # (raw element, path node, list it goes into, the feature it is held in,
+    # nesting level); a fault met early waits here as a ParseError for its turn.
     stack = [(data["root"], None, top, None, 2)]
     while stack:
-        raw, node, into, holder_cls, level = stack.pop()
+        raw, node, into, held_as, level = stack.pop()
         if not isinstance(raw, dict):
             raise raw if isinstance(raw, ParseError) else ParseError(f"{_path_text(node, 'root.')}: element must be an object")
         if level > _MAX_DEPTH - 2 or not _ELEMENT_KEYS.issuperset(raw):
@@ -420,16 +408,18 @@ def _read_model(data: object, mm: Metamodel, uri: str) -> Model:
                 e.refs[name] = parse_path(value)
         except ParseError as exc:  # read after the element's collections
             stack.append((exc, None, None, None, 0))
-        frames = []
-        for name, items in raw_colls.items():
-            if not isinstance(items, list):
-                frames.append((ParseError(f"{_path_text(node, 'root.')}: collection '{name}' must be a list"),
-                               None, None, None, 0))
-                break
-            kids = e.collections[name] = []
-            frames.extend([(item, (node, name, i), kids, cls, level + 3) for i, item in enumerate(items)])
-        stack.extend(reversed(frames))
-        _check_element(cls, e, node, holder_cls, faults, holders)
+        if raw_colls:
+            frames, features = [], cls.features if cls is not None else {}
+            for name, items in raw_colls.items():
+                if not isinstance(items, list):
+                    frames.append((ParseError(f"{_path_text(node, 'root.')}: collection '{name}' must be a list"),
+                                   None, None, None, 0))
+                    break
+                kids = e.collections[name] = []
+                frames.extend([(item, (node, name, i), kids, features.get(name), level + 3)
+                               for i, item in enumerate(items)])
+            stack.extend(reversed(frames))
+        _check_element(cls, e, node, held_as, faults, holders)
     model = Model(uri, declared, top[0])
     _conclude(model, mm, _violations(model, faults, holders))
     return model
@@ -478,40 +468,41 @@ def _members_text(members: dict, indent: str, close: str) -> str:
 # ---------------------------------------------------------------------------
 
 # The Python types each attribute type takes; a bool is an int to Python only.
-_TYPES = {"string": str, "bool": bool, "int": int, "float": (int, float)}
+_TYPES = {"string": (str,), "bool": (bool,), "int": (int,), "float": (int, float)}
 
 
 def _type_ok(declared: str, value: object) -> bool:
     return isinstance(value, _TYPES[declared]) and (declared == "bool" or not isinstance(value, bool))
 
 
-# Each fact of conformance is defined once, below, for both walks: the one
-# ``parse_model`` reads a document in and ``check_conformance``'s over a model
-# built in memory. A fault is (path node, message); its path text is made
-# only when the violations are.
+# Each fact of conformance is defined once, for ``parse_model``'s walk and for
+# ``check_conformance``'s. A fault is (path node, message): text only if reported.
 
-def _check_element(cls: ClassDef | None, e: Element, node, holder_cls: ClassDef | None, faults: list, holders: list):
-    """The facts local to ``e``: its class ``cls`` is known and is the one its
-    holder's collection declares; each attribute it sets is declared and of
-    its type; each collection and reference it sets is declared. An element
-    whose class declares references is kept in ``holders`` for later."""
-    held_as = holder_cls.features.get(node[1]) if holder_cls is not None else None
+def _check_element(cls: ClassDef | None, e: Element, node, held_as, faults: list, holders: list):
+    """The facts local to ``e``: its class ``cls`` is known and is the one of
+    the collection it is ``held_as``, the feature of its holder; each
+    attribute it sets is declared and of its type; each collection and
+    reference it sets is declared. An element whose class declares
+    references is kept in ``holders`` for later."""
     if isinstance(held_as, CollectionDef) and e.class_name != held_as.element_class:
         faults.append((node, f"collection '{held_as.name}' holds class '{held_as.element_class}', got '{e.class_name}'"))
     if cls is None:
         faults.append((node, f"unknown class '{e.class_name}'"))
         return
-    features = cls.features
+    features, exact_types = cls.features, cls._exact_types
     for name, value in e.attrs.items():
-        attr = features.get(name)
-        if not isinstance(attr, AttributeDef):
-            faults.append((node, f"class '{cls.name}' declares no attribute '{name}'"))
-        elif not _type_ok(attr.type, value):
-            faults.append((node, f"attribute '{name}' expects {attr.type}, got {type(value).__name__}"))
-    for names, kind, what in ((e.collections, CollectionDef, "collection"), (e.refs, ReferenceDef, "reference")):
-        for name in names:
-            if not isinstance(features.get(name), kind):
-                faults.append((node, f"class '{cls.name}' declares no {what} '{name}'"))
+        if value.__class__ not in exact_types.get(name, ()):
+            attr = features.get(name)
+            if not isinstance(attr, AttributeDef):
+                faults.append((node, f"class '{cls.name}' declares no attribute '{name}'"))
+            elif not _type_ok(attr.type, value):
+                faults.append((node, f"attribute '{name}' expects {attr.type}, got {type(value).__name__}"))
+    for name in e.collections:
+        if not isinstance(features.get(name), CollectionDef):
+            faults.append((node, f"class '{cls.name}' declares no collection '{name}'"))
+    for name in e.refs:
+        if not isinstance(features.get(name), ReferenceDef):
+            faults.append((node, f"class '{cls.name}' declares no reference '{name}'"))
     if cls.references:
         holders.append((e, cls, node))
 
@@ -544,14 +535,15 @@ def check_conformance(m: Model, mm: Metamodel) -> list[Violation]:
     stack, so linear in depth; an element held twice is checked where first met."""
     faults, holders, seen, stack = [], [], set(), [(m.root, None, None)]
     while stack:
-        e, node, holder_cls = stack.pop()
+        e, node, held_as = stack.pop()
         if id(e) in seen:
             faults.append((node, "element contained more than once"))
             continue
         seen.add(id(e))
         cls = mm.class_named(e.class_name)
-        _check_element(cls, e, node, holder_cls, faults, holders)
-        stack.extend([(child, (node, name, i), cls) for name, children in e.collections.items()
+        _check_element(cls, e, node, held_as, faults, holders)
+        features = cls.features if cls is not None else {}
+        stack.extend([(child, (node, name, i), features.get(name)) for name, children in e.collections.items()
                       for i, child in enumerate(children)][::-1])
     return _violations(m, faults, holders)
 

@@ -25,6 +25,9 @@ _SEGMENT = rf"({IDENTIFIER.pattern})(?:\[([0-9]+)\])?"
 _PATH = re.compile(rf"{_SEGMENT}(?:\.{_SEGMENT})*")
 _LEADING_DOTTED = re.compile(rf"(?:{_SEGMENT}\.)*")  # whole segments, each with its '.'
 _LEADING_ZEROS = re.compile(r"\[0+(?=[0-9])")
+_CANONICAL_SEGMENT = rf"{IDENTIFIER.pattern}(?:\[(?:0|[1-9][0-9]*)\])?"
+# A canonical text, which parses to itself: no leading `root.` step, no leading zeros.
+_CANONICAL_PATH = re.compile(rf"(?!{ROOT_NAME}\.){_CANONICAL_SEGMENT}(?:\.{_CANONICAL_SEGMENT})*")
 
 
 class ElementPath(str):
@@ -50,6 +53,8 @@ ROOT_PATH = _canonical(ROOT_NAME)
 def parse_path(s: str) -> ElementPath:
     """Parse a path string into its canonical text; offsets in errors are
     byte positions (every character before an error is ASCII)."""
+    if _CANONICAL_PATH.fullmatch(s) is not None:
+        return _canonical(s)
     if _PATH.fullmatch(s) is None:
         raise _syntax_error(s)
     while s.startswith(_ROOT_PREFIX):  # all of them, so the canonical text parses to itself
