@@ -383,7 +383,9 @@ def _read_model(data: object, mm: Metamodel, uri: str) -> Model:
     while stack:
         raw, node, into, held_as, level = stack.pop()
         if not isinstance(raw, dict):
-            raise raw if isinstance(raw, ParseError) else ParseError(f"{_path_text(node, 'root.')}: element must be an object")
+            if isinstance(raw, ParseError):
+                raise raw
+            raise ParseError(f"{_path_text(node, 'root.')}: element must be an object")
         if level > _MAX_DEPTH - 2 or not _ELEMENT_KEYS.issuperset(raw):
             _require(level - 1 + _nesting(raw) <= _MAX_DEPTH, "JSON nested too deeply")
         class_name, attrs, raw_colls = raw.get("class"), raw.get("attrs", {}), raw.get("collections", {})
@@ -429,6 +431,18 @@ def serialize_model(m: Model) -> str:
     """``canonical_json`` of the model's document, written straight from its
     elements from an explicit stack, each indent string made once per level."""
     out, indents = ['{\n  "metamodel": ', encode_basestring(m.metamodel_name), ',\n  "root": '], ["\n"]
+    keys: dict[str, str] = {}  # a member's key as JSON text, made once
+    writer = _JSON_SCALARS.get
+
+    def members(values: dict, indent: str, close: str) -> str:
+        """An object of scalar members, attribute values or reference paths (a str subclass), keys sorted."""
+        parts = []
+        for key, value in sorted(values.items()):
+            if key not in keys:
+                keys[key] = encode_basestring(key) + ": "
+            parts.append(indent + keys[key] + writer(type(value), encode_basestring)(value))
+        return "{" + ",".join(parts) + close + "}"
+
     todo: list = [(m.root, 1)]  # text, or an element to write at an indent level
     while todo:
         item = todo.pop()
@@ -439,28 +453,23 @@ def serialize_model(m: Model) -> str:
         while len(indents) <= level + 3:
             indents.append(indents[-1] + "  ")
         close, inner, deeper, kid = indents[level:level + 4]
-        attrs = f'{inner}"attrs": {_members_text(e.attrs, deeper, inner)},' if e.attrs else ""
-        out.append(f'{{{attrs}{inner}"class": {encode_basestring(e.class_name)}')
-        todo.append((f',{inner}"refs": {_members_text(e.refs, deeper, inner)}' if e.refs else "") + close + "}")
-        named = [name for name in sorted(e.collections) if e.collections[name]]
-        if named:
-            body = [f',{inner}"collections": {{']
-            for name in named:
-                body.append(f'{"," if len(body) > 1 else ""}{deeper}{encode_basestring(name)}: [')
-                for i, child in enumerate(e.collections[name]):
-                    body += ("," + kid if i else kid, (child, level + 3))
-                body.append(deeper + "]")
-            body.append(inner + "}")
-            todo.extend(reversed(body))
+        attrs = f'{inner}"attrs": {members(e.attrs, deeper, inner)},' if e.attrs else ""
+        head = f'{{{attrs}{inner}"class": {encode_basestring(e.class_name)}'
+        tail = (f',{inner}"refs": {members(e.refs, deeper, inner)}' if e.refs else "") + close + "}"
+        named = [name for name in sorted(e.collections) if e.collections[name]] if e.collections else ()
+        if not named:
+            out.append(head + tail)
+            continue
+        body = [f'{head},{inner}"collections": {{']
+        for name in named:
+            body.append(f'{"," if len(body) > 1 else ""}{deeper}{encode_basestring(name)}: [')
+            for i, child in enumerate(e.collections[name]):
+                body += ("," + kid if i else kid, (child, level + 3))
+            body.append(deeper + "]")
+        body.append(inner + "}" + tail)
+        todo.extend(reversed(body))
     out.append("\n}\n")
     return "".join(out)
-
-
-def _members_text(members: dict, indent: str, close: str) -> str:
-    """A JSON object of scalar members, attribute values or reference paths, keys sorted."""
-    writer = _JSON_SCALARS.get  # a path, a str subclass, is written as a str
-    return "{" + ",".join([f"{indent}{encode_basestring(key)}: {writer(type(value), encode_basestring)(value)}"
-                           for key, value in sorted(members.items())]) + close + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +494,8 @@ def _check_element(cls: ClassDef | None, e: Element, node, held_as, faults: list
     reference it sets is declared. An element whose class declares
     references is kept in ``holders`` for later."""
     if isinstance(held_as, CollectionDef) and e.class_name != held_as.element_class:
-        faults.append((node, f"collection '{held_as.name}' holds class '{held_as.element_class}', got '{e.class_name}'"))
+        faults.append((node, f"collection '{held_as.name}' holds class '{held_as.element_class}', "
+                             f"got '{e.class_name}'"))
     if cls is None:
         faults.append((node, f"unknown class '{e.class_name}'"))
         return

@@ -441,9 +441,10 @@ def test_iter_elements_walks_in_source_path_order(input_pim):
 
 
 NODE_MM = parse_metamodel(json.dumps({"name": "NodeMM", "classes": [{
-    "name": "Node", "attributes": [{"name": n, "type": t} for n, t in (("s", "string"), ("i", "int"), ("f", "float"),
-                                                                        ("b", "bool"))],
-    "collections": [{"class": "Node", "name": "kids"}], "references": [{"class": "Node", "name": "peer", "optional": True}],
+    "name": "Node",
+    "attributes": [{"name": n, "type": t} for n, t in (("s", "string"), ("i", "int"), ("f", "float"), ("b", "bool"))],
+    "collections": [{"class": "Node", "name": "kids"}],
+    "references": [{"class": "Node", "name": "peer", "optional": True}],
 }]}))
 ATTRS = st.fixed_dictionaries({}, optional={
     "s": JSON_TEXT, "i": st.integers() | st.integers(-2 ** 100, 2 ** 100), "b": st.booleans(),

@@ -1,12 +1,8 @@
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import tracelink
 from tracelink import model as model_module
 from tracelink.errors import (
     ConformanceError,
@@ -23,7 +19,7 @@ from tracelink.process import NodeKind, enact, parse_process, schedule
 from tracelink.trace import load_trace
 from tracelink.workspace import read_text
 
-from conftest import BINDINGS, INPUT_URI, PROCESS_URI, run_enactment
+from conftest import BINDINGS, INPUT_URI, NODE_KIDS_MM, PROCESS_URI, chain_document, run_enactment
 
 
 def proc_json(nodes, control, objects=()):
@@ -358,8 +354,6 @@ def test_engine_failures_are_wrapped_with_action_id(identity_workspace):
         enact(p, mgm, {"m": "in.model.json"}, ws)
 
 
-DEEP_MM = {"name": "DeepMM", "classes": [{"name": "Node", "attributes": [{"name": "id", "type": "string"}],
-                                          "collections": [{"class": "Node", "name": "kids"}]}]}
 DEEP_PROC = {
     "name": "deep",
     "nodes": [
@@ -376,23 +370,18 @@ DEEP_PROC = {
 
 
 def test_a_model_320_levels_deep_enacts_through_a_copy_and_a_loop(tmp_path):
-    depth = 320  # json's encoder and decoder recurse per level, so the text is written out
-    root = "".join(f'{{"class": "Node", "attrs": {{"id": "n{level}"}}, "collections": {{"kids": ['
-                   for level in range(1, depth))
-    root += f'{{"class": "Node", "attrs": {{"id": "n{depth}"}}}}' + "]}}" * (depth - 1)
+    depth = 320
     ws = tmp_path / "deep"
     ws.mkdir()
-    (ws / "DeepMM.mm.json").write_text(canonical_json(DEEP_MM))
-    (ws / "in.model.json").write_text(f'{{"metamodel": "DeepMM", "root": {root}}}')
+    (ws / "DeepMM.mm.json").write_text(canonical_json(NODE_KIDS_MM))
+    (ws / "in.model.json").write_text(chain_document(depth))
     (ws / "Copy.m2m").write_text("transformation Copy;\ninput m : DeepMM;\noutput o : DeepMM;\n"
                                  "rule Node { from s : DeepMM!Node to t : DeepMM!Node (id <- s.id, kids <- s.kids) }\n")
     (ws / "Show.m2c").write_text("[template show.txt (n : DeepMM!Node)][for (k : n.kids)]kid [k.id/]\n[/for][/template]")
     (ws / "deep.proc.json").write_text(canonical_json(DEEP_PROC))
-    # In a fresh interpreter, as the command line runs: json's decoder counts
-    # its levels against the same recursion limit as the test runner's frames.
-    env = dict(os.environ, PYTHONPATH=str(Path(tracelink.__file__).resolve().parent.parent))
-    for args in (["discover", "."], ["enact", "deep.proc.json", "--bind", "m=in.model.json"]):
-        subprocess.run([sys.executable, "-m", "tracelink.cli", *args], cwd=ws, env=env, check=True, capture_output=True)
+    # In this process, under the test runner's frames: every reader and
+    # writer on the way is linear in depth, and none depends on the stack.
+    enact(parse_process(read_text(ws, "deep.proc.json")), discover(ws), {"m": "in.model.json"}, ws)
     assert read_text(ws, "out/Show/show.txt") == "kid n2\n"
     copy_trace, show_trace = (load_trace(read_text(ws, f"traces/{aid}.trace.json")) for aid in ("Copy", "Show"))
     chain = [".".join(["kids[0]"] * level) for level in range(1, depth)]
