@@ -144,7 +144,7 @@ def _number_token(kind: str, digits: str) -> tuple:
         value = int(digits) if kind == "int" else float(digits)
     except ValueError:  # more digits than int() converts
         return _BAD
-    return _BAD if value == float("inf") else (kind, value)  # a float more digits long than a double
+    return _BAD if value == float("inf") else (kind, value)  # float() reads one too large for a double as inf
 
 
 class _Parser:
@@ -172,7 +172,7 @@ class _Parser:
         if _BAD in self.tokens:  # before any grammar error
             self.i = self.tokens.index(_BAD)
             literal = {3: "float", 4: "integer"}.get(self.pattern.match(text, self.offset()).lastindex)
-            if literal:  # the token's group: only a number starts with a digit (\d)
+            if literal:  # the bad token's group (``_token_re``) is a number's, not a character's
                 self.error(f"{literal} literal too large")
             self.bad_character()
 

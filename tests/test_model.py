@@ -475,39 +475,40 @@ def node_models(draw) -> Model:
     pool = draw(st.lists(ATTRS, min_size=1, max_size=6))
     made = []
 
-    def node(shape) -> Element:
+    def node(shape, empty_kids: bool) -> Element:
         e = Element("Node", dict(pool[len(made) % len(pool)]))
         made.append(e)
-        kids = [node(kid) for kid in shape]
-        if kids or draw(st.booleans()):
+        kids = [node(kid, draw(st.booleans())) for kid in shape]
+        if kids or empty_kids:
             e.collections["kids"] = kids
         return e
 
-    root = node(draw(st.recursive(st.just([]), lambda kids: st.lists(kids, max_size=3), max_leaves=12)))
+    root = node(draw(st.recursive(st.just([]), lambda kids: st.lists(kids, max_size=3), max_leaves=12)), False)
     holder, height = root, 1
     while holder.collections.get("kids"):
         holder, height = holder.collections["kids"][0], height + 1
-    for _ in range(draw(st.just(320 - height) | st.integers(0, 320 - height))):
-        holder.collections["kids"] = [node([])]
+    for _ in range(draw(st.integers(0, 320 - height))):
+        holder.collections["kids"] = [node([], False)]
         holder = holder.collections["kids"][0]
     m = Model("", "NodeMM", root)
-    paths = {id(e): path for path, e in iter_elements(m)}
+    path_of = {id(e): path for path, e in iter_elements(m)}
     for i, j in draw(st.lists(st.tuples(st.integers(0, len(made) - 1), st.integers(0, len(made) - 1)), max_size=4)):
-        made[i].refs["peer"] = paths[id(made[j])]
+        made[i].refs["peer"] = path_of[id(made[j])]
     return m
 
 
-@settings(max_examples=40, deadline=None)
-@given(node_models() | st.integers(0, 40).map(lambda seed: (random_world(seed)[0]["SrcMM"], random_world(seed)[2])))
+@settings(max_examples=25, deadline=None)
+@given(node_models() | st.integers(0, 40).map(random_world).map(lambda world: (world[0]["SrcMM"], world[2])))
 def test_models_are_written_as_json_writes_them_and_read_back_checked(drawn):
     mm, m = drawn if isinstance(drawn, tuple) else (NODE_MM, drawn)
     text = serialize_model(m)
     assert text == json_reference({"metamodel": m.metamodel_name, "root": _document(m.root)})
     read = parse_model(text, mm, uri=m.uri)
     assert read.checked_against is mm and serialize_model(read) == text  # the text tells -0.0 from 0.0
+    values = [value for _, e in iter_elements(m) for value in e.attrs.values()]
     for _, e in iter_elements(m):  # an empty collection is left out of the text
         e.collections = {name: kids for name, kids in e.collections.items() if kids}
-    if "nan" not in repr(m):  # nan equals no float
+    if not any(isinstance(value, float) and math.isnan(value) for value in values):  # nan equals no float
         assert read == m
 
 
