@@ -28,6 +28,7 @@ from .errors import (
 )
 from .model import (
     AttributeDef,
+    ClassDef,
     CollectionDef,
     Element,
     Metamodel,
@@ -36,7 +37,6 @@ from .model import (
     _type_ok,
     element_index,
     ensure_conforms,
-    nav_type,
 )
 from .trace import ElementRef, LocalTraceModel, TraceLink
 
@@ -312,93 +312,18 @@ class _Parser:
         raise AssertionError  # unreachable
 
 
-# ---------------------------------------------------------------------------
-# Static checks
-# ---------------------------------------------------------------------------
-
-
-def _check_transformation(t: TransformationM2M, metamodels: dict[str, Metamodel]):
-    declared = dict(t.inputs)
-    out_alias, out_mm_name = t.output
-    declared[out_alias] = out_mm_name
-    for alias, mm_name in declared.items():
+def parse_m2m(text: str, metamodels: dict[str, Metamodel]) -> TransformationM2M:
+    """Parse a rule file and type each rule against the given metamodels, as a run does (``_plan``)."""
+    t = _Parser(text).transformation()
+    for mm_name in dict((*t.inputs, t.output)).values():
         if mm_name not in metamodels:
             raise UnknownClass(mm_name)
-
     seen_rules: set[str] = set()
     for rule in t.rules:
         if rule.name in seen_rules:
             raise SchemaError(f"duplicate rule '{rule.name}'")
         seen_rules.add(rule.name)
-        src_mm = metamodels.get(rule.from_metamodel)
-        if src_mm is None:
-            raise UnknownClass(rule.from_metamodel)
-        if src_mm.class_named(rule.from_class) is None:
-            raise UnknownClass(rule.from_class)
-        if rule.guard is not None:
-            attr = _check_expr(rule, rule.guard.left, src_mm)
-            if not isinstance(attr, AttributeDef):
-                raise SchemaError(f"rule '{rule.name}': '{rule.guard.left.feature}' is not an attr")
-            if not _type_ok(attr.type, rule.guard.right.value):
-                raise SchemaError(f"rule '{rule.name}': guard compares {attr.type} attribute "
-                                  f"'{attr.name}' against {rule.guard.right.value!r}")
-        target_vars: set[str] = set()
-        for pattern in rule.targets:
-            out_mm = metamodels.get(pattern.metamodel)
-            if out_mm is None:
-                raise UnknownClass(pattern.metamodel)
-            if pattern.metamodel != out_mm_name:
-                raise SchemaError(f"rule '{rule.name}': pattern variable '{pattern.var}' targets "
-                                  f"'{pattern.metamodel}', not the output metamodel '{out_mm_name}'")
-            if out_mm.class_named(pattern.class_name) is None:
-                raise UnknownClass(pattern.class_name)
-            if pattern.var in target_vars or pattern.var == rule.from_var:
-                raise SchemaError(f"rule '{rule.name}': duplicate pattern variable '{pattern.var}'")
-            target_vars.add(pattern.var)
-        for pattern in rule.targets:
-            scalar_bound: set[str] = set()
-            for binding in pattern.bindings:
-                feature = _feature_of(rule, metamodels[pattern.metamodel], pattern.class_name, binding.feature)
-                if not isinstance(feature, CollectionDef):
-                    if binding.feature in scalar_bound:
-                        raise SchemaError(
-                            f"rule '{rule.name}': feature '{binding.feature}' bound more than once")
-                    scalar_bound.add(binding.feature)
-                _check_expr(rule, binding.expr, src_mm, target_vars)
-
-
-def _feature_of(rule: Rule, mm: Metamodel, class_name: str,
-                name: str) -> AttributeDef | CollectionDef | ReferenceDef:
-    """The feature ``name`` of ``class_name``, typed by ``nav_type``; its error names the rule."""
-    try:
-        return nav_type(mm, class_name, (name,))[0]
-    except SchemaError as exc:
-        raise SchemaError(f"rule '{rule.name}': {exc}") from None
-
-
-def _check_expr(rule: Rule, expr: Expr, src_mm: Metamodel, target_vars: set[str] = frozenset()):
-    """Check ``expr`` in ``rule``; a navigation's feature is returned."""
-    if isinstance(expr, Literal):
-        return
-    if isinstance(expr, VarRef):
-        # Bare variables: the matched source element, or a sibling target
-        # pattern's image (placed as-is, no resolution).
-        if expr.var != rule.from_var and expr.var not in target_vars:
-            raise SchemaError(f"rule '{rule.name}': unknown variable '{expr.var}'")
-        return
-    if isinstance(expr, Nav):
-        if expr.var != rule.from_var:
-            raise SchemaError(f"rule '{rule.name}': unknown variable '{expr.var}'")
-        return _feature_of(rule, src_mm, rule.from_class, expr.feature)
-    if isinstance(expr, Concat):
-        _check_expr(rule, expr.left, src_mm, target_vars)
-        _check_expr(rule, expr.right, src_mm, target_vars)
-
-
-def parse_m2m(text: str, metamodels: dict[str, Metamodel]) -> TransformationM2M:
-    """Parse and class-check a rule file against the given metamodels."""
-    t = _Parser(text).transformation()
-    _check_transformation(t, metamodels)
+        _plan(rule, metamodels, t.output[1], {})
     return t
 
 
@@ -481,8 +406,8 @@ def strip_m2m(t: TransformationM2M) -> TransformationM2M:
 # A matched source element: its input alias and path, its rule's plan, and one image per target pattern.
 _Instance = namedtuple("_Instance", "alias path element plan images")
 
-# A rule typed against the metamodels once per run. ``guard(model, element)`` tells
-# whether a source element of the rule's class satisfies the guard, None for no guard.
+# A rule typed against the metamodels: once when parsed, and once per run. ``guard(model, element)``
+# tells whether a source element of the rule's class satisfies the guard, None for no guard.
 _RulePlan = namedtuple("_RulePlan", "rule guard targets")
 # A target pattern: its class, its bindings in order and its class's references. A
 # binding is (target feature, its kind: the definition's class, the expression's value
@@ -496,60 +421,97 @@ def _holds(op: str, left: object, right: object) -> bool:
     return left > right if op == ">" else left == right if op == "=" else left != right
 
 
-def _compiled(expr: Expr, rule: Rule, src_features: dict, image_of: dict[int, list[Element]]):
+def _compiled(expr: Expr, rule: Rule, src_cls: ClassDef, image_at: dict[str, int],
+              image_of: dict[int, list[Element]]):
     """``expr`` of ``rule`` as a function of (model, element), for the matched
     ``element`` of ``model``, and the source feature it reads if it is a
     navigation, else None. A navigation is its feature's ``_read``: None for an
     unset attribute or reference. A sibling pattern's variable is that
-    pattern's image of ``element`` in ``image_of``."""
+    pattern's image of ``element`` in ``image_of``; ``image_at`` gives each
+    pattern variable's index. An unknown variable or feature is a ``SchemaError``."""
     if isinstance(expr, Literal):
         literal = expr.value
         return (lambda model, element: literal), None
-    if isinstance(expr, VarRef):
-        image_at = {p.var: i for i, p in enumerate(rule.targets)}
-        if expr.var in image_at:  # a sibling pattern's image, placed as-is
-            i = image_at[expr.var]
-            return (lambda model, element: image_of[id(element)][i]), None
+    if isinstance(expr, Concat):
+        left = _compiled(expr.left, rule, src_cls, image_at, image_of)[0]
+        right = _compiled(expr.right, rule, src_cls, image_at, image_of)[0]
+
+        def concat(model, element):
+            left_value, right_value = left(model, element), right(model, element)
+            if not isinstance(left_value, str) or not isinstance(right_value, str):
+                raise TransformationError("concat expects two string values")
+            return left_value + right_value
+
+        return concat, None
+    if isinstance(expr, VarRef) and expr.var in image_at:  # a sibling pattern's image, placed as-is
+        i = image_at[expr.var]
+        return (lambda model, element: image_of[id(element)][i]), None
+    if expr.var != rule.from_var:
+        raise SchemaError(f"rule '{rule.name}': unknown variable '{expr.var}'")
+    if isinstance(expr, VarRef):  # the matched source element
         return (lambda model, element: element), None
-    if isinstance(expr, Nav):
-        source = src_features[expr.feature]
-        return source._read, source
-    left = _compiled(expr.left, rule, src_features, image_of)[0]
-    right = _compiled(expr.right, rule, src_features, image_of)[0]
-
-    def concat(model, element):
-        left_value, right_value = left(model, element), right(model, element)
-        if not isinstance(left_value, str) or not isinstance(right_value, str):
-            raise TransformationError("concat expects two string values")
-        return left_value + right_value
-
-    return concat, None
+    source = src_cls.features.get(expr.feature)
+    if source is None:
+        raise SchemaError(f"rule '{rule.name}': class '{src_cls.name}' has no feature '{expr.feature}'")
+    return source._read, source
 
 
-def _plan(rule: Rule, src_features: dict, out_mm: Metamodel, image_of: dict[int, list[Element]]) -> _RulePlan:
-    """``rule`` typed against the features of its source class and the output
-    metamodel: each navigation's source feature and each binding's target
-    feature, looked up once. A value is checked against an attribute unless it
-    is read from a source attribute whose declared type proves it: the same
-    type, or an int into a float. The inputs conform, so their values have
-    their declared types."""
+def _plan(rule: Rule, metamodels: dict[str, Metamodel], out_mm_name: str,
+          image_of: dict[int, list[Element]]) -> _RulePlan:
+    """``rule`` typed against its source class and the output metamodel
+    ``out_mm_name``: each navigation's source feature and each binding's
+    target feature, looked up once in its class's ``features``. The first
+    fault, in rule order, is an ``UnknownClass`` or a ``SchemaError``. A value
+    is checked against an attribute unless it is read from a source attribute
+    whose declared type proves it: the same type, or an int into a float. The
+    inputs conform, so their values have their declared types."""
+    src_mm = metamodels.get(rule.from_metamodel)
+    if src_mm is None:
+        raise UnknownClass(rule.from_metamodel)
+    src_cls = src_mm.class_named(rule.from_class)
+    if src_cls is None:
+        raise UnknownClass(rule.from_class)
     guard = None
     if rule.guard is not None:
-        read = src_features[rule.guard.left.feature]._read
+        read, attr = _compiled(rule.guard.left, rule, src_cls, {}, image_of)
         op, literal = rule.guard.op, rule.guard.right.value
+        if not isinstance(attr, AttributeDef):
+            raise SchemaError(f"rule '{rule.name}': '{attr.name}' is not an attr")
+        if not _type_ok(attr.type, literal):
+            raise SchemaError(f"rule '{rule.name}': guard compares {attr.type} attribute "
+                              f"'{attr.name}' against {literal!r}")
 
         def guard(model, element):  # an unset attribute is None, which no literal equals
             return _holds(op, read(model, element), literal)
 
-    targets = []
+    image_at: dict[str, int] = {}
+    classes = []
     for pattern in rule.targets:
+        out_mm = metamodels.get(pattern.metamodel)
+        if out_mm is None:
+            raise UnknownClass(pattern.metamodel)
+        if pattern.metamodel != out_mm_name:
+            raise SchemaError(f"rule '{rule.name}': pattern variable '{pattern.var}' targets "
+                              f"'{pattern.metamodel}', not the output metamodel '{out_mm_name}'")
         cls = out_mm.class_named(pattern.class_name)
         if cls is None:
             raise UnknownClass(pattern.class_name)
-        bindings = []
+        if pattern.var in image_at or pattern.var == rule.from_var:
+            raise SchemaError(f"rule '{rule.name}': duplicate pattern variable '{pattern.var}'")
+        image_at[pattern.var] = len(classes)
+        classes.append(cls)
+    targets = []
+    for pattern, cls in zip(rule.targets, classes):
+        bindings, scalar_bound = [], set()
         for binding in pattern.bindings:
-            feature = cls.features[binding.feature]
-            value, source = _compiled(binding.expr, rule, src_features, image_of)
+            feature = cls.features.get(binding.feature)
+            if feature is None:
+                raise SchemaError(f"rule '{rule.name}': class '{cls.name}' has no feature '{binding.feature}'")
+            if not isinstance(feature, CollectionDef):
+                if binding.feature in scalar_bound:
+                    raise SchemaError(f"rule '{rule.name}': feature '{binding.feature}' bound more than once")
+                scalar_bound.add(binding.feature)
+            value, source = _compiled(binding.expr, rule, src_cls, image_at, image_of)
             proven = (isinstance(feature, AttributeDef) and isinstance(source, AttributeDef)
                       and (source.type == feature.type or (source.type, feature.type) == ("int", "float")))
             bindings.append((feature, type(feature), value, proven))
@@ -578,14 +540,13 @@ def _run(t: TransformationM2M, inputs: dict[str, Model], metamodels: dict[str, M
     out_mm = metamodels[t.output[1]]
 
     # The rules by source metamodel, then source class, in rule order. A rule
-    # whose class no input's metamodel has matches nothing, and is not typed.
+    # whose class no input's metamodel has is typed, and matches nothing.
     image_of: dict[int, list[Element]] = {}  # a matched element's images, filled in phase 1
     plans_for: dict[str, dict[str, list[_RulePlan]]] = {name: {} for name in declared.values()}
     for rule in t.rules:
-        by_class = plans_for.get(rule.from_metamodel)
-        src_cls = metamodels[rule.from_metamodel].class_named(rule.from_class) if by_class is not None else None
-        if src_cls is not None:
-            by_class.setdefault(rule.from_class, []).append(_plan(rule, src_cls.features, out_mm, image_of))
+        plan = _plan(rule, metamodels, t.output[1], image_of)
+        if rule.from_metamodel in plans_for:
+            plans_for[rule.from_metamodel].setdefault(rule.from_class, []).append(plan)
 
     # Phase 1: match every source element, instantiate target patterns.
     instances: list[_Instance] = []  # by input alias, then source path: the trace order

@@ -189,3 +189,28 @@ def test_m2m_outcomes_are_unchanged(name):
     # Every mutant that runs yields a model that conforms to its output metamodel.
     for out, psmm in outputs:
         assert check_conformance(out, psmm) == []
+
+
+@pytest.mark.parametrize("name", TRANSFORMATIONS)
+def test_running_a_transformation_raises_what_parsing_it_raises(name):
+    """One function types a rule, so a run rejects every mutant that parsing
+    its text rejects, with the same error, even when it is handed the
+    transformation without parsing it."""
+    rng = random.Random("prop" + name)
+    shipped = parse_m2m(read(name), {"PIMM": PIMM, "PSMM": parse_metamodel(json.dumps(PSMM_DOC))})
+    rejected = 0
+    for _ in range(MUTANTS_PER_TRANSFORMATION):
+        t, doc = mutate_transformation(rng, shipped), PSMM_DOC
+        if rng.random() < 0.5:
+            t = mutate_transformation(rng, t)
+        if rng.random() < 0.5:
+            doc = mutate_metamodel(rng, doc)
+        mms = {"PIMM": PIMM, "PSMM": parse_metamodel(json.dumps(doc))}
+        try:
+            parse_m2m(print_m2m(t), mms)
+        except TracelinkError as exc:
+            rejected += 1
+            with pytest.raises(type(exc)) as at_run:
+                execute_m2m(t, {t.inputs[0][0]: PIM}, mms)
+            assert (type(at_run.value), str(at_run.value)) == (type(exc), str(exc))
+    assert rejected > 0
