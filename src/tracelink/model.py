@@ -109,15 +109,44 @@ class Element:
         self.collections = {} if collections is None else collections
         self.refs = {} if refs is None else refs
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # the fields' own ``==``, from an explicit stack of pairs: any depth
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.class_name, self.attrs, self.collections, self.refs)
-                == (other.class_name, other.attrs, other.collections, other.refs))
+        pairs, seen = [(self, other)], set()
+        while pairs:
+            a, b = pairs.pop()
+            if a.__class__ is not b.__class__ or not isinstance(a, Element):
+                if a != b:  # an item that is not an element, compared whole
+                    return False
+            elif (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                if (a.class_name, a.attrs, a.refs, a.collections.keys()) != (
+                        b.class_name, b.attrs, b.refs, b.collections.keys()):
+                    return False
+                for name, xs in a.collections.items():
+                    ys = b.collections[name]
+                    if type(xs) is not type(ys) or type(xs) not in (list, tuple) or len(xs) != len(ys):
+                        xs, ys = [xs], [ys]  # compared whole
+                    pairs += [(x, y) for x, y in zip(xs, ys) if x is not y]
+        return True
 
-    def __repr__(self) -> str:
-        return (f"Element(class_name={self.class_name!r}, attrs={self.attrs!r}, "
-                f"collections={self.collections!r}, refs={self.refs!r})")
+    def __repr__(self) -> str:  # the fields' own ``repr``, each element's made after its contents': any depth
+        text, stack = {}, [self]
+        while stack:
+            e = stack.pop()
+            if id(e) not in text:
+                text[id(e)] = _Shown("...")  # until it is made: an element inside its own contents
+                stack += [e, *(c for v in e.collections.values() for c in v
+                               if isinstance(c, Element) and id(c) not in text)]
+                continue
+            shown = {name: type(v)(text.get(id(c), c) for c in v) for name, v in e.collections.items()}
+            text[id(e)] = _Shown(f"Element(class_name={e.class_name!r}, attrs={e.attrs!r}, "
+                                 f"collections={shown!r}, refs={e.refs!r})")
+        return str(text[id(self)])
+
+
+class _Shown(str):  # text that ``repr`` shows as it is
+    __repr__ = str.__str__
 
 
 class Model:

@@ -164,6 +164,17 @@ def test_one_depth_limit_for_model_documents_whatever_the_callers_stack(frames):
             _called_from(frames, lambda: parse_model(text, mm))
 
 
+def test_models_at_the_depth_limit_compare_and_show_whole():
+    mm = parse_metamodel(json.dumps(NODE_KIDS_MM))
+    doc = chain_document(320)
+    one, same, other = parse_model(doc, mm), parse_model(doc, mm), parse_model(doc.replace('"n320"', '"m"'), mm)
+    assert one == same and one != other and one.root != other.root
+    text = repr(one)
+    assert text == repr(same) != repr(other)
+    assert text.count("Element(class_name='Node'") == 320
+    assert text.endswith("attrs={'id': 'n320'}, collections={}, refs={})" + "]}, refs={})" * 319 + ")")
+
+
 def test_bundled_pim_metamodel_has_seven_classes(pimm):
     assert len(pimm.classes) == 7
     names = {c.name for c in pimm.classes}
