@@ -19,7 +19,7 @@ from .errors import AnchorNotFound, TracelinkError
 from .megamodel import Megamodel, ResourceKind, ResourceOrigin
 from .model import canonical_json
 from .paths import parse_path
-from .workspace import MEGAMODEL_FILE, OUTPUT_DIR, load, read_text, workspace_lock, write_text
+from .workspace import MEGAMODEL_FILE, OUTPUT_DIR, load, workspace_lock, write_text
 
 # ASCII digits only, as in path indexes; int() alone also reads "1_0", " 3", "+3" and "١٠".
 _AT_BYTE = "@([0-9]+)"
@@ -173,7 +173,7 @@ def enact(process_uri: str, binds: list[str], no_augment: bool):
         kept_ids = {r.id for r in kept}
         kept_rels = frozenset(
             rel for rel in mgm_value.relations if rel.from_id in kept_ids and rel.to_id in kept_ids)
-        p = process.parse_process(read_text(root, process_uri))
+        p = load(root, process_uri, process.parse_process)
         result = process.enact(
             p, Megamodel(kept, kept_rels), bindings, root, augment=not no_augment)
         write_text(root, MEGAMODEL_FILE, megamodel.save_megamodel(result.megamodel))

@@ -44,7 +44,7 @@ from .megamodel import (
 )
 from .model import Model, _load_json, parse_model, serialize_model
 from .trace import LocalTraceModel, save_trace
-from .workspace import OUTPUT_DIR, TRACE_DIR, read_text, write_text
+from .workspace import OUTPUT_DIR, TRACE_DIR, load, write_text
 
 
 class NodeKind(str, Enum):
@@ -384,7 +384,8 @@ class _Runner:
         """The model that feeds ``pin``, checked where it was parsed or made."""
         uri = self.pin_inputs[(action.id, pin.name)]
         if uri not in self.models:
-            self.models[uri] = parse_model(read_text(self.root, uri), self.metamodels[pin.metamodel], uri=uri)
+            mm = self.metamodels[pin.metamodel]
+            self.models[uri] = load(self.root, uri, lambda text: parse_model(text, mm, uri=uri))
         model = self.models[uri]
         if model.metamodel_name != pin.metamodel:
             raise ConformanceError("root", f"model '{uri}' conforms to '{model.metamodel_name}', "
@@ -412,7 +413,7 @@ class _Runner:
 
     def m2m(self, action: ProcNode, tr_res: ResourceEntry, stamp: int):
         """Run one M2M action and write its output model; return its uri and the trace."""
-        transformation = m2m.parse_m2m(read_text(self.root, tr_res.uri), self.metamodels)
+        transformation = load(self.root, tr_res.uri, lambda text: m2m.parse_m2m(text, self.metamodels))
         if self.augment:
             transformation = m2m.augment_m2m(transformation)
 
@@ -448,7 +449,7 @@ class _Runner:
 
     def m2c(self, action: ProcNode, tr_res: ResourceEntry, stamp: int):
         """Run one M2C action and write its file (and sidecar, if augmented); return its uri and the trace."""
-        template = m2c.parse_template(read_text(self.root, tr_res.uri), self.metamodels)
+        template = load(self.root, tr_res.uri, lambda text: m2c.parse_template(text, self.metamodels))
         if len(action.input_pins) != 1:
             raise TransformationError("an M2C action needs exactly one input pin", action.id)
         pin = action.input_pins[0]

@@ -634,7 +634,7 @@ def test_a_reference_index_longer_than_int_reads_dangles(tmp_path, runner):
     assert invoke(runner, ws, "discover", ".").exit_code == 0
     result = invoke(runner, ws, "enact", "wsn-iot.proc.json", "--bind", "pim=Input.pim.model.json")
     assert_one_line_error(result)
-    assert result.output.startswith("error: iot[0].device[0]: reference 'peer' dangles: 'wsn[999")
+    assert result.output.startswith("error: Input.pim.model.json: iot[0].device[0]: reference 'peer' dangles: 'wsn[999")
 
 
 def test_gtm_dot_draws_a_trace_path_longer_than_int_reads_as_dangling(enacted_ws, runner):

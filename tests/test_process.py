@@ -428,9 +428,9 @@ ENACTMENT_ERRORS = {
     "not-a-transformation": ({"tr": "Metamodel:NodeMM.mm.json"}, TransformationError,
                              "action 'A': resource 'Metamodel:NodeMM.mm.json' is not a transformation"),
     "parse-error": ({**M2C, "files": {"Show.m2c": SHOW_M2C.replace("[/template]", "")}}, TransformationError,
-                    "action 'A': missing closing tag, expected one of ('/template',)"),
+                    "action 'A': Show.m2c: missing closing tag, expected one of ('/template',)"),
     "m2m-lexer": ({"files": {"Identity.m2m": "transformation Identity; @"}}, TransformationError,
-                  "action 'A': unexpected character '@' (line 1, col 26)"),
+                  "action 'A': Identity.m2m: unexpected character '@' (line 1, col 26)"),
     "action-order": ({"action_order": lambda order: order[1:]}, TracelinkError,
                      "action_order must permute the stage"),
 }
