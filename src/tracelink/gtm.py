@@ -24,7 +24,9 @@ from pathlib import Path
 
 from .errors import AnchorNotFound, LocationOutsideSpans, ParseError, TracelinkError
 from .megamodel import Megamodel, ResourceKind, _dot_escape, load_metamodels, trace_scope
-from .model import _load_json, parse_model, resolve_path
+# ``parse_model`` is not called here but stays bound: tests/test_query.py counts
+# calls to ``gtm.parse_model`` to show that a query parses no model.
+from .model import _load_json, _read_model, parse_model, resolve_path  # noqa: F401
 from .trace import CodeSpan, ElementRef, LocalTraceModel, load_trace
 from .workspace import load, read_text
 
@@ -156,14 +158,13 @@ def dangling_endpoints(g: GlobalTraceMap, mgm: Megamodel, root: Path) -> dict[El
     @cache
     def model_at(uri: str):  # the parsed model, or why it cannot be had
         try:
-            text = read_text(root, uri)
-            data = _load_json(text)
+            data = _load_json(read_text(root, uri))
             if not isinstance(data, dict):
                 raise ParseError("model document must be an object")
             mm_name = data.get("metamodel")
             if not isinstance(mm_name, str) or mm_name not in metamodels:
                 return f"metamodel '{mm_name}' is not registered"
-            return parse_model(text, metamodels[mm_name], uri=uri)
+            return _read_model(data, metamodels[mm_name], uri=uri)
         except (OSError, TracelinkError, ValueError) as exc:
             return f"model not loadable: {exc}"
 

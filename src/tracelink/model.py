@@ -386,18 +386,22 @@ def _path_text(node, prefix: str = "") -> str:
 
 
 def parse_model(text: str, mm: Metamodel, uri: str = "") -> Model:
-    """Parse a model document and check it against ``mm`` in one walk: the
-    first structural fault in document order is a ``ParseError``, else all
+    """Parse a model document and check it against ``mm`` (``_read_model``)."""
+    return _read_model(_load_json(text), mm, uri)
+
+
+def _read_model(data: object, mm: Metamodel, uri: str) -> Model:
+    """Read a decoded model document and check it against ``mm`` in one walk:
+    the first structural fault in document order is a ``ParseError``, else all
     violations make one ``ConformanceError``; nesting past ``_MAX_DEPTH`` first."""
-    data = _load_json(text)
     try:
-        return _read_model(data, mm, uri)
+        return _walk_model(data, mm, uri)
     except TracelinkError:
         _require(_nesting(data) <= _MAX_DEPTH, "JSON nested too deeply")
         raise
 
 
-def _read_model(data: object, mm: Metamodel, uri: str) -> Model:
+def _walk_model(data: object, mm: Metamodel, uri: str) -> Model:
     _require(isinstance(data, dict), "model document must be an object")
     declared = data.get("metamodel")
     _require(isinstance(declared, str) and declared, "model needs a string 'metamodel'")

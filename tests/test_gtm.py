@@ -471,8 +471,8 @@ def test_gtm_dot_around_parses_only_the_models_it_draws(enacted, tmp_path, monke
     clone, mgm, g = clone_of(enacted, tmp_path)
     (clone / "megamodel.json").write_text(save_megamodel(mgm), encoding="utf-8")
     parsed = []
-    original = model.parse_model
-    monkeypatch.setattr(gtm, "parse_model", lambda *a, **kw: parsed.append(kw["uri"]) or original(*a, **kw))
+    original = model._read_model
+    monkeypatch.setattr(gtm, "_read_model", lambda *a, **kw: parsed.append(kw["uri"]) or original(*a, **kw))
     dot = CliRunner().invoke(cli, ["gtm", "dot", "--around", AROUND, "--radius", "1"],
                              env={"TRACELINK_WORKSPACE": str(clone)}, catch_exceptions=False)
     assert dot.exit_code == 0
@@ -482,6 +482,17 @@ def test_gtm_dot_around_parses_only_the_models_it_draws(enacted, tmp_path, monke
     drawn = {anchor, *(n for e in edges for n in (e.src, e.dst))}
     assert dot.output.count(" -> ") == len(edges) == 1
     assert sorted(parsed) == sorted({n.model_uri for n in drawn if isinstance(n, ElemNode)})
+
+
+def test_gtm_dot_decodes_each_model_document_once(enacted, tmp_path, monkeypatch):
+    clone, mgm, _ = clone_of(enacted, tmp_path)
+    (clone / "megamodel.json").write_text(save_megamodel(mgm), encoding="utf-8")
+    documents = sorted(read_text(clone, r.uri) for r in mgm.of_kind(ResourceKind.MODEL))
+    decoded, original = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or original(text, **kw))
+    dot = CliRunner().invoke(cli, ["gtm", "dot"], env={"TRACELINK_WORKSPACE": str(clone)}, catch_exceptions=False)
+    assert dot.exit_code == 0 and len(documents) == 5
+    assert sorted(text for text in decoded if text in documents) == documents
 
 
 def test_dangling_endpoints_are_listed_once_in_node_order(enacted, tmp_path):
