@@ -37,8 +37,9 @@ PRIMITIVE_TYPES = ("string", "int", "float", "bool")
 
 # What a navigation step over a feature reads from the element holding it is
 # defined once, by the feature's ``_read(model, holder)``. Both engines call it
-# through the features ``nav_type`` found for the navigation: M2M once per run,
-# M2C once per template, when it is parsed.
+# through the feature they typed the step with: M2M's one-step navigations from
+# the source class's ``features``, when a rule file is parsed and once per run;
+# M2C's through ``nav_type``, once per template, when it is parsed.
 
 
 class AttributeDef(namedtuple("AttributeDef", "name type")):  # type: one of PRIMITIVE_TYPES
